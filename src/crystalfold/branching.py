@@ -141,10 +141,10 @@ def branch_hat(datum, i, s):
     route1 = sorted(
         b for b in hat.crystal.ids
         if all(hat.crystal.apply_e(j, b) is None for j in jset))
+    raising = [tilde.crystal.e[j] for j in datum.classical_nodes]
     route2 = sorted(
-        b for b in tilde.crystal.ids
-        if tilde.omega(b) == b
-        and all(tilde.crystal.apply_e(j, b) is None for j in datum.classical_nodes))
+        b for k, b in enumerate(tilde.crystal.ids)
+        if tilde.omega_map[k] == k and all(e[k] == -1 for e in raising))
     if route1 != route2:
         raise VerificationError(
             "highest weight characterizations disagree: %d folded-highest vs "
@@ -246,7 +246,9 @@ def multiplicity_free_gate(datum, i, s):
     mults = Counter(wt for _, wt, _ in decomp)
     gate = all(v == 1 for v in mults.values())
     if gate:
-        node_fixed = {b for b, _, _ in decomp if tilde.omega(b) == b}
+        index = tilde.crystal.index
+        node_fixed = {b for b, _, _ in decomp
+                      if tilde.omega_map[index[b]] == index[b]}
         weight_fixed = {b for b, wt, _ in decomp
                         if omega_star(datum, wt) == wt}
         if node_fixed != weight_fixed:

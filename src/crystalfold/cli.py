@@ -222,7 +222,14 @@ def rmatrix(case_, n, i, s, fmt, out):
     with _boundary():
         _require_case(case_)
         datum = make_datum(case_, n)
-        mapping = compute_r_matrix(datum, (i, s), (datum.omega[i], s))
+        left = kr_crystal(datum, i, s)
+        right = kr_crystal(datum, datum.omega[i], s)
+        rmat = compute_r_matrix(datum, (i, s), (datum.omega[i], s))
+        mapping = {}
+        for a, x in enumerate(left.ids):
+            for b, y in enumerate(right.ids):
+                c, d = rmat(a, b)
+                mapping[x + "*" + y] = right.ids[c] + "*" + left.ids[d]
         if fmt == "json":
             payload = json.dumps({"map": mapping}, sort_keys=True, indent=2) + "\n"
         else:
@@ -242,13 +249,14 @@ def energy(case_, n, i, s, fmt, out):
         _require_case(case_)
         datum = make_datum(case_, n)
         crys = kr_crystal(datum, i, s)
-        top = classical_highest_node(datum, crys, i, s)
+        top = crys.index[classical_highest_node(datum, crys, i, s)]
         prod = tensor(crys, crys)
-        table = energy_on_tensor(prod, top + "*" + top)
+        values = energy_on_tensor(prod, prod.at(top, top))
         if fmt == "json":
+            table = dict(zip(prod.ids, values))
             payload = json.dumps({"H": table}, sort_keys=True, indent=2) + "\n"
         else:
-            lines = ["H %s %d" % (b, table[b]) for b in sorted(table)]
+            lines = ["H %s %d" % item for item in zip(prod.ids, values)]
             payload = "\n".join(lines) + "\n"
         _emit(payload, out)
 

@@ -4,11 +4,16 @@ A crystal is stored as an explicit labeled digraph: canonical string ids,
 integer weight tuples over the coroot pairings, and one lowering map per
 color with -1 standing for theta. Everything else (raising maps, string
 lengths, Weyl action, extremal elements, simplicity, perfectness) is
-derived from the graph and re-verified rather than trusted.
+derived from the graph and re-verified rather than trusted. Tensor products
+and the maps between crystals work on node indices; string ids are only
+rendered for messages and output.
 """
 
-import json
+from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import islice
+from operator import add
 
 from .cartan import classical_alpha, enumerate_dominant
 
@@ -61,39 +66,44 @@ class Crystal:
     Ids are sorted lexicographically so all derived output is canonical.
     """
 
-    def __init__(self, gcm, comarks, nodes, f_edges, factors=None):
+    def __init__(self, gcm, comarks, nodes, f_edges):
+        ids = tuple(sorted(nodes))
+        index = {b: k for k, b in enumerate(ids)}
+        weights = []
+        payloads = []
+        for b in ids:
+            wt, payload = nodes[b]
+            if len(wt) != len(gcm):
+                raise ValueError("weight length mismatch at %s" % b)
+            weights.append(tuple(wt))
+            payloads.append(payload)
+        f = []
+        for j in range(len(gcm)):
+            arr = [-1] * len(ids)
+            for src, dst in f_edges.get(j, {}).items():
+                arr[index[src]] = index[dst]
+            f.append(arr)
+        self._setup(gcm, comarks, ids, tuple(weights), tuple(payloads), f)
+        self.index = index
+
+    def _setup(self, gcm, comarks, ids, weights, payloads, f):
         self.gcm = tuple(tuple(row) for row in gcm)
         self.comarks = tuple(comarks)
         self.ncolors = len(self.gcm)
-        self.ids = tuple(sorted(nodes))
-        self.index = {b: k for k, b in enumerate(self.ids)}
-        self.weights = []
-        self.payloads = []
-        for b in self.ids:
-            wt, payload = nodes[b]
-            if len(wt) != self.ncolors:
-                raise ValueError("weight length mismatch at %s" % b)
-            self.weights.append(tuple(wt))
-            self.payloads.append(payload)
-        self.weights = tuple(self.weights)
-        self.payloads = tuple(self.payloads)
-        n = len(self.ids)
-        self.f = []
-        self.e = []
-        for j in range(self.ncolors):
-            arr = [-1] * n
-            for src, dst in f_edges.get(j, {}).items():
-                arr[self.index[src]] = self.index[dst]
-            self.f.append(arr)
-            inv = [-1] * n
-            for src, dst in enumerate(arr):
-                if dst != -1:
-                    inv[dst] = src
-            self.e.append(inv)
+        self.ids = ids
+        self.weights = weights
+        self.payloads = payloads
+        self.f = f
+        self.e = [_inverse(arr) for arr in f]
         # a tensor product remembers its leaf crystals in order
-        self.factors = (self,) if factors is None else tuple(factors)
+        self.factors = (self,)
         self._eps = {}
         self._phi = {}
+
+    @cached_property
+    def index(self):
+        """Node index of each id; built on first use for tensors."""
+        return {b: k for k, b in enumerate(self.ids)}
 
     def __len__(self):
         return len(self.ids)
@@ -111,15 +121,23 @@ class Crystal:
         t = self.e[j][self.index[b]]
         return None if t == -1 else self.ids[t]
 
-    def apply_word(self, word, b, lowering=True):
-        """Apply an operator word, first letter first; None once it dies."""
+    def apply_word_idx(self, word, i, lowering=True):
+        """Apply an operator word to node i, first letter first; -1 once it dies."""
         maps = self.f if lowering else self.e
-        cur = self.index[b]
         for j in word:
-            cur = maps[j][cur]
-            if cur == -1:
-                return None
-        return self.ids[cur]
+            i = maps[j][i]
+            if i == -1:
+                return -1
+        return i
+
+    def leaf_columns(self):
+        """Per leaf factor, the leaf node index of every node."""
+        return [list(range(len(self.ids)))]
+
+    def locate(self, columns):
+        """Node indices of leaf-index columns; inverse of leaf_columns."""
+        (col,) = columns
+        return list(col)
 
     def _walk_color(self, j):
         """String positions for one color; fails on collisions or cycles."""
@@ -169,12 +187,10 @@ class Crystal:
     def phi(self, j, b):
         return self.phi_idx(j, self.index[b])
 
-    def eps_tuple(self, b):
-        i = self.index[b]
+    def eps_tuple_idx(self, i):
         return tuple(self.eps_idx(j, i) for j in range(self.ncolors))
 
-    def phi_tuple(self, b):
-        i = self.index[b]
+    def phi_tuple_idx(self, i):
         return tuple(self.phi_idx(j, i) for j in range(self.ncolors))
 
     # -- axioms -------------------------------------------------------------
@@ -284,12 +300,14 @@ class Crystal:
     def weyl_s(self, j, b):
         return self.ids[self.weyl_s_idx(j, self.index[b])]
 
-    def weyl_word(self, word, b):
+    def weyl_word_idx(self, word, i):
         """Apply simple Weyl operators along the word, first letter first."""
-        i = self.index[b]
         for j in word:
             i = self.weyl_s_idx(j, i)
-        return self.ids[i]
+        return i
+
+    def weyl_word(self, word, b):
+        return self.ids[self.weyl_word_idx(word, self.index[b])]
 
     # -- extremal elements, simplicity, perfectness --------------------------
 
@@ -321,10 +339,6 @@ class Crystal:
             for i in orbit:
                 verdict[i] = good
         return tuple(self.ids[i] for i in range(n) if verdict[i])
-
-    def level_of(self, b):
-        i = self.index[b]
-        return sum(c * self.eps_idx(j, i) for j, c in enumerate(self.comarks))
 
     def is_simple(self, report=None):
         report = report if report is not None else Report()
@@ -368,9 +382,11 @@ class Crystal:
         return report
 
     def level_and_minimal(self):
-        levels = [self.level_of(b) for b in self.ids]
+        """The minimal level and the nodes that have it."""
+        levels = [sum(c * self.eps_idx(j, i) for j, c in enumerate(self.comarks))
+                  for i in range(len(self.ids))]
         lev = min(levels)
-        return lev, tuple(b for b, l in zip(self.ids, levels) if l == lev)
+        return lev, tuple(i for i, l in enumerate(levels) if l == lev)
 
     def is_perfect(self, s, report=None):
         """Level check plus the two minimal-set bijections onto dominant weights."""
@@ -382,20 +398,22 @@ class Crystal:
 
         def bijection(kind, table):
             image = {}
-            for b in bmin:
-                v = table(b)
+            for i in bmin:
+                v = table(i)
                 if v not in targets:
-                    raise VerificationError("%s of %s leaves the dominant set" % (kind, b))
+                    raise VerificationError(
+                        "%s of %s leaves the dominant set" % (kind, self.ids[i]))
                 if v in image:
-                    raise VerificationError("%s collides on %s and %s" % (kind, image[v], b))
-                image[v] = b
+                    raise VerificationError(
+                        "%s collides on %s and %s" % (kind, self.ids[image[v]], self.ids[i]))
+                image[v] = i
             if len(image) != len(targets):
                 raise VerificationError(
                     "%s image covers %d of %d dominant weights"
                     % (kind, len(image), len(targets)))
 
-        report.run("perfect:eps-bijection", lambda: bijection("eps", self.eps_tuple))
-        report.run("perfect:phi-bijection", lambda: bijection("phi", self.phi_tuple))
+        report.run("perfect:eps-bijection", lambda: bijection("eps", self.eps_tuple_idx))
+        report.run("perfect:phi-bijection", lambda: bijection("phi", self.phi_tuple_idx))
         return report
 
     # -- export -------------------------------------------------------------
@@ -425,42 +443,84 @@ class Crystal:
         return "\n".join(lines) + "\n"
 
 
-def tensor(left, right):
-    """Tensor product crystal, left factor first.
+def _inverse(arr):
+    inv = [-1] * len(arr)
+    for src, dst in enumerate(arr):
+        if dst != -1:
+            inv[dst] = src
+    return inv
+
+
+class Tensor(Crystal):
+    """Tensor product crystal left (x) right, stored by node index.
+
+    Node k is the pair (left_of[k], right_of[k]) of a left and a right node,
+    and node_at[a * len(right) + b] is the node of the pair (a, b). Ids are
+    rendered once, as left id + "*" + right id, and nodes are numbered in id
+    order, which is pair order unless some id sorts below "*".
 
     The lowering rule: f_j acts on the left factor when phi_j(left) is
     strictly larger than eps_j(right), otherwise on the right factor; the
     derived raising maps then act on the left exactly when phi_j(left) >=
     eps_j(right).
     """
-    if left.gcm != right.gcm or left.comarks != right.comarks:
-        raise ValueError("tensor factors live over different data")
-    ncolors = left.ncolors
-    nodes = {}
-    f_edges = {j: {} for j in range(ncolors)}
-    for ia, a in enumerate(left.ids):
-        wa = left.weights[ia]
-        for ib, b in enumerate(right.ids):
-            bid = a + "*" + b
-            nodes[bid] = (tuple(x + y for x, y in zip(wa, right.weights[ib])), None)
-    for j in range(ncolors):
-        fa, fb = left.f[j], right.f[j]
-        for ia, a in enumerate(left.ids):
-            pa = left.phi_idx(j, ia)
-            for ib, b in enumerate(right.ids):
-                if pa > right.eps_idx(j, ib):
-                    ta = fa[ia]
-                    if ta != -1:
-                        f_edges[j][a + "*" + b] = left.ids[ta] + "*" + b
+
+    def __init__(self, left, right):
+        if left.gcm != right.gcm or left.comarks != right.comarks:
+            raise ValueError("tensor factors live over different data")
+        na, nb = len(left), len(right)
+        flat = [a + "*" + b for a in left.ids for b in right.ids]
+        if all(map(str.__lt__, flat, islice(flat, 1, None))):
+            order = node_at = range(na * nb)
+        else:
+            order = sorted(range(na * nb), key=flat.__getitem__)
+            node_at = [0] * (na * nb)
+            for k, p in enumerate(order):
+                if k and flat[p] == flat[order[k - 1]]:
+                    raise ValueError("tensor ids collide at %s" % flat[p])
+                node_at[p] = k
+        self.left, self.right, self.node_at = left, right, node_at
+        self.left_of = [p // nb for p in order]
+        self.right_of = [p % nb for p in order]
+        weights = [tuple(map(add, x, y)) for x in left.weights for y in right.weights]
+        f = []
+        for j in range(left.ncolors):
+            left._walk_color(j)
+            right._walk_color(j)
+            fb = right.f[j]
+            row = []  # over pair codes a * nb + b
+            for a, (pa, ta) in enumerate(zip(left._phi[j], left.f[j])):
+                base = a * nb
+                if pa == 0:
+                    row += [-1 if t == -1 else base + t for t in fb]
                 else:
-                    tb = fb[ib]
-                    if tb != -1:
-                        f_edges[j][a + "*" + b] = a + "*" + right.ids[tb]
-    out = Crystal(left.gcm, left.comarks, nodes, f_edges,
-                  factors=left.factors + right.factors)
-    out.left = left
-    out.right = right
-    return out
+                    row += [ta * nb + b if pa > e else (-1 if t == -1 else base + t)
+                            for b, e, t in zip(range(nb), right._eps[j], fb)]
+            if order is not node_at:
+                row = [-1 if t == -1 else node_at[t] for t in map(row.__getitem__, order)]
+            f.append(row)
+        self._setup(left.gcm, left.comarks, tuple(map(flat.__getitem__, order)),
+                    tuple(map(weights.__getitem__, order)), (None,) * len(flat), f)
+        self.factors = left.factors + right.factors
+
+    def at(self, a, b):
+        """The node of the pair (left node a, right node b)."""
+        return self.node_at[a * len(self.right) + b]
+
+    def leaf_columns(self):
+        return ([[col[a] for a in self.left_of] for col in self.left.leaf_columns()]
+                + [[col[b] for b in self.right_of] for col in self.right.leaf_columns()])
+
+    def locate(self, columns):
+        cut = len(self.left.factors)
+        nb, node_at = len(self.right), self.node_at
+        return [node_at[a * nb + b] for a, b in zip(self.left.locate(columns[:cut]),
+                                                    self.right.locate(columns[cut:]))]
+
+
+def tensor(left, right):
+    """Tensor product crystal, left factor first (see Tensor)."""
+    return Tensor(left, right)
 
 
 def tensor_many(parts):
@@ -479,56 +539,69 @@ def graphs_equal(x, y):
 
 
 def propagate_map(src, dst, anchors, relabel=None, colors=None, domain=None,
-                  weight_map=None, queue_reversed=False):
+                  weight_map=None, order="dfs"):
     """Extend an anchor assignment to a color-respecting isomorphism.
 
-    Walks lowering and raising edges outward from the anchors, with source
-    color j matched to destination color relabel[j]. A conflicting image, a
-    string that dies on one side only, or (when domain is given) an
-    unreached domain node raises VerificationError. Afterwards every edge
-    between mapped nodes is re-checked under the finished map, along with
+    Works on node indices: anchors maps src nodes to dst nodes, and the
+    result is a list over the src nodes with -1 where nothing was mapped.
+    Walks lowering and raising edges outward from the anchors, depth first
+    (order="dfs") or breadth first (order="bfs"), with source color j
+    matched to destination color relabel[j]. A conflicting image, a string
+    that dies on one side only, or an unreached node of domain (all of src
+    by default) raises VerificationError. Afterwards every edge between
+    mapped nodes is re-checked under the finished map, along with
     injectivity and, when weight_map is given, the weight rule.
     """
+    if order not in ("dfs", "bfs"):
+        raise ValueError("order must be 'dfs' or 'bfs', not %r" % (order,))
     colors = tuple(range(src.ncolors)) if colors is None else tuple(colors)
     relabel = {j: j for j in colors} if relabel is None else dict(relabel)
-    out = dict(anchors)
-    queue = list(anchors)
+    lowering = [(src.f[j], dst.f[relabel[j]], j) for j in colors]
+    steps = []
+    for j, step in zip(colors, lowering):
+        steps += [step, (src.e[j], dst.e[relabel[j]], j)]
+    out = [-1] * len(src)
+    for x, y in anchors.items():
+        out[x] = y
+    queue = deque(anchors)
+    pop = queue.pop if order == "dfs" else queue.popleft
     while queue:
-        x = queue.pop(0) if queue_reversed else queue.pop()
+        x = pop()
         y = out[x]
-        for j in colors:
-            jd = relabel[j]
-            for nx, ny in ((src.apply_f(j, x), dst.apply_f(jd, y)),
-                           (src.apply_e(j, x), dst.apply_e(jd, y))):
-                if nx is None and ny is None:
-                    continue
-                if nx is None or ny is None:
+        for smap, dmap, j in steps:
+            nx, ny = smap[x], dmap[y]
+            if nx == -1 or ny == -1:
+                if nx != ny:
                     raise VerificationError(
-                        "string mismatch at %s under color %d" % (x, j))
-                if nx in out:
-                    if out[nx] != ny:
-                        raise VerificationError("conflicting images for %s" % nx)
-                else:
-                    out[nx] = ny
-                    queue.append(nx)
-    if domain is not None:
-        missing = [b for b in domain if b not in out]
-        if missing:
-            raise VerificationError(
-                "propagation missed %d nodes, first %s" % (len(missing), missing[0]))
-    hit = {}
-    for x, y in sorted(out.items()):
-        if y in hit:
-            raise VerificationError("map sends %s and %s to %s" % (hit[y], x, y))
-        hit[y] = x
-        for j in colors:
-            fx, fy = src.apply_f(j, x), dst.apply_f(relabel[j], y)
-            if fx is None and fy is None:
+                        "string mismatch at %s under color %d" % (src.ids[x], j))
                 continue
-            if fx is None or fy is None or out.get(fx) != fy:
+            seen = out[nx]
+            if seen == -1:
+                out[nx] = ny
+                queue.append(nx)
+            elif seen != ny:
+                raise VerificationError("conflicting images for %s" % src.ids[nx])
+    domain = range(len(src)) if domain is None else domain
+    missing = [x for x in domain if out[x] == -1]
+    if missing:
+        raise VerificationError(
+            "propagation missed %d nodes, first %s" % (len(missing), src.ids[missing[0]]))
+    hit = [-1] * len(dst)
+    for x, y in enumerate(out):
+        if y == -1:
+            continue
+        if hit[y] != -1:
+            raise VerificationError(
+                "map sends %s and %s to %s" % (src.ids[hit[y]], src.ids[x], dst.ids[y]))
+        hit[y] = x
+        for smap, dmap, j in lowering:
+            fx, fy = smap[x], dmap[y]
+            if fx == -1 and fy == -1:
+                continue
+            if fx == -1 or fy == -1 or out[fx] != fy:
                 raise VerificationError(
-                    "edge re-check failed at %s under color %d" % (x, j))
+                    "edge re-check failed at %s under color %d" % (src.ids[x], j))
         if weight_map is not None:
-            if tuple(weight_map(src.weight(x))) != dst.weight(y):
-                raise VerificationError("weight rule fails at %s" % x)
+            if tuple(weight_map(src.weights[x])) != dst.weights[y]:
+                raise VerificationError("weight rule fails at %s" % src.ids[x])
     return out

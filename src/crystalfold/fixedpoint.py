@@ -13,43 +13,50 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .cartan import (
-    block, hat_level, kashiwara_word, p_omega_star, p_omega_star_inverse,
-    theta_word)
+    ScopeError, block, hat_level, kashiwara_word, p_omega_star,
+    p_omega_star_inverse, theta_word)
 from .crystal import Crystal, Report, VerificationError, propagate_map, tensor
-from .intertwine import build_tilde_crystal, energy_on_tensor
+from .intertwine import build_tilde_crystal, energy_on_tensor, energy_steps
 from .monomial import weight_multiset
 
 
+def _fixed_nodes(omega_map):
+    return [k for k, image in enumerate(omega_map) if image == k]
+
+
 def fold_crystal(datum, crystal, omega_map):
-    """Fixed-node crystal over the folded data; hard-fails on instability."""
-    fixed = [b for b in crystal.ids if omega_map[b] == b]
+    """Fixed-node crystal over the folded data; hard-fails on instability.
+
+    omega_map is the twist as an array over the nodes of crystal.
+    """
+    fixed = _fixed_nodes(omega_map)
     if not fixed:
         raise VerificationError("the twist fixes no nodes")
     fixedset = set(fixed)
+    ids = crystal.ids
     ncolors_hat = len(datum.hat_gcm)
     nodes = {}
-    for b in fixed:
+    for p in fixed:
         try:
-            wt_hat = p_omega_star_inverse(datum, crystal.weight(b))
+            wt_hat = p_omega_star_inverse(datum, crystal.weights[p])
         except ValueError as exc:
-            raise VerificationError("fixed node %s: %s" % (b, exc))
-        nodes[b] = (wt_hat, None)
+            raise VerificationError("fixed node %s: %s" % (ids[p], exc))
+        nodes[ids[p]] = (wt_hat, None)
     f_edges = {jh: {} for jh in range(ncolors_hat)}
-    for b in fixed:
+    for p in fixed:
         for jh in range(ncolors_hat):
             word = kashiwara_word(datum, jh)
-            down = crystal.apply_word(word, b, lowering=True)
-            if down is None:
+            down = crystal.apply_word_idx(word, p)
+            if down == -1:
                 continue
             if down not in fixedset:
                 raise VerificationError(
                     "lowering word for folded color %d leaves the fixed set at %s"
-                    % (jh, b))
-            back = crystal.apply_word(tuple(reversed(word)), down, lowering=False)
-            if back != b:
+                    % (jh, ids[p]))
+            if crystal.apply_word_idx(tuple(reversed(word)), down, lowering=False) != p:
                 raise VerificationError(
-                    "raising word fails to undo folded color %d at %s" % (jh, b))
-            f_edges[jh][b] = down
+                    "raising word fails to undo folded color %d at %s" % (jh, ids[p]))
+            f_edges[jh][ids[p]] = ids[down]
     return Crystal(datum.hat_gcm, datum.hat_comarks, nodes, f_edges)
 
 
@@ -60,13 +67,26 @@ class HatBundle:
     s: int
     tilde: object
     crystal: object
+    fixed: tuple  # the node of tilde.crystal under each folded node
+
+
+def _require_folded_column(datum, i):
+    """Only orbit representatives among the classical nodes are folded columns."""
+    if i not in datum.classical_nodes:
+        raise ScopeError("column %d is not a classical node" % i)
+    if datum.rep(i) != i:
+        raise ScopeError(
+            "column %d is not an orbit representative: its orbit %s folds to "
+            "column %d, so use i = %d" % (i, datum.orbit(i), datum.rep(i), datum.rep(i)))
 
 
 @lru_cache(maxsize=None)
 def build_hat_crystal(datum, i, s):
+    _require_folded_column(datum, i)
     tilde = build_tilde_crystal(datum, i, s)
     hat = fold_crystal(datum, tilde.crystal, tilde.omega_map)
-    return HatBundle(datum=datum, i=i, s=s, tilde=tilde, crystal=hat)
+    return HatBundle(datum=datum, i=i, s=s, tilde=tilde, crystal=hat,
+                     fixed=tuple(_fixed_nodes(tilde.omega_map)))
 
 
 # -- the headline verification ----------------------------------------------
@@ -120,45 +140,45 @@ def check_string_identities(datum, i, s):
     bundle = build_hat_crystal(datum, i, s)
     hat = bundle.crystal
     parent = bundle.tilde.crystal
+    fixed = bundle.fixed
     report = Report()
 
     def eps_orbit():
-        for b in hat.ids:
-            if p_omega_star(datum, hat.eps_tuple(b)) != parent.eps_tuple(b):
-                raise VerificationError("eps tuples disagree at %s" % b)
-            if p_omega_star(datum, hat.phi_tuple(b)) != parent.phi_tuple(b):
-                raise VerificationError("phi tuples disagree at %s" % b)
+        for h, p in enumerate(fixed):
+            if p_omega_star(datum, hat.eps_tuple_idx(h)) != parent.eps_tuple_idx(p):
+                raise VerificationError("eps tuples disagree at %s" % hat.ids[h])
+            if p_omega_star(datum, hat.phi_tuple_idx(h)) != parent.phi_tuple_idx(p):
+                raise VerificationError("phi tuples disagree at %s" % hat.ids[h])
 
     def powered_words():
-        for b in hat.ids:
+        for h, p in enumerate(fixed):
             for jh in range(hat.ncolors):
-                top = hat.phi(jh, b)
-                cur = b
+                top = hat.phi_idx(jh, h)
+                cur = h
                 for m in range(1, top + 2):
-                    cur = hat.apply_f(jh, cur) if cur is not None else None
-                    via_word = parent.apply_word(
-                        kashiwara_word(datum, jh, m), b, lowering=True)
-                    if via_word != cur:
+                    cur = hat.f[jh][cur] if cur != -1 else -1
+                    via_word = parent.apply_word_idx(kashiwara_word(datum, jh, m), p)
+                    if via_word != (fixed[cur] if cur != -1 else -1):
                         raise VerificationError(
-                            "lowering power %d disagrees at %s color %d" % (m, b, jh))
-                top = hat.eps(jh, b)
-                cur = b
+                            "lowering power %d disagrees at %s color %d" % (m, hat.ids[h], jh))
+                top = hat.eps_idx(jh, h)
+                cur = h
                 for m in range(1, top + 2):
-                    cur = hat.apply_e(jh, cur) if cur is not None else None
-                    via_word = parent.apply_word(
-                        tuple(reversed(kashiwara_word(datum, jh, m))), b, lowering=False)
-                    if via_word != cur:
+                    cur = hat.e[jh][cur] if cur != -1 else -1
+                    via_word = parent.apply_word_idx(
+                        tuple(reversed(kashiwara_word(datum, jh, m))), p, lowering=False)
+                    if via_word != (fixed[cur] if cur != -1 else -1):
                         raise VerificationError(
-                            "raising power %d disagrees at %s color %d" % (m, b, jh))
+                            "raising power %d disagrees at %s color %d" % (m, hat.ids[h], jh))
 
     def weyl_match():
-        for b in hat.ids:
+        for h, p in enumerate(fixed):
             for jh in range(hat.ncolors):
-                lhs = hat.weyl_s(jh, b)
-                rhs = parent.weyl_word(theta_word(datum, (jh,)), b)
+                lhs = fixed[hat.weyl_s_idx(jh, h)]
+                rhs = parent.weyl_word_idx(theta_word(datum, (jh,)), p)
                 if lhs != rhs:
                     raise VerificationError(
-                        "folded Weyl operator %d differs at %s" % (jh, b))
+                        "folded Weyl operator %d differs at %s" % (jh, hat.ids[h]))
 
     def level_zero():
         for b in hat.ids:
@@ -174,9 +194,10 @@ def check_string_identities(datum, i, s):
 
 # -- tensor compatibility, exchange, energy ---------------------------------
 
-def _split_at(bid, cut):
-    parts = bid.split("*")
-    return "*".join(parts[:cut]), "*".join(parts[cut:])
+def _pair_twist(pair, omega_left, omega_right):
+    """The twist of a pair tensor, factorwise from the twists of its factors."""
+    return [pair.at(omega_left[a], omega_right[b])
+            for a, b in zip(pair.left_of, pair.right_of)]
 
 
 def verify_tensor_compatibility(datum, spec1, spec2):
@@ -185,18 +206,20 @@ def verify_tensor_compatibility(datum, spec1, spec2):
     Also drags the pair exchange and the energy down to the folded side:
     the exchange must keep fixed nodes fixed and commute with every folded
     edge, and the energy inherited through the identification must satisfy
-    the folded difference relations across all affine edges.
+    the folded difference relations across all affine edges. The local
+    energy rule used here holds for a crystal tensored with itself only.
     """
+    if spec1 != spec2:
+        raise ScopeError(
+            "tensor compatibility is checked on B (x) B only: the local energy "
+            "rule does not hold for the unequal factors %r and %r" % (spec1, spec2))
     h1 = build_hat_crystal(datum, *spec1)
     h2 = build_hat_crystal(datum, *spec2)
     t1, t2 = h1.tilde, h2.tilde
-    cut = len(t1.crystal.factors)
     parent_pair = tensor(t1.crystal, t2.crystal)
-    omega_pair = {}
-    for bid in parent_pair.ids:
-        a, b = _split_at(bid, cut)
-        omega_pair[bid] = t1.omega_map[a] + "*" + t2.omega_map[b]
+    omega_pair = _pair_twist(parent_pair, t1.omega_map, t2.omega_map)
     folded = fold_crystal(datum, parent_pair, omega_pair)
+    fixed = _fixed_nodes(omega_pair)
     lhs = tensor(h1.crystal, h2.crystal)
     report = Report()
 
@@ -212,8 +235,8 @@ def verify_tensor_compatibility(datum, spec1, spec2):
                             "edge sets differ at %s color %d" % (lhs.ids[src], jh))
 
     def eps_match():
-        for b in lhs.ids:
-            if lhs.eps_tuple(b) != folded.eps_tuple(b):
+        for h, b in enumerate(lhs.ids):
+            if lhs.eps_tuple_idx(h) != folded.eps_tuple_idx(h):
                 raise VerificationError("eps differs at %s" % b)
 
     report.run("iso:edges", edges)
@@ -221,63 +244,56 @@ def verify_tensor_compatibility(datum, spec1, spec2):
 
     # exchange on the parent pair, restricted to fixed nodes
     flip_pair = tensor(t2.crystal, t1.crystal)
-    anchor = t1.tilde_highest + "*" + t2.tilde_highest
-    flipped_anchor = t2.tilde_highest + "*" + t1.tilde_highest
-    exchange = propagate_map(parent_pair, flip_pair, {anchor: flipped_anchor},
-                             domain=parent_pair.ids)
-    flip_omega = {}
-    for bid in flip_pair.ids:
-        a, b = _split_at(bid, len(t2.crystal.factors))
-        flip_omega[bid] = t2.omega_map[a] + "*" + t1.omega_map[b]
+    anchor = parent_pair.at(t1.top, t2.top)
+    flipped_anchor = flip_pair.at(t2.top, t1.top)
+    exchange = propagate_map(parent_pair, flip_pair, {anchor: flipped_anchor})
+    flip_omega = _pair_twist(flip_pair, t2.omega_map, t1.omega_map)
 
     def fixed_closed():
-        for bid in folded.ids:
-            image = exchange[bid]
+        for p in fixed:
+            image = exchange[p]
             if flip_omega[image] != image:
-                raise VerificationError("exchange moves %s off the fixed set" % bid)
+                raise VerificationError(
+                    "exchange moves %s off the fixed set" % parent_pair.ids[p])
 
     report.run("rhat:fixed", fixed_closed)
     report.add("rhat:anchor", exchange[anchor] == flipped_anchor, "anchor moved")
 
     def rhat_edges():
         flip_folded = fold_crystal(datum, flip_pair, flip_omega)
-        for bid in folded.ids:
+        flip_fixed = _fixed_nodes(flip_omega)
+        flip_where = {p: h for h, p in enumerate(flip_fixed)}
+        for h, p in enumerate(fixed):
             for jh in range(folded.ncolors):
-                down = folded.apply_f(jh, bid)
-                image_down = flip_folded.apply_f(jh, exchange[bid])
-                if (down is None) != (image_down is None):
+                down = folded.f[jh][h]
+                image_down = flip_folded.f[jh][flip_where[exchange[p]]]
+                if (down == -1) != (image_down == -1):
                     raise VerificationError(
-                        "folded exchange breaks a string at %s color %d" % (bid, jh))
-                if down is not None and exchange[down] != image_down:
+                        "folded exchange breaks a string at %s color %d" % (folded.ids[h], jh))
+                if down != -1 and exchange[fixed[down]] != flip_fixed[image_down]:
                     raise VerificationError(
-                        "folded exchange misroutes color %d at %s" % (jh, bid))
+                        "folded exchange misroutes color %d at %s" % (jh, folded.ids[h]))
 
     report.run("rhat:edges", rhat_edges)
 
     energy = energy_on_tensor(parent_pair, anchor)
 
     def folded_energy():
-        for bid in folded.ids:
-            a, b = _split_at(bid, cut)
-            phi0 = h1.crystal.phi(0, a)
-            eps0 = h2.crystal.eps(0, b)
-            down = folded.apply_f(0, bid)
-            if down is not None:
-                want = -1 if phi0 > eps0 else 1
-                if energy[down] - energy[bid] != want:
-                    raise VerificationError(
-                        "lowering energy relation fails at %s" % bid)
-            up = folded.apply_e(0, bid)
-            if up is not None:
-                want = 1 if phi0 >= eps0 else -1
-                if energy[up] - energy[bid] != want:
-                    raise VerificationError(
-                        "raising energy relation fails at %s" % bid)
+        for h, p in enumerate(fixed):
+            down_step, up_step = energy_steps(lhs, h)
+            down = folded.f[0][h]
+            if down != -1 and energy[fixed[down]] - energy[p] != down_step:
+                raise VerificationError(
+                    "lowering energy relation fails at %s" % folded.ids[h])
+            up = folded.e[0][h]
+            if up != -1 and energy[fixed[up]] - energy[p] != up_step:
+                raise VerificationError(
+                    "raising energy relation fails at %s" % folded.ids[h])
             for jh in range(1, folded.ncolors):
-                down = folded.apply_f(jh, bid)
-                if down is not None and energy[down] != energy[bid]:
+                down = folded.f[jh][h]
+                if down != -1 and energy[fixed[down]] != energy[p]:
                     raise VerificationError(
-                        "energy moves along folded color %d at %s" % (jh, bid))
+                        "energy moves along folded color %d at %s" % (jh, folded.ids[h]))
 
     report.run("energy:zero-edges", folded_energy)
     return report

@@ -2,13 +2,15 @@
 
 Every map here is grown from a single anchor by edge propagation and then
 re-verified on every edge, so a wrong anchor or a broken model cannot
-produce a silently wrong intertwiner.
+produce a silently wrong intertwiner. Maps are integer arrays over node
+indices; string ids are rendered only for messages and output.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 
-from .cartan import omega_star, pi_tilde_weight, pi_weight
+from .cartan import ScopeError, omega_star, pi_tilde_weight
 from .crystal import VerificationError, propagate_map, tensor, tensor_many
 from .models import classical_highest_node, kr_crystal
 
@@ -19,7 +21,7 @@ def compute_tau_omega(datum, i, s):
 
     Sends the top node to the top node and interchanges color j edges with
     color omega(j) edges; weights transform by the dual twist. Returns the
-    mapping as a dict over source node ids.
+    mapping as a tuple over source node indices.
     """
     src = kr_crystal(datum, i, s)
     dst = kr_crystal(datum, datum.omega[i], s)
@@ -29,102 +31,131 @@ def compute_tau_omega(datum, i, s):
     if dst.weight(u_dst) != expect:
         raise VerificationError("anchor weights disagree for column %d" % i)
     relabel = {j: datum.omega[j] for j in range(datum.size)}
-    return propagate_map(src, dst, {u_src: u_dst}, relabel=relabel,
-                         domain=src.ids,
-                         weight_map=lambda mu: omega_star(datum, mu))
+    return tuple(propagate_map(src, dst, {src.index[u_src]: dst.index[u_dst]},
+                               relabel=relabel,
+                               weight_map=lambda mu: omega_star(datum, mu)))
 
 
-@lru_cache(maxsize=None)
-def compute_r_matrix(datum, left_spec, right_spec):
+@dataclass(frozen=True)
+class Exchange:
+    """A combinatorial R matrix B1 (x) B2 -> B2 (x) B1 on leaf node indices.
+
+    codes[a * n2 + b] = c * n1 + d says that the pair (a, b) goes to the
+    pair (c, d), with n1 = |B1| and n2 = |B2|: both sides are pair codes as
+    in Tensor.node_at.
+    """
+
+    codes: tuple
+    n1: int
+    n2: int
+
+    def __len__(self):
+        return len(self.codes)
+
+    def __call__(self, a, b):
+        return divmod(self.codes[a * self.n2 + b], self.n1)
+
+    def apply_at(self, columns, pos):
+        """Leaf-index columns with the exchange applied at slots pos, pos + 1."""
+        codes, n1, n2 = self.codes, self.n1, self.n2
+        merged = [codes[a * n2 + b] for a, b in zip(columns[pos], columns[pos + 1])]
+        return (columns[:pos] + [[c // n1 for c in merged], [c % n1 for c in merged]]
+                + columns[pos + 2:])
+
+
+def compute_r_matrix(datum, left_spec, right_spec, target=None):
     """Exchange isomorphism between a tensor pair and its flip.
 
-    Anchored at the pair of top nodes. The propagation is run in two
-    different queue orders and both results must agree, which pins the map
-    down independently of traversal details.
+    Anchored at the pair of top nodes. The propagation is run depth first
+    and breadth first, and both results must agree, which pins the map down
+    independently of traversal details. target, when given, is the flipped
+    pair tensor already built elsewhere (the orbit tensor of a two-column
+    orbit), which is then not built again.
     """
     i1, s1 = left_spec
     i2, s2 = right_spec
     b1 = kr_crystal(datum, i1, s1)
     b2 = kr_crystal(datum, i2, s2)
     forward = tensor(b1, b2)
-    backward = tensor(b2, b1)
-    u1 = classical_highest_node(datum, b1, i1, s1)
-    u2 = classical_highest_node(datum, b2, i2, s2)
-    anchors = {u1 + "*" + u2: u2 + "*" + u1}
-    first = propagate_map(forward, backward, dict(anchors), domain=forward.ids)
-    second = propagate_map(forward, backward, dict(anchors), domain=forward.ids,
-                           queue_reversed=True)
+    if target is None:
+        backward = tensor(b2, b1)
+    elif target.factors == (b2, b1):
+        backward = target
+    else:
+        raise ValueError("target is not the tensor of %r by %r" % (right_spec, left_spec))
+    u1 = b1.index[classical_highest_node(datum, b1, i1, s1)]
+    u2 = b2.index[classical_highest_node(datum, b2, i2, s2)]
+    anchors = {forward.at(u1, u2): backward.at(u2, u1)}
+    first = propagate_map(forward, backward, anchors)
+    second = propagate_map(forward, backward, anchors, order="bfs")
     if first != second:
         raise VerificationError(
             "exchange map depends on traversal order for %r %r" % (left_spec, right_spec))
-    for x, y in first.items():
-        if forward.weight(x) != backward.weight(y):
-            raise VerificationError("exchange map moved a weight at %s" % x)
-    return first
-
-
-def apply_pair_map_at(mapping, bid, pos):
-    """Apply a two-factor mapping at adjacent leaf slots pos, pos+1."""
-    parts = bid.split("*")
-    image = mapping[parts[pos] + "*" + parts[pos + 1]]
-    left, right = image.split("*")
-    return "*".join(parts[:pos] + [left, right] + parts[pos + 2:])
+    for x, y in enumerate(first):
+        if forward.weights[x] != backward.weights[y]:
+            raise VerificationError("exchange map moved a weight at %s" % forward.ids[x])
+    n1 = len(b1)
+    left_of, right_of = backward.left_of, backward.right_of
+    codes = tuple(left_of[y] * n1 + right_of[y]
+                  for y in map(first.__getitem__, forward.node_at))
+    return Exchange(codes=codes, n1=n1, n2=len(b2))
 
 
 # -- energy -----------------------------------------------------------------
 
-def _split_pair(prod, bid):
-    parts = bid.split("*")
-    cut = len(prod.left.factors)
-    return "*".join(parts[:cut]), "*".join(parts[cut:])
+def energy_steps(prod, k):
+    """Energy change along f_0 and along e_0 at node k of a binary tensor.
+
+    An operator that acts on the left factor, f_0 when phi_0(left) >
+    eps_0(right) and e_0 when phi_0(left) >= eps_0(right), lowers the
+    energy by one along f_0 and raises it by one along e_0; acting on the
+    right factor does the opposite.
+    """
+    phi = prod.left.phi_idx(0, prod.left_of[k])
+    eps = prod.right.eps_idx(0, prod.right_of[k])
+    return (-1 if phi > eps else 1), (1 if phi >= eps else -1)
 
 
 def energy_on_tensor(prod, anchor):
-    """Integer energy on a binary tensor, zero at the anchor.
+    """Integer energy on a binary tensor, zero at the anchor node.
 
-    Along color zero the difference across an edge depends on which factor
-    absorbed the operator; all other colors keep the value flat. Every
-    edge is re-checked in both directions afterwards, so any path
+    Returns a list over the nodes. Along color zero the difference across
+    an edge is given by energy_steps; all other colors keep the value flat.
+    Every edge is re-checked in both directions afterwards, so any path
     dependence raises instead of returning a skewed table.
     """
-    left, right = prod.left, prod.right
-
-    def deltas(bid):
-        a, b = _split_pair(prod, bid)
-        phi = left.phi(0, a)
-        eps = right.eps(0, b)
-        down = -1 if phi > eps else 1
-        up = 1 if phi >= eps else -1
-        return down, up
-
-    values = {anchor: 0}
+    values = [None] * len(prod)
+    values[anchor] = 0
+    reached = 1
     queue = [anchor]
     while queue:
         x = queue.pop()
-        down, up = deltas(x)
+        down, up = energy_steps(prod, x)
         for j in range(prod.ncolors):
-            y = prod.apply_f(j, x)
-            if y is not None and y not in values:
+            y = prod.f[j][x]
+            if y != -1 and values[y] is None:
                 values[y] = values[x] + (down if j == 0 else 0)
+                reached += 1
                 queue.append(y)
-            z = prod.apply_e(j, x)
-            if z is not None and z not in values:
+            z = prod.e[j][x]
+            if z != -1 and values[z] is None:
                 values[z] = values[x] + (up if j == 0 else 0)
+                reached += 1
                 queue.append(z)
-    if len(values) != len(prod):
+    if reached != len(prod):
         raise VerificationError(
-            "energy walk reached %d of %d nodes" % (len(values), len(prod)))
-    for x in prod.ids:
-        down, up = deltas(x)
+            "energy walk reached %d of %d nodes" % (reached, len(prod)))
+    for x in range(len(prod)):
+        down, up = energy_steps(prod, x)
         for j in range(prod.ncolors):
-            y = prod.apply_f(j, x)
-            if y is not None and values[y] - values[x] != (down if j == 0 else 0):
+            y = prod.f[j][x]
+            if y != -1 and values[y] - values[x] != (down if j == 0 else 0):
                 raise VerificationError(
-                    "energy is path dependent along color %d at %s" % (j, x))
-            z = prod.apply_e(j, x)
-            if z is not None and values[z] - values[x] != (up if j == 0 else 0):
+                    "energy is path dependent along color %d at %s" % (j, prod.ids[x]))
+            z = prod.e[j][x]
+            if z != -1 and values[z] - values[x] != (up if j == 0 else 0):
                 raise VerificationError(
-                    "energy is path dependent against color %d at %s" % (j, x))
+                    "energy is path dependent against color %d at %s" % (j, prod.ids[x]))
     return values
 
 
@@ -137,11 +168,12 @@ class TildeBundle:
     s: int
     factors: tuple
     crystal: object
-    omega_map: dict
-    tilde_highest: str
+    omega_map: tuple
+    top: int
 
-    def omega(self, bid):
-        return self.omega_map[bid]
+    @property
+    def tilde_highest(self):
+        return self.crystal.ids[self.top]
 
 
 @lru_cache(maxsize=None)
@@ -150,76 +182,85 @@ def build_tilde_crystal(datum, i, s):
 
     The twist sends each factor to the next column by the color-twisted
     isomorphism and then moves the wrapped-around factor back to the front
-    with adjacent exchanges. The result is verified to permute edge colors
-    by omega, to fix the top node, and to have the full automorphism order.
+    with adjacent exchanges; it is computed as one array over the nodes,
+    through their leaf-index columns. The result is verified to permute
+    edge colors by omega, to fix the top node, and to have the full
+    automorphism order.
     """
     orbit = datum.orbit(i)
     cols = len(orbit)
-    factors = tuple(kr_crystal(datum, col, s) for col in orbit)
-    crystal = tensor_many(list(factors))
+    factors = []
+    for col in orbit:
+        try:
+            factors.append(kr_crystal(datum, col, s))
+        except ScopeError as exc:
+            if col == i:
+                raise
+            raise ScopeError("%s; it is in the orbit %s of the requested column %d"
+                             % (exc, orbit, i)) from None
+    crystal = tensor_many(factors)
 
-    taus = [compute_tau_omega(datum, col, s) for col in orbit]
-    exchanges = []
+    columns = [[tau[x] for x in leaf] for tau, leaf in zip(
+        [compute_tau_omega(datum, col, s) for col in orbit], crystal.leaf_columns())]
     for pos in range(cols - 2, -1, -1):
         # after the factorwise twist the wrapped factor sits at the end;
         # exchanging backwards walks it to slot zero
-        left_spec = (orbit[(pos + 1) % cols], s)
-        right_spec = (orbit[0], s)
-        exchanges.append((pos, compute_r_matrix(datum, left_spec, right_spec)))
+        rmat = compute_r_matrix(datum, (orbit[pos + 1], s), (orbit[0], s),
+                                target=crystal if cols == 2 else None)
+        columns = rmat.apply_at(columns, pos)
+    mapping = crystal.locate(columns)
 
-    mapping = {}
-    for bid in crystal.ids:
-        parts = bid.split("*")
-        moved = [taus[k][part] for k, part in enumerate(parts)]
-        cur = "*".join(moved)
-        for pos, rmap in exchanges:
-            cur = apply_pair_map_at(rmap, cur, pos)
-        mapping[bid] = cur
+    # checked a color at a time; a failure is reported at its first node,
+    # and there at its first color, then the weight
+    f, ids, weights = crystal.f, crystal.ids, crystal.weights
+    failures = []
+    for j in range(datum.size):
+        lhs = [-1 if t == -1 else mapping[t] for t in f[j]]
+        rhs = list(map(f[datum.omega[j]].__getitem__, mapping))
+        if lhs != rhs:
+            k = next(k for k, (x, y) in enumerate(zip(lhs, rhs)) if x != y)
+            if (lhs[k] == -1) != (rhs[k] == -1):
+                failures.append((k, j, "twist breaks a color %d string at %s" % (j, ids[k])))
+            else:
+                failures.append((k, j, "twist misroutes color %d at %s" % (j, ids[k])))
+    twisted = {wt: omega_star(datum, wt) for wt in set(weights)}
+    for k, image in enumerate(mapping):
+        if weights[image] != twisted[weights[k]]:
+            failures.append((k, datum.size, "twist moved a weight off pattern at %s" % ids[k]))
+            break
+    if failures:
+        raise VerificationError(min(failures)[2])
 
-    for bid in crystal.ids:
-        image = mapping[bid]
-        for j in range(datum.size):
-            lhs = crystal.apply_f(j, bid)
-            rhs = crystal.apply_f(datum.omega[j], image)
-            if (lhs is None) != (rhs is None):
-                raise VerificationError("twist breaks a color %d string at %s" % (j, bid))
-            if lhs is not None and mapping[lhs] != rhs:
-                raise VerificationError("twist misroutes color %d at %s" % (j, bid))
-        if crystal.weight(image) != tuple(omega_star(datum, crystal.weight(bid))):
-            raise VerificationError("twist moved a weight off pattern at %s" % bid)
-
-    cur = {bid: bid for bid in crystal.ids}
+    cur = list(range(len(crystal)))
     for _ in range(datum.order):
-        cur = {bid: mapping[cur[bid]] for bid in crystal.ids}
-    if any(cur[bid] != bid for bid in crystal.ids):
+        cur = [mapping[k] for k in cur]
+    if cur != list(range(len(crystal))):
         raise VerificationError("twist does not close at order %d" % datum.order)
 
     target = tuple(s * v for v in pi_tilde_weight(datum, i))
-    tops = [bid for bid in crystal.ids if crystal.weight(bid) == target]
+    tops = [k for k, wt in enumerate(weights) if wt == target]
     if len(tops) != 1:
         raise VerificationError(
             "%d candidates for the top node of the orbit tensor" % len(tops))
     if mapping[tops[0]] != tops[0]:
         raise VerificationError("twist moves the top node")
 
-    return TildeBundle(datum=datum, i=i, s=s, factors=factors, crystal=crystal,
-                       omega_map=mapping, tilde_highest=tops[0])
+    return TildeBundle(datum=datum, i=i, s=s, factors=tuple(factors), crystal=crystal,
+                       omega_map=tuple(mapping), top=tops[0])
 
 
 def verify_yang_baxter(datum, spec1, spec2, spec3):
-    """Braid identity for the three pairwise exchange maps."""
+    """Braid identity for the three pairwise exchange maps, on every triple."""
     crystals = [kr_crystal(datum, i, s) for i, s in (spec1, spec2, spec3)]
-    triple = tensor_many(crystals)
     r12 = compute_r_matrix(datum, spec1, spec2)
     r13 = compute_r_matrix(datum, spec1, spec3)
     r23 = compute_r_matrix(datum, spec2, spec3)
-    for bid in triple.ids:
-        lhs = apply_pair_map_at(r12, bid, 0)
-        lhs = apply_pair_map_at(r13, lhs, 1)
-        lhs = apply_pair_map_at(r23, lhs, 0)
-        rhs = apply_pair_map_at(r23, bid, 1)
-        rhs = apply_pair_map_at(r13, rhs, 0)
-        rhs = apply_pair_map_at(r12, rhs, 1)
-        if lhs != rhs:
-            raise VerificationError("braid identity fails at %s" % bid)
+    triples = [list(col) for col in zip(*product(*(range(len(c)) for c in crystals)))]
+    lhs = r23.apply_at(r13.apply_at(r12.apply_at(triples, 0), 1), 0)
+    rhs = r12.apply_at(r13.apply_at(r23.apply_at(triples, 1), 0), 1)
+    if lhs != rhs:
+        bad = [k for k in range(len(triples[0]))
+               if any(x[k] != y[k] for x, y in zip(lhs, rhs))]
+        raise VerificationError("braid identity fails at %s" % min(
+            "*".join(c.ids[col[k]] for c, col in zip(crystals, triples)) for k in bad))
     return True

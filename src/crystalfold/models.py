@@ -395,20 +395,23 @@ def _center_crystal(datum, s):
     heads, matchings = _center_candidates(partial, comps)
     survivors = []
     for matching in matchings:
-        sigma = {}
+        sigma = [-1] * len(partial)
         try:
             for k, pick in matching.items():
-                sigma.update(propagate_map(
-                    partial, partial, {heads[k]: heads[pick]},
-                    colors=(1, 3, 4), domain=comps[k],
-                    weight_map=_center_swap))
+                domain = [partial.index[b] for b in comps[k]]
+                image = propagate_map(
+                    partial, partial,
+                    {partial.index[heads[k]]: partial.index[heads[pick]]},
+                    colors=(1, 3, 4), domain=domain, weight_map=_center_swap)
+                for x in domain:
+                    sigma[x] = image[x]
         except VerificationError:
             continue
         zero = {}
-        for b in partial.ids:
-            mid = partial.apply_f(2, sigma[b])
-            if mid is not None:
-                zero[b] = sigma[mid]
+        for b, image in zip(partial.ids, sigma):
+            mid = partial.f[2][image]
+            if mid != -1:
+                zero[b] = partial.ids[sigma[mid]]
         candidate = dict(f_edges)
         candidate[0] = zero
         crys = Crystal(datum.gcm, datum.comarks, nodes, candidate)
@@ -448,7 +451,7 @@ def kr_crystal(datum, i, s):
             return _vector_crystal(datum, s)
         if i in (n, n + 1):
             if s != 1:
-                raise ScopeError("fork columns are only available at width 1")
+                raise ScopeError("fork column %d is only available at width 1" % i)
             return _spin_crystal(datum, parity=1 if i == n else 0)
         if 2 <= i <= n - 1:
             raise ScopeError("middle columns of the branched parent are out of scope")
@@ -462,7 +465,7 @@ def kr_crystal(datum, i, s):
             return _relabeled_triple(datum, lambda std: _vector_crystal(std, s))
         if i in (3, 4):
             if s != 1:
-                raise ScopeError("fork columns are only available at width 1")
+                raise ScopeError("fork column %d is only available at width 1" % i)
             parity = 1 if i == 3 else 0
             return _relabeled_triple(datum, lambda std: _spin_crystal(std, parity))
         raise ScopeError("column %d is not a classical node" % i)

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from click.testing import CliRunner
 
 from crystalfold.cli import SCOPE_INSTANCES, main
@@ -142,3 +144,40 @@ def test_missing_case_is_rejected():
     res = run("build")
     assert res.exit_code == 2
     assert "--case is required" in res.output
+
+
+# every (case, n, i, s) request is answered or refused, never crashed
+GRID = [(case, n, i, s)
+        for case, n, size in (("a", 2, 4), ("b", 1, 3), ("b", 2, 5),
+                              ("c", 3, 5), ("d", 3, 5))
+        for i in range(size + 1) for s in (1, 2)]
+
+
+@pytest.mark.parametrize("command", ["verify", "branch"])
+def test_request_grid_answers_or_refuses(command):
+    for case, n, i, s in GRID:
+        res = run(command, "--case", case, "--n", str(n), "--i", str(i),
+                  "--s", str(s))
+        where = (command, case, n, i, s, res.output)
+        assert res.exit_code in (0, 2), where
+        assert res.exception is None or isinstance(res.exception, SystemExit), where
+        if res.exit_code == 2:
+            assert res.output.startswith("error: "), where
+
+
+@pytest.mark.parametrize("command,case,n,i,rep", [
+    ("verify", "a", 2, 3, 1), ("branch", "a", 2, 3, 1),
+    ("branch", "b", 2, 3, 2), ("branch", "c", 3, 4, 3),
+])
+def test_non_representative_column_names_the_representative(command, case, n, i, rep):
+    res = run(command, "--case", case, "--n", str(n), "--i", str(i))
+    assert res.exit_code == 2
+    assert "column %d is not an orbit representative" % i in res.output
+    assert "use i = %d" % rep in res.output
+
+
+def test_width_refusal_names_the_orbit_column():
+    res = run("verify", "--case", "d", "--n", "3", "--i", "2", "--s", "2")
+    assert res.exit_code == 2
+    assert res.output == ("error: fork column 3 is only available at width 1; "
+                          "it is in the orbit (2, 3, 4) of the requested column 2\n")

@@ -5,9 +5,11 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
-from crystalfold.cartan import weyl_reflect
+from crystalfold.cartan import make_datum, weyl_reflect
 from crystalfold.crystal import (
-    Crystal, Report, VerificationError, graphs_equal, tensor, tensor_many)
+    Crystal, Report, VerificationError, graphs_equal, propagate_map, tensor,
+    tensor_many)
+from crystalfold.models import kr_crystal
 from crystalfold.monomial import highest_weight_crystal
 
 SL2 = ((2,),)
@@ -156,6 +158,82 @@ def test_tensor_allows_composite_leaf_ids():
     assert len(prod.factors) == 2
 
 
+def reference_tensor(left, right):
+    """The string-keyed construction: ids a*b and the signature rule per id."""
+    nodes = {}
+    f_edges = {j: {} for j in range(left.ncolors)}
+    for a in left.ids:
+        for b in right.ids:
+            wt = tuple(x + y for x, y in zip(left.weight(a), right.weight(b)))
+            nodes[a + "*" + b] = (wt, None)
+            for j in range(left.ncolors):
+                if left.phi(j, a) > right.eps(j, b):
+                    ta, tb = left.apply_f(j, a), b
+                else:
+                    ta, tb = a, right.apply_f(j, b)
+                if ta is not None and tb is not None:
+                    f_edges[j][a + "*" + b] = ta + "*" + tb
+    return Crystal(left.gcm, left.comarks, nodes, f_edges)
+
+
+def assert_same_graph(prod, ref):
+    assert prod.ids == ref.ids
+    assert prod.weights == ref.weights
+    for j in range(ref.ncolors):
+        assert prod.f[j] == ref.f[j]
+        assert prod.e[j] == ref.e[j]
+
+
+def test_index_tensor_matches_reference_cyclic_columns():
+    a2 = make_datum("a", 2)
+    left, right = kr_crystal(a2, 1, 1), kr_crystal(a2, 3, 1)
+    prod = tensor(left, right)
+    assert isinstance(prod.node_at, range)
+    assert_same_graph(prod, reference_tensor(left, right))
+    for k in range(len(prod)):
+        a, b = prod.left_of[k], prod.right_of[k]
+        assert prod.ids[k] == left.ids[a] + "*" + right.ids[b]
+        assert prod.at(a, b) == k
+
+
+def test_index_tensor_matches_reference_center_columns():
+    d3 = make_datum("d", 3)
+    left, right = kr_crystal(d3, 1, 2), kr_crystal(d3, 1, 1)
+    prod = tensor(left, right)
+    assert_same_graph(prod, reference_tensor(left, right))
+    for k in range(len(prod)):
+        assert prod.at(prod.left_of[k], prod.right_of[k]) == k
+
+
+def test_index_tensor_sorts_when_pair_order_is_not_id_order():
+    # "x y" extends "x" by a blank, which sorts below "*"
+    leaf = Crystal(SL2, (1,), {"x": ((1,), None), "x y": ((-1,), None)},
+                   {0: {"x": "x y"}})
+    prod = tensor(leaf, leaf)
+    assert prod.ids == ("x y*x", "x y*x y", "x*x", "x*x y")
+    assert not isinstance(prod.node_at, range)
+    assert_same_graph(prod, reference_tensor(leaf, leaf))
+    for k in range(len(prod)):
+        assert prod.at(prod.left_of[k], prod.right_of[k]) == k
+
+
+def test_index_tensor_rejects_colliding_ids():
+    left = Crystal(SL2, (1,), {"x": ((0,), None), "x*y": ((0,), None)}, {})
+    right = Crystal(SL2, (1,), {"y*z": ((0,), None), "z": ((0,), None)}, {})
+    with pytest.raises(ValueError, match="collide"):
+        tensor(left, right)
+
+
+def test_index_tensor_many_matches_reference():
+    parts = [V_SL3, ADJ_SL3, V_SL3]
+    prod = tensor_many(parts)
+    assert_same_graph(prod, reference_tensor(reference_tensor(V_SL3, ADJ_SL3), V_SL3))
+    columns = prod.leaf_columns()
+    assert prod.locate(columns) == list(range(len(prod)))
+    for k, b in enumerate(prod.ids):
+        assert b == "*".join(c.ids[col[k]] for c, col in zip(parts, columns))
+
+
 def test_littlewood_richardson_fixture():
     """Standard times dual standard splits into a trivial and an adjoint part."""
     prod = tensor(V_SL4, COV_SL4)
@@ -231,3 +309,48 @@ def test_dot_output_labels_colors():
 def test_graphs_equal_negative():
     assert not graphs_equal(V_SL3, ADJ_SL3)
     assert graphs_equal(V_SL3, V_SL3)
+
+
+# -- propagation --------------------------------------------------------------
+
+ADJ_TOP = "m:Y0,0^1 Y1,0^1"
+
+
+def test_propagate_orders_agree():
+    a2 = make_datum("a", 2)
+    b1, b3 = kr_crystal(a2, 1, 1), kr_crystal(a2, 3, 1)
+    forward, backward = tensor(b1, b3), tensor(b3, b1)
+    u1 = b1.index["t:1"]
+    u3 = b3.index["t:1|2|3"]
+    anchors = {forward.at(u1, u3): backward.at(u3, u1)}
+    dfs = propagate_map(forward, backward, anchors, order="dfs")
+    bfs = propagate_map(forward, backward, anchors, order="bfs")
+    assert dfs == bfs
+    assert sorted(dfs) == list(range(len(backward)))
+    with pytest.raises(ValueError):
+        propagate_map(forward, backward, anchors, order="random")
+
+
+@pytest.mark.parametrize("order,witness", [
+    ("dfs", "string mismatch at m:Y0,0^1 Y1,1^-1 Y1,2^-1 under color 1"),
+    ("bfs", "string mismatch at m:Y1,0^1 Y1,2^-1 under color 1"),
+])
+def test_propagate_corrupted_edge_witness(order, witness):
+    nodes, f_edges = crystal_to_dicts(ADJ_SL3)
+    del f_edges[1][sorted(f_edges[1])[-1]]
+    bad = Crystal(SL3, (1, 1), nodes, f_edges)
+    top = ADJ_SL3.index[ADJ_TOP]
+    with pytest.raises(VerificationError) as exc:
+        propagate_map(ADJ_SL3, bad, {top: bad.index[ADJ_TOP]}, order=order)
+    assert str(exc.value) == witness
+
+
+def test_propagate_missed_domain_witness():
+    top = ADJ_SL3.index[ADJ_TOP]
+    with pytest.raises(VerificationError) as exc:
+        propagate_map(ADJ_SL3, ADJ_SL3, {top: top}, colors=(0,))
+    assert str(exc.value) == "propagation missed 6 nodes, first m:Y0,0^1 Y0,1^-1"
+    subset = [k for k in range(len(ADJ_SL3)) if k != top][:3]
+    with pytest.raises(VerificationError) as exc:
+        propagate_map(ADJ_SL3, ADJ_SL3, {top: top}, colors=(1,), domain=subset)
+    assert str(exc.value) == "propagation missed 2 nodes, first m:Y0,0^1 Y0,1^-1"

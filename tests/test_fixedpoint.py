@@ -2,7 +2,7 @@
 
 import pytest
 
-from crystalfold.cartan import make_datum
+from crystalfold.cartan import ScopeError, make_datum
 from crystalfold.crystal import VerificationError
 from crystalfold.fixedpoint import (
     build_hat_crystal, check_string_identities, fold_crystal,
@@ -78,11 +78,11 @@ def test_string_identities(datum, i, s):
 
 def test_forged_fixed_node_is_rejected():
     bundle = build_tilde_crystal(A2, 1, 1)
-    forged = dict(bundle.omega_map)
+    forged = list(bundle.omega_map)
     victim = None
-    for b in bundle.crystal.ids:
-        if forged[b] != b:
-            victim = b
+    for k in range(len(bundle.crystal)):
+        if forged[k] != k:
+            victim = k
             break
     forged[victim] = victim
     with pytest.raises(VerificationError):
@@ -96,3 +96,23 @@ def test_tensor_compatibility_width_one(datum):
     names = [name for name, _, _ in report.stages]
     assert names == ["iso:size", "iso:edges", "iso:eps", "rhat:fixed",
                      "rhat:anchor", "rhat:edges", "energy:zero-edges"]
+
+
+@pytest.mark.parametrize("datum,spec1,spec2", [
+    (A2, (1, 1), (1, 2)), (A2, (1, 1), (2, 1)), (C3, (1, 1), (1, 2)),
+    (B1, (1, 1), (1, 2)),
+])
+def test_tensor_compatibility_refuses_unequal_factors(datum, spec1, spec2):
+    before = build_hat_crystal.cache_info().currsize
+    with pytest.raises(ScopeError, match="B \\(x\\) B only"):
+        verify_tensor_compatibility(datum, spec1, spec2)
+    assert build_hat_crystal.cache_info().currsize == before
+
+
+def test_hat_crystal_requires_an_orbit_representative():
+    with pytest.raises(ScopeError, match="use i = 1"):
+        build_hat_crystal(A2, 3, 1)
+    with pytest.raises(ScopeError, match="not a classical node"):
+        build_hat_crystal(A2, 0, 1)
+    # the parent side still builds every column
+    assert len(build_tilde_crystal(A2, 3, 1).crystal) == 16

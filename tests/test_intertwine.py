@@ -5,8 +5,8 @@ import pytest
 from crystalfold.cartan import make_datum, pi_tilde_weight
 from crystalfold.crystal import VerificationError, tensor
 from crystalfold.intertwine import (
-    apply_pair_map_at, build_tilde_crystal, compute_r_matrix,
-    compute_tau_omega, energy_on_tensor, verify_yang_baxter)
+    build_tilde_crystal, compute_r_matrix, compute_tau_omega,
+    energy_on_tensor, verify_yang_baxter)
 from crystalfold.models import classical_highest_node, kr_crystal
 
 A2 = make_datum("a", 2)
@@ -22,31 +22,32 @@ def test_tau_round_trip_between_columns():
     there = compute_tau_omega(A2, 1, 1)
     back = compute_tau_omega(A2, 3, 1)
     src = kr_crystal(A2, 1, 1)
-    assert sorted(there) == list(src.ids)
-    for b in src.ids:
-        assert back[there[b]] == b
+    assert len(there) == len(src) and -1 not in there
+    for k in range(len(src)):
+        assert back[there[k]] == k
 
 
 def test_tau_on_fixed_column_swaps_fork_letters():
     tau = compute_tau_omega(C3, 1, 1)
-    assert tau["v:0,0,0,1|0,0,0,0"] == "v:0,0,0,0|0,0,0,1"
-    assert tau["v:1,0,0,0|0,0,0,0"] == "v:1,0,0,0|0,0,0,0"
-    assert any(tau[b] != b for b in tau)
+    crys = kr_crystal(C3, 1, 1)
+    assert crys.ids[tau[crys.index["v:0,0,0,1|0,0,0,0"]]] == "v:0,0,0,0|0,0,0,1"
+    assert crys.ids[tau[crys.index["v:1,0,0,0|0,0,0,0"]]] == "v:1,0,0,0|0,0,0,0"
+    assert any(t != k for k, t in enumerate(tau))
 
 
 def test_tau_triple_fork_center_has_order_three():
     tau = compute_tau_omega(D3, 1, 1)
-    assert any(tau[b] != b for b in tau)
-    for b in tau:
-        assert tau[tau[tau[b]]] == b
+    assert any(t != k for k, t in enumerate(tau))
+    for k in range(len(tau)):
+        assert tau[tau[tau[k]]] == k
 
 
 def test_tau_cycles_the_fork_legs():
     t2 = compute_tau_omega(D3, 2, 1)
     t3 = compute_tau_omega(D3, 3, 1)
     t4 = compute_tau_omega(D3, 4, 1)
-    for b in kr_crystal(D3, 2, 1).ids:
-        assert t4[t3[t2[b]]] == b
+    for k in range(len(kr_crystal(D3, 2, 1))):
+        assert t4[t3[t2[k]]] == k
 
 
 # -- exchange maps ----------------------------------------------------------
@@ -54,22 +55,24 @@ def test_tau_cycles_the_fork_legs():
 def test_r_matrix_inverts():
     fwd = compute_r_matrix(A2, (1, 1), (2, 1))
     rev = compute_r_matrix(A2, (2, 1), (1, 1))
-    for x, y in fwd.items():
-        assert rev[y] == x
+    for a in range(fwd.n1):
+        for b in range(fwd.n2):
+            assert rev(*fwd(a, b)) == (a, b)
 
 
 def test_r_matrix_equal_factors_is_identity():
     rmap = compute_r_matrix(A2, (1, 1), (1, 1))
-    assert all(v == k for k, v in rmap.items())
+    assert all(rmap(a, b) == (a, b)
+               for a in range(rmap.n1) for b in range(rmap.n2))
 
 
 def test_r_matrix_anchor():
     rmap = compute_r_matrix(A2, (1, 1), (3, 1))
     b1 = kr_crystal(A2, 1, 1)
     b3 = kr_crystal(A2, 3, 1)
-    u1 = classical_highest_node(A2, b1, 1, 1)
-    u3 = classical_highest_node(A2, b3, 3, 1)
-    assert rmap[u1 + "*" + u3] == u3 + "*" + u1
+    u1 = b1.index[classical_highest_node(A2, b1, 1, 1)]
+    u3 = b3.index[classical_highest_node(A2, b3, 3, 1)]
+    assert rmap(u1, u3) == (u3, u1)
 
 
 def test_yang_baxter_cyclic_parent():
@@ -80,11 +83,17 @@ def test_yang_baxter_triple_fork_legs():
     assert verify_yang_baxter(D3, (2, 1), (3, 1), (4, 1))
 
 
-def test_apply_pair_map_at_slots():
+def test_exchange_apply_at_slots():
     rmap = compute_r_matrix(A2, (1, 1), (2, 1))
-    pair = next(iter(rmap))
-    moved = apply_pair_map_at(rmap, pair + "*t:9", 0)
-    assert moved == rmap[pair] + "*t:9"
+    pairs = [(a, b) for a in range(rmap.n1) for b in range(rmap.n2)]
+    lefts = [a for a, _ in pairs]
+    rights = [b for _, b in pairs]
+    images = [rmap(a, b) for a, b in pairs]
+    spare = [9] * len(pairs)
+    assert rmap.apply_at([lefts, rights, spare], 0) == [
+        [c for c, _ in images], [d for _, d in images], spare]
+    assert rmap.apply_at([spare, lefts, rights], 1) == [
+        spare, [c for c, _ in images], [d for _, d in images]]
 
 
 # -- energy -----------------------------------------------------------------
@@ -92,11 +101,11 @@ def test_apply_pair_map_at_slots():
 def _component_energies(datum, i, s):
     crys = kr_crystal(datum, i, s)
     prod = tensor(crys, crys)
-    u = classical_highest_node(datum, crys, i, s)
-    table = energy_on_tensor(prod, u + "*" + u)
+    u = crys.index[classical_highest_node(datum, crys, i, s)]
+    table = energy_on_tensor(prod, prod.at(u, u))
     out = {}
     for comp in prod.components(colors=range(1, datum.size)):
-        vals = {table[b] for b in comp}
+        vals = {table[prod.index[b]] for b in comp}
         assert len(vals) == 1, "energy must be flat on classical components"
         out[len(comp)] = vals.pop()
     return table, out
@@ -105,7 +114,7 @@ def _component_energies(datum, i, s):
 def test_energy_square_column_pair():
     table, comps = _component_energies(B1, 1, 1)
     assert comps == {6: 0, 3: -1}
-    assert min(table.values()) == -1 and max(table.values()) == 0
+    assert min(table) == -1 and max(table) == 0
 
 
 def test_energy_first_column_pair_cyclic():
@@ -121,9 +130,9 @@ def test_energy_vector_pair_branched():
 def test_energy_anchor_is_zero():
     crys = kr_crystal(A2, 1, 1)
     prod = tensor(crys, crys)
-    u = classical_highest_node(A2, crys, 1, 1)
-    table = energy_on_tensor(prod, u + "*" + u)
-    assert table[u + "*" + u] == 0
+    u = crys.index[classical_highest_node(A2, crys, 1, 1)]
+    table = energy_on_tensor(prod, prod.at(u, u))
+    assert table[prod.index[crys.ids[u] + "*" + crys.ids[u]]] == 0
     assert len(table) == len(prod)
 
 
@@ -134,15 +143,15 @@ def test_tilde_two_column_orbit():
     assert len(bundle.crystal) == 16
     assert bundle.tilde_highest == "t:1*t:1|2|3"
     assert bundle.crystal.weight(bundle.tilde_highest) == (-2, 1, 0, 1)
-    assert bundle.omega(bundle.tilde_highest) == bundle.tilde_highest
-    values = set(bundle.omega_map.values())
+    assert bundle.omega_map[bundle.top] == bundle.top
+    values = set(bundle.omega_map)
     assert len(values) == len(bundle.crystal)
 
 
 def test_tilde_single_column_orbit():
     bundle = build_tilde_crystal(C3, 1, 2)
     assert len(bundle.crystal) == 35
-    assert any(bundle.omega(b) != b for b in bundle.crystal.ids)
+    assert any(t != k for k, t in enumerate(bundle.omega_map))
     target = tuple(2 * v for v in pi_tilde_weight(C3, 1))
     assert bundle.crystal.weight(bundle.tilde_highest) == target
 
@@ -157,11 +166,12 @@ def test_tilde_triple_fork_legs():
     bundle = build_tilde_crystal(D3, 2, 1)
     assert len(bundle.crystal) == 512
     assert len(bundle.factors) == 3
-    assert bundle.omega(bundle.tilde_highest) == bundle.tilde_highest
+    assert bundle.omega_map[bundle.top] == bundle.top
 
 
 def test_tilde_center_column():
     bundle = build_tilde_crystal(D3, 1, 1)
     assert len(bundle.crystal) == 29
-    for b in bundle.crystal.ids:
-        assert bundle.omega(bundle.omega(bundle.omega(b))) == b
+    omega = bundle.omega_map
+    for k in range(len(bundle.crystal)):
+        assert omega[omega[omega[k]]] == k
