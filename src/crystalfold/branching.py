@@ -138,24 +138,22 @@ def branch_hat(datum, i, s):
     hat = build_hat_crystal(datum, i, s)
     tilde = hat.tilde
     jset = datum.hat_classical_nodes
-    route1 = sorted(
-        b for b in hat.crystal.ids
-        if all(hat.crystal.apply_e(j, b) is None for j in jset))
+    raising = [hat.crystal.e[j] for j in jset]
+    route1 = [h for h in range(len(hat.crystal)) if all(e[h] == -1 for e in raising)]
     raising = [tilde.crystal.e[j] for j in datum.classical_nodes]
-    route2 = sorted(
-        b for k, b in enumerate(tilde.crystal.ids)
-        if tilde.omega_map[k] == k and all(e[k] == -1 for e in raising))
-    if route1 != route2:
+    route2 = [k for k in range(len(tilde.crystal))
+              if tilde.omega_map[k] == k and all(e[k] == -1 for e in raising)]
+    if [hat.fixed[h] for h in route1] != route2:
         raise VerificationError(
             "highest weight characterizations disagree: %d folded-highest vs "
             "%d fixed classically-highest" % (len(route1), len(route2)))
 
     decomp = hat.crystal.highest_weight_decomposition(jset)
-    if sorted(b for b, _, _ in decomp) != route1:
+    if [h for h, _, _ in decomp] != route1:
         raise VerificationError("component heads differ from the raising kernel")
     counts = Counter()
     sizes = {}
-    for b, wt, comp in decomp:
+    for _, wt, comp in decomp:
         coeffs = tuple(wt[j] for j in jset)
         counts[coeffs] += 1
         sizes.setdefault(coeffs, set()).add(len(comp))
@@ -176,9 +174,6 @@ def branch_hat(datum, i, s):
 # ---------------------------------------------------------------------------
 # closed formulas
 
-# support pattern and constraint kind per case; entries for case "e" are
-# data only (no parent datum is constructible in scope, so they are
-# deliberately unexercised)
 def _branch_support(case, n, i):
     """Which fundamental coefficients may be nonzero, and whether their sum
     must equal the width exactly (True) or only be bounded by it (False)."""
@@ -195,11 +190,6 @@ def _branch_support(case, n, i):
     if case == "d":
         if i == 1:
             return (1,), False
-        raise ScopeError("no closed formula in scope")
-    if case == "e":
-        table = {1: ((1,), False), 4: ((1, 4), False)}
-        if i in table:
-            return table[i]
         raise ScopeError("no closed formula in scope")
     raise ScopeError("no formula table for case %r" % case)
 
@@ -246,10 +236,8 @@ def multiplicity_free_gate(datum, i, s):
     mults = Counter(wt for _, wt, _ in decomp)
     gate = all(v == 1 for v in mults.values())
     if gate:
-        index = tilde.crystal.index
-        node_fixed = {b for b, _, _ in decomp
-                      if tilde.omega_map[index[b]] == index[b]}
-        weight_fixed = {b for b, wt, _ in decomp
+        node_fixed = {k for k, _, _ in decomp if tilde.omega_map[k] == k}
+        weight_fixed = {k for k, wt, _ in decomp
                         if omega_star(datum, wt) == wt}
         if node_fixed != weight_fixed:
             raise VerificationError(

@@ -8,7 +8,7 @@ import click
 
 from .branching import branch_hat, expected_branching, verify_branching
 from .cartan import ScopeError, make_datum
-from .crystal import Crystal, Report, VerificationError, tensor
+from .crystal import VerificationError, tensor
 from .fixedpoint import (build_hat_crystal, check_string_identities,
                          verify_main_theorem)
 from .intertwine import build_tilde_crystal, compute_r_matrix, energy_on_tensor
@@ -92,8 +92,8 @@ def build(case_, n, i, s, target, fmt, out):
             payload = crys.to_dot(ref)
         else:
             lines = ["%s nodes=%d" % (ref, len(crys))]
-            for b in crys.ids:
-                lines.append("%s wt=%s" % (b, ",".join(map(str, crys.weight(b)))))
+            for b, wt in zip(crys.ids, crys.weights):
+                lines.append("%s wt=%s" % (b, ",".join(map(str, wt))))
             for j in range(crys.ncolors):
                 for idx, t in enumerate(crys.f[j]):
                     if t != -1:
@@ -102,41 +102,11 @@ def build(case_, n, i, s, target, fmt, out):
         _emit(payload, out)
 
 
-def _faulted_report(datum, i, s):
-    """Rebuild the folded crystal with one duplicated lowering target."""
-    crys = build_hat_crystal(datum, i, s).crystal
-    nodes = {b: (crys.weight(b), None) for b in crys.ids}
-    f_edges = {}
-    for j in range(crys.ncolors):
-        f_edges[j] = {crys.ids[a]: crys.ids[t]
-                      for a, t in enumerate(crys.f[j]) if t != -1}
-    done = False
-    for j in range(crys.ncolors):
-        items = sorted(f_edges[j].items())
-        for (s1, t1) in items:
-            for (_, t2) in items:
-                if t1 != t2:
-                    f_edges[j][s1] = t2
-                    done = True
-                    break
-            if done:
-                break
-        if done:
-            break
-    if not done:
-        raise VerificationError("graph too small to corrupt")
-    bad = Crystal(crys.gcm, crys.comarks, nodes, f_edges)
-    report = Report()
-    bad.verify_crystal_axioms(report)
-    return report
-
-
 @main.command()
 @_instance_options
 @click.option("--full-regularity", is_flag=True)
 @click.option("--all-scope", is_flag=True)
-@click.option("--inject-fault", is_flag=True, hidden=True)
-def verify(case_, n, i, s, full_regularity, all_scope, inject_fault):
+def verify(case_, n, i, s, full_regularity, all_scope):
     """Run the full verification stack on one instance or the whole scope."""
     with _boundary():
         if all_scope:
@@ -155,10 +125,6 @@ def verify(case_, n, i, s, full_regularity, all_scope, inject_fault):
             sys.exit(0 if ok_all else 1)
         _require_case(case_)
         datum = make_datum(case_, n)
-        if inject_fault:
-            report = _faulted_report(datum, i, s)
-            click.echo(report.to_text())
-            sys.exit(0 if report.ok else 1)
         report = verify_main_theorem(datum, i, s, full_regularity=full_regularity)
         strings = check_string_identities(datum, i, s)
         click.echo(report.to_text())
@@ -249,7 +215,7 @@ def energy(case_, n, i, s, fmt, out):
         _require_case(case_)
         datum = make_datum(case_, n)
         crys = kr_crystal(datum, i, s)
-        top = crys.index[classical_highest_node(datum, crys, i, s)]
+        top = classical_highest_node(datum, crys, i, s)
         prod = tensor(crys, crys)
         values = energy_on_tensor(prod, prod.at(top, top))
         if fmt == "json":

@@ -4,14 +4,13 @@ A crystal is stored as an explicit labeled digraph: canonical string ids,
 integer weight tuples over the coroot pairings, and one lowering map per
 color with -1 standing for theta. Everything else (raising maps, string
 lengths, Weyl action, extremal elements, simplicity, perfectness) is
-derived from the graph and re-verified rather than trusted. Tensor products
-and the maps between crystals work on node indices; string ids are only
-rendered for messages and output.
+derived from the graph and re-verified rather than trusted. Every method
+and every map between crystals addresses nodes by index; string ids are
+made by the model builders and only rendered for messages and output.
 """
 
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import islice
 from operator import add
 
@@ -60,13 +59,33 @@ class Report:
 
 
 class Crystal:
-    """A finite colored crystal graph.
+    """A finite colored crystal graph, addressed by node index.
 
-    nodes: {id: (weight, payload)}; f_edges: {color: {src_id: dst_id}}.
-    Ids are sorted lexicographically so all derived output is canonical.
+    ids[k], weights[k] and payloads[k] describe node k, and f[j][k] is its
+    color j lowering image, -1 for none. Ids ascend strictly, so index order
+    is id order and all derived output is canonical.
     """
 
-    def __init__(self, gcm, comarks, nodes, f_edges):
+    def __init__(self, gcm, comarks, ids, weights, f, payloads):
+        if not all(map(str.__lt__, ids, islice(ids, 1, None))):
+            k = next(k for k in range(1, len(ids)) if ids[k - 1] >= ids[k])
+            raise ValueError("node ids collide or are out of order at %s" % ids[k])
+        self.gcm = tuple(tuple(row) for row in gcm)
+        self.comarks = tuple(comarks)
+        self.ncolors = len(self.gcm)
+        self.ids = ids
+        self.weights = weights
+        self.payloads = payloads
+        self.f = f
+        self.e = [_inverse(arr) for arr in f]
+        # a tensor product remembers its leaf crystals in order
+        self.factors = (self,)
+        self._eps = {}
+        self._phi = {}
+
+    @classmethod
+    def from_edges(cls, gcm, comarks, nodes, f_edges):
+        """Crystal from nodes {id: (weight, payload)} and f_edges {color: {src_id: dst_id}}."""
         ids = tuple(sorted(nodes))
         index = {b: k for k, b in enumerate(ids)}
         weights = []
@@ -83,45 +102,14 @@ class Crystal:
             for src, dst in f_edges.get(j, {}).items():
                 arr[index[src]] = index[dst]
             f.append(arr)
-        self._setup(gcm, comarks, ids, tuple(weights), tuple(payloads), f)
-        self.index = index
-
-    def _setup(self, gcm, comarks, ids, weights, payloads, f):
-        self.gcm = tuple(tuple(row) for row in gcm)
-        self.comarks = tuple(comarks)
-        self.ncolors = len(self.gcm)
-        self.ids = ids
-        self.weights = weights
-        self.payloads = payloads
-        self.f = f
-        self.e = [_inverse(arr) for arr in f]
-        # a tensor product remembers its leaf crystals in order
-        self.factors = (self,)
-        self._eps = {}
-        self._phi = {}
-
-    @cached_property
-    def index(self):
-        """Node index of each id; built on first use for tensors."""
-        return {b: k for k, b in enumerate(self.ids)}
+        return cls(gcm, comarks, ids, tuple(weights), f, tuple(payloads))
 
     def __len__(self):
         return len(self.ids)
 
     # -- basic maps ---------------------------------------------------------
 
-    def weight(self, b):
-        return self.weights[self.index[b]]
-
-    def apply_f(self, j, b):
-        t = self.f[j][self.index[b]]
-        return None if t == -1 else self.ids[t]
-
-    def apply_e(self, j, b):
-        t = self.e[j][self.index[b]]
-        return None if t == -1 else self.ids[t]
-
-    def apply_word_idx(self, word, i, lowering=True):
+    def apply_word(self, word, i, lowering=True):
         """Apply an operator word to node i, first letter first; -1 once it dies."""
         maps = self.f if lowering else self.e
         for j in word:
@@ -173,25 +161,40 @@ class Crystal:
         self._eps[j] = eps
         self._phi[j] = phi
 
-    def eps_idx(self, j, i):
+    def eps(self, j, i):
         self._walk_color(j)
         return self._eps[j][i]
 
-    def phi_idx(self, j, i):
+    def phi(self, j, i):
         self._walk_color(j)
         return self._phi[j][i]
 
-    def eps(self, j, b):
-        return self.eps_idx(j, self.index[b])
+    def eps_tuple(self, i):
+        return tuple(self.eps(j, i) for j in range(self.ncolors))
 
-    def phi(self, j, b):
-        return self.phi_idx(j, self.index[b])
+    def phi_tuple(self, i):
+        return tuple(self.phi(j, i) for j in range(self.ncolors))
 
-    def eps_tuple_idx(self, i):
-        return tuple(self.eps_idx(j, i) for j in range(self.ncolors))
+    def own_strings(self, i):
+        """eps and phi tuples of node i, walking only its own strings.
 
-    def phi_tuple_idx(self, i):
-        return tuple(self.phi_idx(j, i) for j in range(self.ncolors))
+        For a few nodes of a large crystal, where _walk_color would walk
+        every string; a walk longer than the crystal is a cycle.
+        """
+        out = []
+        for maps in (self.e, self.f):
+            lengths = []
+            for j, arr in enumerate(maps):
+                cur, d = i, 0
+                while arr[cur] != -1:
+                    cur = arr[cur]
+                    d += 1
+                    if d == len(self.ids):
+                        raise VerificationError(
+                            "color %d has a cyclic string through %s" % (j, self.ids[i]))
+                lengths.append(d)
+            out.append(tuple(lengths))
+        return tuple(out)
 
     # -- axioms -------------------------------------------------------------
 
@@ -228,7 +231,7 @@ class Crystal:
         def semiregular():
             for j in range(self.ncolors):
                 for i in range(len(self.ids)):
-                    if self.phi_idx(j, i) - self.eps_idx(j, i) != self.weights[i][j]:
+                    if self.phi(j, i) - self.eps(j, i) != self.weights[i][j]:
                         raise VerificationError(
                             "color %d: phi - eps != weight at %s" % (j, self.ids[i]))
 
@@ -240,7 +243,7 @@ class Crystal:
     # -- connectivity and decomposition -------------------------------------
 
     def components(self, colors=None):
-        """Connected components under the given colors, as sorted id tuples."""
+        """Connected components under the given colors, as sorted index tuples."""
         colors = range(self.ncolors) if colors is None else tuple(colors)
         n = len(self.ids)
         comp = [-1] * n
@@ -260,7 +263,7 @@ class Crystal:
                             comp[nxt] = tag
                             members.append(nxt)
                             stack.append(nxt)
-            out.append(tuple(sorted(self.ids[i] for i in members)))
+            out.append(tuple(sorted(members)))
         return out
 
     def is_connected(self):
@@ -269,26 +272,26 @@ class Crystal:
     def highest_weight_decomposition(self, colors):
         """Components under a proper color subset, each with its unique highest node.
 
-        Returns a list of (highest_id, weight, component_ids). Zero or
+        Returns a list of (highest node, weight, component nodes). Zero or
         several highest nodes in one component is a hard error, since the
         crystals this runs on are supposed to be regular.
         """
         colors = tuple(colors)
+        raising = [self.e[j] for j in colors]
         out = []
         for comp in self.components(colors):
-            highs = [b for b in comp
-                     if all(self.eps(j, b) == 0 for j in colors)]
+            highs = [k for k in comp if all(e[k] == -1 for e in raising)]
             if len(highs) != 1:
                 raise VerificationError(
                     "component of %s has %d highest nodes under colors %r"
-                    % (comp[0], len(highs), colors))
-            out.append((highs[0], self.weight(highs[0]), comp))
+                    % (self.ids[comp[0]], len(highs), colors))
+            out.append((highs[0], self.weights[highs[0]], comp))
         out.sort(key=lambda item: item[0])
         return out
 
     # -- Weyl action --------------------------------------------------------
 
-    def weyl_s_idx(self, j, i):
+    def weyl_s(self, j, i):
         m = self.weights[i][j]
         maps = self.f[j] if m >= 0 else self.e[j]
         for _ in range(abs(m)):
@@ -297,17 +300,11 @@ class Crystal:
                 raise VerificationError("Weyl step fell off the graph (color %d)" % j)
         return i
 
-    def weyl_s(self, j, b):
-        return self.ids[self.weyl_s_idx(j, self.index[b])]
-
-    def weyl_word_idx(self, word, i):
+    def weyl_word(self, word, i):
         """Apply simple Weyl operators along the word, first letter first."""
         for j in word:
-            i = self.weyl_s_idx(j, i)
+            i = self.weyl_s(j, i)
         return i
-
-    def weyl_word(self, word, b):
-        return self.ids[self.weyl_word_idx(word, self.index[b])]
 
     # -- extremal elements, simplicity, perfectness --------------------------
 
@@ -318,7 +315,7 @@ class Crystal:
         ok_here = []
         for i in range(n):
             ok_here.append(all(
-                self.eps_idx(j, i) == 0 or self.phi_idx(j, i) == 0
+                self.eps(j, i) == 0 or self.phi(j, i) == 0
                 for j in range(self.ncolors)))
         verdict = [None] * n
         for start in range(n):
@@ -331,14 +328,14 @@ class Crystal:
                 cur = orbit[k]
                 k += 1
                 for j in range(self.ncolors):
-                    t = self.weyl_s_idx(j, cur)
+                    t = self.weyl_s(j, cur)
                     if t not in seen:
                         seen.add(t)
                         orbit.append(t)
             good = all(ok_here[i] for i in orbit)
             for i in orbit:
                 verdict[i] = good
-        return tuple(self.ids[i] for i in range(n) if verdict[i])
+        return tuple(i for i in range(n) if verdict[i])
 
     def is_simple(self, report=None):
         report = report if report is not None else Report()
@@ -372,9 +369,10 @@ class Crystal:
             counts = {}
             for wt in self.weights:
                 counts[wt] = counts.get(wt, 0) + 1
-            for b in extremal:
-                if counts[self.weight(b)] != 1:
-                    raise VerificationError("extremal weight of %s has multiplicity > 1" % b)
+            for k in extremal:
+                if counts[self.weights[k]] != 1:
+                    raise VerificationError(
+                        "extremal weight of %s has multiplicity > 1" % self.ids[k])
 
         report.run("simple:S1", s1)
         report.run("simple:S2", s2)
@@ -383,7 +381,7 @@ class Crystal:
 
     def level_and_minimal(self):
         """The minimal level and the nodes that have it."""
-        levels = [sum(c * self.eps_idx(j, i) for j, c in enumerate(self.comarks))
+        levels = [sum(c * self.eps(j, i) for j, c in enumerate(self.comarks))
                   for i in range(len(self.ids))]
         lev = min(levels)
         return lev, tuple(i for i, l in enumerate(levels) if l == lev)
@@ -412,8 +410,8 @@ class Crystal:
                     "%s image covers %d of %d dominant weights"
                     % (kind, len(image), len(targets)))
 
-        report.run("perfect:eps-bijection", lambda: bijection("eps", self.eps_tuple_idx))
-        report.run("perfect:phi-bijection", lambda: bijection("phi", self.phi_tuple_idx))
+        report.run("perfect:eps-bijection", lambda: bijection("eps", self.eps_tuple))
+        report.run("perfect:phi-bijection", lambda: bijection("phi", self.phi_tuple))
         return report
 
     # -- export -------------------------------------------------------------
@@ -476,8 +474,6 @@ class Tensor(Crystal):
             order = sorted(range(na * nb), key=flat.__getitem__)
             node_at = [0] * (na * nb)
             for k, p in enumerate(order):
-                if k and flat[p] == flat[order[k - 1]]:
-                    raise ValueError("tensor ids collide at %s" % flat[p])
                 node_at[p] = k
         self.left, self.right, self.node_at = left, right, node_at
         self.left_of = [p // nb for p in order]
@@ -499,8 +495,8 @@ class Tensor(Crystal):
             if order is not node_at:
                 row = [-1 if t == -1 else node_at[t] for t in map(row.__getitem__, order)]
             f.append(row)
-        self._setup(left.gcm, left.comarks, tuple(map(flat.__getitem__, order)),
-                    tuple(map(weights.__getitem__, order)), (None,) * len(flat), f)
+        super().__init__(left.gcm, left.comarks, tuple(map(flat.__getitem__, order)),
+                         tuple(map(weights.__getitem__, order)), f, (None,) * len(flat))
         self.factors = left.factors + right.factors
 
     def at(self, a, b):

@@ -32,32 +32,31 @@ def fold_crystal(datum, crystal, omega_map):
     fixed = _fixed_nodes(omega_map)
     if not fixed:
         raise VerificationError("the twist fixes no nodes")
-    fixedset = set(fixed)
+    where = {p: h for h, p in enumerate(fixed)}
     ids = crystal.ids
-    ncolors_hat = len(datum.hat_gcm)
-    nodes = {}
+    weights = []
     for p in fixed:
         try:
-            wt_hat = p_omega_star_inverse(datum, crystal.weights[p])
+            weights.append(p_omega_star_inverse(datum, crystal.weights[p]))
         except ValueError as exc:
             raise VerificationError("fixed node %s: %s" % (ids[p], exc))
-        nodes[ids[p]] = (wt_hat, None)
-    f_edges = {jh: {} for jh in range(ncolors_hat)}
-    for p in fixed:
-        for jh in range(ncolors_hat):
+    f = [[-1] * len(fixed) for _ in datum.hat_gcm]
+    for h, p in enumerate(fixed):
+        for jh, row in enumerate(f):
             word = kashiwara_word(datum, jh)
-            down = crystal.apply_word_idx(word, p)
+            down = crystal.apply_word(word, p)
             if down == -1:
                 continue
-            if down not in fixedset:
+            if down not in where:
                 raise VerificationError(
                     "lowering word for folded color %d leaves the fixed set at %s"
                     % (jh, ids[p]))
-            if crystal.apply_word_idx(tuple(reversed(word)), down, lowering=False) != p:
+            if crystal.apply_word(tuple(reversed(word)), down, lowering=False) != p:
                 raise VerificationError(
                     "raising word fails to undo folded color %d at %s" % (jh, ids[p]))
-            f_edges[jh][ids[p]] = ids[down]
-    return Crystal(datum.hat_gcm, datum.hat_comarks, nodes, f_edges)
+            row[h] = where[down]
+    return Crystal(datum.hat_gcm, datum.hat_comarks, tuple(map(ids.__getitem__, fixed)),
+                   tuple(weights), f, (None,) * len(fixed))
 
 
 @dataclass
@@ -106,11 +105,12 @@ def _regularity_stages(report, datum, hat, full):
             for top, wt, comp in hat.highest_weight_decomposition(sub):
                 lam = tuple(wt[j] for j in sub)
                 expect = weight_multiset(blockg, lam)
-                got = tuple(sorted(tuple(hat.weight(b)[j] for j in sub)
-                                   for b in comp))
+                got = tuple(sorted(tuple(hat.weights[k][j] for j in sub)
+                                   for k in comp))
                 if got != expect:
                     raise VerificationError(
-                        "restricted component at %s is not a highest weight crystal" % top)
+                        "restricted component at %s is not a highest weight crystal"
+                        % hat.ids[top])
 
         report.run(name, stage)
 
@@ -145,27 +145,28 @@ def check_string_identities(datum, i, s):
 
     def eps_orbit():
         for h, p in enumerate(fixed):
-            if p_omega_star(datum, hat.eps_tuple_idx(h)) != parent.eps_tuple_idx(p):
+            eps, phi = parent.own_strings(p)
+            if p_omega_star(datum, hat.eps_tuple(h)) != eps:
                 raise VerificationError("eps tuples disagree at %s" % hat.ids[h])
-            if p_omega_star(datum, hat.phi_tuple_idx(h)) != parent.phi_tuple_idx(p):
+            if p_omega_star(datum, hat.phi_tuple(h)) != phi:
                 raise VerificationError("phi tuples disagree at %s" % hat.ids[h])
 
     def powered_words():
         for h, p in enumerate(fixed):
             for jh in range(hat.ncolors):
-                top = hat.phi_idx(jh, h)
+                top = hat.phi(jh, h)
                 cur = h
                 for m in range(1, top + 2):
                     cur = hat.f[jh][cur] if cur != -1 else -1
-                    via_word = parent.apply_word_idx(kashiwara_word(datum, jh, m), p)
+                    via_word = parent.apply_word(kashiwara_word(datum, jh, m), p)
                     if via_word != (fixed[cur] if cur != -1 else -1):
                         raise VerificationError(
                             "lowering power %d disagrees at %s color %d" % (m, hat.ids[h], jh))
-                top = hat.eps_idx(jh, h)
+                top = hat.eps(jh, h)
                 cur = h
                 for m in range(1, top + 2):
                     cur = hat.e[jh][cur] if cur != -1 else -1
-                    via_word = parent.apply_word_idx(
+                    via_word = parent.apply_word(
                         tuple(reversed(kashiwara_word(datum, jh, m))), p, lowering=False)
                     if via_word != (fixed[cur] if cur != -1 else -1):
                         raise VerificationError(
@@ -174,16 +175,16 @@ def check_string_identities(datum, i, s):
     def weyl_match():
         for h, p in enumerate(fixed):
             for jh in range(hat.ncolors):
-                lhs = fixed[hat.weyl_s_idx(jh, h)]
-                rhs = parent.weyl_word_idx(theta_word(datum, (jh,)), p)
+                lhs = fixed[hat.weyl_s(jh, h)]
+                rhs = parent.weyl_word(theta_word(datum, (jh,)), p)
                 if lhs != rhs:
                     raise VerificationError(
                         "folded Weyl operator %d differs at %s" % (jh, hat.ids[h]))
 
     def level_zero():
-        for b in hat.ids:
-            if hat_level(datum, hat.weight(b)) != 0:
-                raise VerificationError("folded weight off level zero at %s" % b)
+        for k, wt in enumerate(hat.weights):
+            if hat_level(datum, wt) != 0:
+                raise VerificationError("folded weight off level zero at %s" % hat.ids[k])
 
     report.run("strings:eps-orbit", eps_orbit)
     report.run("strings:powered-words", powered_words)
@@ -236,7 +237,7 @@ def verify_tensor_compatibility(datum, spec1, spec2):
 
     def eps_match():
         for h, b in enumerate(lhs.ids):
-            if lhs.eps_tuple_idx(h) != folded.eps_tuple_idx(h):
+            if lhs.eps_tuple(h) != folded.eps_tuple(h):
                 raise VerificationError("eps differs at %s" % b)
 
     report.run("iso:edges", edges)

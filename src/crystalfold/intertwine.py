@@ -27,11 +27,11 @@ def compute_tau_omega(datum, i, s):
     dst = kr_crystal(datum, datum.omega[i], s)
     u_src = classical_highest_node(datum, src, i, s)
     u_dst = classical_highest_node(datum, dst, datum.omega[i], s)
-    expect = tuple(omega_star(datum, src.weight(u_src)))
-    if dst.weight(u_dst) != expect:
+    expect = tuple(omega_star(datum, src.weights[u_src]))
+    if dst.weights[u_dst] != expect:
         raise VerificationError("anchor weights disagree for column %d" % i)
     relabel = {j: datum.omega[j] for j in range(datum.size)}
-    return tuple(propagate_map(src, dst, {src.index[u_src]: dst.index[u_dst]},
+    return tuple(propagate_map(src, dst, {u_src: u_dst},
                                relabel=relabel,
                                weight_map=lambda mu: omega_star(datum, mu)))
 
@@ -83,8 +83,8 @@ def compute_r_matrix(datum, left_spec, right_spec, target=None):
         backward = target
     else:
         raise ValueError("target is not the tensor of %r by %r" % (right_spec, left_spec))
-    u1 = b1.index[classical_highest_node(datum, b1, i1, s1)]
-    u2 = b2.index[classical_highest_node(datum, b2, i2, s2)]
+    u1 = classical_highest_node(datum, b1, i1, s1)
+    u2 = classical_highest_node(datum, b2, i2, s2)
     anchors = {forward.at(u1, u2): backward.at(u2, u1)}
     first = propagate_map(forward, backward, anchors)
     second = propagate_map(forward, backward, anchors, order="bfs")
@@ -111,8 +111,8 @@ def energy_steps(prod, k):
     energy by one along f_0 and raises it by one along e_0; acting on the
     right factor does the opposite.
     """
-    phi = prod.left.phi_idx(0, prod.left_of[k])
-    eps = prod.right.eps_idx(0, prod.right_of[k])
+    phi = prod.left.phi(0, prod.left_of[k])
+    eps = prod.right.eps(0, prod.right_of[k])
     return (-1 if phi > eps else 1), (1 if phi >= eps else -1)
 
 
@@ -170,10 +170,6 @@ class TildeBundle:
     crystal: object
     omega_map: tuple
     top: int
-
-    @property
-    def tilde_highest(self):
-        return self.crystal.ids[self.top]
 
 
 @lru_cache(maxsize=None)

@@ -164,7 +164,7 @@ def _tableau_crystal(datum, i, s):
             if not _is_rect_ssyt(down, nletters):
                 raise VerificationError("affine lowering broke the filling at %s" % bid)
             f_edges[0][bid] = _tab_id(down)
-    return Crystal(datum.gcm, datum.comarks, nodes, f_edges)
+    return Crystal.from_edges(datum.gcm, datum.comarks, nodes, f_edges)
 
 
 # -- vector column (simply branched parents) --------------------------------
@@ -246,7 +246,7 @@ def _vector_crystal(datum, s):
             if nx[m - 1] and nb[m - 1]:
                 raise VerificationError("lowering left the state space at %s" % bid)
             f_edges[j][bid] = _vec_id(nx, nb)
-    return Crystal(datum.gcm, datum.comarks, nodes, f_edges)
+    return Crystal.from_edges(datum.gcm, datum.comarks, nodes, f_edges)
 
 
 # -- fork columns as sign vectors -------------------------------------------
@@ -295,7 +295,7 @@ def _spin_crystal(datum, parity):
             nxt = _spin_f(signs, j, m)
             if nxt is not None:
                 f_edges[j][_spin_id(signs)] = _spin_id(nxt)
-    return Crystal(datum.gcm, datum.comarks, nodes, f_edges)
+    return Crystal.from_edges(datum.gcm, datum.comarks, nodes, f_edges)
 
 
 # -- branch-point column of the triple fork ---------------------------------
@@ -308,15 +308,9 @@ _TRIPLE_RELABEL = (0, 2, 1, 3, 4)
 def _relabeled_triple(datum, builder):
     inner = builder(make_datum("c", 3))
     perm = _TRIPLE_RELABEL
-    nodes = {}
-    for k, b in enumerate(inner.ids):
-        wt = tuple(inner.weights[k][perm[j]] for j in range(len(perm)))
-        nodes[b] = (wt, inner.payloads[k])
-    f_edges = {}
-    for j in range(len(perm)):
-        f_edges[j] = {inner.ids[src]: inner.ids[dst]
-                      for src, dst in enumerate(inner.f[perm[j]]) if dst != -1}
-    return Crystal(datum.gcm, datum.comarks, nodes, f_edges)
+    weights = tuple(tuple(wt[p] for p in perm) for wt in inner.weights)
+    return Crystal(datum.gcm, datum.comarks, inner.ids, weights,
+                   [inner.f[p] for p in perm], inner.payloads)
 
 
 def _center_swap(wt):
@@ -326,20 +320,21 @@ def _center_swap(wt):
 
 def _center_candidates(partial, comps):
     """All involutive component matchings compatible with the weight twist."""
+    raising = [partial.e[j] for j in (1, 3, 4)]
     heads = []
     for comp in comps:
-        top = [b for b in comp if all(partial.eps(j, b) == 0 for j in (1, 3, 4))]
+        top = [k for k in comp if all(e[k] == -1 for e in raising)]
         if len(top) != 1:
             raise VerificationError("component without a unique head")
         heads.append(top[0])
     by_wt = {}
     for k, h in enumerate(heads):
-        by_wt.setdefault(partial.weight(h), []).append(k)
+        by_wt.setdefault(partial.weights[h], []).append(k)
     targets = []
     for k, h in enumerate(heads):
-        cand = by_wt.get(_center_swap(partial.weight(h)), [])
+        cand = by_wt.get(_center_swap(partial.weights[h]), [])
         if not cand:
-            raise VerificationError("no mirror component for %s" % h)
+            raise VerificationError("no mirror component for %s" % partial.ids[h])
         targets.append(cand)
     matchings = []
 
@@ -382,15 +377,14 @@ def _center_crystal(datum, s):
     f_edges = {j: {} for j in range(datum.size)}
     for k in range(s + 1):
         part = highest_weight_crystal(block_gcm, (k, 0, 0, 0))
-        rename = {b: "c%d:%s" % (k, b[2:]) for b in part.ids}
-        for b in part.ids:
-            wt = affinize(datum.comarks, part.weight(b))
-            nodes[rename[b]] = (wt, (k, part.payloads[part.index[b]]))
+        rename = ["c%d:%s" % (k, b[2:]) for b in part.ids]
+        for b, wt, payload in zip(rename, part.weights, part.payloads):
+            nodes[b] = (affinize(datum.comarks, wt), (k, payload))
         for pos in range(4):
             for src, dst in enumerate(part.f[pos]):
                 if dst != -1:
-                    f_edges[pos + 1][rename[part.ids[src]]] = rename[part.ids[dst]]
-    partial = Crystal(datum.gcm, datum.comarks, nodes, f_edges)
+                    f_edges[pos + 1][rename[src]] = rename[dst]
+    partial = Crystal.from_edges(datum.gcm, datum.comarks, nodes, f_edges)
     comps = partial.components(colors=(1, 3, 4))
     heads, matchings = _center_candidates(partial, comps)
     survivors = []
@@ -398,23 +392,17 @@ def _center_crystal(datum, s):
         sigma = [-1] * len(partial)
         try:
             for k, pick in matching.items():
-                domain = [partial.index[b] for b in comps[k]]
                 image = propagate_map(
-                    partial, partial,
-                    {partial.index[heads[k]]: partial.index[heads[pick]]},
-                    colors=(1, 3, 4), domain=domain, weight_map=_center_swap)
-                for x in domain:
+                    partial, partial, {heads[k]: heads[pick]},
+                    colors=(1, 3, 4), domain=comps[k], weight_map=_center_swap)
+                for x in comps[k]:
                     sigma[x] = image[x]
         except VerificationError:
             continue
-        zero = {}
-        for b, image in zip(partial.ids, sigma):
-            mid = partial.f[2][image]
-            if mid != -1:
-                zero[b] = partial.ids[sigma[mid]]
-        candidate = dict(f_edges)
-        candidate[0] = zero
-        crys = Crystal(datum.gcm, datum.comarks, nodes, candidate)
+        mids = [partial.f[2][image] for image in sigma]
+        zero = [-1 if mid == -1 else sigma[mid] for mid in mids]
+        crys = Crystal(datum.gcm, datum.comarks, partial.ids, partial.weights,
+                       [zero] + partial.f[1:], partial.payloads)
         if crys.verify_crystal_axioms().ok and crys.is_connected():
             survivors.append(crys)
     distinct = {tuple(crys.f[0]): crys for crys in survivors}
@@ -473,9 +461,9 @@ def kr_crystal(datum, i, s):
 
 
 def classical_highest_node(datum, crys, i, s):
-    """The unique node of weight s times the level zero fundamental at i."""
+    """The index of the unique node of weight s times the level zero fundamental at i."""
     target = tuple(s * v for v in pi_weight(datum, i))
-    hits = [b for b in crys.ids if crys.weight(b) == target]
+    hits = [k for k, wt in enumerate(crys.weights) if wt == target]
     if len(hits) != 1:
         raise VerificationError(
             "%d nodes carry the top weight for column %d width %d" % (len(hits), i, s))

@@ -52,11 +52,6 @@ def _color_profile(d, i):
     return ks, prefixes, run
 
 
-def mono_phi(d, i):
-    _, prefixes, _ = _color_profile(d, i)
-    return max([0] + prefixes)
-
-
 def mono_weight(d, ncolors):
     wt = [0] * ncolors
     for (c, _), e in d.items():
@@ -131,7 +126,7 @@ def highest_weight_crystal(gcm, lam, comarks=None, cap=500000):
                 queue.append(nxt)
     nodes = {mono_id(key): (mono_weight(_as_dict(key), n), mono_id(key)[2:])
              for key in seen}
-    return Crystal(gcm, comarks, nodes, f_edges)
+    return Crystal.from_edges(gcm, comarks, nodes, f_edges)
 
 
 def weight_multiset(gcm, lam):

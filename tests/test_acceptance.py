@@ -93,12 +93,12 @@ def test_criterion_5_intertwiner_suite():
 
     for datum, table in ((A2, {10: 0, 6: -1}), (C3, {35: 0, 28: -1, 1: -2})):
         crys = kr_crystal(datum, 1, 1)
-        top = crys.index[classical_highest_node(datum, crys, 1, 1)]
+        top = classical_highest_node(datum, crys, 1, 1)
         prod = tensor(crys, crys)
         values = energy_on_tensor(prod, prod.at(top, top))
         seen = {}
         for comp in prod.components(colors=datum.classical_nodes):
-            vals = {values[prod.index[b]] for b in comp}
+            vals = {values[k] for k in comp}
             assert len(vals) == 1, "energy not classically flat"
             seen[len(comp)] = vals.pop()
         assert seen == table

@@ -1,0 +1,27 @@
+"""Byte for byte guard: the small benchmark workloads against their digests.
+
+perfbench/run.py hashes every output, Report stage list and folded graph
+of a workload and compares them with perfbench/expected.json, so a changed
+output fails here, before the benchmark runs.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+@pytest.mark.parametrize("workload", ["smoke", "scope"])
+def test_workload_matches_recorded_digests(workload):
+    proc = subprocess.run(
+        [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
+         "--seconds", "0", "--trace", "0"],
+        cwd=ROOT, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True, proc.stdout[-2000:]
+    assert result["metrics"]["ok_ratio"]["value"] == 1.0

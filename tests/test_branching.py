@@ -8,7 +8,7 @@ the triple-fold block gives 7, 14, 27; the rank one block gives s + 1.
 import pytest
 
 from crystalfold.branching import (
-    BranchingResult, _branch_support, branch_hat, expected_branching,
+    BranchingResult, branch_hat, expected_branching,
     multiplicity_free_gate, verify_branching, weyl_dimension)
 from crystalfold.cartan import ScopeError, make_datum
 from crystalfold.crystal import VerificationError
@@ -77,14 +77,6 @@ def test_expected_branching_wider_instance():
 def test_no_formula_for_branched_middle():
     with pytest.raises(ScopeError, match="no closed formula"):
         expected_branching(D3, 2, 1)
-
-
-def test_unexercised_formula_table():
-    # the last case's entries exist as data even though no datum does
-    assert _branch_support("e", 4, 1) == ((1,), False)
-    assert _branch_support("e", 4, 4) == ((1, 4), False)
-    with pytest.raises(ScopeError):
-        _branch_support("e", 4, 3)
 
 
 @pytest.mark.parametrize("datum,i,s", [

@@ -6,7 +6,9 @@ import pytest
 
 from click.testing import CliRunner
 
+from crystalfold import cli
 from crystalfold.cli import SCOPE_INSTANCES, main
+from crystalfold.crystal import Report
 
 
 def run(*args):
@@ -74,12 +76,16 @@ def test_verify_passes_in_scope():
     assert "FAIL" not in res.output
 
 
-def test_verify_injected_fault_names_the_stage():
-    res = run("verify", "--case", "a", "--n", "2", "--i", "1", "--s", "1",
-              "--inject-fault")
+def test_verify_failed_stage_exits_one_and_names_it(monkeypatch):
+    def failing(datum, i, s, full_regularity=False):
+        report = Report()
+        report.add("axiom:pairing", False, "color 0: nodes x and y share f-target z")
+        return report
+
+    monkeypatch.setattr(cli, "verify_main_theorem", failing)
+    res = run("verify", "--case", "a", "--n", "2", "--i", "1", "--s", "1")
     assert res.exit_code == 1
-    assert "axiom:pairing" in res.output
-    assert "FAIL" in res.output
+    assert "axiom:pairing              FAIL  [color 0: nodes x and y share" in res.output
 
 
 def test_branch_matches_formula():

@@ -47,7 +47,7 @@ def test_duplicated_target_fails_pairing_with_witness():
     # point a second source at an existing target
     a, b = srcs[0], srcs[1]
     f_edges[0][b] = f_edges[0][a]
-    bad = Crystal(SL2, (1,), nodes, f_edges)
+    bad = Crystal.from_edges(SL2, (1,), nodes, f_edges)
     report = bad.verify_crystal_axioms()
     name, ok, detail = report.stages[0]
     assert name == "axiom:pairing" and not ok
@@ -58,7 +58,7 @@ def test_deleted_edge_breaks_semiregularity():
     nodes, f_edges = crystal_to_dicts(B3_SL2)
     victim = sorted(f_edges[0])[0]
     del f_edges[0][victim]
-    bad = Crystal(SL2, (1,), nodes, f_edges)
+    bad = Crystal.from_edges(SL2, (1,), nodes, f_edges)
     report = bad.verify_crystal_axioms()
     assert not report.ok
     failed = [name for name, ok, _ in report.stages if not ok]
@@ -70,7 +70,7 @@ def test_wrong_weight_breaks_weight_step():
     victim = sorted(nodes)[0]
     wt, payload = nodes[victim]
     nodes[victim] = (tuple(v + 1 for v in wt), payload)
-    bad = Crystal(SL3, (1, 1), nodes, f_edges)
+    bad = Crystal.from_edges(SL3, (1, 1), nodes, f_edges)
     assert not bad.verify_crystal_axioms().ok
 
 
@@ -93,8 +93,9 @@ def test_tensor_sl2_clebsch_gordan():
     assert sorted(len(c) for c in comps) == [1, 3]
     # the singlet is highest-tensor-lowest under this convention
     singlet = [c for c in comps if len(c) == 1][0][0]
-    left, right = singlet.split("*")
-    assert B2_SL2.phi(0, left) == 1 and B2_SL2.eps(0, right) == 1
+    left, right = prod.ids[singlet].split("*")
+    assert B2_SL2.phi(0, B2_SL2.ids.index(left)) == 1
+    assert B2_SL2.eps(0, B2_SL2.ids.index(right)) == 1
 
 
 def test_tensor_string_statistics():
@@ -102,15 +103,15 @@ def test_tensor_string_statistics():
     for left, right in [(B2_SL2, B3_SL2), (V_SL3, ADJ_SL3), (V_SL4, COV_SL4)]:
         prod = tensor(left, right)
         assert prod.verify_crystal_axioms().ok
-        for a in left.ids:
-            for b in right.ids:
-                pair = a + "*" + b
+        for a, x in enumerate(left.ids):
+            for b, y in enumerate(right.ids):
+                pair = prod.ids.index(x + "*" + y)
                 for j in range(left.ncolors):
-                    wa = left.weight(a)[j]
+                    wa = left.weights[a][j]
                     assert prod.eps(j, pair) == max(
                         left.eps(j, a), right.eps(j, b) - wa)
                     assert prod.phi(j, pair) == max(
-                        right.phi(j, b), left.phi(j, a) + right.weight(b)[j])
+                        right.phi(j, b), left.phi(j, a) + right.weights[b][j])
 
 
 @given(st.data())
@@ -120,12 +121,13 @@ def test_tensor_statistics_random_pairs(data):
     if left.gcm != right.gcm:
         return
     prod = tensor(left, right)
-    a = data.draw(st.sampled_from(left.ids))
-    b = data.draw(st.sampled_from(right.ids))
+    x = data.draw(st.sampled_from(left.ids))
+    y = data.draw(st.sampled_from(right.ids))
     j = data.draw(st.integers(min_value=0, max_value=left.ncolors - 1))
-    pair = a + "*" + b
-    assert prod.eps(j, pair) == max(left.eps(j, a), right.eps(j, b) - left.weight(a)[j])
-    assert prod.phi(j, pair) == max(right.phi(j, b), left.phi(j, a) + right.weight(b)[j])
+    a, b = left.ids.index(x), right.ids.index(y)
+    pair = prod.ids.index(x + "*" + y)
+    assert prod.eps(j, pair) == max(left.eps(j, a), right.eps(j, b) - left.weights[a][j])
+    assert prod.phi(j, pair) == max(right.phi(j, b), left.phi(j, a) + right.weights[b][j])
 
 
 def test_tensor_associativity_exact_graphs():
@@ -152,7 +154,7 @@ def test_tensor_rejects_mixed_data():
 def test_tensor_allows_composite_leaf_ids():
     """Factor boundaries are tracked by count, not by parsing the ids."""
     nodes = {"x*y": ((0,), None)}
-    leaf = Crystal(SL2, (1,), nodes, {})
+    leaf = Crystal.from_edges(SL2, (1,), nodes, {})
     prod = tensor(leaf, leaf)
     assert prod.ids == ("x*y*x*y",)
     assert len(prod.factors) == 2
@@ -162,18 +164,18 @@ def reference_tensor(left, right):
     """The string-keyed construction: ids a*b and the signature rule per id."""
     nodes = {}
     f_edges = {j: {} for j in range(left.ncolors)}
-    for a in left.ids:
-        for b in right.ids:
-            wt = tuple(x + y for x, y in zip(left.weight(a), right.weight(b)))
-            nodes[a + "*" + b] = (wt, None)
+    for a, x in enumerate(left.ids):
+        for b, y in enumerate(right.ids):
+            wt = tuple(p + q for p, q in zip(left.weights[a], right.weights[b]))
+            nodes[x + "*" + y] = (wt, None)
             for j in range(left.ncolors):
                 if left.phi(j, a) > right.eps(j, b):
-                    ta, tb = left.apply_f(j, a), b
+                    ta, tb = left.f[j][a], b
                 else:
-                    ta, tb = a, right.apply_f(j, b)
-                if ta is not None and tb is not None:
-                    f_edges[j][a + "*" + b] = ta + "*" + tb
-    return Crystal(left.gcm, left.comarks, nodes, f_edges)
+                    ta, tb = a, right.f[j][b]
+                if ta != -1 and tb != -1:
+                    f_edges[j][x + "*" + y] = left.ids[ta] + "*" + right.ids[tb]
+    return Crystal.from_edges(left.gcm, left.comarks, nodes, f_edges)
 
 
 def assert_same_graph(prod, ref):
@@ -207,8 +209,8 @@ def test_index_tensor_matches_reference_center_columns():
 
 def test_index_tensor_sorts_when_pair_order_is_not_id_order():
     # "x y" extends "x" by a blank, which sorts below "*"
-    leaf = Crystal(SL2, (1,), {"x": ((1,), None), "x y": ((-1,), None)},
-                   {0: {"x": "x y"}})
+    leaf = Crystal.from_edges(SL2, (1,), {"x": ((1,), None), "x y": ((-1,), None)},
+                              {0: {"x": "x y"}})
     prod = tensor(leaf, leaf)
     assert prod.ids == ("x y*x", "x y*x y", "x*x", "x*x y")
     assert not isinstance(prod.node_at, range)
@@ -218,8 +220,8 @@ def test_index_tensor_sorts_when_pair_order_is_not_id_order():
 
 
 def test_index_tensor_rejects_colliding_ids():
-    left = Crystal(SL2, (1,), {"x": ((0,), None), "x*y": ((0,), None)}, {})
-    right = Crystal(SL2, (1,), {"y*z": ((0,), None), "z": ((0,), None)}, {})
+    left = Crystal.from_edges(SL2, (1,), {"x": ((0,), None), "x*y": ((0,), None)}, {})
+    right = Crystal.from_edges(SL2, (1,), {"y*z": ((0,), None), "z": ((0,), None)}, {})
     with pytest.raises(ValueError, match="collide"):
         tensor(left, right)
 
@@ -244,10 +246,24 @@ def test_littlewood_richardson_fixture():
     assert sizes == [1, 15]
 
 
+def test_cyclic_string_is_rejected_by_both_walks():
+    loop = Crystal.from_edges(SL2, (1,), {"a": ((0,), None), "b": ((0,), None)},
+                              {0: {"a": "b", "b": "a"}})
+    with pytest.raises(VerificationError, match="cyclic string through a"):
+        loop.own_strings(0)
+    with pytest.raises(VerificationError, match="cyclic string"):
+        loop.eps(0, 0)
+
+
+def test_ids_must_ascend():
+    with pytest.raises(ValueError, match="out of order at a"):
+        Crystal(SL2, (1,), ("b", "a"), ((0,), (0,)), [[-1, -1]], (None, None))
+
+
 def test_decomposition_requires_unique_highest():
     nodes = {"a": ((0, 0), None), "b": ((0, 0), None), "c": ((0, 0), None)}
     f_edges = {0: {"a": "b"}, 1: {"c": "b"}}
-    weird = Crystal(SL3, (1, 1), nodes, f_edges)
+    weird = Crystal.from_edges(SL3, (1, 1), nodes, f_edges)
     with pytest.raises(VerificationError, match="highest"):
         weird.highest_weight_decomposition((0, 1))
 
@@ -256,17 +272,17 @@ def test_decomposition_requires_unique_highest():
 
 def test_weyl_involution_and_weight_law():
     for crys in POOL:
-        for b in crys.ids:
+        for b in range(len(crys)):
             for j in range(crys.ncolors):
                 image = crys.weyl_s(j, b)
                 assert crys.weyl_s(j, image) == b
-                assert crys.weight(image) == weyl_reflect(crys.gcm, j, crys.weight(b))
+                assert crys.weights[image] == weyl_reflect(crys.gcm, j, crys.weights[b])
 
 
 @given(st.data())
 def test_weyl_word_reversal(data):
     crys = data.draw(st.sampled_from(POOL))
-    b = data.draw(st.sampled_from(crys.ids))
+    b = crys.ids.index(data.draw(st.sampled_from(crys.ids)))
     word = data.draw(st.lists(
         st.integers(min_value=0, max_value=crys.ncolors - 1), max_size=6))
     there = crys.weyl_word(word, b)
@@ -276,17 +292,17 @@ def test_weyl_word_reversal(data):
 def test_extremal_chain():
     ext = B3_SL2.extremal_elements()
     assert len(ext) == 2
-    assert sorted(B3_SL2.weight(b) for b in ext) == [(-2,), (2,)]
+    assert sorted(B3_SL2.weights[b] for b in ext) == [(-2,), (2,)]
 
 
 def test_extremal_adjoint_excludes_zero_weights():
     ext = ADJ_SL3.extremal_elements()
     assert len(ext) == 6
-    assert all(ADJ_SL3.weight(b) != (0, 0) for b in ext)
+    assert all(ADJ_SL3.weights[b] != (0, 0) for b in ext)
 
 
 def test_extremal_standard_is_everything():
-    assert set(V_SL3.extremal_elements()) == set(V_SL3.ids)
+    assert set(V_SL3.extremal_elements()) == set(range(len(V_SL3)))
 
 
 # -- serialization ----------------------------------------------------------
@@ -320,8 +336,8 @@ def test_propagate_orders_agree():
     a2 = make_datum("a", 2)
     b1, b3 = kr_crystal(a2, 1, 1), kr_crystal(a2, 3, 1)
     forward, backward = tensor(b1, b3), tensor(b3, b1)
-    u1 = b1.index["t:1"]
-    u3 = b3.index["t:1|2|3"]
+    u1 = b1.ids.index("t:1")
+    u3 = b3.ids.index("t:1|2|3")
     anchors = {forward.at(u1, u3): backward.at(u3, u1)}
     dfs = propagate_map(forward, backward, anchors, order="dfs")
     bfs = propagate_map(forward, backward, anchors, order="bfs")
@@ -338,15 +354,15 @@ def test_propagate_orders_agree():
 def test_propagate_corrupted_edge_witness(order, witness):
     nodes, f_edges = crystal_to_dicts(ADJ_SL3)
     del f_edges[1][sorted(f_edges[1])[-1]]
-    bad = Crystal(SL3, (1, 1), nodes, f_edges)
-    top = ADJ_SL3.index[ADJ_TOP]
+    bad = Crystal.from_edges(SL3, (1, 1), nodes, f_edges)
+    top = ADJ_SL3.ids.index(ADJ_TOP)
     with pytest.raises(VerificationError) as exc:
-        propagate_map(ADJ_SL3, bad, {top: bad.index[ADJ_TOP]}, order=order)
+        propagate_map(ADJ_SL3, bad, {top: bad.ids.index(ADJ_TOP)}, order=order)
     assert str(exc.value) == witness
 
 
 def test_propagate_missed_domain_witness():
-    top = ADJ_SL3.index[ADJ_TOP]
+    top = ADJ_SL3.ids.index(ADJ_TOP)
     with pytest.raises(VerificationError) as exc:
         propagate_map(ADJ_SL3, ADJ_SL3, {top: top}, colors=(0,))
     assert str(exc.value) == "propagation missed 6 nodes, first m:Y0,0^1 Y0,1^-1"

@@ -3,6 +3,7 @@
 import pytest
 
 from crystalfold.cartan import ScopeError, make_datum
+from crystalfold.cli import SCOPE_INSTANCES
 from crystalfold.crystal import VerificationError
 from crystalfold.fixedpoint import (
     build_hat_crystal, check_string_identities, fold_crystal,
@@ -74,6 +75,15 @@ def test_main_theorem_full_regularity_flag():
 def test_string_identities(datum, i, s):
     report = check_string_identities(datum, i, s)
     assert report.ok, report.to_text()
+
+
+@pytest.mark.parametrize("case,n,i,s", SCOPE_INSTANCES)
+def test_own_strings_match_the_crystal_wide_walk(case, n, i, s):
+    # strings:eps-orbit reads the fixed nodes' own strings; _walk_color,
+    # behind eps_tuple and phi_tuple, is the reference
+    parent = build_hat_crystal(make_datum(case, n), i, s).tilde.crystal
+    for k in range(len(parent)):
+        assert parent.own_strings(k) == (parent.eps_tuple(k), parent.phi_tuple(k))
 
 
 def test_forged_fixed_node_is_rejected():

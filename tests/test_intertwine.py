@@ -30,8 +30,8 @@ def test_tau_round_trip_between_columns():
 def test_tau_on_fixed_column_swaps_fork_letters():
     tau = compute_tau_omega(C3, 1, 1)
     crys = kr_crystal(C3, 1, 1)
-    assert crys.ids[tau[crys.index["v:0,0,0,1|0,0,0,0"]]] == "v:0,0,0,0|0,0,0,1"
-    assert crys.ids[tau[crys.index["v:1,0,0,0|0,0,0,0"]]] == "v:1,0,0,0|0,0,0,0"
+    assert crys.ids[tau[crys.ids.index("v:0,0,0,1|0,0,0,0")]] == "v:0,0,0,0|0,0,0,1"
+    assert crys.ids[tau[crys.ids.index("v:1,0,0,0|0,0,0,0")]] == "v:1,0,0,0|0,0,0,0"
     assert any(t != k for k, t in enumerate(tau))
 
 
@@ -70,8 +70,8 @@ def test_r_matrix_anchor():
     rmap = compute_r_matrix(A2, (1, 1), (3, 1))
     b1 = kr_crystal(A2, 1, 1)
     b3 = kr_crystal(A2, 3, 1)
-    u1 = b1.index[classical_highest_node(A2, b1, 1, 1)]
-    u3 = b3.index[classical_highest_node(A2, b3, 3, 1)]
+    u1 = classical_highest_node(A2, b1, 1, 1)
+    u3 = classical_highest_node(A2, b3, 3, 1)
     assert rmap(u1, u3) == (u3, u1)
 
 
@@ -101,11 +101,11 @@ def test_exchange_apply_at_slots():
 def _component_energies(datum, i, s):
     crys = kr_crystal(datum, i, s)
     prod = tensor(crys, crys)
-    u = crys.index[classical_highest_node(datum, crys, i, s)]
+    u = classical_highest_node(datum, crys, i, s)
     table = energy_on_tensor(prod, prod.at(u, u))
     out = {}
     for comp in prod.components(colors=range(1, datum.size)):
-        vals = {table[prod.index[b]] for b in comp}
+        vals = {table[k] for k in comp}
         assert len(vals) == 1, "energy must be flat on classical components"
         out[len(comp)] = vals.pop()
     return table, out
@@ -130,9 +130,9 @@ def test_energy_vector_pair_branched():
 def test_energy_anchor_is_zero():
     crys = kr_crystal(A2, 1, 1)
     prod = tensor(crys, crys)
-    u = crys.index[classical_highest_node(A2, crys, 1, 1)]
+    u = classical_highest_node(A2, crys, 1, 1)
     table = energy_on_tensor(prod, prod.at(u, u))
-    assert table[prod.index[crys.ids[u] + "*" + crys.ids[u]]] == 0
+    assert table[prod.ids.index(crys.ids[u] + "*" + crys.ids[u])] == 0
     assert len(table) == len(prod)
 
 
@@ -141,8 +141,8 @@ def test_energy_anchor_is_zero():
 def test_tilde_two_column_orbit():
     bundle = build_tilde_crystal(A2, 1, 1)
     assert len(bundle.crystal) == 16
-    assert bundle.tilde_highest == "t:1*t:1|2|3"
-    assert bundle.crystal.weight(bundle.tilde_highest) == (-2, 1, 0, 1)
+    assert bundle.crystal.ids[bundle.top] == "t:1*t:1|2|3"
+    assert bundle.crystal.weights[bundle.top] == (-2, 1, 0, 1)
     assert bundle.omega_map[bundle.top] == bundle.top
     values = set(bundle.omega_map)
     assert len(values) == len(bundle.crystal)
@@ -153,7 +153,7 @@ def test_tilde_single_column_orbit():
     assert len(bundle.crystal) == 35
     assert any(t != k for k, t in enumerate(bundle.omega_map))
     target = tuple(2 * v for v in pi_tilde_weight(C3, 1))
-    assert bundle.crystal.weight(bundle.tilde_highest) == target
+    assert bundle.crystal.weights[bundle.top] == target
 
 
 def test_tilde_fixed_middle_column():

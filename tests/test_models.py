@@ -95,25 +95,28 @@ def test_bk_is_involution():
 
 def test_affine_edges_on_single_boxes():
     crys = kr_crystal(B1, 1, 1)
-    assert crys.apply_e(0, "t:1") == "t:3"
-    assert crys.apply_f(0, "t:3") == "t:1"
-    assert crys.apply_f(0, "t:1") is None
+    ids = crys.ids
+    assert ids[crys.e[0][ids.index("t:1")]] == "t:3"
+    assert ids[crys.f[0][ids.index("t:3")]] == "t:1"
+    assert crys.f[0][ids.index("t:1")] == -1
 
 
 def test_classical_edge_spot_check():
     crys = kr_crystal(A2, 2, 1)
-    assert crys.apply_f(1, "t:1|2") is None
-    assert crys.apply_f(2, "t:1|2") == "t:1|3"
-    assert crys.apply_e(2, "t:1|3") == "t:1|2"
+    ids = crys.ids
+    assert crys.f[1][ids.index("t:1|2")] == -1
+    assert ids[crys.f[2][ids.index("t:1|2")]] == "t:1|3"
+    assert ids[crys.e[2][ids.index("t:1|3")]] == "t:1|2"
 
 
 # -- vector family ----------------------------------------------------------
 
 def test_vector_affine_edge():
     crys = kr_crystal(C3, 1, 1)
+    ids = crys.ids
     # the barred first letter shifts to the second letter under color 0
-    assert crys.apply_f(0, "v:0,0,0,0|1,0,0,0") == "v:0,1,0,0|0,0,0,0"
-    assert crys.apply_e(0, "v:0,1,0,0|0,0,0,0") == "v:0,0,0,0|1,0,0,0"
+    assert ids[crys.f[0][ids.index("v:0,0,0,0|1,0,0,0")]] == "v:0,1,0,0|0,0,0,0"
+    assert ids[crys.e[0][ids.index("v:0,1,0,0|0,0,0,0")]] == "v:0,0,0,0|1,0,0,0"
 
 
 def test_vector_forbids_mixed_last_slot():
@@ -124,7 +127,8 @@ def test_vector_forbids_mixed_last_slot():
 
 
 def test_vector_highest():
-    assert classical_highest_node(C3, kr_crystal(C3, 1, 2), 1, 2) == "v:2,0,0,0|0,0,0,0"
+    crys = kr_crystal(C3, 1, 2)
+    assert crys.ids[classical_highest_node(C3, crys, 1, 2)] == "v:2,0,0,0|0,0,0,0"
 
 
 # -- fork and branch point families -----------------------------------------
@@ -135,16 +139,17 @@ def test_spin_parities():
     assert all(b[2:].count("-") % 2 == 1 for b in odd.ids)
     assert all(b[2:].count("-") % 2 == 0 for b in even.ids)
     assert "p:++++" in even.ids
-    assert classical_highest_node(C3, even, 4, 1) == "p:++++"
-    assert classical_highest_node(C3, odd, 3, 1) == "p:+++-"
+    assert even.ids[classical_highest_node(C3, even, 4, 1)] == "p:++++"
+    assert odd.ids[classical_highest_node(C3, odd, 3, 1)] == "p:+++-"
 
 
 def test_spin_edges():
     even = kr_crystal(C3, 4, 1)
-    assert even.apply_f(4, "p:++++") == "p:++--"
-    assert even.apply_f(2, "p:++--") == "p:+-+-"
-    assert even.apply_f(3, "p:++--") is None
-    assert even.apply_e(0, "p:++++") == "p:--++"
+    ids = even.ids
+    assert ids[even.f[4][ids.index("p:++++")]] == "p:++--"
+    assert ids[even.f[2][ids.index("p:++--")]] == "p:+-+-"
+    assert even.f[3][ids.index("p:++--")] == -1
+    assert ids[even.e[0][ids.index("p:++++")]] == "p:--++"
 
 
 def test_center_classical_tower():
@@ -163,8 +168,8 @@ def test_center_zero_color_is_total_enough():
 
 def test_triple_fork_relabel_weights():
     # branch point carries the doubled zero-node coefficient
-    center_wt = kr_crystal(D3, 2, 1).weight(classical_highest_node(
-        D3, kr_crystal(D3, 2, 1), 2, 1))
+    crys = kr_crystal(D3, 2, 1)
+    center_wt = crys.weights[classical_highest_node(D3, crys, 2, 1)]
     assert center_wt == (-1, 0, 1, 0, 0)
 
 

@@ -14,19 +14,20 @@ G2_BLOCK = ((2, -3), (-1, 2))
 def test_sl2_fundamental_chain():
     crys = highest_weight_crystal(SL2, (1,))
     assert len(crys) == 2
+    ids = crys.ids
     top = "m:Y0,0^1"
-    assert crys.apply_f(0, top) == "m:Y0,1^-1"
-    assert crys.apply_f(0, "m:Y0,1^-1") is None
-    assert crys.apply_e(0, "m:Y0,1^-1") == top
-    assert crys.weight(top) == (1,)
-    assert crys.weight("m:Y0,1^-1") == (-1,)
+    assert ids[crys.f[0][ids.index(top)]] == "m:Y0,1^-1"
+    assert crys.f[0][ids.index("m:Y0,1^-1")] == -1
+    assert ids[crys.e[0][ids.index("m:Y0,1^-1")]] == top
+    assert crys.weights[ids.index(top)] == (1,)
+    assert crys.weights[ids.index("m:Y0,1^-1")] == (-1,)
 
 
 def test_sl2_three_chain():
     crys = highest_weight_crystal(SL2, (2,))
     assert len(crys) == 3
     assert sorted(crys.weights) == [(-2,), (0,), (2,)]
-    mid = [b for b in crys.ids if crys.weight(b) == (0,)][0]
+    mid = crys.weights.index((0,))
     assert crys.eps(0, mid) == 1 and crys.phi(0, mid) == 1
 
 
@@ -34,13 +35,13 @@ def test_sl3_standard():
     crys = highest_weight_crystal(SL3, (1, 0))
     assert len(crys) == 3
     assert sorted(crys.weights) == [(-1, 1), (0, -1), (1, 0)]
-    top = [b for b in crys.ids if crys.weight(b) == (1, 0)][0]
-    b2 = crys.apply_f(0, top)
-    assert crys.weight(b2) == (-1, 1)
-    assert crys.apply_f(0, b2) is None
-    b3 = crys.apply_f(1, b2)
-    assert crys.weight(b3) == (0, -1)
-    assert crys.apply_f(0, b3) is None and crys.apply_f(1, b3) is None
+    top = crys.weights.index((1, 0))
+    b2 = crys.f[0][top]
+    assert crys.weights[b2] == (-1, 1)
+    assert crys.f[0][b2] == -1
+    b3 = crys.f[1][b2]
+    assert crys.weights[b3] == (0, -1)
+    assert crys.f[0][b3] == -1 and crys.f[1][b3] == -1
 
 
 def test_sl3_adjoint_zero_weight_multiplicity():
@@ -68,14 +69,14 @@ def test_g2_block_dimensions():
 ])
 def test_raising_inverts_lowering(gcm, lam):
     crys = highest_weight_crystal(gcm, lam)
-    for b in crys.ids:
+    for k, b in enumerate(crys.ids):
         key = tuple((tuple(ik), e) for ik, e in _payload_key(crys, b))
         for j in range(len(gcm)):
             down = f_mono(gcm, key, j)
             if down is None:
-                assert crys.apply_f(j, b) is None
+                assert crys.f[j][k] == -1
                 continue
-            assert mono_id(down) == crys.apply_f(j, b)
+            assert mono_id(down) == crys.ids[crys.f[j][k]]
             assert e_mono(gcm, down, j) == key
 
 
