@@ -147,10 +147,16 @@ class FoldingDatum:
         return tuple(range(1, len(self.reps)))
 
     def orbit(self, j):
-        """The omega-orbit of node j, starting at j, in application order."""
+        """The omega-orbit of node j, starting at j, in application order.
+
+        An orbit has at most order nodes; a longer walk (a negative j,
+        which the tuple index wraps) is refused.
+        """
         out = [j]
         k = self.omega[j]
         while k != j:
+            if len(out) == self.order:
+                raise ScopeError("node %d has no orbit of at most %d nodes" % (j, self.order))
             out.append(k)
             k = self.omega[k]
         return tuple(out)

@@ -118,15 +118,6 @@ class Crystal:
                 return -1
         return i
 
-    def leaf_columns(self):
-        """Per leaf factor, the leaf node index of every node."""
-        return [list(range(len(self.ids)))]
-
-    def locate(self, columns):
-        """Node indices of leaf-index columns; inverse of leaf_columns."""
-        (col,) = columns
-        return list(col)
-
     def _walk_color(self, j):
         """String positions for one color; fails on collisions or cycles."""
         if j in self._eps:
@@ -503,16 +494,6 @@ class Tensor(Crystal):
         """The node of the pair (left node a, right node b)."""
         return self.node_at[a * len(self.right) + b]
 
-    def leaf_columns(self):
-        return ([[col[a] for a in self.left_of] for col in self.left.leaf_columns()]
-                + [[col[b] for b in self.right_of] for col in self.right.leaf_columns()])
-
-    def locate(self, columns):
-        cut = len(self.left.factors)
-        nb, node_at = len(self.right), self.node_at
-        return [node_at[a * nb + b] for a, b in zip(self.left.locate(columns[:cut]),
-                                                    self.right.locate(columns[cut:]))]
-
 
 def tensor(left, right):
     """Tensor product crystal, left factor first (see Tensor)."""
@@ -525,13 +506,6 @@ def tensor_many(parts):
     for nxt in parts[1:]:
         cur = tensor(cur, nxt)
     return cur
-
-
-def graphs_equal(x, y):
-    """Exact equality of node ids, weights, and all labeled edges."""
-    if x.ids != y.ids or x.weights != y.weights or x.ncolors != y.ncolors:
-        return False
-    return all(x.f[j] == y.f[j] for j in range(x.ncolors))
 
 
 def propagate_map(src, dst, anchors, relabel=None, colors=None, domain=None,
@@ -582,22 +556,56 @@ def propagate_map(src, dst, anchors, relabel=None, colors=None, domain=None,
     if missing:
         raise VerificationError(
             "propagation missed %d nodes, first %s" % (len(missing), src.ids[missing[0]]))
-    hit = [-1] * len(dst)
-    for x, y in enumerate(out):
-        if y == -1:
-            continue
-        if hit[y] != -1:
-            raise VerificationError(
-                "map sends %s and %s to %s" % (src.ids[hit[y]], src.ids[x], dst.ids[y]))
-        hit[y] = x
-        for smap, dmap, j in lowering:
-            fx, fy = smap[x], dmap[y]
-            if fx == -1 and fy == -1:
-                continue
-            if fx == -1 or fy == -1 or out[fx] != fy:
-                raise VerificationError(
-                    "edge re-check failed at %s under color %d" % (src.ids[x], j))
-        if weight_map is not None:
-            if tuple(weight_map(src.weights[x])) != dst.weights[y]:
-                raise VerificationError("weight rule fails at %s" % src.ids[x])
+    _recheck_map(src, dst, out, lowering, weight_map)
     return out
+
+
+def _recheck_map(src, dst, out, lowering, weight_map):
+    """Re-check a finished map: injectivity, every lowering edge, the weights.
+
+    lowering holds (src.f[j], dst.f[relabel[j]], j) per color. Checked on
+    whole arrays over the mapped nodes, a color at a time; of all failures
+    the one at the smallest mapped node is raised, and at that node
+    injectivity comes first, then the colors in order, then the weight rule.
+    """
+    ids = src.ids
+    total = -1 not in out
+    nodes = range(len(out)) if total else [x for x, y in enumerate(out) if y != -1]
+
+    def restrict(arr):
+        return arr if total else list(map(arr.__getitem__, nodes))
+
+    images = restrict(out)
+    failures = []
+    if len(set(images)) != len(images):
+        hit = {}
+        for x, y in zip(nodes, images):
+            if y in hit:
+                failures.append((x, 0, "map sends %s and %s to %s"
+                                 % (ids[hit[y]], ids[x], dst.ids[y])))
+                break
+            hit[y] = x
+    # image[t] is the image of the edge target t: -1 (read at index -1) for
+    # no edge, -2 for an edge into an unmapped node, which matches nothing
+    image = (out if total else [-2 if y == -1 else y for y in out]) + [-1]
+    for rank, (smap, dmap, j) in enumerate(lowering, 1):
+        lhs = list(map(image.__getitem__, restrict(smap)))
+        rhs = list(map(dmap.__getitem__, images))
+        if lhs != rhs:
+            x = _first_difference(nodes, lhs, rhs)
+            failures.append((x, rank, "edge re-check failed at %s under color %d"
+                             % (ids[x], j)))
+    if weight_map is not None:
+        weights = restrict(src.weights)
+        twisted = {wt: tuple(weight_map(wt)) for wt in set(weights)}
+        lhs = list(map(twisted.__getitem__, weights))
+        rhs = list(map(dst.weights.__getitem__, images))
+        if lhs != rhs:
+            x = _first_difference(nodes, lhs, rhs)
+            failures.append((x, len(lowering) + 1, "weight rule fails at %s" % ids[x]))
+    if failures:
+        raise VerificationError(min(failures)[2])
+
+
+def _first_difference(nodes, lhs, rhs):
+    return next(x for x, a, b in zip(nodes, lhs, rhs) if a != b)

@@ -63,26 +63,19 @@ class Exchange:
                 + columns[pos + 2:])
 
 
-def compute_r_matrix(datum, left_spec, right_spec, target=None):
+def compute_r_matrix(datum, left_spec, right_spec):
     """Exchange isomorphism between a tensor pair and its flip.
 
     Anchored at the pair of top nodes. The propagation is run depth first
     and breadth first, and both results must agree, which pins the map down
-    independently of traversal details. target, when given, is the flipped
-    pair tensor already built elsewhere (the orbit tensor of a two-column
-    orbit), which is then not built again.
+    independently of traversal details.
     """
     i1, s1 = left_spec
     i2, s2 = right_spec
     b1 = kr_crystal(datum, i1, s1)
     b2 = kr_crystal(datum, i2, s2)
     forward = tensor(b1, b2)
-    if target is None:
-        backward = tensor(b2, b1)
-    elif target.factors == (b2, b1):
-        backward = target
-    else:
-        raise ValueError("target is not the tensor of %r by %r" % (right_spec, left_spec))
+    backward = tensor(b2, b1)
     u1 = classical_highest_node(datum, b1, i1, s1)
     u2 = classical_highest_node(datum, b2, i2, s2)
     anchors = {forward.at(u1, u2): backward.at(u2, u1)}
@@ -176,15 +169,17 @@ class TildeBundle:
 def build_tilde_crystal(datum, i, s):
     """Tensor of the crystals along the orbit of column i, with the twist.
 
-    The twist sends each factor to the next column by the color-twisted
-    isomorphism and then moves the wrapped-around factor back to the front
-    with adjacent exchanges; it is computed as one array over the nodes,
-    through their leaf-index columns. The result is verified to permute
-    edge colors by omega, to fix the top node, and to have the full
-    automorphism order.
+    The twist is the omega-twisted automorphism of the orbit tensor that
+    fixes its top node, the one node of weight s times the orbit sum of
+    fundamentals. It is propagated from that node, color j to color
+    omega(j) and weights through omega_star, depth first and breadth
+    first; both results must agree, every edge, injectivity and the weight
+    rule are re-checked, and the twist must close at the automorphism
+    order.
     """
+    if i not in datum.classical_nodes:
+        raise ScopeError("column %d is not a classical node" % i)
     orbit = datum.orbit(i)
-    cols = len(orbit)
     factors = []
     for col in orbit:
         try:
@@ -196,53 +191,28 @@ def build_tilde_crystal(datum, i, s):
                              % (exc, orbit, i)) from None
     crystal = tensor_many(factors)
 
-    columns = [[tau[x] for x in leaf] for tau, leaf in zip(
-        [compute_tau_omega(datum, col, s) for col in orbit], crystal.leaf_columns())]
-    for pos in range(cols - 2, -1, -1):
-        # after the factorwise twist the wrapped factor sits at the end;
-        # exchanging backwards walks it to slot zero
-        rmat = compute_r_matrix(datum, (orbit[pos + 1], s), (orbit[0], s),
-                                target=crystal if cols == 2 else None)
-        columns = rmat.apply_at(columns, pos)
-    mapping = crystal.locate(columns)
+    target = tuple(s * v for v in pi_tilde_weight(datum, i))
+    count = crystal.weights.count(target)
+    if count != 1:
+        raise VerificationError("%d candidates for the top node of the orbit tensor" % count)
+    top = crystal.weights.index(target)
 
-    # checked a color at a time; a failure is reported at its first node,
-    # and there at its first color, then the weight
-    f, ids, weights = crystal.f, crystal.ids, crystal.weights
-    failures = []
-    for j in range(datum.size):
-        lhs = [-1 if t == -1 else mapping[t] for t in f[j]]
-        rhs = list(map(f[datum.omega[j]].__getitem__, mapping))
-        if lhs != rhs:
-            k = next(k for k, (x, y) in enumerate(zip(lhs, rhs)) if x != y)
-            if (lhs[k] == -1) != (rhs[k] == -1):
-                failures.append((k, j, "twist breaks a color %d string at %s" % (j, ids[k])))
-            else:
-                failures.append((k, j, "twist misroutes color %d at %s" % (j, ids[k])))
-    twisted = {wt: omega_star(datum, wt) for wt in set(weights)}
-    for k, image in enumerate(mapping):
-        if weights[image] != twisted[weights[k]]:
-            failures.append((k, datum.size, "twist moved a weight off pattern at %s" % ids[k]))
-            break
-    if failures:
-        raise VerificationError(min(failures)[2])
+    def twist(order):
+        return propagate_map(crystal, crystal, {top: top}, relabel=dict(enumerate(datum.omega)),
+                             weight_map=lambda mu: omega_star(datum, mu), order=order)
 
-    cur = list(range(len(crystal)))
-    for _ in range(datum.order):
-        cur = [mapping[k] for k in cur]
+    mapping = twist("dfs")
+    if mapping != twist("bfs"):
+        raise VerificationError("twist depends on traversal order for column %d" % i)
+
+    cur = mapping
+    for _ in range(datum.order - 1):
+        cur = list(map(mapping.__getitem__, cur))
     if cur != list(range(len(crystal))):
         raise VerificationError("twist does not close at order %d" % datum.order)
 
-    target = tuple(s * v for v in pi_tilde_weight(datum, i))
-    tops = [k for k, wt in enumerate(weights) if wt == target]
-    if len(tops) != 1:
-        raise VerificationError(
-            "%d candidates for the top node of the orbit tensor" % len(tops))
-    if mapping[tops[0]] != tops[0]:
-        raise VerificationError("twist moves the top node")
-
     return TildeBundle(datum=datum, i=i, s=s, factors=tuple(factors), crystal=crystal,
-                       omega_map=tuple(mapping), top=tops[0])
+                       omega_map=tuple(mapping), top=top)
 
 
 def verify_yang_baxter(datum, spec1, spec2, spec3):

@@ -1,0 +1,11 @@
+"""Leaf-index columns of a tensor product, read off its left_of/right_of arrays."""
+
+from crystalfold.crystal import Tensor
+
+
+def leaf_columns(crys):
+    """Per leaf factor, the leaf node index of every node of crys."""
+    if not isinstance(crys, Tensor):
+        return [list(range(len(crys)))]
+    return ([[col[a] for a in crys.left_of] for col in leaf_columns(crys.left)]
+            + [[col[b] for b in crys.right_of] for col in leaf_columns(crys.right)])

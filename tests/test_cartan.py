@@ -116,6 +116,10 @@ def test_orbits():
     dc = make_datum("c", 3)
     assert dc.orbit(3) == (3, 4)
     assert dc.reps == (0, 1, 2, 3)
+    # a negative node wraps the tuple index and never comes back to itself
+    for d in (datum, d4, dc):
+        with pytest.raises(ScopeError, match="no orbit of at most %d nodes" % d.order):
+            d.orbit(-1)
 
 
 def test_scope_errors():

@@ -67,6 +67,14 @@ def test_out_of_scope_exits_two():
     assert res.exit_code == 2
 
 
+@pytest.mark.parametrize("case,n,i", [("a", 2, 4), ("a", 2, -1), ("b", 1, -1),
+                                       ("c", 3, -1), ("d", 3, -1), ("d", 3, 0)])
+def test_tilde_target_refuses_columns_outside_the_diagram(case, n, i):
+    res = run("build", "--case", case, "--n", str(n), "--i", str(i), "--target", "tilde")
+    assert res.exit_code == 2
+    assert res.output == "error: column %d is not a classical node\n" % i
+
+
 def test_verify_passes_in_scope():
     res = run("verify", "--case", "b", "--n", "1", "--i", "1", "--s", "2")
     assert res.exit_code == 0

@@ -7,10 +7,11 @@ from hypothesis import given, strategies as st
 
 from crystalfold.cartan import make_datum, weyl_reflect
 from crystalfold.crystal import (
-    Crystal, Report, VerificationError, graphs_equal, propagate_map, tensor,
+    Crystal, Report, VerificationError, _recheck_map, propagate_map, tensor,
     tensor_many)
 from crystalfold.models import kr_crystal
 from crystalfold.monomial import highest_weight_crystal
+from leaves import leaf_columns
 
 SL2 = ((2,),)
 SL3 = ((2, -1), (-1, 2))
@@ -135,8 +136,7 @@ def test_tensor_associativity_exact_graphs():
         a, b, c = parts
         lhs = tensor(tensor(a, b), c)
         rhs = tensor(a, tensor(b, c))
-        assert graphs_equal(lhs, rhs)
-        assert lhs.ids == rhs.ids
+        assert_same_graph(lhs, rhs)
 
 
 def test_tensor_many_folds_left():
@@ -230,9 +230,10 @@ def test_index_tensor_many_matches_reference():
     parts = [V_SL3, ADJ_SL3, V_SL3]
     prod = tensor_many(parts)
     assert_same_graph(prod, reference_tensor(reference_tensor(V_SL3, ADJ_SL3), V_SL3))
-    columns = prod.leaf_columns()
-    assert prod.locate(columns) == list(range(len(prod)))
+    columns = leaf_columns(prod)
     for k, b in enumerate(prod.ids):
+        # the leaf indices locate the node again
+        assert prod.at(prod.left.at(columns[0][k], columns[1][k]), columns[2][k]) == k
         assert b == "*".join(c.ids[col[k]] for c, col in zip(parts, columns))
 
 
@@ -322,11 +323,6 @@ def test_dot_output_labels_colors():
     assert '[label="0"]' in text and '[label="1"]' in text
 
 
-def test_graphs_equal_negative():
-    assert not graphs_equal(V_SL3, ADJ_SL3)
-    assert graphs_equal(V_SL3, V_SL3)
-
-
 # -- propagation --------------------------------------------------------------
 
 ADJ_TOP = "m:Y0,0^1 Y1,0^1"
@@ -370,3 +366,151 @@ def test_propagate_missed_domain_witness():
     with pytest.raises(VerificationError) as exc:
         propagate_map(ADJ_SL3, ADJ_SL3, {top: top}, colors=(1,), domain=subset)
     assert str(exc.value) == "propagation missed 2 nodes, first m:Y0,0^1 Y0,1^-1"
+
+
+# -- the re-check after propagation, against the per-node loop ----------------
+
+def recheck_oracle(src, dst, out, lowering, weight_map):
+    """The per-node re-check loop that propagate_map ran before it went a
+    color at a time: nodes in index order, and at each node injectivity,
+    then the colors in order, then the weight rule."""
+    hit = [-1] * len(dst)
+    for x, y in enumerate(out):
+        if y == -1:
+            continue
+        if hit[y] != -1:
+            raise VerificationError(
+                "map sends %s and %s to %s" % (src.ids[hit[y]], src.ids[x], dst.ids[y]))
+        hit[y] = x
+        for smap, dmap, j in lowering:
+            fx, fy = smap[x], dmap[y]
+            if fx == -1 and fy == -1:
+                continue
+            if fx == -1 or fy == -1 or out[fx] != fy:
+                raise VerificationError(
+                    "edge re-check failed at %s under color %d" % (src.ids[x], j))
+        if weight_map is not None:
+            if tuple(weight_map(src.weights[x])) != dst.weights[y]:
+                raise VerificationError("weight rule fails at %s" % src.ids[x])
+
+
+def failure(fn, *args, **kwargs):
+    try:
+        fn(*args, **kwargs)
+    except VerificationError as exc:
+        return str(exc)
+    return None
+
+
+def lowering_of(src, dst, colors):
+    return [(src.f[j], dst.f[j], j) for j in colors]
+
+
+def with_f(crys, changes):
+    """A copy of crys whose f arrays differ at {(color, node): target}."""
+    f = [list(row) for row in crys.f]
+    for (j, k), t in changes.items():
+        f[j][k] = t
+    return Crystal(crys.gcm, crys.comarks, crys.ids, crys.weights, f, crys.payloads)
+
+
+def two_copies(crys):
+    """The disjoint union of two copies of crys, ids prefixed a: and b:."""
+    nodes, f_edges = crystal_to_dicts(crys)
+    both = {p + b: node for p in ("a:", "b:") for b, node in nodes.items()}
+    edges = {j: {p + x: p + y for p in ("a:", "b:") for x, y in row.items()}
+             for j, row in f_edges.items()}
+    return Crystal.from_edges(crys.gcm, crys.comarks, both, edges)
+
+
+ADJ_FORK = next(k for k in range(len(ADJ_SL3))
+                if ADJ_SL3.f[0][k] != -1 and ADJ_SL3.f[1][k] != -1)
+
+
+@pytest.mark.parametrize("order", ["dfs", "bfs"])
+def test_propagate_duplicated_image_matches_the_oracle(order):
+    src = two_copies(ADJ_SL3)
+    top = ADJ_SL3.ids.index(ADJ_TOP)
+    anchors = {src.ids.index("a:" + ADJ_TOP): top, src.ids.index("b:" + ADJ_TOP): top}
+    out = [k % len(ADJ_SL3) for k in range(len(src))]
+    expect = failure(recheck_oracle, src, ADJ_SL3, out, lowering_of(src, ADJ_SL3, (0, 1)), None)
+    assert expect == "map sends a:%s and b:%s to %s" % ((ADJ_SL3.ids[0],) * 3)
+    assert failure(propagate_map, src, ADJ_SL3, anchors, order=order) == expect
+
+
+@pytest.mark.parametrize("order", ["dfs", "bfs"])
+def test_propagate_bad_weight_matches_the_oracle(order):
+    top = ADJ_SL3.ids.index(ADJ_TOP)
+
+    def skewed(wt):
+        return (9, 9) if wt == (0, 0) else wt
+
+    out = list(range(len(ADJ_SL3)))
+    expect = failure(recheck_oracle, ADJ_SL3, ADJ_SL3, out,
+                     lowering_of(ADJ_SL3, ADJ_SL3, (0, 1)), skewed)
+    first_zero = ADJ_SL3.weights.index((0, 0))
+    assert expect == "weight rule fails at %s" % ADJ_SL3.ids[first_zero]
+    assert failure(propagate_map, ADJ_SL3, ADJ_SL3, {top: top},
+                   weight_map=skewed, order=order) == expect
+
+
+@pytest.mark.parametrize("colors", [(0, 1), (1, 0)])
+def test_recheck_wrong_edges_at_two_colors_of_one_node(colors):
+    # edges that propagation has already matched cannot fail the re-check,
+    # so the re-check is driven directly with a map that disagrees with dst
+    x = ADJ_FORK
+    dst = with_f(ADJ_SL3, {(0, x): ADJ_SL3.f[1][x], (1, x): ADJ_SL3.f[0][x]})
+    out = list(range(len(ADJ_SL3)))
+    lowering = lowering_of(ADJ_SL3, dst, colors)
+    expect = failure(recheck_oracle, ADJ_SL3, dst, out, lowering, None)
+    assert expect == "edge re-check failed at %s under color %d" % (ADJ_SL3.ids[x], colors[0])
+    assert failure(_recheck_map, ADJ_SL3, dst, out, lowering, None) == expect
+
+
+@pytest.mark.parametrize("side", ["src", "dst"])
+def test_recheck_edge_dead_on_one_side(side):
+    x = ADJ_FORK
+    cut = with_f(ADJ_SL3, {(1, x): -1})
+    src, dst = (cut, ADJ_SL3) if side == "src" else (ADJ_SL3, cut)
+    out = list(range(len(ADJ_SL3)))
+    lowering = lowering_of(src, dst, (0, 1))
+    expect = failure(recheck_oracle, src, dst, out, lowering, None)
+    assert expect == "edge re-check failed at %s under color 1" % ADJ_SL3.ids[x]
+    assert failure(_recheck_map, src, dst, out, lowering, None) == expect
+
+
+def test_recheck_partial_map_whose_edge_leaves_the_domain():
+    x = ADJ_FORK
+    y = ADJ_SL3.f[1][x]
+    dst = with_f(ADJ_SL3, {(1, x): -1})
+    lowering = lowering_of(ADJ_SL3, dst, (0, 1))
+    # x maps, its color 1 target does not, and dst has no color 1 edge there:
+    # lhs and rhs would both read -1, yet the edge leaves the mapped set
+    out = [k if k in (x, ADJ_SL3.f[0][x]) else -1 for k in range(len(ADJ_SL3))]
+    assert out[y] == -1
+    expect = failure(recheck_oracle, ADJ_SL3, dst, out, lowering, None)
+    assert expect == "edge re-check failed at %s under color 1" % ADJ_SL3.ids[x]
+    assert failure(_recheck_map, ADJ_SL3, dst, out, lowering, None) == expect
+    # the same partial map against the intact dst fails too, as before
+    lowering = lowering_of(ADJ_SL3, ADJ_SL3, (0, 1))
+    expect = failure(recheck_oracle, ADJ_SL3, ADJ_SL3, out, lowering, None)
+    assert expect is not None
+    assert failure(_recheck_map, ADJ_SL3, ADJ_SL3, out, lowering, None) == expect
+
+
+@given(st.data())
+def test_recheck_matches_the_oracle_on_random_corruptions(data):
+    crys = data.draw(st.sampled_from([ADJ_SL3, V_SL4, B3_SL2]))
+    n = len(crys)
+    nodes = st.integers(min_value=-1, max_value=n - 1)
+    out = list(range(n))
+    for k, t in data.draw(st.dictionaries(st.integers(0, n - 1), nodes, max_size=3)).items():
+        out[k] = t
+    changes = data.draw(st.dictionaries(
+        st.tuples(st.integers(0, crys.ncolors - 1), st.integers(0, n - 1)), nodes, max_size=2))
+    dst = with_f(crys, changes)
+    colors = data.draw(st.permutations(range(crys.ncolors)))
+    lowering = lowering_of(crys, dst, colors)
+    weight_map = data.draw(st.sampled_from([None, lambda wt: wt, lambda wt: wt[::-1]]))
+    assert (failure(_recheck_map, crys, dst, out, lowering, weight_map)
+            == failure(recheck_oracle, crys, dst, out, lowering, weight_map))

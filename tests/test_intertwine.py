@@ -1,13 +1,22 @@
 """Twist maps, exchange maps, orbit tensors, and the energy table."""
 
+import importlib
+import pkgutil
+from collections import Counter
+
 import pytest
 
+import crystalfold
+from crystalfold import intertwine
 from crystalfold.cartan import make_datum, pi_tilde_weight
-from crystalfold.crystal import VerificationError, tensor
+from crystalfold.cli import SCOPE_INSTANCES
+from crystalfold.crystal import Tensor, VerificationError, tensor
+from crystalfold.fixedpoint import build_hat_crystal
 from crystalfold.intertwine import (
     build_tilde_crystal, compute_r_matrix, compute_tau_omega,
     energy_on_tensor, verify_yang_baxter)
 from crystalfold.models import classical_highest_node, kr_crystal
+from leaves import leaf_columns
 
 A2 = make_datum("a", 2)
 A3 = make_datum("a", 3)
@@ -175,3 +184,55 @@ def test_tilde_center_column():
     omega = bundle.omega_map
     for k in range(len(bundle.crystal)):
         assert omega[omega[omega[k]]] == k
+
+
+# -- the twist against the tau-then-R composition ------------------------------
+
+def twist_by_tau_and_r(datum, i, s, crystal):
+    """The twist composed from parts: tau on every factor, then exchanges
+    that walk the wrapped-around last factor back to the front, then the
+    node of each tuple of leaf indices."""
+    orbit = datum.orbit(i)
+    columns = [[tau[x] for x in leaf] for tau, leaf in zip(
+        [compute_tau_omega(datum, col, s) for col in orbit], leaf_columns(crystal))]
+    for pos in range(len(orbit) - 2, -1, -1):
+        rmat = compute_r_matrix(datum, (orbit[pos + 1], s), (orbit[0], s))
+        columns = rmat.apply_at(columns, pos)
+    node = {leaves: k for k, leaves in enumerate(zip(*leaf_columns(crystal)))}
+    return [node[leaves] for leaves in zip(*columns)]
+
+
+@pytest.mark.parametrize("case,n,i,s", SCOPE_INSTANCES)
+def test_twist_equals_tau_then_r_on_the_scope(case, n, i, s):
+    datum = make_datum(case, n)
+    bundle = build_tilde_crystal(datum, i, s)
+    assert list(bundle.omega_map) == twist_by_tau_and_r(datum, i, s, bundle.crystal)
+
+
+def _clear_package_caches():
+    for info in pkgutil.iter_modules(crystalfold.__path__):
+        module = importlib.import_module("crystalfold." + info.name)
+        for value in vars(module).values():
+            if callable(getattr(value, "cache_clear", None)):
+                value.cache_clear()
+
+
+def test_orbit_twist_builds_one_tensor_and_no_r_matrix(monkeypatch):
+    calls = Counter()
+    init, r_matrix = Tensor.__init__, intertwine.compute_r_matrix
+
+    def counting_init(self, left, right):
+        calls["tensor"] += 1
+        init(self, left, right)
+
+    def counting_r_matrix(*args, **kwargs):
+        calls["r_matrix"] += 1
+        return r_matrix(*args, **kwargs)
+
+    _clear_package_caches()
+    monkeypatch.setattr(Tensor, "__init__", counting_init)
+    monkeypatch.setattr(intertwine, "compute_r_matrix", counting_r_matrix)
+    build_hat_crystal(make_datum("a", 3), 2, 2)
+    # the tableau columns of case a build no tensors of their own, so the
+    # one tensor is the orbit tensor B(2,2) (x) B(4,2)
+    assert calls == {"tensor": 1}
