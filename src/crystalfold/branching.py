@@ -108,19 +108,17 @@ def _weyl_product(gcm, lam):
     return int(dim)
 
 
-def weyl_dimension(datum, coeffs, closed_form=False):
+def weyl_dimension(datum, coeffs):
     """Dimension of the folded classical irreducible with the given highest weight.
 
-    Counted by building the highest weight crystal, or via the character
-    product formula when closed_form is set.
+    Counted by building the highest weight crystal; _weyl_product, the
+    character product formula, is the independent route.
     """
     if len(coeffs) != len(datum.hat_classical_nodes):
         raise ValueError("expected %d coefficients" % len(datum.hat_classical_nodes))
     if min(coeffs, default=0) < 0:
         raise ValueError("weight is not dominant: %r" % (coeffs,))
     bgcm = block(datum.hat_gcm, datum.hat_classical_nodes)
-    if closed_form:
-        return _weyl_product(bgcm, coeffs)
     return len(highest_weight_crystal(bgcm, tuple(coeffs)))
 
 
@@ -246,7 +244,7 @@ def multiplicity_free_gate(datum, i, s):
     return gate
 
 
-def verify_branching(datum, i, s, closed_form_dims=False):
+def verify_branching(datum, i, s):
     """Full branching report for one instance."""
     report = Report()
     state = {}
@@ -276,9 +274,4 @@ def verify_branching(datum, i, s, closed_form_dims=False):
     report.add("branch:cardinality",
                sum(m * d for _, m, d in got.components) == got.total,
                "total %d" % got.total)
-    if closed_form_dims:
-        bad = [coeffs for coeffs, _, dim in got.components
-               if weyl_dimension(datum, coeffs, closed_form=True) != dim]
-        report.add("branch:dims-closed-form", not bad,
-                   "mismatch at %r" % bad if bad else "")
     return report

@@ -135,10 +135,6 @@ class FoldingDatum:
         return len(self.gcm)
 
     @property
-    def nodes(self):
-        return tuple(range(len(self.gcm)))
-
-    @property
     def classical_nodes(self):
         return tuple(range(1, len(self.gcm)))
 
@@ -405,25 +401,3 @@ def kashiwara_word(datum, jhat, m=1):
     for j in orb:
         out.extend([j] * m)
     return tuple(out)
-
-
-def datum_to_json(datum):
-    return {
-        "case": datum.case,
-        "n": datum.n,
-        "I": list(datum.nodes),
-        "gcm": [list(row) for row in datum.gcm],
-        "marks": list(datum.marks),
-        "comarks": list(datum.comarks),
-        "omega": list(datum.omega),
-        "orbit": {
-            "reps": list(datum.reps),
-            "N": [len(datum.orbit(j)) for j in datum.reps],
-            "c": list(datum.c_vals),
-            "gcm_hat": [list(row) for row in datum.hat_gcm],
-            "marks_hat": list(datum.hat_marks),
-            "comarks_hat": list(datum.hat_comarks),
-        },
-        "parent_name": datum.parent_name,
-        "hat_name": datum.hat_name,
-    }

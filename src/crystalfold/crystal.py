@@ -45,9 +45,6 @@ class Report:
     def ok(self):
         return all(ok for _, ok, _ in self.stages)
 
-    def failures(self):
-        return [(name, detail) for name, ok, detail in self.stages if not ok]
-
     def to_text(self):
         out = []
         for name, ok, detail in self.stages:
@@ -78,8 +75,6 @@ class Crystal:
         self.payloads = payloads
         self.f = f
         self.e = [_inverse(arr) for arr in f]
-        # a tensor product remembers its leaf crystals in order
-        self.factors = (self,)
         self._eps = {}
         self._phi = {}
 
@@ -488,7 +483,6 @@ class Tensor(Crystal):
             f.append(row)
         super().__init__(left.gcm, left.comarks, tuple(map(flat.__getitem__, order)),
                          tuple(map(weights.__getitem__, order)), f, (None,) * len(flat))
-        self.factors = left.factors + right.factors
 
     def at(self, a, b):
         """The node of the pair (left node a, right node b)."""

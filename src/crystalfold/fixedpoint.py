@@ -21,15 +21,14 @@ from .monomial import weight_multiset
 
 
 def _fixed_nodes(omega_map):
-    return [k for k, image in enumerate(omega_map) if image == k]
+    return tuple(k for k, image in enumerate(omega_map) if image == k)
 
 
-def fold_crystal(datum, crystal, omega_map):
+def fold_crystal(datum, crystal, fixed):
     """Fixed-node crystal over the folded data; hard-fails on instability.
 
-    omega_map is the twist as an array over the nodes of crystal.
+    fixed lists the nodes of crystal that the twist fixes, ascending.
     """
-    fixed = _fixed_nodes(omega_map)
     if not fixed:
         raise VerificationError("the twist fixes no nodes")
     where = {p: h for h, p in enumerate(fixed)}
@@ -61,9 +60,6 @@ def fold_crystal(datum, crystal, omega_map):
 
 @dataclass
 class HatBundle:
-    datum: object
-    i: int
-    s: int
     tilde: object
     crystal: object
     fixed: tuple  # the node of tilde.crystal under each folded node
@@ -83,9 +79,9 @@ def _require_folded_column(datum, i):
 def build_hat_crystal(datum, i, s):
     _require_folded_column(datum, i)
     tilde = build_tilde_crystal(datum, i, s)
-    hat = fold_crystal(datum, tilde.crystal, tilde.omega_map)
-    return HatBundle(datum=datum, i=i, s=s, tilde=tilde, crystal=hat,
-                     fixed=tuple(_fixed_nodes(tilde.omega_map)))
+    fixed = _fixed_nodes(tilde.omega_map)
+    return HatBundle(tilde=tilde, crystal=fold_crystal(datum, tilde.crystal, fixed),
+                     fixed=fixed)
 
 
 # -- the headline verification ----------------------------------------------
@@ -195,10 +191,9 @@ def check_string_identities(datum, i, s):
 
 # -- tensor compatibility, exchange, energy ---------------------------------
 
-def _pair_twist(pair, omega_left, omega_right):
-    """The twist of a pair tensor, factorwise from the twists of its factors."""
-    return [pair.at(omega_left[a], omega_right[b])
-            for a, b in zip(pair.left_of, pair.right_of)]
+def _pair_twist(pair, omega):
+    """The twist of B (x) B, factorwise from the twist omega of B."""
+    return [pair.at(omega[a], omega[b]) for a, b in zip(pair.left_of, pair.right_of)]
 
 
 def verify_tensor_compatibility(datum, spec1, spec2):
@@ -208,20 +203,21 @@ def verify_tensor_compatibility(datum, spec1, spec2):
     the exchange must keep fixed nodes fixed and commute with every folded
     edge, and the energy inherited through the identification must satisfy
     the folded difference relations across all affine edges. The local
-    energy rule used here holds for a crystal tensored with itself only.
+    energy rule used here holds for a crystal tensored with itself only, so
+    both factors are one crystal and the exchange maps the pair tensor to
+    itself.
     """
     if spec1 != spec2:
         raise ScopeError(
             "tensor compatibility is checked on B (x) B only: the local energy "
             "rule does not hold for the unequal factors %r and %r" % (spec1, spec2))
-    h1 = build_hat_crystal(datum, *spec1)
-    h2 = build_hat_crystal(datum, *spec2)
-    t1, t2 = h1.tilde, h2.tilde
-    parent_pair = tensor(t1.crystal, t2.crystal)
-    omega_pair = _pair_twist(parent_pair, t1.omega_map, t2.omega_map)
-    folded = fold_crystal(datum, parent_pair, omega_pair)
+    hat = build_hat_crystal(datum, *spec1)
+    tilde = hat.tilde
+    pair = tensor(tilde.crystal, tilde.crystal)
+    omega_pair = _pair_twist(pair, tilde.omega_map)
     fixed = _fixed_nodes(omega_pair)
-    lhs = tensor(h1.crystal, h2.crystal)
+    folded = fold_crystal(datum, pair, fixed)
+    lhs = tensor(hat.crystal, hat.crystal)
     report = Report()
 
     report.add("iso:size", lhs.ids == folded.ids,
@@ -243,41 +239,36 @@ def verify_tensor_compatibility(datum, spec1, spec2):
     report.run("iso:edges", edges)
     report.run("iso:eps", eps_match)
 
-    # exchange on the parent pair, restricted to fixed nodes
-    flip_pair = tensor(t2.crystal, t1.crystal)
-    anchor = parent_pair.at(t1.top, t2.top)
-    flipped_anchor = flip_pair.at(t2.top, t1.top)
-    exchange = propagate_map(parent_pair, flip_pair, {anchor: flipped_anchor})
-    flip_omega = _pair_twist(flip_pair, t2.omega_map, t1.omega_map)
+    # exchange of the parent pair with itself, restricted to fixed nodes
+    anchor = pair.at(tilde.top, tilde.top)
+    exchange = propagate_map(pair, pair, {anchor: anchor})
 
     def fixed_closed():
         for p in fixed:
             image = exchange[p]
-            if flip_omega[image] != image:
+            if omega_pair[image] != image:
                 raise VerificationError(
-                    "exchange moves %s off the fixed set" % parent_pair.ids[p])
+                    "exchange moves %s off the fixed set" % pair.ids[p])
 
     report.run("rhat:fixed", fixed_closed)
-    report.add("rhat:anchor", exchange[anchor] == flipped_anchor, "anchor moved")
+    report.add("rhat:anchor", exchange[anchor] == anchor, "anchor moved")
 
     def rhat_edges():
-        flip_folded = fold_crystal(datum, flip_pair, flip_omega)
-        flip_fixed = _fixed_nodes(flip_omega)
-        flip_where = {p: h for h, p in enumerate(flip_fixed)}
+        where = {p: h for h, p in enumerate(fixed)}
         for h, p in enumerate(fixed):
             for jh in range(folded.ncolors):
                 down = folded.f[jh][h]
-                image_down = flip_folded.f[jh][flip_where[exchange[p]]]
+                image_down = folded.f[jh][where[exchange[p]]]
                 if (down == -1) != (image_down == -1):
                     raise VerificationError(
                         "folded exchange breaks a string at %s color %d" % (folded.ids[h], jh))
-                if down != -1 and exchange[fixed[down]] != flip_fixed[image_down]:
+                if down != -1 and exchange[fixed[down]] != fixed[image_down]:
                     raise VerificationError(
                         "folded exchange misroutes color %d at %s" % (jh, folded.ids[h]))
 
     report.run("rhat:edges", rhat_edges)
 
-    energy = energy_on_tensor(parent_pair, anchor)
+    energy = energy_on_tensor(pair, anchor)
 
     def folded_energy():
         for h, p in enumerate(fixed):

@@ -49,9 +49,6 @@ class Exchange:
     n1: int
     n2: int
 
-    def __len__(self):
-        return len(self.codes)
-
     def __call__(self, a, b):
         return divmod(self.codes[a * self.n2 + b], self.n1)
 
@@ -114,8 +111,9 @@ def energy_on_tensor(prod, anchor):
 
     Returns a list over the nodes. Along color zero the difference across
     an edge is given by energy_steps; all other colors keep the value flat.
-    Every edge is re-checked in both directions afterwards, so any path
-    dependence raises instead of returning a skewed table.
+    Each node is popped once, and every edge leaving it, lowering and
+    raising, either sets the value at its far end or is checked against
+    it, so any path dependence raises instead of returning a skewed table.
     """
     values = [None] * len(prod)
     values[anchor] = 0
@@ -123,32 +121,23 @@ def energy_on_tensor(prod, anchor):
     queue = [anchor]
     while queue:
         x = queue.pop()
+        here = values[x]
         down, up = energy_steps(prod, x)
         for j in range(prod.ncolors):
-            y = prod.f[j][x]
-            if y != -1 and values[y] is None:
-                values[y] = values[x] + (down if j == 0 else 0)
-                reached += 1
-                queue.append(y)
-            z = prod.e[j][x]
-            if z != -1 and values[z] is None:
-                values[z] = values[x] + (up if j == 0 else 0)
-                reached += 1
-                queue.append(z)
+            for y, value, kind in ((prod.f[j][x], here + down if j == 0 else here, "along"),
+                                   (prod.e[j][x], here + up if j == 0 else here, "against")):
+                if y == -1:
+                    continue
+                if values[y] is None:
+                    values[y] = value
+                    reached += 1
+                    queue.append(y)
+                elif values[y] != value:
+                    raise VerificationError("energy is path dependent %s color %d at %s"
+                                            % (kind, j, prod.ids[x]))
     if reached != len(prod):
         raise VerificationError(
             "energy walk reached %d of %d nodes" % (reached, len(prod)))
-    for x in range(len(prod)):
-        down, up = energy_steps(prod, x)
-        for j in range(prod.ncolors):
-            y = prod.f[j][x]
-            if y != -1 and values[y] - values[x] != (down if j == 0 else 0):
-                raise VerificationError(
-                    "energy is path dependent along color %d at %s" % (j, prod.ids[x]))
-            z = prod.e[j][x]
-            if z != -1 and values[z] - values[x] != (up if j == 0 else 0):
-                raise VerificationError(
-                    "energy is path dependent against color %d at %s" % (j, prod.ids[x]))
     return values
 
 
@@ -156,10 +145,6 @@ def energy_on_tensor(prod, anchor):
 
 @dataclass
 class TildeBundle:
-    datum: object
-    i: int
-    s: int
-    factors: tuple
     crystal: object
     omega_map: tuple
     top: int
@@ -211,8 +196,7 @@ def build_tilde_crystal(datum, i, s):
     if cur != list(range(len(crystal))):
         raise VerificationError("twist does not close at order %d" % datum.order)
 
-    return TildeBundle(datum=datum, i=i, s=s, factors=tuple(factors), crystal=crystal,
-                       omega_map=tuple(mapping), top=top)
+    return TildeBundle(crystal=crystal, omega_map=tuple(mapping), top=top)
 
 
 def verify_yang_baxter(datum, spec1, spec2, spec3):

@@ -11,6 +11,8 @@ from functools import lru_cache
 
 from .crystal import Crystal
 
+MAX_NODES = 500000
+
 
 def _as_dict(mono):
     return dict(mono)
@@ -96,18 +98,17 @@ def mono_id(key):
 
 
 @lru_cache(maxsize=None)
-def highest_weight_crystal(gcm, lam, comarks=None, cap=500000):
+def highest_weight_crystal(gcm, lam):
     """Crystal of the integrable module with the given dominant weight.
 
-    gcm and lam must be tuples; comarks defaults to all ones, which only
-    matters if the caller asks for levels.
+    gcm and lam must be tuples. The comarks are all ones, which only
+    matters if the caller asks for levels, and a walk past MAX_NODES nodes
+    raises.
     """
     gcm = tuple(tuple(row) for row in gcm)
     n = len(gcm)
     if len(lam) != n or any(v < 0 for v in lam):
         raise ValueError("dominant weight of length %d expected" % n)
-    if comarks is None:
-        comarks = (1,) * n
     start = _as_key({(i, 0): v for i, v in enumerate(lam) if v})
     seen = {start}
     queue = [start]
@@ -120,13 +121,13 @@ def highest_weight_crystal(gcm, lam, comarks=None, cap=500000):
                 continue
             f_edges[j][mono_id(cur)] = mono_id(nxt)
             if nxt not in seen:
-                if len(seen) >= cap:
-                    raise RuntimeError("crystal walk exceeded %d nodes" % cap)
+                if len(seen) >= MAX_NODES:
+                    raise RuntimeError("crystal walk exceeded %d nodes" % MAX_NODES)
                 seen.add(nxt)
                 queue.append(nxt)
     nodes = {mono_id(key): (mono_weight(_as_dict(key), n), mono_id(key)[2:])
              for key in seen}
-    return Crystal.from_edges(gcm, comarks, nodes, f_edges)
+    return Crystal.from_edges(gcm, (1,) * n, nodes, f_edges)
 
 
 def weight_multiset(gcm, lam):

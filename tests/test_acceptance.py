@@ -88,7 +88,7 @@ def test_criterion_4_weyl_compatibility():
 def test_criterion_5_intertwiner_suite():
     # tau and R verify every edge and both queue orders internally
     assert len(compute_tau_omega(C3, 3, 1)) == 8
-    assert len(compute_r_matrix(A2, (1, 1), (3, 1))) == 16
+    assert len(compute_r_matrix(A2, (1, 1), (3, 1)).codes) == 16
     verify_yang_baxter(D3, (2, 1), (3, 1), (4, 1))
 
     for datum, table in ((A2, {10: 0, 6: -1}), (C3, {35: 0, 28: -1, 1: -2})):

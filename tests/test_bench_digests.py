@@ -1,8 +1,10 @@
-"""Byte for byte guard: the small benchmark workloads against their digests.
+"""Byte for byte guard: benchmark workloads against their digests.
 
 perfbench/run.py hashes every output, Report stage list and folded graph
 of a workload and compares them with perfbench/expected.json, so a changed
-output fails here, before the benchmark runs.
+output fails here, before the benchmark runs. smoke and scope are small;
+parent-full is the one workload that checks tensor compatibility and the
+energy beyond width 1.
 """
 
 import json
@@ -15,7 +17,7 @@ import pytest
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-@pytest.mark.parametrize("workload", ["smoke", "scope"])
+@pytest.mark.parametrize("workload", ["smoke", "scope", "parent-full"])
 def test_workload_matches_recorded_digests(workload):
     proc = subprocess.run(
         [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,

@@ -8,9 +8,9 @@ the triple-fold block gives 7, 14, 27; the rank one block gives s + 1.
 import pytest
 
 from crystalfold.branching import (
-    BranchingResult, branch_hat, expected_branching,
+    BranchingResult, _weyl_product, branch_hat, expected_branching,
     multiplicity_free_gate, verify_branching, weyl_dimension)
-from crystalfold.cartan import ScopeError, make_datum
+from crystalfold.cartan import ScopeError, block, make_datum
 from crystalfold.crystal import VerificationError
 
 A2 = make_datum("a", 2)
@@ -33,7 +33,7 @@ D3 = make_datum("d", 3)
 ])
 def test_weyl_dimension_both_routes(datum, coeffs, dim):
     assert weyl_dimension(datum, coeffs) == dim
-    assert weyl_dimension(datum, coeffs, closed_form=True) == dim
+    assert _weyl_product(block(datum.hat_gcm, datum.hat_classical_nodes), coeffs) == dim
 
 
 def test_weyl_dimension_rejects_bad_weights():
@@ -87,11 +87,14 @@ def test_gate_is_true_on_products_of_distinct_columns(datum, i, s):
 
 
 def test_verify_branching_stages():
-    report = verify_branching(A2, 1, 1, closed_form_dims=True)
+    report = verify_branching(A2, 1, 1)
     assert report.ok, report.to_text()
     assert [n for n, _, _ in report.stages] == [
         "branch:dual-route", "branch:weight-fixed", "branch:expected",
-        "branch:cardinality", "branch:dims-closed-form"]
+        "branch:cardinality"]
+    bgcm = block(A2.hat_gcm, A2.hat_classical_nodes)
+    for coeffs, _, dim in branch_hat(A2, 1, 1).components:
+        assert _weyl_product(bgcm, coeffs) == dim
 
 
 def test_verify_branching_without_formula():

@@ -12,7 +12,6 @@ from crystalfold.cartan import (
     ScopeError,
     block,
     classical_alpha,
-    datum_to_json,
     enumerate_dominant,
     hat_level,
     hat_pi_weight,
@@ -252,12 +251,3 @@ def test_block_submatrix():
 def test_kernel_solver_rejects_finite_type():
     with pytest.raises(ValueError):
         positive_primitive_kernel(((2, -1), (-1, 2)), "right")
-
-
-def test_json_round_shape():
-    datum = make_datum("a", 2)
-    blob = datum_to_json(datum)
-    assert blob["I"] == [0, 1, 2, 3]
-    assert blob["orbit"]["reps"] == [0, 1, 2]
-    assert blob["orbit"]["c"] == [2, 2, 2]
-    assert blob["orbit"]["N"] == [1, 2, 1]

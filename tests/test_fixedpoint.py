@@ -1,10 +1,13 @@
 """Folded crystals: sizes, the headline verification, string identities."""
 
+from collections import Counter
+
 import pytest
 
+from crystalfold import fixedpoint
 from crystalfold.cartan import ScopeError, make_datum
 from crystalfold.cli import SCOPE_INSTANCES
-from crystalfold.crystal import VerificationError
+from crystalfold.crystal import Tensor, VerificationError
 from crystalfold.fixedpoint import (
     build_hat_crystal, check_string_identities, fold_crystal,
     verify_main_theorem, verify_tensor_compatibility)
@@ -96,16 +99,33 @@ def test_forged_fixed_node_is_rejected():
             break
     forged[victim] = victim
     with pytest.raises(VerificationError):
-        fold_crystal(A2, bundle.crystal, forged)
+        fold_crystal(A2, bundle.crystal, [k for k, t in enumerate(forged) if t == k])
 
 
 @pytest.mark.parametrize("datum", [A2, C3])
-def test_tensor_compatibility_width_one(datum):
+def test_tensor_compatibility_width_one(datum, monkeypatch):
+    build_hat_crystal(datum, 1, 1)
+    calls = Counter()
+    init, fold = Tensor.__init__, fixedpoint.fold_crystal
+
+    def counting_init(self, left, right):
+        calls["tensor"] += 1
+        init(self, left, right)
+
+    def counting_fold(*args):
+        calls["fold"] += 1
+        return fold(*args)
+
+    monkeypatch.setattr(Tensor, "__init__", counting_init)
+    monkeypatch.setattr(fixedpoint, "fold_crystal", counting_fold)
     report = verify_tensor_compatibility(datum, (1, 1), (1, 1))
     assert report.ok, report.to_text()
     names = [name for name, _, _ in report.stages]
     assert names == ["iso:size", "iso:edges", "iso:eps", "rhat:fixed",
                      "rhat:anchor", "rhat:edges", "energy:zero-edges"]
+    # the parent pair and the pair of folded crystals; the exchange maps
+    # the parent pair to itself, and only the parent pair is folded
+    assert calls == {"tensor": 2, "fold": 1}
 
 
 @pytest.mark.parametrize("datum,spec1,spec2", [

@@ -145,6 +145,21 @@ def test_energy_anchor_is_zero():
     assert len(table) == len(prod)
 
 
+def test_energy_path_dependence_is_caught():
+    crys = kr_crystal(A2, 1, 1)
+    u = classical_highest_node(A2, crys, 1, 1)
+    prod = tensor(crys, crys)
+    anchor = prod.at(u, u)
+    table = energy_on_tensor(prod, anchor)
+    # re-point one color 0 edge at the anchor, from a node whose true
+    # target has nonzero energy; the raising arrays still hold the old edge
+    x = next(k for k, y in enumerate(prod.f[0]) if y != -1 and table[y] != 0)
+    prod.f[0][x] = anchor
+    with pytest.raises(VerificationError,
+                       match="energy is path dependent (along|against) color 0 at"):
+        energy_on_tensor(prod, anchor)
+
+
 # -- orbit tensors ----------------------------------------------------------
 
 def test_tilde_two_column_orbit():
@@ -168,13 +183,13 @@ def test_tilde_single_column_orbit():
 def test_tilde_fixed_middle_column():
     bundle = build_tilde_crystal(A3, 3, 1)
     assert len(bundle.crystal) == 20
-    assert bundle.factors[0] is kr_crystal(A3, 3, 1)
+    assert bundle.crystal is kr_crystal(A3, 3, 1)
 
 
 def test_tilde_triple_fork_legs():
     bundle = build_tilde_crystal(D3, 2, 1)
     assert len(bundle.crystal) == 512
-    assert len(bundle.factors) == 3
+    assert len(leaf_columns(bundle.crystal)) == 3
     assert bundle.omega_map[bundle.top] == bundle.top
 
 
