@@ -7,6 +7,8 @@ lengths, Weyl action, extremal elements, simplicity, perfectness) is
 derived from the graph and re-verified rather than trusted. Every method
 and every map between crystals addresses nodes by index; string ids are
 made by the model builders and only rendered for messages and output.
+LazyTensor, a tensor product evaluated only where it is asked, addresses
+its nodes by tuples of factor indices instead.
 """
 
 from collections import deque
@@ -500,6 +502,84 @@ def tensor_many(parts):
     for nxt in parts[1:]:
         cur = tensor(cur, nxt)
     return cur
+
+
+class LazyTensor:
+    """tensor_many(factors), evaluated only at the nodes asked about.
+
+    A node is a tuple of factor node indices. Operators follow Tensor's
+    signature rule, read off the factors' cached eps/phi arrays in one pass
+    over the factors, and ids render as in tensor_many. Offers the node
+    methods the string identities read: apply_word, own_strings, weyl_s and
+    weyl_word.
+    """
+
+    def __init__(self, factors):
+        self.factors = factors
+        self.ncolors = factors[0].ncolors
+        for fac in factors:
+            for j in range(self.ncolors):
+                fac._walk_color(j)
+        self._eps = [[fac._eps[j] for fac in factors] for j in range(self.ncolors)]
+        self._phi = [[fac._phi[j] for fac in factors] for j in range(self.ncolors)]
+
+    def id(self, node):
+        return "*".join(fac.ids[a] for fac, a in zip(self.factors, node))
+
+    def weight(self, node):
+        return tuple(map(sum, zip(*(fac.weights[a] for fac, a in zip(self.factors, node)))))
+
+    def step(self, j, node, lowering=True):
+        """f_j of node (e_j unless lowering), -1 for none.
+
+        On prefix (x) factor k, f_j acts on factor k when phi_j of the
+        prefix is at most eps_j of factor k (e_j when it is below), and
+        otherwise where it acts on the prefix.
+        """
+        eps, phi = self._eps[j], self._phi[j]
+        slot, p = 0, phi[0][node[0]]
+        for k in range(1, len(node)):
+            e = eps[k][node[k]]
+            if p < e or (lowering and p == e):
+                slot = k
+            p = phi[k][node[k]] + max(0, p - e)
+        fac = self.factors[slot]
+        t = (fac.f if lowering else fac.e)[j][node[slot]]
+        return -1 if t == -1 else node[:slot] + (t,) + node[slot + 1:]
+
+    def apply_word(self, word, node, lowering=True):
+        """Apply an operator word to node, first letter first; -1 once it dies."""
+        for j in word:
+            node = self.step(j, node, lowering)
+            if node == -1:
+                return -1
+        return node
+
+    def own_strings(self, node):
+        """eps and phi tuples of node, folded from the factors' strings."""
+        eps_out, phi_out = [], []
+        for eps, phi in zip(self._eps, self._phi):
+            e, p = eps[0][node[0]], phi[0][node[0]]
+            for k in range(1, len(node)):
+                er, pr = eps[k][node[k]], phi[k][node[k]]
+                e, p = e + max(0, er - p), pr + max(0, p - er)
+            eps_out.append(e)
+            phi_out.append(p)
+        return tuple(eps_out), tuple(phi_out)
+
+    def weyl_s(self, j, node):
+        m = self.weight(node)[j]
+        for _ in range(abs(m)):
+            node = self.step(j, node, m >= 0)
+            if node == -1:
+                raise VerificationError("Weyl step fell off the graph (color %d)" % j)
+        return node
+
+    def weyl_word(self, word, node):
+        """Apply simple Weyl operators along the word, first letter first."""
+        for j in word:
+            node = self.weyl_s(j, node)
+        return node
 
 
 def propagate_map(src, dst, anchors, relabel=None, colors=None, domain=None,

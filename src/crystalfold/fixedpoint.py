@@ -6,6 +6,14 @@ anywhere outside the fixed set, or that its raising partner fails to
 undo, is a hard error rather than a skipped edge. Weights fold through
 the orbit-constant check, so a node whose parent weight is not constant
 on orbits cannot enter the folded crystal silently.
+
+An orbit of two or more columns with a closed-form decomposition is
+folded by a walk from the top node on a lazy orbit tensor, which never
+builds the tensor or the twist: fixedness is checked along the walk's
+words, and the walk must reach the closed-form size. Every other column
+folds the twist-fixed nodes of the whole orbit tensor. Branching, tensor
+compatibility and the exchange read the whole orbit tensor and its twist
+themselves.
 """
 
 import itertools
@@ -14,9 +22,10 @@ from functools import lru_cache
 
 from .cartan import (
     ScopeError, block, hat_level, kashiwara_word, p_omega_star,
-    p_omega_star_inverse, theta_word)
-from .crystal import Crystal, Report, VerificationError, propagate_map, tensor
-from .intertwine import build_tilde_crystal, energy_on_tensor, energy_steps
+    p_omega_star_inverse, pi_tilde_weight, theta_word)
+from .crystal import Crystal, LazyTensor, Report, VerificationError, propagate_map, tensor
+from .intertwine import build_tilde_crystal, energy_on_tensor, energy_steps, orbit_factors
+from .models import classical_highest_node
 from .monomial import weight_multiset
 
 
@@ -60,9 +69,9 @@ def fold_crystal(datum, crystal, fixed):
 
 @dataclass
 class HatBundle:
-    tilde: object
+    parent: object  # the orbit tensor: a Crystal, or a LazyTensor after a walk
     crystal: object
-    fixed: tuple  # the node of tilde.crystal under each folded node
+    fixed: tuple  # the parent node under each folded node
 
 
 def _require_folded_column(datum, i):
@@ -75,12 +84,85 @@ def _require_folded_column(datum, i):
             "column %d, so use i = %d" % (i, datum.orbit(i), datum.rep(i), datum.rep(i)))
 
 
+def walk_fold(datum, i, s, factors, total):
+    """The fold grown from the top node u on the lazy orbit tensor.
+
+    The twist sigma fixes u and sends color j to color omega(j), so
+    sigma(f_w b) = f_omega(w) sigma(b): a node reached from a fixed node
+    is fixed when the omega-twisted word lands where the word does. That
+    check runs at every node and folded color, lowering edges are undone by
+    their raising words, weights must be constant on orbits, and the walk,
+    which follows lowering and raising words, must reach exactly total
+    nodes, the size of the closed-form decomposition.
+    """
+    parent = LazyTensor(factors)
+    top = tuple(classical_highest_node(datum, fac, col, s)
+                for fac, col in zip(factors, datum.orbit(i)))
+    if parent.weight(top) != tuple(s * v for v in pi_tilde_weight(datum, i)):
+        raise VerificationError("top node %s is off the top weight" % parent.id(top))
+    words = [kashiwara_word(datum, jh) for jh in range(len(datum.hat_gcm))]
+    twins = [tuple(datum.omega[j] for j in word) for word in words]
+    lower = {}  # node -> its lowering image under each folded color
+    queue = [top]
+    seen = {top}
+    for p in queue:
+        row = []
+        for jh, (word, twin) in enumerate(zip(words, twins)):
+            down = parent.apply_word(word, p)
+            if parent.apply_word(twin, p) != down:
+                raise VerificationError(
+                    "lowering word for folded color %d leaves the fixed set at %s"
+                    % (jh, parent.id(p)))
+            back = word[::-1]
+            if down != -1 and parent.apply_word(back, down, lowering=False) != p:
+                raise VerificationError(
+                    "raising word fails to undo folded color %d at %s" % (jh, parent.id(p)))
+            row.append(down)
+            for q in (down, parent.apply_word(back, p, lowering=False)):
+                if q != -1 and q not in seen:
+                    seen.add(q)
+                    queue.append(q)
+        lower[p] = row
+    if len(queue) != total:
+        raise VerificationError("walk reached %d of %d nodes of the closed form from %s"
+                                % (len(queue), total, parent.id(top)))
+    fixed = tuple(sorted(queue, key=parent.id))
+    ids = tuple(map(parent.id, fixed))
+    weights = []
+    for p, b in zip(fixed, ids):
+        try:
+            weights.append(p_omega_star_inverse(datum, parent.weight(p)))
+        except ValueError as exc:
+            raise VerificationError("fixed node %s: %s" % (b, exc))
+    where = {p: h for h, p in enumerate(fixed)}
+    where[-1] = -1  # no edge
+    f = [[where[lower[p][jh]] for p in fixed] for jh in range(len(words))]
+    crystal = Crystal(datum.hat_gcm, datum.hat_comarks, ids, tuple(weights), f,
+                      (None,) * len(fixed))
+    return HatBundle(parent=parent, crystal=crystal, fixed=fixed)
+
+
 @lru_cache(maxsize=None)
 def build_hat_crystal(datum, i, s):
+    """The folded crystal of column i at width s, with its parent.
+
+    An orbit of two or more columns with a closed-form decomposition is
+    folded by walk_fold, without building the orbit tensor; any other
+    column folds the fixed nodes of the twist on the whole orbit tensor.
+    """
     _require_folded_column(datum, i)
+    factors = orbit_factors(datum, i, s)
+    if len(factors) > 1:
+        from .branching import expected_size  # branching imports this module
+        try:
+            total = expected_size(datum, i, s)
+        except ScopeError:  # no closed form to check the walk against
+            pass
+        else:
+            return walk_fold(datum, i, s, factors, total)
     tilde = build_tilde_crystal(datum, i, s)
     fixed = _fixed_nodes(tilde.omega_map)
-    return HatBundle(tilde=tilde, crystal=fold_crystal(datum, tilde.crystal, fixed),
+    return HatBundle(parent=tilde.crystal, crystal=fold_crystal(datum, tilde.crystal, fixed),
                      fixed=fixed)
 
 
@@ -135,7 +217,7 @@ def check_string_identities(datum, i, s):
     """Folded string data read off the parent in four independent ways."""
     bundle = build_hat_crystal(datum, i, s)
     hat = bundle.crystal
-    parent = bundle.tilde.crystal
+    parent = bundle.parent
     fixed = bundle.fixed
     report = Report()
 
@@ -212,7 +294,7 @@ def verify_tensor_compatibility(datum, spec1, spec2):
             "tensor compatibility is checked on B (x) B only: the local energy "
             "rule does not hold for the unequal factors %r and %r" % (spec1, spec2))
     hat = build_hat_crystal(datum, *spec1)
-    tilde = hat.tilde
+    tilde = build_tilde_crystal(datum, *spec1)
     pair = tensor(tilde.crystal, tilde.crystal)
     omega_pair = _pair_twist(pair, tilde.omega_map)
     fixed = _fixed_nodes(omega_pair)

@@ -150,17 +150,11 @@ class TildeBundle:
     top: int
 
 
-@lru_cache(maxsize=None)
-def build_tilde_crystal(datum, i, s):
-    """Tensor of the crystals along the orbit of column i, with the twist.
+def orbit_factors(datum, i, s):
+    """The width-s column crystals along the orbit of column i, in orbit order.
 
-    The twist is the omega-twisted automorphism of the orbit tensor that
-    fixes its top node, the one node of weight s times the orbit sum of
-    fundamentals. It is propagated from that node, color j to color
-    omega(j) and weights through omega_star, depth first and breadth
-    first; both results must agree, every edge, injectivity and the weight
-    rule are re-checked, and the twist must close at the automorphism
-    order.
+    A refusal from another column of the orbit names that orbit and the
+    requested column.
     """
     if i not in datum.classical_nodes:
         raise ScopeError("column %d is not a classical node" % i)
@@ -174,7 +168,22 @@ def build_tilde_crystal(datum, i, s):
                 raise
             raise ScopeError("%s; it is in the orbit %s of the requested column %d"
                              % (exc, orbit, i)) from None
-    crystal = tensor_many(factors)
+    return factors
+
+
+@lru_cache(maxsize=None)
+def build_tilde_crystal(datum, i, s):
+    """Tensor of the crystals along the orbit of column i, with the twist.
+
+    The twist is the omega-twisted automorphism of the orbit tensor that
+    fixes its top node, the one node of weight s times the orbit sum of
+    fundamentals. It is propagated from that node, color j to color
+    omega(j) and weights through omega_star, depth first and breadth
+    first; both results must agree, every edge, injectivity and the weight
+    rule are re-checked, and the twist must close at the automorphism
+    order.
+    """
+    crystal = tensor_many(orbit_factors(datum, i, s))
 
     target = tuple(s * v for v in pi_tilde_weight(datum, i))
     count = crystal.weights.count(target)

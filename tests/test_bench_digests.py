@@ -3,8 +3,10 @@
 perfbench/run.py hashes every output, Report stage list and folded graph
 of a workload and compares them with perfbench/expected.json, so a changed
 output fails here, before the benchmark runs. smoke and scope are small;
-parent-full is the one workload that checks tensor compatibility and the
-energy beyond width 1.
+orbit-verify folds (b,3,2,2) and (a,4,2,2) by the walk on a lazy orbit
+tensor, and its hat digests were recorded from the eager fold of the whole
+orbit tensor; parent-full is the one workload that checks tensor
+compatibility and the energy beyond width 1.
 """
 
 import json
@@ -17,7 +19,7 @@ import pytest
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-@pytest.mark.parametrize("workload", ["smoke", "scope", "parent-full"])
+@pytest.mark.parametrize("workload", ["smoke", "scope", "orbit-verify", "parent-full"])
 def test_workload_matches_recorded_digests(workload):
     proc = subprocess.run(
         [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,

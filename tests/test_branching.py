@@ -7,11 +7,13 @@ the triple-fold block gives 7, 14, 27; the rank one block gives s + 1.
 
 import pytest
 
+from crystalfold import branching, fixedpoint
 from crystalfold.branching import (
     BranchingResult, _weyl_product, branch_hat, expected_branching,
     multiplicity_free_gate, verify_branching, weyl_dimension)
 from crystalfold.cartan import ScopeError, block, make_datum
 from crystalfold.crystal import VerificationError
+from crystalfold.fixedpoint import build_hat_crystal
 
 A2 = make_datum("a", 2)
 A3 = make_datum("a", 3)
@@ -112,3 +114,13 @@ def test_branching_result_serialization():
     assert js["components"][0] == {"weight": [0, 0], "mult": 1, "dim": 1}
     text = got.to_text()
     assert "total 6" in text and "1,0" in text
+
+
+def test_branch_hat_requires_every_fixed_node(monkeypatch):
+    # the walked fold of (a,2,1,1) against the twist's fixed nodes, one short
+    monkeypatch.setattr(branching, "_fixed_nodes",
+                        lambda omega: fixedpoint._fixed_nodes(omega)[:-1])
+    last = build_hat_crystal(A2, 1, 1).crystal.ids[-1]
+    with pytest.raises(VerificationError) as err:
+        branch_hat.__wrapped__(A2, 1, 1)
+    assert str(err.value) == "folded nodes and fixed nodes of the twist differ at %s" % last

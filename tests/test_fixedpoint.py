@@ -1,17 +1,21 @@
 """Folded crystals: sizes, the headline verification, string identities."""
 
+import re
 from collections import Counter
 
 import pytest
 
-from crystalfold import fixedpoint
+from click.testing import CliRunner
+
+from crystalfold import branching, cli, fixedpoint
 from crystalfold.cartan import ScopeError, make_datum
 from crystalfold.cli import SCOPE_INSTANCES
-from crystalfold.crystal import Tensor, VerificationError
+from crystalfold.crystal import Crystal, LazyTensor, Tensor, VerificationError
 from crystalfold.fixedpoint import (
     build_hat_crystal, check_string_identities, fold_crystal,
-    verify_main_theorem, verify_tensor_compatibility)
-from crystalfold.intertwine import build_tilde_crystal
+    verify_main_theorem, verify_tensor_compatibility, walk_fold)
+from crystalfold.intertwine import build_tilde_crystal, orbit_factors
+from leaves import leaf_node
 
 A2 = make_datum("a", 2)
 A3 = make_datum("a", 3)
@@ -84,7 +88,7 @@ def test_string_identities(datum, i, s):
 def test_own_strings_match_the_crystal_wide_walk(case, n, i, s):
     # strings:eps-orbit reads the fixed nodes' own strings; _walk_color,
     # behind eps_tuple and phi_tuple, is the reference
-    parent = build_hat_crystal(make_datum(case, n), i, s).tilde.crystal
+    parent = build_tilde_crystal(make_datum(case, n), i, s).crystal
     for k in range(len(parent)):
         assert parent.own_strings(k) == (parent.eps_tuple(k), parent.phi_tuple(k))
 
@@ -146,3 +150,75 @@ def test_hat_crystal_requires_an_orbit_representative():
         build_hat_crystal(A2, 0, 1)
     # the parent side still builds every column
     assert len(build_tilde_crystal(A2, 3, 1).crystal) == 16
+
+
+# -- the walked fold --------------------------------------------------------
+
+MULTI_COLUMN = [inst for inst in SCOPE_INSTANCES
+                if len(make_datum(*inst[:2]).orbit(inst[2])) > 1]
+
+
+@pytest.mark.parametrize("case,n,i,s", MULTI_COLUMN)
+def test_walk_equals_the_eager_fold(case, n, i, s):
+    # the eager fold of the twist's fixed nodes is the oracle; (d,3,2,1) has
+    # no closed form, so its walk is given the eager size
+    datum = make_datum(case, n)
+    tilde = build_tilde_crystal(datum, i, s)
+    fixed = [k for k, t in enumerate(tilde.omega_map) if t == k]
+    eager = fold_crystal(datum, tilde.crystal, fixed)
+    walked = walk_fold(datum, i, s, orbit_factors(datum, i, s), len(eager))
+    hat = walked.crystal
+    assert (hat.ids, hat.weights, hat.f) == (eager.ids, eager.weights, eager.f)
+    assert [leaf_node(tilde.crystal, p) for p in walked.fixed] == fixed
+    if case != "d":
+        assert isinstance(build_hat_crystal(datum, i, s).parent, LazyTensor)
+
+
+@pytest.fixture
+def cold_hats():
+    build_hat_crystal.cache_clear()
+    yield
+    build_hat_crystal.cache_clear()
+
+
+def verify_exit(case, n, i, s):
+    res = CliRunner().invoke(cli.main, ["verify", "--case", case, "--n", str(n),
+                                        "--i", str(i), "--s", str(s)])
+    assert isinstance(res.exception, SystemExit)
+    return res.exit_code, res.output
+
+
+def test_walk_short_of_the_closed_form_fails(monkeypatch, cold_hats):
+    size = branching.expected_size
+    monkeypatch.setattr(branching, "expected_size", lambda *args: size(*args) + 1)
+    message = "walk reached 6 of 7 nodes of the closed form from t:1*t:1|2|3"
+    with pytest.raises(VerificationError, match="^%s$" % re.escape(message)):
+        build_hat_crystal(A2, 1, 1)
+    assert verify_exit("a", 2, 1, 1) == (1, "error: %s\n" % message)
+
+
+def test_walk_catches_a_corrupted_factor_edge(monkeypatch, cold_hats):
+    # re-point the color 1 edge t:1 -> t:2 of column 1 at t:3: at the top
+    # node f_1 f_3 and f_3 f_1 then part
+    col, other = orbit_factors(A2, 1, 1)
+    f = [list(row) for row in col.f]
+    f[1][col.ids.index("t:1")] = col.ids.index("t:3")
+    bad = Crystal(col.gcm, col.comarks, col.ids, col.weights, f, col.payloads)
+    message = "lowering word for folded color 1 leaves the fixed set at t:1*t:1|2|3"
+    with pytest.raises(VerificationError, match="^%s$" % re.escape(message)):
+        walk_fold(A2, 1, 1, [bad, other], 6)
+    monkeypatch.setattr(fixedpoint, "orbit_factors", lambda *args: [bad, other])
+    assert verify_exit("a", 2, 1, 1) == (1, "error: %s\n" % message)
+
+
+@pytest.mark.parametrize("datum,i,s,size", [
+    (make_datum("a", 5), 2, 2, 1705), (make_datum("b", 3), 3, 2, 490),
+    (make_datum("b", 4), 2, 2, 540),
+])
+def test_walked_instances_beyond_the_scope(datum, i, s, size):
+    # parent tensors of 680,625, 240,100 and 291,600 nodes, never built
+    assert len(build_hat_crystal(datum, i, s).crystal) == size
+    report = verify_main_theorem(datum, i, s)
+    assert report.ok, report.to_text()
+    strings = check_string_identities(datum, i, s)
+    assert strings.ok, strings.to_text()

@@ -3,20 +3,21 @@
 import importlib
 import pkgutil
 from collections import Counter
+from itertools import product
 
 import pytest
 
 import crystalfold
-from crystalfold import intertwine
+from crystalfold import fixedpoint, intertwine
 from crystalfold.cartan import make_datum, pi_tilde_weight
 from crystalfold.cli import SCOPE_INSTANCES
-from crystalfold.crystal import Tensor, VerificationError, tensor
+from crystalfold.crystal import LazyTensor, Tensor, VerificationError, tensor
 from crystalfold.fixedpoint import build_hat_crystal
 from crystalfold.intertwine import (
     build_tilde_crystal, compute_r_matrix, compute_tau_omega,
-    energy_on_tensor, verify_yang_baxter)
+    energy_on_tensor, orbit_factors, verify_yang_baxter)
 from crystalfold.models import classical_highest_node, kr_crystal
-from leaves import leaf_columns
+from leaves import leaf_columns, leaf_node
 
 A2 = make_datum("a", 2)
 A3 = make_datum("a", 3)
@@ -234,20 +235,44 @@ def _clear_package_caches():
 
 def test_orbit_twist_builds_one_tensor_and_no_r_matrix(monkeypatch):
     calls = Counter()
-    init, r_matrix = Tensor.__init__, intertwine.compute_r_matrix
 
-    def counting_init(self, left, right):
-        calls["tensor"] += 1
-        init(self, left, right)
-
-    def counting_r_matrix(*args, **kwargs):
-        calls["r_matrix"] += 1
-        return r_matrix(*args, **kwargs)
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
 
     _clear_package_caches()
-    monkeypatch.setattr(Tensor, "__init__", counting_init)
-    monkeypatch.setattr(intertwine, "compute_r_matrix", counting_r_matrix)
-    build_hat_crystal(make_datum("a", 3), 2, 2)
+    monkeypatch.setattr(Tensor, "__init__", counting("tensor", Tensor.__init__))
+    monkeypatch.setattr(intertwine, "compute_r_matrix",
+                        counting("r_matrix", intertwine.compute_r_matrix))
+    for module in (intertwine, fixedpoint):
+        monkeypatch.setattr(module, "propagate_map",
+                            counting("propagate_map", module.propagate_map))
+    datum = make_datum("a", 3)
+    # the orbit (2, 4) has a closed form, so the fold walks a lazy tensor
+    build_hat_crystal(datum, 2, 2)
+    assert calls == {}
     # the tableau columns of case a build no tensors of their own, so the
-    # one tensor is the orbit tensor B(2,2) (x) B(4,2)
-    assert calls == {"tensor": 1}
+    # one tensor is the orbit tensor B(2,2) (x) B(4,2), and the twist is
+    # propagated depth first and breadth first
+    build_tilde_crystal(datum, 2, 2)
+    assert calls == {"tensor": 1, "propagate_map": 2}
+
+
+@pytest.mark.parametrize("case,n,i,s", [inst for inst in SCOPE_INSTANCES
+                                        if len(make_datum(*inst[:2]).orbit(inst[2])) > 1])
+def test_lazy_tensor_matches_the_orbit_tensor(case, n, i, s):
+    datum = make_datum(case, n)
+    factors = orbit_factors(datum, i, s)
+    lazy = LazyTensor(factors)
+    eager = build_tilde_crystal(datum, i, s).crystal
+    for node in product(*(range(len(fac)) for fac in factors)):
+        k = leaf_node(eager, node)
+        assert (lazy.id(node), lazy.weight(node)) == (eager.ids[k], eager.weights[k])
+        assert lazy.own_strings(node) == eager.own_strings(k)
+        for j in range(eager.ncolors):
+            for lowering, maps in ((True, eager.f), (False, eager.e)):
+                step = lazy.step(j, node, lowering)
+                assert (-1 if step == -1 else leaf_node(eager, step)) == maps[j][k]
+            assert leaf_node(eager, lazy.weyl_s(j, node)) == eager.weyl_s(j, k)
