@@ -260,11 +260,45 @@ class Crystal:
     def highest_weight_decomposition(self, colors):
         """Components under a proper color subset, each with its unique highest node.
 
-        Returns a list of (highest node, weight, component nodes). Zero or
-        several highest nodes in one component is a hard error, since the
-        crystals this runs on are supposed to be regular.
+        Returns a list of (highest node, weight, component nodes), ascending.
+        Zero or several highest nodes in one component is a hard error,
+        since the crystals this runs on are supposed to be regular.
+
+        The components are grown by lowering from the highest nodes. When
+        every node is reached from exactly one highest node, these lowering
+        closures are closed under raising too, so they are the components.
+        Otherwise the components are labeled directly and searched for one
+        whose highest node is not unique, the witness of the error; a graph
+        with a cycle outside every lowering closure may have none.
         """
         colors = tuple(colors)
+        lowering = [self.f[j] for j in colors]
+        raising = [self.e[j] for j in colors]
+        blank = (-1,) * len(colors)
+        highs = [k for k, up in enumerate(zip(*raising)) if up == blank]
+        owner = [-1] * len(self.ids)
+        out = []
+        for top in highs:
+            if owner[top] != -1:
+                return self._decomposition_by_components(colors)
+            owner[top] = top
+            members = [top]
+            for cur in members:
+                for f in lowering:
+                    nxt = f[cur]
+                    if nxt != -1 and owner[nxt] != top:
+                        if owner[nxt] != -1:
+                            return self._decomposition_by_components(colors)
+                        owner[nxt] = top
+                        members.append(nxt)
+            members.sort()
+            out.append((top, self.weights[top], tuple(members)))
+        if -1 in owner:
+            return self._decomposition_by_components(colors)
+        return out
+
+    def _decomposition_by_components(self, colors):
+        """highest_weight_decomposition by labeling the components first."""
         raising = [self.e[j] for j in colors]
         out = []
         for comp in self.components(colors):

@@ -19,6 +19,7 @@ themselves.
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 
 from .cartan import (
     ScopeError, block, hat_level, kashiwara_word, p_omega_star,
@@ -180,12 +181,18 @@ def _regularity_stages(report, datum, hat, full):
 
         def stage(sub=sub):
             blockg = block(datum.hat_gcm, sub)
-            for top, wt, comp in hat.highest_weight_decomposition(sub):
-                lam = tuple(wt[j] for j in sub)
-                expect = weight_multiset(blockg, lam)
-                got = tuple(sorted(tuple(hat.weights[k][j] for j in sub)
-                                   for k in comp))
-                if got != expect:
+            if len(sub) == 1:
+                restricted = [(wt[sub[0]],) for wt in hat.weights]
+            else:
+                restricted = list(map(itemgetter(*sub), hat.weights))
+            for top, _, comp in hat.highest_weight_decomposition(sub):
+                lam = restricted[top]
+                if min(lam) < 0:
+                    raise VerificationError(
+                        "restricted component at %s has the non-dominant highest weight %r"
+                        % (hat.ids[top], lam))
+                got = tuple(sorted(map(restricted.__getitem__, comp)))
+                if got != weight_multiset(blockg, lam):
                     raise VerificationError(
                         "restricted component at %s is not a highest weight crystal"
                         % hat.ids[top])

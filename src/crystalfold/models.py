@@ -232,21 +232,23 @@ def _vec_f(xs, bars, j, m):
 def _vector_crystal(datum, s):
     m = datum.n + 1
     states = _vec_states(m, s)
-    nodes = {}
-    f_edges = {j: {} for j in range(datum.size)}
-    for xs, bars in states:
-        nodes[_vec_id(xs, bars)] = (_vec_weight(datum, xs, bars), _vec_id(xs, bars)[2:])
-    for xs, bars in states:
-        bid = _vec_id(xs, bars)
-        for j in range(datum.size):
-            nxt = _vec_f(xs, bars, j, m)
+    named = sorted((_vec_id(xs, bars), xs, bars) for xs, bars in states)
+    index = {(xs, bars): k for k, (_, xs, bars) in enumerate(named)}
+    ids = tuple(bid for bid, _, _ in named)
+    f = [[-1] * len(ids) for _ in range(datum.size)]
+    for state in states:
+        k = index[state]
+        for j, row in enumerate(f):
+            nxt = _vec_f(*state, j, m)
             if nxt is None:
                 continue
             nx, nb = nxt
             if nx[m - 1] and nb[m - 1]:
-                raise VerificationError("lowering left the state space at %s" % bid)
-            f_edges[j][bid] = _vec_id(nx, nb)
-    return Crystal.from_edges(datum.gcm, datum.comarks, nodes, f_edges)
+                raise VerificationError("lowering left the state space at %s" % ids[k])
+            row[k] = index[nxt]
+    weights = tuple(_vec_weight(datum, xs, bars) for _, xs, bars in named)
+    return Crystal(datum.gcm, datum.comarks, ids, weights, f,
+                   tuple(bid[2:] for bid in ids))
 
 
 # -- fork columns as sign vectors -------------------------------------------

@@ -62,15 +62,21 @@ def mono_weight(d, ncolors):
 
 
 def f_mono(gcm, key, i):
-    """Lower a monomial at color i; None when the string is exhausted."""
-    d = _as_dict(key)
-    ks, prefixes, _ = _color_profile(d, i)
-    phi = max([0] + prefixes)
+    """Lower a monomial at color i; None when the string is exhausted.
+
+    key is sorted, as _as_key makes it, so the shifts of color i come in
+    ascending order and the lowering acts at the first maximal prefix sum.
+    """
+    phi = run = 0
+    for (c, k), e in key:
+        if c == i:
+            run += e
+            if run > phi:
+                phi, n_f = run, k
     if phi == 0:
         return None
-    n_f = ks[prefixes.index(phi)]
     inv = {ik: -e for ik, e in _a_term(gcm, i, n_f).items()}
-    return _as_key(_mul(d, inv))
+    return _as_key(_mul(dict(key), inv))
 
 
 def e_mono(gcm, key, i):
@@ -110,27 +116,38 @@ def highest_weight_crystal(gcm, lam):
     if len(lam) != n or any(v < 0 for v in lam):
         raise ValueError("dominant weight of length %d expected" % n)
     start = _as_key({(i, 0): v for i, v in enumerate(lam) if v})
-    seen = {start}
-    queue = [start]
-    f_edges = {j: {} for j in range(n)}
-    while queue:
-        cur = queue.pop()
+    number = {start: 0}  # monomial key -> its number in walk order
+    keys = [start]
+    edges = []  # (color, source number, target number)
+    for src, cur in enumerate(keys):
         for j in range(n):
             nxt = f_mono(gcm, cur, j)
             if nxt is None:
                 continue
-            f_edges[j][mono_id(cur)] = mono_id(nxt)
-            if nxt not in seen:
-                if len(seen) >= MAX_NODES:
+            dst = number.get(nxt)
+            if dst is None:
+                if len(keys) >= MAX_NODES:
                     raise RuntimeError("crystal walk exceeded %d nodes" % MAX_NODES)
-                seen.add(nxt)
-                queue.append(nxt)
-    nodes = {mono_id(key): (mono_weight(_as_dict(key), n), mono_id(key)[2:])
-             for key in seen}
-    return Crystal.from_edges(gcm, (1,) * n, nodes, f_edges)
+                dst = number[nxt] = len(keys)
+                keys.append(nxt)
+            edges.append((j, src, dst))
+    names = [mono_id(key) for key in keys]
+    order = sorted(range(len(keys)), key=names.__getitem__)
+    where = [0] * len(keys)
+    for k, p in enumerate(order):
+        where[p] = k
+    f = [[-1] * len(keys) for _ in range(n)]
+    for j, src, dst in edges:
+        f[j][where[src]] = where[dst]
+    ids = tuple(map(names.__getitem__, order))
+    weights = tuple(mono_weight(_as_dict(keys[p]), n) for p in order)
+    return Crystal(gcm, (1,) * n, ids, weights, f, tuple(b[2:] for b in ids))
 
 
+@lru_cache(maxsize=None)
 def weight_multiset(gcm, lam):
-    """Sorted weights with multiplicity of the highest weight crystal."""
-    crys = highest_weight_crystal(tuple(tuple(r) for r in gcm), tuple(lam))
-    return tuple(sorted(crys.weights))
+    """Sorted weights with multiplicity of the highest weight crystal.
+
+    gcm and lam must be tuples, as for highest_weight_crystal.
+    """
+    return tuple(sorted(highest_weight_crystal(gcm, lam).weights))

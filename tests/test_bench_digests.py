@@ -5,8 +5,11 @@ of a workload and compares them with perfbench/expected.json, so a changed
 output fails here, before the benchmark runs. smoke and scope are small;
 orbit-verify folds (b,3,2,2) and (a,4,2,2) by the walk on a lazy orbit
 tensor, and its hat digests were recorded from the eager fold of the whole
-orbit tensor; parent-full is the one workload that checks tensor
-compatibility and the energy beyond width 1.
+orbit tensor; wide-fold is the one workload with vector columns of width 4
+and 5 and with --full-regularity, so its digests, recorded from the
+string-keyed builders, guard the array-built vector columns, the monomial
+oracle and the regularity stages; parent-full is the one workload that
+checks tensor compatibility and the energy beyond width 1.
 """
 
 import json
@@ -19,7 +22,8 @@ import pytest
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-@pytest.mark.parametrize("workload", ["smoke", "scope", "orbit-verify", "parent-full"])
+@pytest.mark.parametrize("workload", ["smoke", "scope", "orbit-verify", "wide-fold",
+                                      "parent-full"])
 def test_workload_matches_recorded_digests(workload):
     proc = subprocess.run(
         [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,

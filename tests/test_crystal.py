@@ -1,14 +1,17 @@
 """Graph-level behavior: axioms, tensor rule, Weyl action, decomposition."""
 
+import itertools
 import json
 
 import pytest
 from hypothesis import given, strategies as st
 
 from crystalfold.cartan import make_datum, weyl_reflect
+from crystalfold.cli import SCOPE_INSTANCES
 from crystalfold.crystal import (
     Crystal, Report, VerificationError, _recheck_map, propagate_map, tensor,
     tensor_many)
+from crystalfold.fixedpoint import build_hat_crystal
 from crystalfold.models import kr_crystal
 from crystalfold.monomial import highest_weight_crystal
 from leaves import leaf_columns
@@ -261,12 +264,84 @@ def test_ids_must_ascend():
         Crystal(SL2, (1,), ("b", "a"), ((0,), (0,)), [[-1, -1]], (None, None))
 
 
+def reference_decomposition(crys, colors):
+    """Components by union-find over the lowering edges, then each searched
+    for its one highest node; the oracle of highest_weight_decomposition."""
+    colors = tuple(colors)
+    root = list(range(len(crys)))
+
+    def find(x):
+        while root[x] != x:
+            x = root[x]
+        return x
+
+    for j in colors:
+        for src, dst in enumerate(crys.f[j]):
+            if dst != -1:
+                root[find(src)] = find(dst)
+    comps = {}
+    for k in range(len(crys)):
+        comps.setdefault(find(k), []).append(k)
+    out = []
+    for comp in sorted(comps.values()):
+        highs = [k for k in comp if all(crys.e[j][k] == -1 for j in colors)]
+        if len(highs) != 1:
+            raise VerificationError("component of %s has %d highest nodes under colors %r"
+                                    % (crys.ids[comp[0]], len(highs), colors))
+        out.append((highs[0], crys.weights[highs[0]], tuple(comp)))
+    return sorted(out)
+
+
+@pytest.mark.parametrize("case,n,i,s", SCOPE_INSTANCES + [("c", 6, 1, 5)])
+def test_decomposition_matches_the_component_reference(case, n, i, s, monkeypatch):
+    hat = build_hat_crystal(make_datum(case, n), i, s).crystal
+
+    def unused(self, colors):
+        raise AssertionError("the lowering walk fell back to labeling components")
+
+    # on a regular crystal the walk from the highest nodes decides alone
+    monkeypatch.setattr(Crystal, "_decomposition_by_components", unused)
+    for size in range(1, min(3, hat.ncolors)):  # proper subsets of size <= 2
+        for sub in itertools.combinations(range(hat.ncolors), size):
+            assert hat.highest_weight_decomposition(sub) == reference_decomposition(hat, sub)
+
+
+def _decomposition_failure(crys, colors):
+    with pytest.raises(VerificationError) as got:
+        crys.highest_weight_decomposition(colors)
+    with pytest.raises(VerificationError) as want:
+        reference_decomposition(crys, colors)
+    assert str(got.value) == str(want.value)
+    return str(got.value)
+
+
 def test_decomposition_requires_unique_highest():
     nodes = {"a": ((0, 0), None), "b": ((0, 0), None), "c": ((0, 0), None)}
     f_edges = {0: {"a": "b"}, 1: {"c": "b"}}
     weird = Crystal.from_edges(SL3, (1, 1), nodes, f_edges)
-    with pytest.raises(VerificationError, match="highest"):
-        weird.highest_weight_decomposition((0, 1))
+    assert (_decomposition_failure(weird, (0, 1))
+            == "component of a has 2 highest nodes under colors (0, 1)")
+
+
+def test_decomposition_without_a_highest_node():
+    # f_0 a = b and f_1 b = a: each node is raised by the other
+    loop = Crystal.from_edges(SL3, (1, 1), {"a": ((0, 0), None), "b": ((0, 0), None)},
+                              {0: {"a": "b"}, 1: {"b": "a"}})
+    assert (_decomposition_failure(loop, (0, 1))
+            == "component of a has 0 highest nodes under colors (0, 1)")
+    assert loop.highest_weight_decomposition((0,)) == reference_decomposition(loop, (0,))
+
+
+def test_decomposition_of_a_cyclic_component():
+    # h lowers into z, which the color 0 cycle y <-> w also reaches under
+    # color 1: one highest node, though the cycle is not below it
+    nodes = {b: ((0, 0), None) for b in "hwyz"}
+    cyclic = Crystal.from_edges(SL3, (1, 1), nodes,
+                                {0: {"h": "z", "y": "w", "w": "y"}, 1: {"y": "z"}})
+    got = cyclic.highest_weight_decomposition((0, 1))
+    assert got == reference_decomposition(cyclic, (0, 1)) == [(0, (0, 0), (0, 1, 2, 3))]
+    assert (_decomposition_failure(cyclic, (0,))
+            == "component of w has 0 highest nodes under colors (0,)")
 
 
 # -- Weyl action and extremal nodes -----------------------------------------

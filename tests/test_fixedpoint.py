@@ -222,3 +222,58 @@ def test_walked_instances_beyond_the_scope(datum, i, s, size):
     assert report.ok, report.to_text()
     strings = check_string_identities(datum, i, s)
     assert strings.ok, strings.to_text()
+
+
+# -- regularity stages against faulted hats -----------------------------------
+
+def _hat_with_weight(hat, k, weight):
+    weights = hat.weights[:k] + (weight,) + hat.weights[k + 1:]
+    return Crystal(hat.gcm, hat.comarks, hat.ids, weights, hat.f, hat.payloads)
+
+
+def _report_on(monkeypatch, crystal):
+    bundle = build_hat_crystal(A2, 1, 1)
+    monkeypatch.setattr(fixedpoint, "build_hat_crystal", lambda *args: fixedpoint.HatBundle(
+        parent=bundle.parent, crystal=crystal, fixed=bundle.fixed))
+    return verify_main_theorem(A2, 1, 1)
+
+
+def _regular(report):
+    return {name: (ok, detail) for name, ok, detail in report.stages
+            if name.startswith("regular:")}
+
+
+def test_non_dominant_highest_weight_fails_its_stage(monkeypatch):
+    # t:1*t:1|2|3 heads its color 1 string; negating its weight (-2, 1, 0)
+    # leaves it there with weight -1
+    hat = build_hat_crystal(A2, 1, 1).crystal
+    assert hat.ids[0] == "t:1*t:1|2|3" and hat.weights[0] == (-2, 1, 0)
+    report = _report_on(monkeypatch, _hat_with_weight(hat, 0, (2, -1, 0)))
+    names = [name for name, _, _ in report.stages]
+    assert names == [name for name, _, _ in verify_main_theorem(A2, 1, 1).stages]
+    regular = _regular(report)
+    assert regular["regular:1"] == (False, "restricted component at t:1*t:1|2|3 has "
+                                           "the non-dominant highest weight (-1,)")
+    assert regular["regular:12"] == (False, "restricted component at t:1*t:1|2|3 has "
+                                            "the non-dominant highest weight (-1, 0)")
+    assert regular["regular:2"] == (True, "")
+
+
+def test_moved_weight_below_the_top_fails_regularity(monkeypatch):
+    # the color 0 string t:4*t:2|3|4 -> t:1*t:2|3|4 -> t:1*t:1|2|3 has weights
+    # 2, 0, -2; moving the middle one to -2 keeps every edge and highest node
+    hat = build_hat_crystal(A2, 1, 1).crystal
+    assert hat.f[0][5] == 1 and hat.f[0][1] == 0 and hat.weights[1] == (0, 0, 0)
+    moved = _hat_with_weight(hat, 1, (-2, 0, 0))
+    for sub in ((0,), (0, 1), (0, 2)):
+        assert ([top for top, _, _ in moved.highest_weight_decomposition(sub)]
+                == [top for top, _, _ in hat.highest_weight_decomposition(sub)])
+    witness = "restricted component at %s is not a highest weight crystal"
+    assert _regular(_report_on(monkeypatch, moved)) == {
+        "regular:0": (False, witness % "t:4*t:2|3|4"),
+        "regular:1": (True, ""),
+        "regular:2": (True, ""),
+        "regular:01": (False, witness % "t:3*t:1|3|4"),
+        "regular:02": (False, witness % "t:4*t:2|3|4"),
+        "regular:12": (True, ""),
+    }

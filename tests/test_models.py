@@ -2,9 +2,12 @@
 
 import pytest
 
+from crystalfold import models
 from crystalfold.cartan import ScopeError, make_datum
+from crystalfold.crystal import Crystal, VerificationError
 from crystalfold.models import (
-    _bk_swap, _promote, _promote_inv, classical_highest_node, kr_crystal)
+    _bk_swap, _promote, _promote_inv, _vec_id, _vec_states, _vec_weight,
+    _vector_crystal, classical_highest_node, kr_crystal)
 
 A2 = make_datum("a", 2)
 A3 = make_datum("a", 3)
@@ -130,6 +133,55 @@ def test_vector_highest():
     crys = kr_crystal(C3, 1, 2)
     assert crys.ids[classical_highest_node(C3, crys, 1, 2)] == "v:2,0,0,0|0,0,0,0"
 
+
+
+def vector_crystal_from_edges(datum, s):
+    """The string-keyed builder, kept as the oracle of _vector_crystal."""
+    m = datum.n + 1
+    states = _vec_states(m, s)
+    nodes = {}
+    f_edges = {j: {} for j in range(datum.size)}
+    for xs, bars in states:
+        nodes[_vec_id(xs, bars)] = (_vec_weight(datum, xs, bars), _vec_id(xs, bars)[2:])
+    for xs, bars in states:
+        bid = _vec_id(xs, bars)
+        for j in range(datum.size):
+            nxt = models._vec_f(xs, bars, j, m)
+            if nxt is None:
+                continue
+            nx, nb = nxt
+            if nx[m - 1] and nb[m - 1]:
+                raise VerificationError("lowering left the state space at %s" % bid)
+            f_edges[j][bid] = _vec_id(nx, nb)
+    return Crystal.from_edges(datum.gcm, datum.comarks, nodes, f_edges)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_vector_arrays_match_the_edge_builder(n, s):
+    datum = make_datum("c", n)
+    got = _vector_crystal(datum, s)
+    want = vector_crystal_from_edges(datum, s)
+    assert (got.ids, got.weights, got.payloads, got.f) == (
+        want.ids, want.weights, want.payloads, want.f)
+
+
+def test_vector_lowering_out_of_the_state_space_is_caught(monkeypatch):
+    # a lowering that fills the last slot now fills its barred twin too
+    step = models._vec_f
+
+    def leaky(xs, bars, j, m):
+        out = step(xs, bars, j, m)
+        if out is None or not out[0][m - 1]:
+            return out
+        return out[0], out[1][:m - 1] + (1,)
+
+    monkeypatch.setattr(models, "_vec_f", leaky)
+    message = "lowering left the state space at v:0,0,1,0|0,0,0,0"
+    with pytest.raises(VerificationError, match="^%s$" % message):
+        _vector_crystal(C3, 1)
+    with pytest.raises(VerificationError, match="^%s$" % message):
+        vector_crystal_from_edges(C3, 1)
 
 # -- fork and branch point families -----------------------------------------
 

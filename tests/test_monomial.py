@@ -2,13 +2,17 @@
 
 import pytest
 
+from crystalfold.crystal import Crystal
 from crystalfold.monomial import (
-    e_mono, f_mono, highest_weight_crystal, mono_id, weight_multiset)
+    _a_term, _as_dict, _as_key, _color_profile, _mul, e_mono, f_mono,
+    highest_weight_crystal, mono_id, mono_weight, weight_multiset)
 
 SL2 = ((2,),)
 SL3 = ((2, -1), (-1, 2))
 SL4 = ((2, -1, 0), (-1, 2, -1), (0, -1, 2))
 G2_BLOCK = ((2, -3), (-1, 2))
+B2_BLOCK = ((2, -2), (-1, 2))
+C2_BLOCK = ((2, -1), (-2, 2))
 
 
 def test_sl2_fundamental_chain():
@@ -113,3 +117,73 @@ def test_rejects_bad_weight():
         highest_weight_crystal(SL3, (1, -1))
     with pytest.raises(ValueError):
         highest_weight_crystal(SL3, (1,))
+
+
+# -- the string-keyed builder, kept as the oracle of the array builder -------
+
+def _f_mono_by_profile(gcm, key, i):
+    d = _as_dict(key)
+    ks, prefixes, _ = _color_profile(d, i)
+    phi = max([0] + prefixes)
+    if phi == 0:
+        return None
+    n_f = ks[prefixes.index(phi)]
+    inv = {ik: -e for ik, e in _a_term(gcm, i, n_f).items()}
+    return _as_key(_mul(d, inv))
+
+
+def highest_weight_crystal_from_edges(gcm, lam):
+    n = len(gcm)
+    start = _as_key({(i, 0): v for i, v in enumerate(lam) if v})
+    seen = {start}
+    queue = [start]
+    f_edges = {j: {} for j in range(n)}
+    while queue:
+        cur = queue.pop()
+        for j in range(n):
+            nxt = _f_mono_by_profile(gcm, cur, j)
+            if nxt is None:
+                continue
+            f_edges[j][mono_id(cur)] = mono_id(nxt)
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    nodes = {mono_id(key): (mono_weight(_as_dict(key), n), mono_id(key)[2:])
+             for key in seen}
+    return Crystal.from_edges(gcm, (1,) * n, nodes, f_edges)
+
+
+def _dominant(rank, top):
+    """Dominant weights of the given rank with coefficient sum at most top."""
+    if rank == 0:
+        return [()]
+    return [(v,) + rest for v in range(top + 1) for rest in _dominant(rank - 1, top - v)]
+
+
+GRID = ([(SL2, lam) for lam in _dominant(1, 4)]
+        + [(gcm, lam) for gcm in (SL3, G2_BLOCK, B2_BLOCK, C2_BLOCK)
+           for lam in _dominant(2, 2)]
+        + [(SL4, lam) for lam in _dominant(3, 2)])
+
+
+@pytest.mark.parametrize("gcm,lam", GRID)
+def test_array_builder_matches_the_edge_builder(gcm, lam):
+    got = highest_weight_crystal(gcm, lam)
+    want = highest_weight_crystal_from_edges(gcm, lam)
+    assert (got.ids, got.weights, got.payloads, got.f) == (
+        want.ids, want.weights, want.payloads, want.f)
+    assert weight_multiset(gcm, lam) == tuple(sorted(want.weights))
+
+
+def test_lowering_acts_at_the_first_maximal_prefix():
+    # prefix sums 1, 0, 1 for color 0: the first maximum sits at shift 0
+    key = _as_key({(0, 0): 1, (0, 1): -1, (0, 2): 1})
+    assert f_mono(SL2, key, 0) == _f_mono_by_profile(SL2, key, 0)
+    assert f_mono(SL2, key, 0) == _as_key({(0, 1): -2, (0, 2): 1})
+
+
+def test_weight_multiset_is_cached_per_block_and_weight():
+    weight_multiset.cache_clear()
+    first = weight_multiset(SL3, (1, 1))
+    assert weight_multiset(SL3, (1, 1)) is first
+    assert weight_multiset.cache_info().hits == 1
