@@ -14,6 +14,7 @@ its nodes by tuples of factor indices instead.
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import islice
+from math import prod
 from operator import add
 
 from .cartan import classical_alpha, enumerate_dominant
@@ -103,6 +104,12 @@ class Crystal:
 
     def __len__(self):
         return len(self.ids)
+
+    def id(self, k):
+        return self.ids[k]
+
+    def weight(self, k):
+        return self.weights[k]
 
     # -- basic maps ---------------------------------------------------------
 
@@ -544,8 +551,9 @@ class LazyTensor:
     A node is a tuple of factor node indices. Operators follow Tensor's
     signature rule, read off the factors' cached eps/phi arrays in one pass
     over the factors, and ids render as in tensor_many. Offers the node
-    methods the string identities read: apply_word, own_strings, weyl_s and
-    weyl_word.
+    methods the fold and the string identities read: id, weight,
+    apply_word, own_strings, weyl_s and weyl_word; its length is the size of
+    the tensor it stands for.
     """
 
     def __init__(self, factors):
@@ -556,6 +564,9 @@ class LazyTensor:
                 fac._walk_color(j)
         self._eps = [[fac._eps[j] for fac in factors] for j in range(self.ncolors)]
         self._phi = [[fac._phi[j] for fac in factors] for j in range(self.ncolors)]
+
+    def __len__(self):
+        return prod(map(len, self.factors))
 
     def id(self, node):
         return "*".join(fac.ids[a] for fac, a in zip(self.factors, node))

@@ -1,19 +1,20 @@
 """Folding: the crystal living on twist-fixed nodes, and its verification.
 
-The folded graph keeps exactly the nodes the twist fixes. Each folded
-color acts through a fixed word of parent operators; a word that ends
-anywhere outside the fixed set, or that its raising partner fails to
-undo, is a hard error rather than a skipped edge. Weights fold through
-the orbit-constant check, so a node whose parent weight is not constant
-on orbits cannot enter the folded crystal silently.
+The folded graph keeps exactly the nodes the twist fixes, and every folded
+crystal is built by fold_crystal. Each folded color acts through a fixed
+word of parent operators; a word that ends anywhere outside the fixed set,
+or that its raising partner fails to undo, is a hard error rather than a
+skipped edge. Weights fold through the orbit-constant check, so a node whose
+parent weight is not constant on orbits cannot enter the folded crystal
+silently.
 
-An orbit of two or more columns with a closed-form decomposition is
-folded by a walk from the top node on a lazy orbit tensor, which never
-builds the tensor or the twist: fixedness is checked along the walk's
-words, and the walk must reach the closed-form size. Every other column
-folds the twist-fixed nodes of the whole orbit tensor. Branching, tensor
-compatibility and the exchange read the whole orbit tensor and its twist
-themselves.
+The fixed nodes of a column are found by a walk from the top node on the
+orbit tensor, which is never built: the column crystal itself for a
+one-column orbit, a LazyTensor otherwise. Fixedness is checked along the
+walk's words, and the walk must reach the closed-form size; only the
+triality legs, which have no closed form, count the fixed nodes of the twist
+on the whole orbit tensor instead. Branching, tensor compatibility and the
+exchange read the whole orbit tensor and its twist themselves.
 """
 
 import itertools
@@ -34,43 +35,79 @@ def _fixed_nodes(omega_map):
     return tuple(k for k, image in enumerate(omega_map) if image == k)
 
 
-def fold_crystal(datum, crystal, fixed):
-    """Fixed-node crystal over the folded data; hard-fails on instability.
+def walk_fixed_nodes(datum, parent, top, total):
+    """The twist-fixed nodes of parent, walked from its top node, in id order.
 
-    fixed lists the nodes of crystal that the twist fixes, ascending.
+    The twist sigma fixes the top node and sends color j to color omega(j),
+    so sigma(f_w b) = f_omega(w) sigma(b): a node reached from a fixed node
+    is fixed when the omega-twisted word lands where the word does. That
+    check runs at every node and folded color, and the walk, which follows
+    lowering and raising words, must reach exactly total nodes.
+    """
+    steps = []
+    for jh in range(len(datum.hat_gcm)):
+        word = kashiwara_word(datum, jh)
+        steps.append((word, tuple(datum.omega[j] for j in word), word[::-1]))
+    queue = [top]
+    seen = {top}
+    for p in queue:
+        for jh, (word, twin, back) in enumerate(steps):
+            down = parent.apply_word(word, p)
+            if parent.apply_word(twin, p) != down:
+                raise VerificationError(
+                    "lowering word for folded color %d leaves the fixed set at %s"
+                    % (jh, parent.id(p)))
+            for q in (down, parent.apply_word(back, p, lowering=False)):
+                if q != -1 and q not in seen:
+                    seen.add(q)
+                    queue.append(q)
+    if len(queue) != total:
+        raise VerificationError("walk reached %d of %d nodes of the closed form from %s"
+                                % (len(queue), total, parent.id(top)))
+    return tuple(sorted(queue, key=parent.id))
+
+
+def fold_crystal(datum, parent, fixed):
+    """The crystal on the fixed nodes over the folded data; hard-fails on instability.
+
+    fixed lists the nodes of parent that the twist fixes, in id order, and
+    parent is read only through apply_word, id and weight. Each folded color
+    lowers by its word, which must stay in the fixed set and be undone by the
+    reversed raising word; weights must be constant on orbits.
     """
     if not fixed:
         raise VerificationError("the twist fixes no nodes")
     where = {p: h for h, p in enumerate(fixed)}
-    ids = crystal.ids
+    ids = tuple(map(parent.id, fixed))
     weights = []
-    for p in fixed:
+    for p, b in zip(fixed, ids):
         try:
-            weights.append(p_omega_star_inverse(datum, crystal.weights[p]))
+            weights.append(p_omega_star_inverse(datum, parent.weight(p)))
         except ValueError as exc:
-            raise VerificationError("fixed node %s: %s" % (ids[p], exc))
-    f = [[-1] * len(fixed) for _ in datum.hat_gcm]
+            raise VerificationError("fixed node %s: %s" % (b, exc))
+    words = [kashiwara_word(datum, jh) for jh in range(len(datum.hat_gcm))]
+    backs = [word[::-1] for word in words]
+    f = [[-1] * len(fixed) for _ in words]
     for h, p in enumerate(fixed):
-        for jh, row in enumerate(f):
-            word = kashiwara_word(datum, jh)
-            down = crystal.apply_word(word, p)
+        for jh, (word, back, row) in enumerate(zip(words, backs, f)):
+            down = parent.apply_word(word, p)
             if down == -1:
                 continue
             if down not in where:
                 raise VerificationError(
                     "lowering word for folded color %d leaves the fixed set at %s"
-                    % (jh, ids[p]))
-            if crystal.apply_word(tuple(reversed(word)), down, lowering=False) != p:
+                    % (jh, ids[h]))
+            if parent.apply_word(back, down, lowering=False) != p:
                 raise VerificationError(
-                    "raising word fails to undo folded color %d at %s" % (jh, ids[p]))
+                    "raising word fails to undo folded color %d at %s" % (jh, ids[h]))
             row[h] = where[down]
-    return Crystal(datum.hat_gcm, datum.hat_comarks, tuple(map(ids.__getitem__, fixed)),
-                   tuple(weights), f, (None,) * len(fixed))
+    return Crystal(datum.hat_gcm, datum.hat_comarks, ids, tuple(weights), f,
+                   (None,) * len(fixed))
 
 
 @dataclass
 class HatBundle:
-    parent: object  # the orbit tensor: a Crystal, or a LazyTensor after a walk
+    parent: object  # the orbit tensor: the column crystal, or a LazyTensor of the orbit
     crystal: object
     fixed: tuple  # the parent node under each folded node
 
@@ -85,86 +122,33 @@ def _require_folded_column(datum, i):
             "column %d, so use i = %d" % (i, datum.orbit(i), datum.rep(i), datum.rep(i)))
 
 
-def walk_fold(datum, i, s, factors, total):
-    """The fold grown from the top node u on the lazy orbit tensor.
-
-    The twist sigma fixes u and sends color j to color omega(j), so
-    sigma(f_w b) = f_omega(w) sigma(b): a node reached from a fixed node
-    is fixed when the omega-twisted word lands where the word does. That
-    check runs at every node and folded color, lowering edges are undone by
-    their raising words, weights must be constant on orbits, and the walk,
-    which follows lowering and raising words, must reach exactly total
-    nodes, the size of the closed-form decomposition.
-    """
-    parent = LazyTensor(factors)
-    top = tuple(classical_highest_node(datum, fac, col, s)
-                for fac, col in zip(factors, datum.orbit(i)))
-    if parent.weight(top) != tuple(s * v for v in pi_tilde_weight(datum, i)):
-        raise VerificationError("top node %s is off the top weight" % parent.id(top))
-    words = [kashiwara_word(datum, jh) for jh in range(len(datum.hat_gcm))]
-    twins = [tuple(datum.omega[j] for j in word) for word in words]
-    lower = {}  # node -> its lowering image under each folded color
-    queue = [top]
-    seen = {top}
-    for p in queue:
-        row = []
-        for jh, (word, twin) in enumerate(zip(words, twins)):
-            down = parent.apply_word(word, p)
-            if parent.apply_word(twin, p) != down:
-                raise VerificationError(
-                    "lowering word for folded color %d leaves the fixed set at %s"
-                    % (jh, parent.id(p)))
-            back = word[::-1]
-            if down != -1 and parent.apply_word(back, down, lowering=False) != p:
-                raise VerificationError(
-                    "raising word fails to undo folded color %d at %s" % (jh, parent.id(p)))
-            row.append(down)
-            for q in (down, parent.apply_word(back, p, lowering=False)):
-                if q != -1 and q not in seen:
-                    seen.add(q)
-                    queue.append(q)
-        lower[p] = row
-    if len(queue) != total:
-        raise VerificationError("walk reached %d of %d nodes of the closed form from %s"
-                                % (len(queue), total, parent.id(top)))
-    fixed = tuple(sorted(queue, key=parent.id))
-    ids = tuple(map(parent.id, fixed))
-    weights = []
-    for p, b in zip(fixed, ids):
-        try:
-            weights.append(p_omega_star_inverse(datum, parent.weight(p)))
-        except ValueError as exc:
-            raise VerificationError("fixed node %s: %s" % (b, exc))
-    where = {p: h for h, p in enumerate(fixed)}
-    where[-1] = -1  # no edge
-    f = [[where[lower[p][jh]] for p in fixed] for jh in range(len(words))]
-    crystal = Crystal(datum.hat_gcm, datum.hat_comarks, ids, tuple(weights), f,
-                      (None,) * len(fixed))
-    return HatBundle(parent=parent, crystal=crystal, fixed=fixed)
-
-
 @lru_cache(maxsize=None)
 def build_hat_crystal(datum, i, s):
     """The folded crystal of column i at width s, with its parent.
 
-    An orbit of two or more columns with a closed-form decomposition is
-    folded by walk_fold, without building the orbit tensor; any other
-    column folds the fixed nodes of the twist on the whole orbit tensor.
+    The parent is the orbit tensor, never built: the column crystal itself
+    for a one-column orbit, a LazyTensor of the orbit's columns otherwise.
+    Its fixed nodes are walked from the top node, up to the size of the
+    closed-form decomposition, or, where there is none (the triality legs),
+    the number of nodes that the twist of the whole orbit tensor fixes.
     """
+    from .branching import expected_size  # branching imports this module
     _require_folded_column(datum, i)
     factors = orbit_factors(datum, i, s)
-    if len(factors) > 1:
-        from .branching import expected_size  # branching imports this module
-        try:
-            total = expected_size(datum, i, s)
-        except ScopeError:  # no closed form to check the walk against
-            pass
-        else:
-            return walk_fold(datum, i, s, factors, total)
-    tilde = build_tilde_crystal(datum, i, s)
-    fixed = _fixed_nodes(tilde.omega_map)
-    return HatBundle(parent=tilde.crystal, crystal=fold_crystal(datum, tilde.crystal, fixed),
-                     fixed=fixed)
+    tops = [classical_highest_node(datum, fac, col, s)
+            for fac, col in zip(factors, datum.orbit(i))]
+    if len(factors) == 1:
+        parent, top = factors[0], tops[0]
+    else:
+        parent, top = LazyTensor(factors), tuple(tops)
+    if parent.weight(top) != tuple(s * v for v in pi_tilde_weight(datum, i)):
+        raise VerificationError("top node %s is off the top weight" % parent.id(top))
+    try:
+        total = expected_size(datum, i, s)
+    except ScopeError:
+        total = len(_fixed_nodes(build_tilde_crystal(datum, i, s).omega_map))
+    fixed = walk_fixed_nodes(datum, parent, top, total)
+    return HatBundle(parent=parent, crystal=fold_crystal(datum, parent, fixed), fixed=fixed)
 
 
 # -- the headline verification ----------------------------------------------
@@ -210,8 +194,8 @@ def verify_main_theorem(datum, i, s, full_regularity=False):
     hat = bundle.crystal
     report = Report()
     hat.verify_crystal_axioms(report)
-    report.add("connected", hat.is_connected(),
-               "" if hat.is_connected() else "folded graph splits")
+    connected = hat.is_connected()
+    report.add("connected", connected, "" if connected else "folded graph splits")
     _regularity_stages(report, datum, hat, full_regularity)
     hat.is_simple(report)
     hat.is_perfect(s, report)
@@ -237,25 +221,21 @@ def check_string_identities(datum, i, s):
                 raise VerificationError("phi tuples disagree at %s" % hat.ids[h])
 
     def powered_words():
+        words = {}  # (color, power) -> the raising word and the lowering word
         for h, p in enumerate(fixed):
             for jh in range(hat.ncolors):
-                top = hat.phi(jh, h)
-                cur = h
-                for m in range(1, top + 2):
-                    cur = hat.f[jh][cur] if cur != -1 else -1
-                    via_word = parent.apply_word(kashiwara_word(datum, jh, m), p)
-                    if via_word != (fixed[cur] if cur != -1 else -1):
-                        raise VerificationError(
-                            "lowering power %d disagrees at %s color %d" % (m, hat.ids[h], jh))
-                top = hat.eps(jh, h)
-                cur = h
-                for m in range(1, top + 2):
-                    cur = hat.e[jh][cur] if cur != -1 else -1
-                    via_word = parent.apply_word(
-                        tuple(reversed(kashiwara_word(datum, jh, m))), p, lowering=False)
-                    if via_word != (fixed[cur] if cur != -1 else -1):
-                        raise VerificationError(
-                            "raising power %d disagrees at %s color %d" % (m, hat.ids[h], jh))
+                for lowering, kind, top, maps in ((True, "lowering", hat.phi(jh, h), hat.f[jh]),
+                                                  (False, "raising", hat.eps(jh, h), hat.e[jh])):
+                    cur = h
+                    for m in range(1, top + 2):
+                        cur = maps[cur] if cur != -1 else -1
+                        if (jh, m) not in words:
+                            word = kashiwara_word(datum, jh, m)
+                            words[jh, m] = (word[::-1], word)
+                        via_word = parent.apply_word(words[jh, m][lowering], p, lowering)
+                        if via_word != (fixed[cur] if cur != -1 else -1):
+                            raise VerificationError("%s power %d disagrees at %s color %d"
+                                                    % (kind, m, hat.ids[h], jh))
 
     def weyl_match():
         for h, p in enumerate(fixed):

@@ -43,17 +43,6 @@ def _a_term(gcm, i, k):
     return out
 
 
-def _color_profile(d, i):
-    """Sorted shifts, prefix sums, total weight for one color."""
-    ks = sorted(k for (c, k) in d if c == i)
-    prefixes = []
-    run = 0
-    for k in ks:
-        run += d[(i, k)]
-        prefixes.append(run)
-    return ks, prefixes, run
-
-
 def mono_weight(d, ncolors):
     wt = [0] * ncolors
     for (c, _), e in d.items():
@@ -77,24 +66,6 @@ def f_mono(gcm, key, i):
         return None
     inv = {ik: -e for ik, e in _a_term(gcm, i, n_f).items()}
     return _as_key(_mul(dict(key), inv))
-
-
-def e_mono(gcm, key, i):
-    """Raise a monomial at color i; None when eps vanishes."""
-    d = _as_dict(key)
-    ks, prefixes, total = _color_profile(d, i)
-    phi = max([0] + prefixes)
-    if phi - total == 0:
-        return None
-    # the largest shift where the prefix still sits at phi
-    n_e = None
-    for m in range(len(ks) - 1, -1, -1):
-        if prefixes[m] == phi:
-            n_e = ks[m + 1] - 1
-            break
-    if n_e is None:
-        n_e = ks[0] - 1
-    return _as_key(_mul(d, _a_term(gcm, i, n_e)))
 
 
 def mono_id(key):

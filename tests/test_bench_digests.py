@@ -9,7 +9,9 @@ orbit tensor; wide-fold is the one workload with vector columns of width 4
 and 5 and with --full-regularity, so its digests, recorded from the
 string-keyed builders, guard the array-built vector columns, the monomial
 oracle and the regularity stages; parent-full is the one workload that
-checks tensor compatibility and the energy beyond width 1.
+checks tensor compatibility and the energy beyond width 1. The benchmark's
+self-test runs the smoke workload traced and untraced, so every traced
+layer, the fold on a lazy parent among them, runs in the suite.
 """
 
 import json
@@ -33,3 +35,10 @@ def test_workload_matches_recorded_digests(workload):
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True, proc.stdout[-2000:]
     assert result["metrics"]["ok_ratio"]["value"] == 1.0
+
+
+def test_benchmark_selftest_passes():
+    proc = subprocess.run([sys.executable, os.path.join("perfbench", "selftest.py")],
+                          cwd=ROOT, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, (proc.stdout + proc.stderr)[-2000:]
+    assert proc.stdout.startswith("selftest ok:"), proc.stdout[-2000:]

@@ -8,13 +8,14 @@ import pytest
 from click.testing import CliRunner
 
 from crystalfold import branching, cli, fixedpoint
-from crystalfold.cartan import ScopeError, make_datum
+from crystalfold.cartan import ScopeError, kashiwara_word, make_datum, p_omega_star_inverse
 from crystalfold.cli import SCOPE_INSTANCES
 from crystalfold.crystal import Crystal, LazyTensor, Tensor, VerificationError
 from crystalfold.fixedpoint import (
     build_hat_crystal, check_string_identities, fold_crystal,
-    verify_main_theorem, verify_tensor_compatibility, walk_fold)
+    verify_main_theorem, verify_tensor_compatibility, walk_fixed_nodes)
 from crystalfold.intertwine import build_tilde_crystal, orbit_factors
+from crystalfold.models import classical_highest_node
 from leaves import leaf_node
 
 A2 = make_datum("a", 2)
@@ -154,24 +155,26 @@ def test_hat_crystal_requires_an_orbit_representative():
 
 # -- the walked fold --------------------------------------------------------
 
-MULTI_COLUMN = [inst for inst in SCOPE_INSTANCES
-                if len(make_datum(*inst[:2]).orbit(inst[2])) > 1]
-
-
-@pytest.mark.parametrize("case,n,i,s", MULTI_COLUMN)
+@pytest.mark.parametrize("case,n,i,s", SCOPE_INSTANCES)
 def test_walk_equals_the_eager_fold(case, n, i, s):
-    # the eager fold of the twist's fixed nodes is the oracle; (d,3,2,1) has
-    # no closed form, so its walk is given the eager size
+    # the oracle: sigma's fixed nodes on the whole orbit tensor, folded here
+    # without fold_crystal
     datum = make_datum(case, n)
     tilde = build_tilde_crystal(datum, i, s)
+    parent = tilde.crystal
     fixed = [k for k, t in enumerate(tilde.omega_map) if t == k]
-    eager = fold_crystal(datum, tilde.crystal, fixed)
-    walked = walk_fold(datum, i, s, orbit_factors(datum, i, s), len(eager))
-    hat = walked.crystal
-    assert (hat.ids, hat.weights, hat.f) == (eager.ids, eager.weights, eager.f)
-    assert [leaf_node(tilde.crystal, p) for p in walked.fixed] == fixed
-    if case != "d":
-        assert isinstance(build_hat_crystal(datum, i, s).parent, LazyTensor)
+    where = {p: h for h, p in enumerate(fixed)}
+    where[-1] = -1
+    f = [[where[parent.apply_word(kashiwara_word(datum, jh), p)] for p in fixed]
+         for jh in range(len(datum.hat_gcm))]
+    bundle = build_hat_crystal(datum, i, s)
+    hat = bundle.crystal
+    assert hat.ids == tuple(parent.ids[p] for p in fixed)
+    assert hat.weights == tuple(p_omega_star_inverse(datum, parent.weights[p]) for p in fixed)
+    assert hat.f == f
+    lazy = isinstance(bundle.parent, LazyTensor)
+    assert lazy == (len(datum.orbit(i)) > 1)
+    assert [leaf_node(parent, p) if lazy else p for p in bundle.fixed] == fixed
 
 
 @pytest.fixture
@@ -204,11 +207,27 @@ def test_walk_catches_a_corrupted_factor_edge(monkeypatch, cold_hats):
     f = [list(row) for row in col.f]
     f[1][col.ids.index("t:1")] = col.ids.index("t:3")
     bad = Crystal(col.gcm, col.comarks, col.ids, col.weights, f, col.payloads)
+    top = (classical_highest_node(A2, bad, 1, 1), classical_highest_node(A2, other, 3, 1))
     message = "lowering word for folded color 1 leaves the fixed set at t:1*t:1|2|3"
     with pytest.raises(VerificationError, match="^%s$" % re.escape(message)):
-        walk_fold(A2, 1, 1, [bad, other], 6)
+        walk_fixed_nodes(A2, LazyTensor([bad, other]), top, 6)
     monkeypatch.setattr(fixedpoint, "orbit_factors", lambda *args: [bad, other])
     assert verify_exit("a", 2, 1, 1) == (1, "error: %s\n" % message)
+
+
+def test_walk_catches_a_corrupted_column_edge(monkeypatch, cold_hats):
+    # the one-column orbit (c,3,1,1) is walked on the vector column itself;
+    # re-point the color 4 edge 4 -> 3bar at 2bar: at the node 3 the folded
+    # color 3 word f_3 f_4 then ends at 2bar, its twin f_4 f_3 at 3bar
+    (col,) = orbit_factors(C3, 1, 1)
+    f = [list(row) for row in col.f]
+    f[4][col.ids.index("v:0,0,0,1|0,0,0,0")] = col.ids.index("v:0,0,0,0|0,1,0,0")
+    bad = Crystal(col.gcm, col.comarks, col.ids, col.weights, f, col.payloads)
+    message = "lowering word for folded color 3 leaves the fixed set at v:0,0,1,0|0,0,0,0"
+    with pytest.raises(VerificationError, match="^%s$" % re.escape(message)):
+        walk_fixed_nodes(C3, bad, classical_highest_node(C3, bad, 1, 1), 6)
+    monkeypatch.setattr(fixedpoint, "orbit_factors", lambda *args: [bad])
+    assert verify_exit("c", 3, 1, 1) == (1, "error: %s\n" % message)
 
 
 @pytest.mark.parametrize("datum,i,s,size", [

@@ -6,9 +6,10 @@ from collections import Counter
 from itertools import product
 
 import pytest
+from click.testing import CliRunner
 
 import crystalfold
-from crystalfold import fixedpoint, intertwine
+from crystalfold import cli, fixedpoint, intertwine
 from crystalfold.cartan import make_datum, pi_tilde_weight
 from crystalfold.cli import SCOPE_INSTANCES
 from crystalfold.crystal import LazyTensor, Tensor, VerificationError, tensor
@@ -233,12 +234,14 @@ def _clear_package_caches():
                 value.cache_clear()
 
 
-def test_orbit_twist_builds_one_tensor_and_no_r_matrix(monkeypatch):
-    calls = Counter()
+@pytest.fixture
+def calls(monkeypatch):
+    """Cold package caches, then a count of tensors, R matrices and propagated maps."""
+    counts = Counter()
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
-            calls[name] += 1
+            counts[name] += 1
             return fn(*args, **kwargs)
         return wrapper
 
@@ -249,6 +252,10 @@ def test_orbit_twist_builds_one_tensor_and_no_r_matrix(monkeypatch):
     for module in (intertwine, fixedpoint):
         monkeypatch.setattr(module, "propagate_map",
                             counting("propagate_map", module.propagate_map))
+    return counts
+
+
+def test_orbit_twist_builds_one_tensor_and_no_r_matrix(calls):
     datum = make_datum("a", 3)
     # the orbit (2, 4) has a closed form, so the fold walks a lazy tensor
     build_hat_crystal(datum, 2, 2)
@@ -260,6 +267,20 @@ def test_orbit_twist_builds_one_tensor_and_no_r_matrix(monkeypatch):
     assert calls == {"tensor": 1, "propagate_map": 2}
 
 
+def test_one_column_verify_builds_no_tensor_and_no_twist(calls):
+    # the one-column orbit (c,3,1,1) has a closed form, so verify walks the
+    # vector column itself
+    res = CliRunner().invoke(cli.main, ["verify", "--case", "c", "--n", "3",
+                                        "--i", "1", "--s", "1"])
+    assert res.exit_code == 0, res.output
+    assert calls == {}
+    # the triality leg (d,3,2,1) has none: its walk is counted against the
+    # fixed nodes of the twist on the orbit tensor of three columns,
+    # propagated depth first and breadth first
+    build_hat_crystal(D3, 2, 1)
+    assert calls == {"tensor": 2, "propagate_map": 2}
+
+
 @pytest.mark.parametrize("case,n,i,s", [inst for inst in SCOPE_INSTANCES
                                         if len(make_datum(*inst[:2]).orbit(inst[2])) > 1])
 def test_lazy_tensor_matches_the_orbit_tensor(case, n, i, s):
@@ -267,6 +288,7 @@ def test_lazy_tensor_matches_the_orbit_tensor(case, n, i, s):
     factors = orbit_factors(datum, i, s)
     lazy = LazyTensor(factors)
     eager = build_tilde_crystal(datum, i, s).crystal
+    assert len(lazy) == len(eager)
     for node in product(*(range(len(fac)) for fac in factors)):
         k = leaf_node(eager, node)
         assert (lazy.id(node), lazy.weight(node)) == (eager.ids[k], eager.weights[k])
