@@ -13,7 +13,7 @@ from functools import lru_cache
 
 from .cartan import ScopeError, block, omega_star
 from .crystal import Report, VerificationError
-from .fixedpoint import _fixed_nodes, build_hat_crystal
+from .fixedpoint import build_hat_crystal
 from .intertwine import build_tilde_crystal
 from .monomial import highest_weight_crystal
 
@@ -129,26 +129,19 @@ def weyl_dimension(datum, coeffs):
 def branch_hat(datum, i, s):
     """Decompose the folded crystal over its classical nodes.
 
-    The folded nodes must be exactly the nodes that the twist of the orbit
-    tensor fixes. The highest nodes are computed twice: nodes killed by
-    every folded raising operator, and omega-fixed classically-highest
-    nodes of the intertwined product upstairs. Any disagreement is a hard
-    failure.
+    The highest nodes are computed twice: nodes killed by every folded
+    raising operator, and the classically-highest nodes upstairs among the
+    parent nodes under the folded ones, which the walk from the top node
+    found fixed by the twist. Any disagreement is a hard failure.
     """
     hat = build_hat_crystal(datum, i, s)
-    tilde = build_tilde_crystal(datum, i, s)
-    fixed = _fixed_nodes(tilde.omega_map)
-    fixed_ids = tuple(map(tilde.crystal.ids.__getitem__, fixed))
-    if hat.crystal.ids != fixed_ids:
-        raise VerificationError(
-            "folded nodes and fixed nodes of the twist differ at %s"
-            % min(set(hat.crystal.ids).symmetric_difference(fixed_ids)))
     jset = datum.hat_classical_nodes
     raising = [hat.crystal.e[j] for j in jset]
     route1 = [h for h in range(len(hat.crystal)) if all(e[h] == -1 for e in raising)]
-    raising = [tilde.crystal.e[j] for j in datum.classical_nodes]
-    route2 = [k for k in fixed if all(e[k] == -1 for e in raising)]
-    if [fixed[h] for h in route1] != route2:
+    route2 = [h for h, p in enumerate(hat.fixed)
+              if all(hat.parent.apply_word((j,), p, lowering=False) == -1
+                     for j in datum.classical_nodes)]
+    if route1 != route2:
         raise VerificationError(
             "highest weight characterizations disagree: %d folded-highest vs "
             "%d fixed classically-highest" % (len(route1), len(route2)))
@@ -209,8 +202,9 @@ def _compositions(total, parts):
             yield (head,) + rest
 
 
-def _expected_weights(datum, i, s):
-    """The closed-form highest weights, ascending, or ScopeError where none exists."""
+def expected_branching(datum, i, s):
+    """The closed-form decomposition as {coefficients: 1}, ascending, or
+    ScopeError where none exists."""
     support, exact = _branch_support(datum.case, datum.n, i)
     jset = datum.hat_classical_nodes
     weights = []
@@ -221,23 +215,14 @@ def _expected_weights(datum, i, s):
             for pos, val in zip(support, combo):
                 coeffs[jset.index(pos)] = val
             weights.append(tuple(coeffs))
-    return sorted(set(weights))
-
-
-def expected_branching(datum, i, s):
-    """The closed-form decomposition, or ScopeError where none exists."""
-    components = tuple(
-        (coeffs, 1, weyl_dimension(datum, coeffs)) for coeffs in _expected_weights(datum, i, s))
-    return BranchingResult(
-        components=components,
-        total=sum(d for _, _, d in components))
+    return dict.fromkeys(sorted(set(weights)), 1)
 
 
 def expected_size(datum, i, s):
     """Size of the closed-form decomposition by the Weyl product formula, or
     ScopeError where none exists."""
     bgcm = block(datum.hat_gcm, datum.hat_classical_nodes)
-    return sum(_weyl_product(bgcm, coeffs) for coeffs in _expected_weights(datum, i, s))
+    return sum(_weyl_product(bgcm, coeffs) for coeffs in expected_branching(datum, i, s))
 
 
 def multiplicity_free_gate(datum, i, s):
@@ -283,9 +268,9 @@ def verify_branching(datum, i, s):
 
     try:
         want = expected_branching(datum, i, s)
-        report.add("branch:expected", got.multiset() == want.multiset(),
-                   "computed %r vs formula %r" % (got.multiset(), want.multiset())
-                   if got.multiset() != want.multiset() else "")
+        report.add("branch:expected", got.multiset() == want,
+                   "computed %r vs formula %r" % (got.multiset(), want)
+                   if got.multiset() != want else "")
     except ScopeError as exc:
         report.add("branch:expected", True, str(exc))
 

@@ -157,7 +157,7 @@ def branch(case_, n, i, s, fmt, all_scope, out):
         note = ""
         match = True
         try:
-            match = got.multiset() == expected_branching(datum, i, s).multiset()
+            match = got.multiset() == expected_branching(datum, i, s)
         except ScopeError as exc:
             note = str(exc)
         card = "cardinality: sum of mult*dim = %d = size" % got.total

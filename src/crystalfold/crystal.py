@@ -481,10 +481,10 @@ def _inverse(arr):
 class Tensor(Crystal):
     """Tensor product crystal left (x) right, stored by node index.
 
-    Node k is the pair (left_of[k], right_of[k]) of a left and a right node,
-    and node_at[a * len(right) + b] is the node of the pair (a, b). Ids are
-    rendered once, as left id + "*" + right id, and nodes are numbered in id
-    order, which is pair order unless some id sorts below "*".
+    Node a * len(right) + b is the pair (a, b) of a left and a right node,
+    and left_of and right_of read the pair off the node. Ids are rendered
+    once, as left id + "*" + right id; pair order must be id order, so an id
+    that extends another id by a character below "*" is refused.
 
     The lowering rule: f_j acts on the left factor when phi_j(left) is
     strictly larger than eps_j(right), otherwise on the right factor; the
@@ -496,24 +496,16 @@ class Tensor(Crystal):
         if left.gcm != right.gcm or left.comarks != right.comarks:
             raise ValueError("tensor factors live over different data")
         na, nb = len(left), len(right)
-        flat = [a + "*" + b for a in left.ids for b in right.ids]
-        if all(map(str.__lt__, flat, islice(flat, 1, None))):
-            order = node_at = range(na * nb)
-        else:
-            order = sorted(range(na * nb), key=flat.__getitem__)
-            node_at = [0] * (na * nb)
-            for k, p in enumerate(order):
-                node_at[p] = k
-        self.left, self.right, self.node_at = left, right, node_at
-        self.left_of = [p // nb for p in order]
-        self.right_of = [p % nb for p in order]
+        self.left, self.right = left, right
+        self.left_of = [a for a in range(na) for _ in range(nb)]
+        self.right_of = list(range(nb)) * na
         weights = [tuple(map(add, x, y)) for x in left.weights for y in right.weights]
         f = []
         for j in range(left.ncolors):
             left._walk_color(j)
             right._walk_color(j)
             fb = right.f[j]
-            row = []  # over pair codes a * nb + b
+            row = []
             for a, (pa, ta) in enumerate(zip(left._phi[j], left.f[j])):
                 base = a * nb
                 if pa == 0:
@@ -521,15 +513,14 @@ class Tensor(Crystal):
                 else:
                     row += [ta * nb + b if pa > e else (-1 if t == -1 else base + t)
                             for b, e, t in zip(range(nb), right._eps[j], fb)]
-            if order is not node_at:
-                row = [-1 if t == -1 else node_at[t] for t in map(row.__getitem__, order)]
             f.append(row)
-        super().__init__(left.gcm, left.comarks, tuple(map(flat.__getitem__, order)),
-                         tuple(map(weights.__getitem__, order)), f, (None,) * len(flat))
+        super().__init__(left.gcm, left.comarks,
+                         tuple(a + "*" + b for a in left.ids for b in right.ids),
+                         tuple(weights), f, (None,) * (na * nb))
 
     def at(self, a, b):
         """The node of the pair (left node a, right node b)."""
-        return self.node_at[a * len(self.right) + b]
+        return a * len(self.right) + b
 
 
 def tensor(left, right):
@@ -551,7 +542,7 @@ class LazyTensor:
     A node is a tuple of factor node indices. Operators follow Tensor's
     signature rule, read off the factors' cached eps/phi arrays in one pass
     over the factors, and ids render as in tensor_many. Offers the node
-    methods the fold and the string identities read: id, weight,
+    methods the fold, the string identities and branching read: id, weight,
     apply_word, own_strings, weyl_s and weyl_word; its length is the size of
     the tensor it stands for.
     """

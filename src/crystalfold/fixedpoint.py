@@ -13,8 +13,9 @@ orbit tensor, which is never built: the column crystal itself for a
 one-column orbit, a LazyTensor otherwise. Fixedness is checked along the
 walk's words, and the walk must reach the closed-form size; only the
 triality legs, which have no closed form, count the fixed nodes of the twist
-on the whole orbit tensor instead. Branching, tensor compatibility and the
-exchange read the whole orbit tensor and its twist themselves.
+on the whole orbit tensor instead. Verification and branching read this one
+walked hat; tensor compatibility reads the whole orbit tensor, its twist and
+the exchange itself.
 """
 
 import itertools
@@ -35,14 +36,14 @@ def _fixed_nodes(omega_map):
     return tuple(k for k, image in enumerate(omega_map) if image == k)
 
 
-def walk_fixed_nodes(datum, parent, top, total):
+def walk_fixed_nodes(datum, parent, top):
     """The twist-fixed nodes of parent, walked from its top node, in id order.
 
     The twist sigma fixes the top node and sends color j to color omega(j),
     so sigma(f_w b) = f_omega(w) sigma(b): a node reached from a fixed node
     is fixed when the omega-twisted word lands where the word does. That
-    check runs at every node and folded color, and the walk, which follows
-    lowering and raising words, must reach exactly total nodes.
+    check runs at every node and folded color; the walk follows lowering and
+    raising words.
     """
     steps = []
     for jh in range(len(datum.hat_gcm)):
@@ -61,9 +62,6 @@ def walk_fixed_nodes(datum, parent, top, total):
                 if q != -1 and q not in seen:
                     seen.add(q)
                     queue.append(q)
-    if len(queue) != total:
-        raise VerificationError("walk reached %d of %d nodes of the closed form from %s"
-                                % (len(queue), total, parent.id(top)))
     return tuple(sorted(queue, key=parent.id))
 
 
@@ -128,9 +126,10 @@ def build_hat_crystal(datum, i, s):
 
     The parent is the orbit tensor, never built: the column crystal itself
     for a one-column orbit, a LazyTensor of the orbit's columns otherwise.
-    Its fixed nodes are walked from the top node, up to the size of the
-    closed-form decomposition, or, where there is none (the triality legs),
-    the number of nodes that the twist of the whole orbit tensor fixes.
+    Its fixed nodes are walked from the top node, and the walk must reach
+    the size of the closed-form decomposition, or, where there is none (the
+    triality legs), the number of nodes that the twist of the whole orbit
+    tensor fixes.
     """
     from .branching import expected_size  # branching imports this module
     _require_folded_column(datum, i)
@@ -144,10 +143,14 @@ def build_hat_crystal(datum, i, s):
     if parent.weight(top) != tuple(s * v for v in pi_tilde_weight(datum, i)):
         raise VerificationError("top node %s is off the top weight" % parent.id(top))
     try:
-        total = expected_size(datum, i, s)
+        total, counted = expected_size(datum, i, s), "nodes of the closed form"
     except ScopeError:
         total = len(_fixed_nodes(build_tilde_crystal(datum, i, s).omega_map))
-    fixed = walk_fixed_nodes(datum, parent, top, total)
+        counted = "nodes that the twist fixes"
+    fixed = walk_fixed_nodes(datum, parent, top)
+    if len(fixed) != total:
+        raise VerificationError("walk reached %d of %d %s from %s"
+                                % (len(fixed), total, counted, parent.id(top)))
     return HatBundle(parent=parent, crystal=fold_crystal(datum, parent, fixed), fixed=fixed)
 
 

@@ -41,8 +41,8 @@ class Exchange:
     """A combinatorial R matrix B1 (x) B2 -> B2 (x) B1 on leaf node indices.
 
     codes[a * n2 + b] = c * n1 + d says that the pair (a, b) goes to the
-    pair (c, d), with n1 = |B1| and n2 = |B2|: both sides are pair codes as
-    in Tensor.node_at.
+    pair (c, d), with n1 = |B1| and n2 = |B2|: both sides are pair codes,
+    the node numbers of the two Tensors.
     """
 
     codes: tuple
@@ -84,11 +84,7 @@ def compute_r_matrix(datum, left_spec, right_spec):
     for x, y in enumerate(first):
         if forward.weights[x] != backward.weights[y]:
             raise VerificationError("exchange map moved a weight at %s" % forward.ids[x])
-    n1 = len(b1)
-    left_of, right_of = backward.left_of, backward.right_of
-    codes = tuple(left_of[y] * n1 + right_of[y]
-                  for y in map(first.__getitem__, forward.node_at))
-    return Exchange(codes=codes, n1=n1, n2=len(b2))
+    return Exchange(codes=tuple(first), n1=len(b1), n2=len(b2))
 
 
 # -- energy -----------------------------------------------------------------

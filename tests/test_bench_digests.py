@@ -9,7 +9,10 @@ orbit tensor; wide-fold is the one workload with vector columns of width 4
 and 5 and with --full-regularity, so its digests, recorded from the
 string-keyed builders, guard the array-built vector columns, the monomial
 oracle and the regularity stages; parent-full is the one workload that
-checks tensor compatibility and the energy beyond width 1. The benchmark's
+checks tensor compatibility and the energy beyond width 1. The branch
+digests of parent-full and wide-fold were recorded from the twist of the
+whole orbit tensor, so they guard branch, which reads the walked hat alone,
+against that eager route. The benchmark's
 self-test runs the smoke workload traced and untraced, so every traced
 layer, the fold on a lazy parent among them, runs in the suite.
 """

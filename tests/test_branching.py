@@ -7,13 +7,14 @@ the triple-fold block gives 7, 14, 27; the rank one block gives s + 1.
 
 import pytest
 
-from crystalfold import branching, fixedpoint
+from crystalfold import branching
 from crystalfold.branching import (
-    BranchingResult, _weyl_product, branch_hat, expected_branching,
+    BranchingResult, _weyl_product, branch_hat, expected_branching, expected_size,
     multiplicity_free_gate, verify_branching, weyl_dimension)
 from crystalfold.cartan import ScopeError, block, make_datum
-from crystalfold.crystal import VerificationError
-from crystalfold.fixedpoint import build_hat_crystal
+from crystalfold.crystal import Crystal, VerificationError
+from crystalfold.fixedpoint import HatBundle, build_hat_crystal
+from crystalfold.models import classical_highest_node
 
 A2 = make_datum("a", 2)
 A3 = make_datum("a", 3)
@@ -64,16 +65,14 @@ def test_branch_tables(datum, i, s, table, total):
     got = branch_hat(datum, i, s)
     assert got.multiset() == table
     assert got.total == total
-    want = expected_branching(datum, i, s)
-    assert want.multiset() == table
-    assert want.total == total
+    assert expected_branching(datum, i, s) == table
+    assert expected_size(datum, i, s) == total
 
 
 def test_expected_branching_wider_instance():
-    got = expected_branching(B2, 2, 2)
-    assert got.multiset() == {
+    assert expected_branching(B2, 2, 2) == {
         (0, 0): 1, (1, 0): 1, (0, 1): 1, (2, 0): 1, (1, 1): 1, (0, 2): 1}
-    assert got.total == 1 + 4 + 5 + 10 + 16 + 14
+    assert expected_size(B2, 2, 2) == 1 + 4 + 5 + 10 + 16 + 14
 
 
 def test_no_formula_for_branched_middle():
@@ -116,11 +115,18 @@ def test_branching_result_serialization():
     assert "total 6" in text and "1,0" in text
 
 
-def test_branch_hat_requires_every_fixed_node(monkeypatch):
-    # the walked fold of (a,2,1,1) against the twist's fixed nodes, one short
-    monkeypatch.setattr(branching, "_fixed_nodes",
-                        lambda omega: fixedpoint._fixed_nodes(omega)[:-1])
-    last = build_hat_crystal(A2, 1, 1).crystal.ids[-1]
+def test_branch_hat_routes_must_agree(monkeypatch):
+    # (c,3,1,1) folds the vector column itself; a color 1 edge into its top
+    # node leaves the one folded-highest node with no classically-highest
+    # node upstairs
+    bundle = build_hat_crystal(C3, 1, 1)
+    col = bundle.parent
+    f = [list(row) for row in col.f]
+    f[1][f[1].index(-1)] = classical_highest_node(C3, col, 1, 1)
+    bad = Crystal(col.gcm, col.comarks, col.ids, col.weights, f, col.payloads)
+    monkeypatch.setattr(branching, "build_hat_crystal",
+                        lambda *args: HatBundle(bad, bundle.crystal, bundle.fixed))
     with pytest.raises(VerificationError) as err:
-        branch_hat.__wrapped__(A2, 1, 1)
-    assert str(err.value) == "folded nodes and fixed nodes of the twist differ at %s" % last
+        branch_hat.__wrapped__(C3, 1, 1)
+    assert str(err.value) == ("highest weight characterizations disagree: "
+                              "1 folded-highest vs 0 fixed classically-highest")

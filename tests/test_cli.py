@@ -103,6 +103,17 @@ def test_branch_matches_formula():
     assert "MISMATCH" not in res.output
 
 
+def test_branch_beyond_the_scope_matches_formula():
+    # the orbit tensor of (b,3,3,2) has 240,100 nodes; branch reads the 490
+    # walked fixed nodes only
+    res = run("branch", "--case", "b", "--n", "3", "--i", "3", "--s", "2",
+              "--format", "json")
+    assert res.exit_code == 0, res.output
+    doc = json.loads(res.output)
+    assert doc["matches_formula"] is True
+    assert doc["total"] == 490
+
+
 def test_branch_without_formula_notes_it():
     res = run("branch", "--case", "d", "--n", "3", "--i", "2", "--s", "1")
     assert res.exit_code == 0

@@ -193,7 +193,6 @@ def test_index_tensor_matches_reference_cyclic_columns():
     a2 = make_datum("a", 2)
     left, right = kr_crystal(a2, 1, 1), kr_crystal(a2, 3, 1)
     prod = tensor(left, right)
-    assert isinstance(prod.node_at, range)
     assert_same_graph(prod, reference_tensor(left, right))
     for k in range(len(prod)):
         a, b = prod.left_of[k], prod.right_of[k]
@@ -210,16 +209,13 @@ def test_index_tensor_matches_reference_center_columns():
         assert prod.at(prod.left_of[k], prod.right_of[k]) == k
 
 
-def test_index_tensor_sorts_when_pair_order_is_not_id_order():
-    # "x y" extends "x" by a blank, which sorts below "*"
+def test_index_tensor_refuses_when_pair_order_is_not_id_order():
+    # "x y" extends "x" by a blank, which sorts below "*", so the pair
+    # x y*x sorts below x*x y, which comes before it in pair order
     leaf = Crystal.from_edges(SL2, (1,), {"x": ((1,), None), "x y": ((-1,), None)},
                               {0: {"x": "x y"}})
-    prod = tensor(leaf, leaf)
-    assert prod.ids == ("x y*x", "x y*x y", "x*x", "x*x y")
-    assert not isinstance(prod.node_at, range)
-    assert_same_graph(prod, reference_tensor(leaf, leaf))
-    for k in range(len(prod)):
-        assert prod.at(prod.left_of[k], prod.right_of[k]) == k
+    with pytest.raises(ValueError, match="^node ids collide or are out of order at x y\\*x$"):
+        tensor(leaf, leaf)
 
 
 def test_index_tensor_rejects_colliding_ids():

@@ -155,7 +155,8 @@ def test_hat_crystal_requires_an_orbit_representative():
 
 # -- the walked fold --------------------------------------------------------
 
-@pytest.mark.parametrize("case,n,i,s", SCOPE_INSTANCES)
+# the scope, and the branch requests of the benchmark beyond it
+@pytest.mark.parametrize("case,n,i,s", SCOPE_INSTANCES + [("b", 2, 2, 3), ("c", 6, 1, 5)])
 def test_walk_equals_the_eager_fold(case, n, i, s):
     # the oracle: sigma's fixed nodes on the whole orbit tensor, folded here
     # without fold_crystal
@@ -200,6 +201,18 @@ def test_walk_short_of_the_closed_form_fails(monkeypatch, cold_hats):
     assert verify_exit("a", 2, 1, 1) == (1, "error: %s\n" % message)
 
 
+def test_walk_short_of_the_twists_fixed_nodes_fails(monkeypatch, cold_hats):
+    # the triality leg (d,3,2,1) has no closed form: its walk is counted
+    # against the nodes that the twist of the orbit tensor fixes
+    fixed_nodes = fixedpoint._fixed_nodes
+    monkeypatch.setattr(fixedpoint, "_fixed_nodes", lambda omega: fixed_nodes(omega) + (-1,))
+    message = ("walk reached 29 of 30 nodes that the twist fixes from "
+               "v:1,0,0,0|0,0,0,0*p:+++-*p:++++")
+    with pytest.raises(VerificationError, match="^%s$" % re.escape(message)):
+        build_hat_crystal(D3, 2, 1)
+    assert verify_exit("d", 3, 2, 1) == (1, "error: %s\n" % message)
+
+
 def test_walk_catches_a_corrupted_factor_edge(monkeypatch, cold_hats):
     # re-point the color 1 edge t:1 -> t:2 of column 1 at t:3: at the top
     # node f_1 f_3 and f_3 f_1 then part
@@ -210,7 +223,7 @@ def test_walk_catches_a_corrupted_factor_edge(monkeypatch, cold_hats):
     top = (classical_highest_node(A2, bad, 1, 1), classical_highest_node(A2, other, 3, 1))
     message = "lowering word for folded color 1 leaves the fixed set at t:1*t:1|2|3"
     with pytest.raises(VerificationError, match="^%s$" % re.escape(message)):
-        walk_fixed_nodes(A2, LazyTensor([bad, other]), top, 6)
+        walk_fixed_nodes(A2, LazyTensor([bad, other]), top)
     monkeypatch.setattr(fixedpoint, "orbit_factors", lambda *args: [bad, other])
     assert verify_exit("a", 2, 1, 1) == (1, "error: %s\n" % message)
 
@@ -225,7 +238,7 @@ def test_walk_catches_a_corrupted_column_edge(monkeypatch, cold_hats):
     bad = Crystal(col.gcm, col.comarks, col.ids, col.weights, f, col.payloads)
     message = "lowering word for folded color 3 leaves the fixed set at v:0,0,1,0|0,0,0,0"
     with pytest.raises(VerificationError, match="^%s$" % re.escape(message)):
-        walk_fixed_nodes(C3, bad, classical_highest_node(C3, bad, 1, 1), 6)
+        walk_fixed_nodes(C3, bad, classical_highest_node(C3, bad, 1, 1))
     monkeypatch.setattr(fixedpoint, "orbit_factors", lambda *args: [bad])
     assert verify_exit("c", 3, 1, 1) == (1, "error: %s\n" % message)
 

@@ -281,6 +281,15 @@ def test_one_column_verify_builds_no_tensor_and_no_twist(calls):
     assert calls == {"tensor": 2, "propagate_map": 2}
 
 
+def test_branch_builds_no_tensor_and_no_twist(calls):
+    # branch reads both highest node routes off the walked hat of the orbit
+    # (2, 4), on the lazy orbit tensor
+    res = CliRunner().invoke(cli.main, ["branch", "--case", "a", "--n", "3",
+                                        "--i", "2", "--s", "2"])
+    assert res.exit_code == 0, res.output
+    assert calls == {}
+
+
 @pytest.mark.parametrize("case,n,i,s", [inst for inst in SCOPE_INSTANCES
                                         if len(make_datum(*inst[:2]).orbit(inst[2])) > 1])
 def test_lazy_tensor_matches_the_orbit_tensor(case, n, i, s):
