@@ -12,9 +12,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .cartan import ScopeError, block, omega_star
-from .crystal import Report, VerificationError
+from .crystal import Report, VerificationError, tensor_many
 from .fixedpoint import build_hat_crystal
-from .intertwine import build_tilde_crystal
+from .intertwine import orbit_factors
 from .monomial import highest_weight_crystal
 
 
@@ -226,20 +226,24 @@ def expected_size(datum, i, s):
 
 
 def multiplicity_free_gate(datum, i, s):
-    """Whether the classical decomposition upstairs is multiplicity-free.
+    """Whether the classical decomposition of the orbit tensor is multiplicity-free.
 
-    When it is, the fixed highest nodes must coincide with the highest
-    nodes whose weight the automorphism fixes; that consequence is
-    verified here and any mismatch is a hard failure.
+    When it is, each weight names one highest node, so the highest nodes
+    that the twist fixes must be those whose weight the automorphism fixes.
+    The fixed ones are read off the walked hat, as the parent nodes under
+    its classical highest nodes, and compared by weight; any mismatch is a
+    hard failure.
     """
-    tilde = build_tilde_crystal(datum, i, s)
-    decomp = tilde.crystal.highest_weight_decomposition(datum.classical_nodes)
+    tilde = tensor_many(orbit_factors(datum, i, s))
+    decomp = tilde.highest_weight_decomposition(datum.classical_nodes)
     mults = Counter(wt for _, wt, _ in decomp)
     gate = all(v == 1 for v in mults.values())
     if gate:
-        node_fixed = {k for k, _, _ in decomp if tilde.omega_map[k] == k}
-        weight_fixed = {k for k, wt, _ in decomp
-                        if omega_star(datum, wt) == wt}
+        hat = build_hat_crystal(datum, i, s)
+        raising = [hat.crystal.e[j] for j in datum.hat_classical_nodes]
+        node_fixed = {hat.parent.weight(p) for h, p in enumerate(hat.fixed)
+                      if all(e[h] == -1 for e in raising)}
+        weight_fixed = {wt for wt in mults if omega_star(datum, wt) == wt}
         if node_fixed != weight_fixed:
             raise VerificationError(
                 "fixed-weight characterization fails: %d node-fixed vs "

@@ -192,8 +192,6 @@ def _parent_shape(case, n):
         edges = [(0, 1), (1, 2), (1, 3), (1, 4)]
         omega = (0, 1, 3, 4, 2)
         return 5, edges, omega, "D_4^(1)", "D_4^(3)"
-    if case == "e":
-        raise ScopeError("case (e) out of scope")
     raise ScopeError("unknown case %r" % (case,))
 
 
@@ -275,10 +273,6 @@ def classical_alpha(gcm, j):
     return tuple(row[j] for row in gcm)
 
 
-def level(datum, mu):
-    return sum(c * v for c, v in zip(datum.comarks, mu))
-
-
 def hat_level(datum, mu_hat):
     return sum(c * v for c, v in zip(datum.hat_comarks, mu_hat))
 
@@ -335,19 +329,6 @@ def hat_pi_weight(datum, i):
         out[i] = 1
         out[0] = -datum.hat_comarks[i]
     return tuple(out)
-
-
-def weyl_reflect(gcm, j, mu):
-    """Simple reflection on a weight tuple: mu - mu[j] * alpha_j."""
-    mj = mu[j]
-    return tuple(v - mj * gcm[k][j] for k, v in enumerate(mu))
-
-
-def weyl_apply(gcm, word, mu):
-    """Apply simple reflections along the word, first entry first."""
-    for j in word:
-        mu = weyl_reflect(gcm, j, mu)
-    return mu
 
 
 def enumerate_dominant(comarks, lev):

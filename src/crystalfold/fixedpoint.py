@@ -13,9 +13,11 @@ orbit tensor, which is never built: the column crystal itself for a
 one-column orbit, a LazyTensor otherwise. Fixedness is checked along the
 walk's words, and the walk must reach the closed-form size; only the
 triality legs, which have no closed form, count the fixed nodes of the twist
-on the whole orbit tensor instead. Verification and branching read this one
-walked hat; tensor compatibility reads the whole orbit tensor, its twist and
-the exchange itself.
+on the whole orbit tensor instead, and that count is the one place the twist
+is built. Verification, branching and tensor compatibility read this one
+walked hat; tensor compatibility builds the orbit tensor without the twist,
+pairs the nodes under the folded ones, and propagates the exchange on that
+pair tensor.
 """
 
 import itertools
@@ -24,9 +26,10 @@ from functools import lru_cache
 from operator import itemgetter
 
 from .cartan import (
-    ScopeError, block, hat_level, kashiwara_word, p_omega_star,
+    ScopeError, block, hat_level, hat_pi_weight, kashiwara_word, p_omega_star,
     p_omega_star_inverse, pi_tilde_weight, theta_word)
-from .crystal import Crystal, LazyTensor, Report, VerificationError, propagate_map, tensor
+from .crystal import (
+    Crystal, LazyTensor, Report, VerificationError, propagate_map, tensor, tensor_many)
 from .intertwine import build_tilde_crystal, energy_on_tensor, energy_steps, orbit_factors
 from .models import classical_highest_node
 from .monomial import weight_multiset
@@ -263,11 +266,6 @@ def check_string_identities(datum, i, s):
 
 # -- tensor compatibility, exchange, energy ---------------------------------
 
-def _pair_twist(pair, omega):
-    """The twist of B (x) B, factorwise from the twist omega of B."""
-    return [pair.at(omega[a], omega[b]) for a, b in zip(pair.left_of, pair.right_of)]
-
-
 def verify_tensor_compatibility(datum, spec1, spec2):
     """The folded tensor equals the fold of the tensor, edge for edge.
 
@@ -283,11 +281,14 @@ def verify_tensor_compatibility(datum, spec1, spec2):
         raise ScopeError(
             "tensor compatibility is checked on B (x) B only: the local energy "
             "rule does not hold for the unequal factors %r and %r" % (spec1, spec2))
-    hat = build_hat_crystal(datum, *spec1)
-    tilde = build_tilde_crystal(datum, *spec1)
-    pair = tensor(tilde.crystal, tilde.crystal)
-    omega_pair = _pair_twist(pair, tilde.omega_map)
-    fixed = _fixed_nodes(omega_pair)
+    i, s = spec1
+    hat = build_hat_crystal(datum, i, s)
+    tilde = tensor_many(orbit_factors(datum, i, s))
+    index = {b: k for k, b in enumerate(tilde.ids)}
+    under = [index[b] for b in hat.crystal.ids]  # the parent node under each folded node
+    pair = tensor(tilde, tilde)
+    fixed = [pair.at(x, y) for x in under for y in under]
+    where = {p: h for h, p in enumerate(fixed)}
     folded = fold_crystal(datum, pair, fixed)
     lhs = tensor(hat.crystal, hat.crystal)
     report = Report()
@@ -311,14 +312,15 @@ def verify_tensor_compatibility(datum, spec1, spec2):
     report.run("iso:edges", edges)
     report.run("iso:eps", eps_match)
 
-    # exchange of the parent pair with itself, restricted to fixed nodes
-    anchor = pair.at(tilde.top, tilde.top)
+    # exchange of the parent pair with itself, restricted to fixed nodes and
+    # anchored at the pair of the node under the folded top node
+    top = under[hat.crystal.weights.index(tuple(s * v for v in hat_pi_weight(datum, i)))]
+    anchor = pair.at(top, top)
     exchange = propagate_map(pair, pair, {anchor: anchor})
 
     def fixed_closed():
         for p in fixed:
-            image = exchange[p]
-            if omega_pair[image] != image:
+            if exchange[p] not in where:
                 raise VerificationError(
                     "exchange moves %s off the fixed set" % pair.ids[p])
 
@@ -326,7 +328,6 @@ def verify_tensor_compatibility(datum, spec1, spec2):
     report.add("rhat:anchor", exchange[anchor] == anchor, "anchor moved")
 
     def rhat_edges():
-        where = {p: h for h, p in enumerate(fixed)}
         for h, p in enumerate(fixed):
             for jh in range(folded.ncolors):
                 down = folded.f[jh][h]

@@ -12,7 +12,11 @@ oracle and the regularity stages; parent-full is the one workload that
 checks tensor compatibility and the energy beyond width 1. The branch
 digests of parent-full and wide-fold were recorded from the twist of the
 whole orbit tensor, so they guard branch, which reads the walked hat alone,
-against that eager route. The benchmark's
+against that eager route. Likewise the scope digests of the branching
+reports and the parent-full digests of tensor compatibility were recorded
+when the twist of the whole orbit tensor backed the multiplicity gate and
+the fixed pairs of B (x) B, so they guard both, which now read the walked
+hat and build no twist. The benchmark's
 self-test runs the smoke workload traced and untraced, so every traced
 layer, the fold on a lazy parent among them, runs in the suite.
 """

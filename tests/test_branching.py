@@ -87,6 +87,16 @@ def test_gate_is_true_on_products_of_distinct_columns(datum, i, s):
     assert multiplicity_free_gate(datum, i, s) is True
 
 
+def test_gate_reads_the_walked_hat(monkeypatch):
+    # the width-1 hat forged in for (a,3,2,2): its 3 classical highest nodes
+    # are not the 6 weight-fixed heads of the orbit tensor at width 2
+    forged = build_hat_crystal(A3, 2, 1)
+    monkeypatch.setattr(branching, "build_hat_crystal", lambda *args: forged)
+    with pytest.raises(VerificationError, match="^fixed-weight characterization fails: "
+                                                "3 node-fixed vs 6 weight-fixed heads$"):
+        multiplicity_free_gate(A3, 2, 2)
+
+
 def test_verify_branching_stages():
     report = verify_branching(A2, 1, 1)
     assert report.ok, report.to_text()

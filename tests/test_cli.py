@@ -58,7 +58,7 @@ def test_build_writes_file(tmp_path):
 def test_out_of_scope_exits_two():
     res = run("build", "--case", "e")
     assert res.exit_code == 2
-    assert "case (e) out of scope" in res.output
+    assert "Invalid value for '--case': 'e' is not one of" in res.output
     res = run("build", "--case", "a", "--n", "2", "--i", "9", "--target", "kr")
     assert res.exit_code == 2
     res = run("build", "--case", "a", "--n", "2", "--s", "0", "--target", "kr")

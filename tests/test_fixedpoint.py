@@ -128,9 +128,11 @@ def test_tensor_compatibility_width_one(datum, monkeypatch):
     names = [name for name, _, _ in report.stages]
     assert names == ["iso:size", "iso:edges", "iso:eps", "rhat:fixed",
                      "rhat:anchor", "rhat:edges", "energy:zero-edges"]
-    # the parent pair and the pair of folded crystals; the exchange maps
-    # the parent pair to itself, and only the parent pair is folded
-    assert calls == {"tensor": 2, "fold": 1}
+    # the orbit tensor (none for the one-column orbit of C3, whose parent
+    # is the column itself), the parent pair and the pair of folded
+    # crystals; the exchange maps the parent pair to itself, and only the
+    # parent pair is folded; no cache but the hat's is read
+    assert calls == {"tensor": {A2: 3, C3: 2}[datum], "fold": 1}
 
 
 @pytest.mark.parametrize("datum,spec1,spec2", [

@@ -10,10 +10,11 @@ from click.testing import CliRunner
 
 import crystalfold
 from crystalfold import cli, fixedpoint, intertwine
+from crystalfold.branching import verify_branching
 from crystalfold.cartan import make_datum, pi_tilde_weight
 from crystalfold.cli import SCOPE_INSTANCES
 from crystalfold.crystal import LazyTensor, Tensor, VerificationError, tensor
-from crystalfold.fixedpoint import build_hat_crystal
+from crystalfold.fixedpoint import build_hat_crystal, verify_tensor_compatibility
 from crystalfold.intertwine import (
     build_tilde_crystal, compute_r_matrix, compute_tau_omega,
     energy_on_tensor, orbit_factors, verify_yang_baxter)
@@ -255,39 +256,52 @@ def calls(monkeypatch):
     return counts
 
 
-def test_orbit_twist_builds_one_tensor_and_no_r_matrix(calls):
-    datum = make_datum("a", 3)
+def cli_ok(*words):
+    res = CliRunner().invoke(cli.main, list(words))
+    assert res.exit_code == 0, res.output
+
+
+def report_ok(report):
+    assert report.ok, report.to_text()
+
+
+@pytest.mark.parametrize("call,built", [
     # the orbit (2, 4) has a closed form, so the fold walks a lazy tensor
-    build_hat_crystal(datum, 2, 2)
-    assert calls == {}
+    pytest.param(lambda: build_hat_crystal(A3, 2, 2), {}, id="hat-a-3-2-2"),
     # the tableau columns of case a build no tensors of their own, so the
     # one tensor is the orbit tensor B(2,2) (x) B(4,2), and the twist is
     # propagated depth first and breadth first
-    build_tilde_crystal(datum, 2, 2)
-    assert calls == {"tensor": 1, "propagate_map": 2}
-
-
-def test_one_column_verify_builds_no_tensor_and_no_twist(calls):
+    pytest.param(lambda: build_tilde_crystal(A3, 2, 2), {"tensor": 1, "propagate_map": 2},
+                 id="tilde-a-3-2-2"),
+    # build --target tilde prints that tensor and builds no twist
+    pytest.param(lambda: cli_ok("build", "--target", "tilde", "--case", "a", "--n", "3",
+                                "--i", "2", "--s", "2"),
+                 {"tensor": 1}, id="cli-build-tilde-a-3-2-2"),
     # the one-column orbit (c,3,1,1) has a closed form, so verify walks the
     # vector column itself
-    res = CliRunner().invoke(cli.main, ["verify", "--case", "c", "--n", "3",
-                                        "--i", "1", "--s", "1"])
-    assert res.exit_code == 0, res.output
-    assert calls == {}
+    pytest.param(lambda: cli_ok("verify", "--case", "c", "--n", "3", "--i", "1", "--s", "1"),
+                 {}, id="cli-verify-c-3-1-1"),
     # the triality leg (d,3,2,1) has none: its walk is counted against the
     # fixed nodes of the twist on the orbit tensor of three columns,
     # propagated depth first and breadth first
-    build_hat_crystal(D3, 2, 1)
-    assert calls == {"tensor": 2, "propagate_map": 2}
-
-
-def test_branch_builds_no_tensor_and_no_twist(calls):
+    pytest.param(lambda: build_hat_crystal(D3, 2, 1), {"tensor": 2, "propagate_map": 2},
+                 id="hat-d-3-2-1"),
     # branch reads both highest node routes off the walked hat of the orbit
     # (2, 4), on the lazy orbit tensor
-    res = CliRunner().invoke(cli.main, ["branch", "--case", "a", "--n", "3",
-                                        "--i", "2", "--s", "2"])
-    assert res.exit_code == 0, res.output
-    assert calls == {}
+    pytest.param(lambda: cli_ok("branch", "--case", "a", "--n", "3", "--i", "2", "--s", "2"),
+                 {}, id="cli-branch-a-3-2-2"),
+    # the multiplicity gate decomposes the orbit tensor and reads the fixed
+    # highest nodes off the walked hat
+    pytest.param(lambda: report_ok(verify_branching(A3, 2, 2)), {"tensor": 1},
+                 id="verify-branching-a-3-2-2"),
+    # the orbit tensor, the parent pair and the pair of folded crystals, and
+    # one map: the exchange of the parent pair with itself
+    pytest.param(lambda: report_ok(verify_tensor_compatibility(A2, (1, 1), (1, 1))),
+                 {"tensor": 3, "propagate_map": 1}, id="tensor-compatibility-a-2-1-1"),
+])
+def test_tensors_and_maps_built_per_request(calls, call, built):
+    call()
+    assert calls == built
 
 
 @pytest.mark.parametrize("case,n,i,s", [inst for inst in SCOPE_INSTANCES
