@@ -3,6 +3,8 @@
 import contextlib
 import json
 import sys
+from itertools import islice
+from json.encoder import encode_basestring_ascii
 
 import click
 
@@ -42,6 +44,21 @@ def _emit(payload, out):
             fh.write(payload)
     else:
         click.echo(payload, nl=False)
+
+
+def _json_map(name, keys, values):
+    """json.dumps({name: dict(zip(keys, values))}, sort_keys=True, indent=2) + "\n".
+
+    Written directly: with indent set, json.dumps runs its pure Python
+    encoder. Renders the same bytes for string keys, which must ascend
+    strictly, and for values that are all strings or all ints.
+    """
+    if not all(map(str.__lt__, keys, islice(keys, 1, None))):
+        raise ValueError("keys of the %s map do not ascend strictly" % name)
+    render = encode_basestring_ascii if isinstance(values[0], str) else int.__repr__
+    body = ",\n    ".join(map(": ".join, zip(map(encode_basestring_ascii, keys),
+                                             map(render, values))))
+    return "{\n  %s: {\n    %s\n  }\n}\n" % (encode_basestring_ascii(name), body)
 
 
 def _instance_options(fn):
@@ -191,16 +208,14 @@ def rmatrix(case_, n, i, s, fmt, out):
         left = kr_crystal(datum, i, s)
         right = kr_crystal(datum, datum.omega[i], s)
         rmat = compute_r_matrix(datum, (i, s), (datum.omega[i], s))
-        mapping = {}
-        for a, x in enumerate(left.ids):
-            for b, y in enumerate(right.ids):
-                c, d = rmat(a, b)
-                mapping[x + "*" + y] = right.ids[c] + "*" + left.ids[d]
+        # pair ids in pair order, which tensor() checked is id order
+        keys = [x + "*" + y for x in left.ids for y in right.ids]
+        values = [right.ids[c] + "*" + left.ids[d]
+                  for c, d in (divmod(code, rmat.n1) for code in rmat.codes)]
         if fmt == "json":
-            payload = json.dumps({"map": mapping}, sort_keys=True, indent=2) + "\n"
+            payload = _json_map("map", keys, values)
         else:
-            lines = ["%s -> %s" % (x, mapping[x]) for x in sorted(mapping)]
-            payload = "\n".join(lines) + "\n"
+            payload = "".join(map("%s -> %s\n".__mod__, zip(keys, values)))
         _emit(payload, out)
 
 
@@ -219,8 +234,7 @@ def energy(case_, n, i, s, fmt, out):
         prod = tensor(crys, crys)
         values = energy_on_tensor(prod, prod.at(top, top))
         if fmt == "json":
-            table = dict(zip(prod.ids, values))
-            payload = json.dumps({"H": table}, sort_keys=True, indent=2) + "\n"
+            payload = _json_map("H", prod.ids, values)
         else:
             lines = ["H %s %d" % item for item in zip(prod.ids, values)]
             payload = "\n".join(lines) + "\n"

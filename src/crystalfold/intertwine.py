@@ -9,6 +9,7 @@ indices; string ids are rendered only for messages and output.
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from operator import add, ne
 
 from .cartan import ScopeError, omega_star, pi_tilde_weight
 from .crystal import VerificationError, propagate_map, tensor, tensor_many
@@ -89,6 +90,11 @@ def compute_r_matrix(datum, left_spec, right_spec):
 
 # -- energy -----------------------------------------------------------------
 
+def _steps(phi, eps):
+    """Energy change along f_0 and along e_0 with phi_0(left) = phi and eps_0(right) = eps."""
+    return (-1 if phi > eps else 1), (1 if phi >= eps else -1)
+
+
 def energy_steps(prod, k):
     """Energy change along f_0 and along e_0 at node k of a binary tensor.
 
@@ -97,43 +103,77 @@ def energy_steps(prod, k):
     energy by one along f_0 and raises it by one along e_0; acting on the
     right factor does the opposite.
     """
-    phi = prod.left.phi(0, prod.left_of[k])
-    eps = prod.right.eps(0, prod.right_of[k])
-    return (-1 if phi > eps else 1), (1 if phi >= eps else -1)
+    return _steps(prod.left.phi(0, prod.left_of[k]), prod.right.eps(0, prod.right_of[k]))
 
 
 def energy_on_tensor(prod, anchor):
     """Integer energy on a binary tensor, zero at the anchor node.
 
-    Returns a list over the nodes. Along color zero the difference across
-    an edge is given by energy_steps; all other colors keep the value flat.
-    Each node is popped once, and every edge leaving it, lowering and
-    raising, either sets the value at its far end or is checked against
-    it, so any path dependence raises instead of returning a skewed table.
+    Returns a list over the nodes: one value per classical component, with
+    every color-0 edge checked. The classical components (colors 1..n) are
+    the lowering closures of highest_weight_decomposition, and every
+    classical raising edge must stay inside its component, so every other
+    color keeps the value flat. A walk over the components along color 0,
+    from the anchor's, sets each component's value by the steps of
+    energy_steps; a component it cannot reach raises. Then every color 0
+    edge, lowering and raising, is compared with those steps, so any path
+    dependence raises instead of returning a skewed table.
     """
-    values = [None] * len(prod)
-    values[anchor] = 0
-    reached = 1
-    queue = [anchor]
-    while queue:
-        x = queue.pop()
-        here = values[x]
-        down, up = energy_steps(prod, x)
-        for j in range(prod.ncolors):
-            for y, value, kind in ((prod.f[j][x], here + down if j == 0 else here, "along"),
-                                   (prod.e[j][x], here + up if j == 0 else here, "against")):
-                if y == -1:
-                    continue
-                if values[y] is None:
-                    values[y] = value
-                    reached += 1
-                    queue.append(y)
-                elif values[y] != value:
-                    raise VerificationError("energy is path dependent %s color %d at %s"
-                                            % (kind, j, prod.ids[x]))
-    if reached != len(prod):
-        raise VerificationError(
-            "energy walk reached %d of %d nodes" % (reached, len(prod)))
+    classical = range(1, prod.ncolors)
+    parts = [members for _, _, members in prod.highest_weight_decomposition(classical)]
+    comp = [0] * len(prod)
+    for c, members in enumerate(parts):
+        for k in members:
+            comp[k] = c
+    # label[-1], read for a missing edge, is len(parts): no component
+    label = comp + [len(parts)]
+    for j in classical:
+        e = prod.e[j]
+        if sum(map(ne, map(label.__getitem__, e), comp)) != e.count(-1):
+            k = next(k for k, y in enumerate(e) if y != -1 and comp[y] != comp[k])
+            raise VerificationError("color %d raising edge leaves its classical component at %s"
+                                    % (j, prod.ids[k]))
+
+    # the steps read a pair only through phi_0 of its left node and eps_0 of
+    # its right node, so the pairs of one left node form one row per phi_0
+    eps = [prod.right.eps(0, b) for b in range(len(prod.right))]
+    rows = {}
+    down, up = [], []
+    for a in range(len(prod.left)):
+        phi = prod.left.phi(0, a)
+        if phi not in rows:
+            rows[phi] = tuple(zip(*(_steps(phi, x) for x in eps)))
+        d, u = rows[phi]
+        down += d
+        up += u
+
+    f0, e0 = prod.f[0], prod.e[0]
+    value = [None] * len(parts) + [0]
+    value[comp[anchor]] = 0
+    queue = [comp[anchor]]
+    unset = len(parts) - 1
+    while queue and unset:
+        c = queue.pop()
+        here = value[c]
+        for k in parts[c]:
+            for t, step in ((label[f0[k]], down[k]), (label[e0[k]], up[k])):
+                if value[t] is None:
+                    value[t] = here + step
+                    queue.append(t)
+                    unset -= 1
+    if unset:
+        reached = sum(len(members) for members, v in zip(parts, value) if v is not None)
+        raise VerificationError("energy walk reached %d of %d nodes" % (reached, len(prod)))
+
+    values = list(map(value.__getitem__, comp))
+    # a missing edge reads None, which no value plus a step equals
+    ends = values + [None]
+    for kind, targets, steps in (("along", f0, down), ("against", e0, up)):
+        if sum(map(ne, map(ends.__getitem__, targets), map(add, values, steps))) != targets.count(-1):
+            k = next(k for k, y in enumerate(targets)
+                     if y != -1 and values[y] != values[k] + steps[k])
+            raise VerificationError("energy is path dependent %s color 0 at %s"
+                                    % (kind, prod.ids[k]))
     return values
 
 

@@ -1,6 +1,8 @@
-"""Leaf-index columns of a tensor product, read off its left_of/right_of arrays."""
+"""Test oracles: leaf-index columns of a tensor product, read off its left_of/right_of
+arrays, and the energy on B (x) B by the walk over single nodes."""
 
-from crystalfold.crystal import Tensor
+from crystalfold.crystal import Tensor, VerificationError
+from crystalfold.intertwine import energy_steps
 
 
 def leaf_columns(crys):
@@ -16,3 +18,36 @@ def leaf_node(crys, leaves):
     if len(leaves) == 1:
         return leaves[0]
     return crys.at(leaf_node(crys.left, leaves[:-1]), leaves[-1])
+
+
+def energy_walk(prod, anchor):
+    """The energy on a binary tensor by a walk over single nodes, as the oracle.
+
+    Each node is popped once, and every edge leaving it, lowering and
+    raising, either sets the value at its far end or is checked against
+    it, so any path dependence raises instead of returning a skewed table.
+    """
+    values = [None] * len(prod)
+    values[anchor] = 0
+    reached = 1
+    queue = [anchor]
+    while queue:
+        x = queue.pop()
+        here = values[x]
+        down, up = energy_steps(prod, x)
+        for j in range(prod.ncolors):
+            for y, value, kind in ((prod.f[j][x], here + down if j == 0 else here, "along"),
+                                   (prod.e[j][x], here + up if j == 0 else here, "against")):
+                if y == -1:
+                    continue
+                if values[y] is None:
+                    values[y] = value
+                    reached += 1
+                    queue.append(y)
+                elif values[y] != value:
+                    raise VerificationError("energy is path dependent %s color %d at %s"
+                                            % (kind, j, prod.ids[x]))
+    if reached != len(prod):
+        raise VerificationError(
+            "energy walk reached %d of %d nodes" % (reached, len(prod)))
+    return values

@@ -7,8 +7,11 @@ import pytest
 from click.testing import CliRunner
 
 from crystalfold import cli
+from crystalfold.cartan import make_datum
 from crystalfold.cli import SCOPE_INSTANCES, main
-from crystalfold.crystal import Report
+from crystalfold.crystal import Report, tensor
+from crystalfold.intertwine import compute_r_matrix, energy_on_tensor
+from crystalfold.models import classical_highest_node, kr_crystal
 
 
 def run(*args):
@@ -149,6 +152,45 @@ def test_energy_table_values():
     assert table["t:1*t:2"] == -1
     assert sorted(table.values()).count(-1) == 3
     assert len(table) == 9
+
+
+def _tables_as_dicts(case, n, i, s):
+    """The energy and R matrix tables of one column as dicts, from the library."""
+    datum = make_datum(case, n)
+    crys = kr_crystal(datum, i, s)
+    top = classical_highest_node(datum, crys, i, s)
+    prod = tensor(crys, crys)
+    energy = dict(zip(prod.ids, energy_on_tensor(prod, prod.at(top, top))))
+    left, right = crys, kr_crystal(datum, datum.omega[i], s)
+    rmat = compute_r_matrix(datum, (i, s), (datum.omega[i], s))
+    exchange = {}
+    for a, x in enumerate(left.ids):
+        for b, y in enumerate(right.ids):
+            c, d = rmat(a, b)
+            exchange[x + "*" + y] = right.ids[c] + "*" + left.ids[d]
+    return {"energy": ("H", energy), "rmatrix": ("map", exchange)}
+
+
+@pytest.mark.parametrize("case,n,i,s", [("a", 2, 1, 1), ("b", 1, 1, 1), ("c", 3, 1, 1),
+                                        ("a", 3, 1, 2)])
+def test_json_maps_render_as_json_dumps(case, n, i, s):
+    for command, (name, table) in _tables_as_dicts(case, n, i, s).items():
+        res = run(command, "--case", case, "--n", str(n), "--i", str(i), "--s", str(s),
+                  "--format", "json")
+        assert res.exit_code == 0, res.output
+        assert res.output == json.dumps({name: table}, sort_keys=True, indent=2) + "\n"
+
+
+def test_json_map_escapes_as_json_dumps():
+    keys, values = ['a"\\', "b\u00e9\n", "c\U0001f600"], ["x\t", "y/\u0100", "z"]
+    assert cli._json_map("m\u00fc", keys, values) == json.dumps(
+        {"m\u00fc": dict(zip(keys, values))}, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("keys", [["b", "a"], ["a", "a"], ["ab", "a"]])
+def test_json_map_refuses_keys_out_of_order(keys):
+    with pytest.raises(ValueError, match="keys of the H map do not ascend strictly"):
+        cli._json_map("H", keys, [0] * len(keys))
 
 
 def test_verify_all_scope_without_case():

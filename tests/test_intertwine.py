@@ -19,7 +19,7 @@ from crystalfold.intertwine import (
     build_tilde_crystal, compute_r_matrix, compute_tau_omega,
     energy_on_tensor, orbit_factors, verify_yang_baxter)
 from crystalfold.models import classical_highest_node, kr_crystal
-from leaves import leaf_columns, leaf_node
+from leaves import energy_walk, leaf_columns, leaf_node
 
 A2 = make_datum("a", 2)
 A3 = make_datum("a", 3)
@@ -110,11 +110,17 @@ def test_exchange_apply_at_slots():
 
 # -- energy -----------------------------------------------------------------
 
-def _component_energies(datum, i, s):
+def _square(datum, i, s):
+    """B (x) B of column i at width s, and its top pair."""
     crys = kr_crystal(datum, i, s)
-    prod = tensor(crys, crys)
     u = classical_highest_node(datum, crys, i, s)
-    table = energy_on_tensor(prod, prod.at(u, u))
+    prod = tensor(crys, crys)
+    return prod, prod.at(u, u)
+
+
+def _component_energies(datum, i, s):
+    prod, anchor = _square(datum, i, s)
+    table = energy_on_tensor(prod, anchor)
     out = {}
     for comp in prod.components(colors=range(1, datum.size)):
         vals = {table[k] for k in comp}
@@ -161,6 +167,55 @@ def test_energy_path_dependence_is_caught():
     with pytest.raises(VerificationError,
                        match="energy is path dependent (along|against) color 0 at"):
         energy_on_tensor(prod, anchor)
+
+
+@pytest.mark.parametrize("case,n,i,s", SCOPE_INSTANCES + [("c", 4, 1, 3)])
+def test_energy_equals_the_node_walk(case, n, i, s):
+    # (c,4,1,3) is the 44,100-node table of the energy benchmark requests
+    prod, anchor = _square(make_datum(case, n), i, s)
+    assert energy_on_tensor(prod, anchor) == energy_walk(prod, anchor)
+
+
+def test_energy_equals_the_node_walk_on_the_compatibility_pair(monkeypatch):
+    tables = []
+
+    def both(prod, anchor):
+        table = energy_on_tensor(prod, anchor)
+        tables.append((len(prod), table == energy_walk(prod, anchor)))
+        return table
+
+    monkeypatch.setattr(fixedpoint, "energy_on_tensor", both)
+    report_ok(verify_tensor_compatibility(A2, (1, 2), (1, 2)))
+    assert tables == [(10000, True)]
+
+
+@pytest.mark.parametrize("maps,message", [
+    # the lowering closures of two classical highest nodes meet
+    ("f", "component of .* has 2 highest nodes under colors"),
+    ("e", "color 1 raising edge leaves its classical component at "),
+])
+def test_energy_classical_edge_into_another_component_is_caught(maps, message):
+    # re-point one color 1 edge into the other classical component, whose
+    # energy differs, and leave the inverse array stale
+    prod, anchor = _square(A2, 1, 1)
+    table = energy_on_tensor(prod, anchor)
+    arr = getattr(prod, maps)[1]
+    x = next(k for k, y in enumerate(arr) if y != -1)
+    arr[x] = next(k for k in range(len(prod)) if table[k] != table[x])
+    with pytest.raises(VerificationError, match=message):
+        energy_on_tensor(prod, anchor)
+    with pytest.raises(VerificationError, match="energy is path dependent"):
+        energy_walk(prod, anchor)
+
+
+def test_energy_unreached_component_is_caught():
+    # without color 0 only the anchor's classical component, 10 of the 16
+    # pairs, is reachable
+    prod, anchor = _square(A2, 1, 1)
+    prod.f[0][:] = prod.e[0][:] = [-1] * len(prod)
+    for energy in (energy_on_tensor, energy_walk):
+        with pytest.raises(VerificationError, match="^energy walk reached 10 of 16 nodes$"):
+            energy(prod, anchor)
 
 
 # -- orbit tensors ----------------------------------------------------------
