@@ -13,9 +13,9 @@ its nodes by tuples of factor indices instead.
 
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import compress, islice
 from math import prod
-from operator import add
+from operator import add, sub
 
 from .cartan import classical_alpha, enumerate_dominant
 
@@ -193,10 +193,65 @@ class Crystal:
 
     # -- axioms -------------------------------------------------------------
 
+    def _string_arrays(self):
+        """Per color, the (eps, phi) arrays, or None unless every string walks
+        and phi - eps is the weight at every node.
+
+        The whole-array checks rest on both. Where either fails, the
+        per-node loops decide, and raise their own errors in their own order.
+        """
+        if set(map(len, self.weights)) - {self.ncolors}:
+            return None
+        try:
+            for j in range(self.ncolors):
+                self._walk_color(j)
+        except VerificationError:
+            return None
+        for j, col in enumerate(zip(*self.weights)):
+            if tuple(map(sub, self._phi[j], self._eps[j])) != col:
+                return None
+        return [(self._eps[j], self._phi[j]) for j in range(self.ncolors)]
+
+    def _axioms_hold(self):
+        """The three crystal axioms on whole arrays, a color at a time.
+
+        Pairing holds when e_j f_j is the identity wherever f_j is defined,
+        and the weight step when each weight coordinate steps by the root's
+        pairing along every edge; semiregularity is _string_arrays' own test.
+        """
+        if self._string_arrays() is None:
+            return False
+        nodes = range(len(self.ids))
+        columns = list(zip(*self.weights))
+        for j in range(self.ncolors):
+            f = self.f[j]
+            live = list(map((-1).__ne__, f))
+            srcs = list(compress(nodes, live))
+            dsts = list(compress(f, live))
+            if list(map(self.e[j].__getitem__, dsts)) != srcs:
+                return False
+            for col, a in zip(columns, classical_alpha(self.gcm, j)):
+                above = list(map(col.__getitem__, srcs))
+                if a:
+                    above = list(map(a.__rsub__, above))
+                if list(map(col.__getitem__, dsts)) != above:
+                    return False
+        return True
+
     def verify_crystal_axioms(self, report=None):
+        """Pairing, weight step and semiregularity, as three report stages.
+
+        Decided on whole arrays when they all hold; otherwise the per-node
+        loops below find the first failure of each and name its witness.
+        """
         report = report if report is not None else Report()
+        whole = False
 
         def pairing():
+            nonlocal whole
+            whole = self._axioms_hold()
+            if whole:
+                return
             for j in range(self.ncolors):
                 seen = {}
                 for src, dst in enumerate(self.f[j]):
@@ -213,6 +268,8 @@ class Crystal:
                             "color %d: raising map does not invert %s" % (j, self.ids[src]))
 
         def weight_step():
+            if whole:
+                return
             for j in range(self.ncolors):
                 alpha = classical_alpha(self.gcm, j)
                 for src, dst in enumerate(self.f[j]):
@@ -224,6 +281,8 @@ class Crystal:
                             "color %d: weight step fails at %s" % (j, self.ids[src]))
 
         def semiregular():
+            if whole:
+                return
             for j in range(self.ncolors):
                 for i in range(len(self.ids)):
                     if self.phi(j, i) - self.eps(j, i) != self.weights[i][j]:
@@ -337,9 +396,65 @@ class Crystal:
 
     # -- extremal elements, simplicity, perfectness --------------------------
 
+    def _reflection(self, j):
+        """The color j Weyl operator as an array: each string reversed."""
+        f, eps = self.f[j], self._eps[j]
+        refl = list(range(len(self.ids)))
+        for top in compress(range(len(self.ids)), self._phi[j]):
+            if eps[top]:
+                continue
+            string = [top]
+            cur = f[top]
+            while cur != -1:
+                string.append(cur)
+                cur = f[cur]
+            for a, b in zip(string, reversed(string)):
+                refl[a] = b
+        return refl
+
     def extremal_elements(self):
         """Nodes whose full orbit under the Weyl operators has, for every
-        color, a vanishing string length on one side."""
+        color, a vanishing string length on one side.
+
+        With consistent strings the operators are the string reversals of
+        _reflection, and an orbit is given up at its first node that fails;
+        otherwise the per-node loop below applies weyl_s, and raises where
+        it falls off the graph.
+        """
+        strings = self._string_arrays()
+        if strings is None:
+            return self._extremal_by_nodes()
+        n = len(self.ids)
+        spread = [0] * n
+        for eps, phi in strings:
+            spread = list(map(add, spread, map(min, eps, phi)))
+        refls = [self._reflection(j) for j in range(self.ncolors)]
+        # None: not yet decided; a node spread on some color is never extremal
+        verdict = [None if v == 0 else False for v in spread]
+        for start in range(n):
+            if verdict[start] is not None:
+                continue
+            orbit = [start]
+            seen = {start}
+            good = True
+            for cur in orbit:
+                for refl in refls:
+                    t = refl[cur]
+                    if t in seen:
+                        continue
+                    if verdict[t] is False:
+                        good = False
+                        break
+                    seen.add(t)
+                    orbit.append(t)
+                if not good:
+                    break
+            for i in orbit:
+                verdict[i] = good
+        return tuple(compress(range(n), verdict))
+
+    def _extremal_by_nodes(self):
+        """extremal_elements by weyl_s from every node, orbit by orbit."""
         n = len(self.ids)
         ok_here = []
         for i in range(n):
@@ -410,8 +525,14 @@ class Crystal:
 
     def level_and_minimal(self):
         """The minimal level and the nodes that have it."""
-        levels = [sum(c * self.eps(j, i) for j, c in enumerate(self.comarks))
-                  for i in range(len(self.ids))]
+        strings = self._string_arrays()
+        if strings is None:
+            levels = [sum(c * self.eps(j, i) for j, c in enumerate(self.comarks))
+                      for i in range(len(self.ids))]
+        else:
+            levels = [0] * len(self.ids)
+            for c, (eps, _) in zip(self.comarks, strings):
+                levels = list(map(add, levels, map(c.__mul__, eps)))
         lev = min(levels)
         return lev, tuple(i for i, l in enumerate(levels) if l == lev)
 

@@ -24,21 +24,6 @@ def affinize(comarks, classical):
 
 # -- rectangular tableaux (cyclic parents) ----------------------------------
 
-def _is_rect_ssyt(rows, nletters):
-    height = len(rows)
-    width = len(rows[0])
-    for r in range(height):
-        for c in range(width):
-            v = rows[r][c]
-            if not 1 <= v <= nletters:
-                return False
-            if c + 1 < width and rows[r][c + 1] < v:
-                return False
-            if r + 1 < height and rows[r + 1][c] <= v:
-                return False
-    return True
-
-
 def _enumerate_rect(nletters, i, s):
     """All semistandard fillings of the i by s rectangle."""
     cols = list(itertools.combinations(range(1, nletters + 1), i))
@@ -122,12 +107,6 @@ def _promote(tab, nletters):
     return tab
 
 
-def _promote_inv(tab, nletters):
-    for t in range(nletters - 1, 0, -1):
-        tab = _bk_swap(tab, t)
-    return tab
-
-
 def _tab_id(tab):
     return "t:" + "|".join(",".join(str(v) for v in row) for row in tab)
 
@@ -144,27 +123,40 @@ def _tab_weight(tab, nletters):
 
 
 def _tableau_crystal(datum, i, s):
+    """The tableau column on index arrays.
+
+    f_1..f_{n-1} are looked up in the index of the fillings. The affine
+    edge is the promotion conjugate f_0 = pr f_1 pr^-1, composed on whole
+    arrays from the promotion permutation pr, one _promote per filling.
+    """
     nletters = datum.size
     tabs = _enumerate_rect(nletters, i, s)
-    nodes = {}
-    f_edges = {j: {} for j in range(nletters)}
+    named = sorted((_tab_id(tab), tab) for tab in tabs)
+    index = {tab: k for k, (_, tab) in enumerate(named)}
+    ids = tuple(bid for bid, _ in named)
+    f = [[-1] * len(ids) for _ in range(nletters)]
+    pr = [-1] * len(ids)
+    # in enumeration order, so that a broken filling names the first witness
     for tab in tabs:
-        nodes[_tab_id(tab)] = (_tab_weight(tab, nletters), _tab_id(tab)[2:])
-    for tab in tabs:
-        bid = _tab_id(tab)
+        k = index[tab]
         for t in range(1, nletters):
             down = _tab_signature_act(tab, t, lower=True)
             if down is not None:
-                if not _is_rect_ssyt(down, nletters):
-                    raise VerificationError("lowering broke the filling at %s" % bid)
-                f_edges[t][bid] = _tab_id(down)
-        shifted = _tab_signature_act(_promote_inv(tab, nletters), 1, lower=True)
-        if shifted is not None:
-            down = _promote(shifted, nletters)
-            if not _is_rect_ssyt(down, nletters):
-                raise VerificationError("affine lowering broke the filling at %s" % bid)
-            f_edges[0][bid] = _tab_id(down)
-    return Crystal.from_edges(datum.gcm, datum.comarks, nodes, f_edges)
+                if down not in index:
+                    raise VerificationError("lowering broke the filling at %s" % ids[k])
+                f[t][k] = index[down]
+        up = _promote(tab, nletters)
+        if up not in index:
+            raise VerificationError("promotion broke the filling at %s" % ids[k])
+        pr[k] = index[up]
+    if len(set(pr)) != len(pr):
+        raise VerificationError("promotion is not a permutation of the fillings")
+    for src, dst in enumerate(f[1]):
+        if dst != -1:
+            f[0][pr[src]] = pr[dst]
+    weights = tuple(_tab_weight(tab, nletters) for _, tab in named)
+    return Crystal(datum.gcm, datum.comarks, ids, weights, f,
+                   tuple(bid[2:] for bid in ids))
 
 
 # -- vector column (simply branched parents) --------------------------------
@@ -389,24 +381,36 @@ def _center_crystal(datum, s):
     partial = Crystal.from_edges(datum.gcm, datum.comarks, nodes, f_edges)
     comps = partial.components(colors=(1, 3, 4))
     heads, matchings = _center_candidates(partial, comps)
+    pieces = {}
+
+    def piece(k, pick):
+        # sigma on component k sending its head to the head of pick, or
+        # None; matchings share pieces, so each is propagated once
+        if (k, pick) not in pieces:
+            try:
+                pieces[k, pick] = propagate_map(
+                    partial, partial, {heads[k]: heads[pick]},
+                    colors=(1, 3, 4), domain=comps[k], weight_map=_center_swap)
+            except VerificationError:
+                pieces[k, pick] = None
+        return pieces[k, pick]
+
     survivors = []
     for matching in matchings:
         sigma = [-1] * len(partial)
-        try:
-            for k, pick in matching.items():
-                image = propagate_map(
-                    partial, partial, {heads[k]: heads[pick]},
-                    colors=(1, 3, 4), domain=comps[k], weight_map=_center_swap)
-                for x in comps[k]:
-                    sigma[x] = image[x]
-        except VerificationError:
-            continue
-        mids = [partial.f[2][image] for image in sigma]
-        zero = [-1 if mid == -1 else sigma[mid] for mid in mids]
-        crys = Crystal(datum.gcm, datum.comarks, partial.ids, partial.weights,
-                       [zero] + partial.f[1:], partial.payloads)
-        if crys.verify_crystal_axioms().ok and crys.is_connected():
-            survivors.append(crys)
+        for k, pick in matching.items():
+            image = piece(k, pick)
+            if image is None:
+                break
+            for x in comps[k]:
+                sigma[x] = image[x]
+        else:
+            mids = [partial.f[2][image] for image in sigma]
+            zero = [-1 if mid == -1 else sigma[mid] for mid in mids]
+            crys = Crystal(datum.gcm, datum.comarks, partial.ids, partial.weights,
+                           [zero] + partial.f[1:], partial.payloads)
+            if crys.verify_crystal_axioms().ok and crys.is_connected():
+                survivors.append(crys)
     distinct = {tuple(crys.f[0]): crys for crys in survivors}
     if len(distinct) > 1:
         kept = {tuple(crys.f[0]): crys for crys in distinct.values()

@@ -380,6 +380,198 @@ def test_extremal_standard_is_everything():
     assert set(V_SL3.extremal_elements()) == set(range(len(V_SL3)))
 
 
+# -- whole-array checks against the per-node loops ---------------------------
+
+def axioms_by_loops(crys):
+    """verify_crystal_axioms as per-node loops, the oracle of the whole-array check."""
+    report = Report()
+
+    def pairing():
+        for j in range(crys.ncolors):
+            seen = {}
+            for src, dst in enumerate(crys.f[j]):
+                if dst == -1:
+                    continue
+                if dst in seen:
+                    raise VerificationError(
+                        "color %d: nodes %s and %s share f-target %s"
+                        % (j, crys.ids[seen[dst]], crys.ids[src], crys.ids[dst]))
+                seen[dst] = src
+            for src, dst in enumerate(crys.f[j]):
+                if dst != -1 and crys.e[j][dst] != src:
+                    raise VerificationError(
+                        "color %d: raising map does not invert %s" % (j, crys.ids[src]))
+
+    def weight_step():
+        for j in range(crys.ncolors):
+            alpha = classical_alpha(crys.gcm, j)
+            for src, dst in enumerate(crys.f[j]):
+                if dst == -1:
+                    continue
+                expect = tuple(w - a for w, a in zip(crys.weights[src], alpha))
+                if crys.weights[dst] != expect:
+                    raise VerificationError(
+                        "color %d: weight step fails at %s" % (j, crys.ids[src]))
+
+    def semiregular():
+        for j in range(crys.ncolors):
+            for i in range(len(crys.ids)):
+                if crys.phi(j, i) - crys.eps(j, i) != crys.weights[i][j]:
+                    raise VerificationError(
+                        "color %d: phi - eps != weight at %s" % (j, crys.ids[i]))
+
+    report.run("axiom:pairing", pairing)
+    report.run("axiom:weight-step", weight_step)
+    report.run("axiom:semiregular", semiregular)
+    return report
+
+
+def extremal_by_loops(crys):
+    """extremal_elements by weyl_s from every node, the oracle of the reflection arrays."""
+    n = len(crys.ids)
+    ok_here = [all(crys.eps(j, i) == 0 or crys.phi(j, i) == 0 for j in range(crys.ncolors))
+               for i in range(n)]
+    verdict = [None] * n
+    for start in range(n):
+        if verdict[start] is not None:
+            continue
+        orbit = [start]
+        seen = {start}
+        for cur in orbit:
+            for j in range(crys.ncolors):
+                t = crys.weyl_s(j, cur)
+                if t not in seen:
+                    seen.add(t)
+                    orbit.append(t)
+        good = all(ok_here[i] for i in orbit)
+        for i in orbit:
+            verdict[i] = good
+    return tuple(i for i in range(n) if verdict[i])
+
+
+def level_by_loops(crys):
+    levels = [sum(c * crys.eps(j, i) for j, c in enumerate(crys.comarks))
+              for i in range(len(crys.ids))]
+    lev = min(levels)
+    return lev, tuple(i for i, v in enumerate(levels) if v == lev)
+
+
+def simple_and_perfect_by_loops(crys, s):
+    """is_simple and is_perfect of crys, which this rewires to the per-node
+    extremal and level loops, as (stages or the raised message) for each."""
+    crys.extremal_elements = lambda: extremal_by_loops(crys)
+    crys.level_and_minimal = lambda: level_by_loops(crys)
+    return outcome(crys.is_simple), outcome(lambda: crys.is_perfect(s))
+
+
+def outcome(check):
+    try:
+        return check().stages
+    except VerificationError as exc:
+        return "raised: %s" % exc
+
+
+def checks_by_arrays(crys, s):
+    return (outcome(crys.verify_crystal_axioms), outcome(crys.is_simple),
+            outcome(lambda: crys.is_perfect(s)))
+
+
+def checks_by_loops(crys, s):
+    """checks_by_arrays on the per-node loops; crys must be a fresh copy."""
+    return (outcome(lambda: axioms_by_loops(crys)),) + simple_and_perfect_by_loops(crys, s)
+
+
+def fresh(crys, f=None, weights=None):
+    """A copy of crys with no cached strings, optionally with other f or weights."""
+    return Crystal(crys.gcm, crys.comarks, crys.ids,
+                   crys.weights if weights is None else tuple(weights),
+                   [list(row) for row in (crys.f if f is None else f)], crys.payloads)
+
+
+# (crystal, width for is_perfect): the pool at level 1, and a scope hat
+CHECKED = [(crys, 1) for crys in POOL] + [
+    (build_hat_crystal(make_datum("b", 2), 2, 2).crystal, 2)]
+
+
+@pytest.mark.parametrize("case,n,i,s", SCOPE_INSTANCES)
+def test_whole_array_checks_match_the_loops_on_scope(case, n, i, s):
+    datum = make_datum(case, n)
+    for crys in (build_hat_crystal(datum, i, s).crystal, kr_crystal(datum, i, s)):
+        crys = fresh(crys)
+        assert crys._string_arrays() is not None and crys._axioms_hold()
+        assert checks_by_arrays(crys, s) == checks_by_loops(fresh(crys), s)
+        assert crys.extremal_elements() == extremal_by_loops(crys)
+        assert crys.level_and_minimal() == level_by_loops(crys)
+
+
+@given(st.data())
+def test_whole_array_checks_match_the_loops_on_corruptions(data):
+    crys, s = data.draw(st.sampled_from(CHECKED))
+    n = len(crys)
+    f = [list(row) for row in crys.f]
+    weights = list(crys.weights)
+    kind = data.draw(st.sampled_from(["edge", "weight", "cycle"]))
+    j = data.draw(st.integers(0, crys.ncolors - 1))
+    k = data.draw(st.integers(0, n - 1))
+    if kind == "edge":
+        f[j][k] = data.draw(st.integers(-1, n - 1))
+    elif kind == "weight":
+        step = data.draw(st.sampled_from([-2, -1, 1, 2]))
+        weights[k] = tuple(v + step if c == j else v for c, v in enumerate(weights[k]))
+    else:
+        # close k's color j string into a cycle: its tail lowers to its head
+        head = tail = k
+        while crys.e[j][head] != -1:
+            head = crys.e[j][head]
+        while crys.f[j][tail] != -1:
+            tail = crys.f[j][tail]
+        f[j][tail] = head
+    assert (checks_by_arrays(fresh(crys, f, weights), s)
+            == checks_by_loops(fresh(crys, f, weights), s))
+
+
+def test_extremal_falls_back_when_weights_disagree_with_strings():
+    # the top of the sl2 3-string claims weight 0, so s_0 fixes it and
+    # sends the bottom two steps up to it; its string says 2
+    top = B3_SL2.weights.index((2,))
+    bottom = B3_SL2.weights.index((-2,))
+    weights = [(0,) if k == top else wt for k, wt in enumerate(B3_SL2.weights)]
+    bad = fresh(B3_SL2, weights=weights)
+    assert bad._string_arrays() is None
+    assert bad.extremal_elements() == extremal_by_loops(bad) == tuple(sorted((top, bottom)))
+    assert checks_by_arrays(bad, 2) == checks_by_loops(fresh(bad), 2)
+    # and a weight whose Weyl step falls off the graph fails S2 with that message
+    middle = B3_SL2.weights.index((0,))
+    weights = [(2,) if k == middle else wt for k, wt in enumerate(B3_SL2.weights)]
+    bad = fresh(B3_SL2, weights=weights)
+    assert checks_by_arrays(bad, 2) == checks_by_loops(fresh(bad), 2)
+    assert checks_by_arrays(bad, 2)[1][1] == (
+        "simple:S2", False, "Weyl step fell off the graph (color 0)")
+
+
+def test_weight_step_fails_where_every_string_matches_its_weight():
+    # f_0 a = b over sl3 and no color 1 edge: each string agrees with the
+    # weights, yet the step leaves coordinate 1 at 0 where alpha_0 gives +1
+    crys = Crystal.from_edges(SL3, (1, 1), {"a": ((1, 0), None), "b": ((-1, 0), None)},
+                              {0: {"a": "b"}})
+    assert crys._string_arrays() is not None and not crys._axioms_hold()
+    stages = crys.verify_crystal_axioms().stages
+    assert stages == axioms_by_loops(fresh(crys)).stages
+    assert stages[1] == ("axiom:weight-step", False, "color 0: weight step fails at a")
+
+
+def test_a_weight_of_the_wrong_length_is_left_to_the_loops():
+    # an extra coordinate at the middle node: the weight step into it fails
+    middle = B3_SL2.weights.index((0,))
+    weights = [(0, 7) if k == middle else wt for k, wt in enumerate(B3_SL2.weights)]
+    bad = fresh(B3_SL2, weights=weights)
+    assert bad._string_arrays() is None
+    got = checks_by_arrays(bad, 2)
+    assert got == checks_by_loops(fresh(bad), 2)
+    assert got[0][1] == ("axiom:weight-step", False,
+                         "color 0: weight step fails at %s" % B3_SL2.ids[B3_SL2.e[0][middle]])
+
+
 # -- serialization ----------------------------------------------------------
 
 def test_json_shape_and_determinism():

@@ -1,13 +1,19 @@
 """Node models: frozen sizes, operator spot checks, scope gates."""
 
+import json
+
 import pytest
 
 from crystalfold import models
-from crystalfold.cartan import ScopeError, make_datum
-from crystalfold.crystal import Crystal, VerificationError
+from crystalfold.cartan import ScopeError, block, make_datum
+from crystalfold.cli import SCOPE_INSTANCES
+from crystalfold.crystal import Crystal, Report, VerificationError, propagate_map
 from crystalfold.models import (
-    _bk_swap, _promote, _promote_inv, _vec_id, _vec_states, _vec_weight,
-    _vector_crystal, classical_highest_node, kr_crystal)
+    _bk_swap, _center_candidates, _center_crystal, _center_swap, _promote,
+    _tab_id, _tab_weight, _tableau_crystal, _vec_id,
+    _vec_states, _vec_weight, _vector_crystal, affinize, classical_highest_node,
+    kr_crystal)
+from crystalfold.monomial import highest_weight_crystal
 
 A2 = make_datum("a", 2)
 A3 = make_datum("a", 3)
@@ -64,6 +70,27 @@ def test_cache_returns_same_object():
 
 # -- tableau family ---------------------------------------------------------
 
+def _promote_inv(tab, nletters):
+    for t in range(nletters - 1, 0, -1):
+        tab = _bk_swap(tab, t)
+    return tab
+
+
+def _is_rect_ssyt(rows, nletters):
+    height = len(rows)
+    width = len(rows[0])
+    for r in range(height):
+        for c in range(width):
+            v = rows[r][c]
+            if not 1 <= v <= nletters:
+                return False
+            if c + 1 < width and rows[r][c + 1] < v:
+                return False
+            if r + 1 < height and rows[r + 1][c] <= v:
+                return False
+    return True
+
+
 def test_promotion_on_single_boxes():
     # content moves down by one, cyclically
     n = B1.size
@@ -84,6 +111,94 @@ def test_promotion_order():
                 cur = _promote(cur, n)
             assert cur == tab
             assert _promote_inv(_promote(tab, n), n) == tab
+
+
+def tableau_crystal_from_edges(datum, i, s):
+    """The string-keyed builder, kept as the oracle of _tableau_crystal:
+    every lowered filling re-checked as semistandard, and f_0 applied
+    tableau by tableau as promotion, f_1, inverse promotion."""
+    nletters = datum.size
+    tabs = models._enumerate_rect(nletters, i, s)
+    nodes = {}
+    f_edges = {j: {} for j in range(nletters)}
+    for tab in tabs:
+        nodes[_tab_id(tab)] = (_tab_weight(tab, nletters), _tab_id(tab)[2:])
+    for tab in tabs:
+        bid = _tab_id(tab)
+        for t in range(1, nletters):
+            down = models._tab_signature_act(tab, t, lower=True)
+            if down is not None:
+                if not _is_rect_ssyt(down, nletters):
+                    raise VerificationError("lowering broke the filling at %s" % bid)
+                f_edges[t][bid] = _tab_id(down)
+        shifted = models._tab_signature_act(_promote_inv(tab, nletters), 1, lower=True)
+        if shifted is not None:
+            down = _promote(shifted, nletters)
+            if not _is_rect_ssyt(down, nletters):
+                raise VerificationError("affine lowering broke the filling at %s" % bid)
+            f_edges[0][bid] = _tab_id(down)
+    return Crystal.from_edges(datum.gcm, datum.comarks, nodes, f_edges)
+
+
+def _scope_tableau_columns():
+    cols = set()
+    for case, n, i, s in SCOPE_INSTANCES + [("a", 4, 2, 2), ("b", 3, 2, 2)]:
+        if case in ("a", "b"):
+            datum = make_datum(case, n)
+            cols.update((case, n, col, s) for col in datum.orbit(i))
+    return sorted(cols) + [("a", 4, 3, 2), ("b", 3, 4, 2), ("a", 3, 1, 4)]
+
+
+@pytest.mark.parametrize("case,n,i,s", _scope_tableau_columns())
+def test_tableau_arrays_match_the_edge_builder(case, n, i, s):
+    datum = make_datum(case, n)
+    got = json.dumps(_tableau_crystal(datum, i, s).to_json(), sort_keys=True)
+    want = json.dumps(tableau_crystal_from_edges(datum, i, s).to_json(), sort_keys=True)
+    assert got == want
+
+
+@pytest.mark.parametrize("datum,i,s,t,uneven,witness", [
+    (A2, 2, 1, 2, False, "t:1|2"),
+    (A3, 3, 2, 2, True, "t:1,2|2,4|3,5"),  # id order would name t:1,2|2,3|4,4
+])
+def test_tableau_lowering_out_of_the_fillings_is_caught(
+        monkeypatch, datum, i, s, t, uneven, witness):
+    # a letter-t lowering that also bumps the last box past the alphabet,
+    # only on fillings with an uneven first row when uneven is set; the
+    # witness is the first broken filling in enumeration order
+    step = models._tab_signature_act
+
+    def leaky(tab, letter, lower):
+        out = step(tab, letter, lower)
+        if out is None or letter != t or (uneven and len(set(tab[0])) == 1):
+            return out
+        return out[:-1] + (out[-1][:-1] + (datum.size + 1,),)
+
+    monkeypatch.setattr(models, "_tab_signature_act", leaky)
+    message = r"^lowering broke the filling at %s$" % witness.replace("|", r"\|")
+    with pytest.raises(VerificationError, match=message):
+        _tableau_crystal(datum, i, s)
+    with pytest.raises(VerificationError, match=message):
+        tableau_crystal_from_edges(datum, i, s)
+
+
+def test_tableau_promotion_out_of_the_fillings_is_caught(monkeypatch):
+    promote = models._promote
+
+    def broken(tab, nletters):
+        out = promote(tab, nletters)
+        return ((nletters + 1,),) if out == ((1,),) else out
+
+    monkeypatch.setattr(models, "_promote", broken)
+    with pytest.raises(VerificationError, match="^promotion broke the filling at t:2$"):
+        _tableau_crystal(B1, 1, 1)
+
+
+def test_tableau_promotion_that_is_not_a_permutation_is_caught(monkeypatch):
+    monkeypatch.setattr(models, "_promote", lambda tab, nletters: ((1,),))
+    with pytest.raises(VerificationError,
+                       match="^promotion is not a permutation of the fillings$"):
+        _tableau_crystal(B1, 1, 1)
 
 
 def test_bk_is_involution():
@@ -240,3 +355,112 @@ def test_scope_errors():
         kr_crystal(A2, 4, 1)
     with pytest.raises(ScopeError):
         kr_crystal(A2, 1, 0)
+
+
+# -- the affine completion search of the branch-point column ------------------
+
+def center_crystal_by_matchings(datum, s):
+    """The search that propagates every sigma piece once per matching, kept
+    as the oracle of _center_crystal, which propagates each piece once."""
+    block_gcm = block(datum.gcm, (1, 2, 3, 4))
+    nodes = {}
+    f_edges = {j: {} for j in range(datum.size)}
+    for k in range(s + 1):
+        part = highest_weight_crystal(block_gcm, (k, 0, 0, 0))
+        rename = ["c%d:%s" % (k, b[2:]) for b in part.ids]
+        for b, wt, payload in zip(rename, part.weights, part.payloads):
+            nodes[b] = (affinize(datum.comarks, wt), (k, payload))
+        for pos in range(4):
+            for src, dst in enumerate(part.f[pos]):
+                if dst != -1:
+                    f_edges[pos + 1][rename[src]] = rename[dst]
+    partial = Crystal.from_edges(datum.gcm, datum.comarks, nodes, f_edges)
+    comps = partial.components(colors=(1, 3, 4))
+    heads, matchings = _center_candidates(partial, comps)
+    survivors = []
+    for matching in matchings:
+        sigma = [-1] * len(partial)
+        try:
+            for k, pick in matching.items():
+                image = models.propagate_map(
+                    partial, partial, {heads[k]: heads[pick]},
+                    colors=(1, 3, 4), domain=comps[k], weight_map=_center_swap)
+                for x in comps[k]:
+                    sigma[x] = image[x]
+        except VerificationError:
+            continue
+        mids = [partial.f[2][image] for image in sigma]
+        zero = [-1 if mid == -1 else sigma[mid] for mid in mids]
+        crys = Crystal(datum.gcm, datum.comarks, partial.ids, partial.weights,
+                       [zero] + partial.f[1:], partial.payloads)
+        if crys.verify_crystal_axioms().ok and crys.is_connected():
+            survivors.append(crys)
+    distinct = {tuple(crys.f[0]): crys for crys in survivors}
+    if len(distinct) > 1:
+        kept = {tuple(crys.f[0]): crys for crys in distinct.values()
+                if crys.is_simple().ok and crys.is_perfect(s).ok}
+        if len(kept) != 1:
+            raise VerificationError(
+                "%d affine completions survive at width %d" % (len(kept), s))
+        distinct = kept
+    if not distinct:
+        raise VerificationError("no affine completion verifies at width %d" % s)
+    return next(iter(distinct.values()))
+
+
+def _traced_build(monkeypatch, build, datum, s, refuse=lambda anchors: False):
+    """build(datum, s) as its to_json or raised message, the stage list of
+    every Report made meanwhile in creation order, and the number of
+    propagate_map calls; a call whose anchors refuse accepts fails."""
+    reports = []
+    calls = []
+    init = Report.__init__
+
+    def recording(report, *args, **kwargs):
+        init(report, *args, **kwargs)
+        reports.append(report)
+
+    def counting(src, dst, anchors, **kwargs):
+        calls.append(1)
+        if refuse(anchors):
+            raise VerificationError("refused")
+        return propagate_map(src, dst, anchors, **kwargs)
+
+    highest_weight_crystal.cache_clear()
+    with monkeypatch.context() as patch:
+        patch.setattr(Report, "__init__", recording)
+        patch.setattr(models, "propagate_map", counting)
+        try:
+            doc = json.dumps(build(datum, s).to_json(), sort_keys=True)
+        except VerificationError as exc:
+            doc = "raised: %s" % exc
+    return doc, [list(report.stages) for report in reports], len(calls)
+
+
+@pytest.mark.parametrize("s,most,oracle_calls", [(1, 7, 10), (2, 27, 240)])
+def test_center_search_propagates_each_piece_once(monkeypatch, s, most, oracle_calls):
+    got = _traced_build(monkeypatch, _center_crystal, D3, s)
+    want = _traced_build(monkeypatch, center_crystal_by_matchings, D3, s)
+    assert got[0] == want[0] and not got[0].startswith("raised")
+    assert got[1] == want[1] and len(got[1]) > 0
+    assert want[2] == oracle_calls
+    assert got[2] <= most
+
+
+@pytest.mark.parametrize("s,head,image,outcome", [
+    (1, 0, 0, "{"), (1, 0, 20, "raised: no affine completion verifies"),
+    (2, 47, 119, "{"), (2, 20, 20, "raised: 0 affine completions survive"),
+    (2, 0, 305, "raised: 0 affine completions survive"),
+    (2, 56, 178, "raised: no affine completion verifies"),
+])
+def test_center_search_skips_a_failed_piece_in_every_matching(
+        monkeypatch, s, head, image, outcome):
+    # no piece fails on the scope data, so one is refused: the piece of the
+    # component of node head that sends it to node image
+    def refuse(anchors):
+        return anchors == {head: image}
+
+    got = _traced_build(monkeypatch, _center_crystal, D3, s, refuse)
+    want = _traced_build(monkeypatch, center_crystal_by_matchings, D3, s, refuse)
+    assert got[:2] == want[:2]
+    assert got[0].startswith(outcome)
