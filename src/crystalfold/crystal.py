@@ -193,33 +193,31 @@ class Crystal:
 
     # -- axioms -------------------------------------------------------------
 
-    def _string_arrays(self):
-        """Per color, the (eps, phi) arrays, or None unless every string walks
-        and phi - eps is the weight at every node.
+    def _strings_agree(self):
+        """Whether every color's strings walk and phi - eps is the weight at
+        every node.
 
-        The whole-array checks rest on both. Where either fails, the
+        The whole-array axiom check rests on both. Where either fails, the
         per-node loops decide, and raise their own errors in their own order.
         """
         if set(map(len, self.weights)) - {self.ncolors}:
-            return None
+            return False
         try:
             for j in range(self.ncolors):
                 self._walk_color(j)
         except VerificationError:
-            return None
-        for j, col in enumerate(zip(*self.weights)):
-            if tuple(map(sub, self._phi[j], self._eps[j])) != col:
-                return None
-        return [(self._eps[j], self._phi[j]) for j in range(self.ncolors)]
+            return False
+        return all(tuple(map(sub, self._phi[j], self._eps[j])) == col
+                   for j, col in enumerate(zip(*self.weights)))
 
     def _axioms_hold(self):
         """The three crystal axioms on whole arrays, a color at a time.
 
         Pairing holds when e_j f_j is the identity wherever f_j is defined,
         and the weight step when each weight coordinate steps by the root's
-        pairing along every edge; semiregularity is _string_arrays' own test.
+        pairing along every edge; semiregularity is _strings_agree's own test.
         """
-        if self._string_arrays() is None:
+        if not self._strings_agree():
             return False
         nodes = range(len(self.ids))
         columns = list(zip(*self.weights))
@@ -396,65 +394,9 @@ class Crystal:
 
     # -- extremal elements, simplicity, perfectness --------------------------
 
-    def _reflection(self, j):
-        """The color j Weyl operator as an array: each string reversed."""
-        f, eps = self.f[j], self._eps[j]
-        refl = list(range(len(self.ids)))
-        for top in compress(range(len(self.ids)), self._phi[j]):
-            if eps[top]:
-                continue
-            string = [top]
-            cur = f[top]
-            while cur != -1:
-                string.append(cur)
-                cur = f[cur]
-            for a, b in zip(string, reversed(string)):
-                refl[a] = b
-        return refl
-
     def extremal_elements(self):
         """Nodes whose full orbit under the Weyl operators has, for every
-        color, a vanishing string length on one side.
-
-        With consistent strings the operators are the string reversals of
-        _reflection, and an orbit is given up at its first node that fails;
-        otherwise the per-node loop below applies weyl_s, and raises where
-        it falls off the graph.
-        """
-        strings = self._string_arrays()
-        if strings is None:
-            return self._extremal_by_nodes()
-        n = len(self.ids)
-        spread = [0] * n
-        for eps, phi in strings:
-            spread = list(map(add, spread, map(min, eps, phi)))
-        refls = [self._reflection(j) for j in range(self.ncolors)]
-        # None: not yet decided; a node spread on some color is never extremal
-        verdict = [None if v == 0 else False for v in spread]
-        for start in range(n):
-            if verdict[start] is not None:
-                continue
-            orbit = [start]
-            seen = {start}
-            good = True
-            for cur in orbit:
-                for refl in refls:
-                    t = refl[cur]
-                    if t in seen:
-                        continue
-                    if verdict[t] is False:
-                        good = False
-                        break
-                    seen.add(t)
-                    orbit.append(t)
-                if not good:
-                    break
-            for i in orbit:
-                verdict[i] = good
-        return tuple(compress(range(n), verdict))
-
-    def _extremal_by_nodes(self):
-        """extremal_elements by weyl_s from every node, orbit by orbit."""
+        color, a vanishing string length on one side."""
         n = len(self.ids)
         ok_here = []
         for i in range(n):
@@ -525,14 +467,10 @@ class Crystal:
 
     def level_and_minimal(self):
         """The minimal level and the nodes that have it."""
-        strings = self._string_arrays()
-        if strings is None:
-            levels = [sum(c * self.eps(j, i) for j, c in enumerate(self.comarks))
-                      for i in range(len(self.ids))]
-        else:
-            levels = [0] * len(self.ids)
-            for c, (eps, _) in zip(self.comarks, strings):
-                levels = list(map(add, levels, map(c.__mul__, eps)))
+        levels = [0] * len(self.ids)
+        for j, c in enumerate(self.comarks):
+            self._walk_color(j)
+            levels = list(map(add, levels, map(c.__mul__, self._eps[j])))
         lev = min(levels)
         return lev, tuple(i for i, l in enumerate(levels) if l == lev)
 

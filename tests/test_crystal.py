@@ -426,30 +426,8 @@ def axioms_by_loops(crys):
     return report
 
 
-def extremal_by_loops(crys):
-    """extremal_elements by weyl_s from every node, the oracle of the reflection arrays."""
-    n = len(crys.ids)
-    ok_here = [all(crys.eps(j, i) == 0 or crys.phi(j, i) == 0 for j in range(crys.ncolors))
-               for i in range(n)]
-    verdict = [None] * n
-    for start in range(n):
-        if verdict[start] is not None:
-            continue
-        orbit = [start]
-        seen = {start}
-        for cur in orbit:
-            for j in range(crys.ncolors):
-                t = crys.weyl_s(j, cur)
-                if t not in seen:
-                    seen.add(t)
-                    orbit.append(t)
-        good = all(ok_here[i] for i in orbit)
-        for i in orbit:
-            verdict[i] = good
-    return tuple(i for i in range(n) if verdict[i])
-
-
 def level_by_loops(crys):
+    """level_and_minimal as a per-node sum, the oracle of the whole-array sum."""
     levels = [sum(c * crys.eps(j, i) for j, c in enumerate(crys.comarks))
               for i in range(len(crys.ids))]
     lev = min(levels)
@@ -458,8 +436,7 @@ def level_by_loops(crys):
 
 def simple_and_perfect_by_loops(crys, s):
     """is_simple and is_perfect of crys, which this rewires to the per-node
-    extremal and level loops, as (stages or the raised message) for each."""
-    crys.extremal_elements = lambda: extremal_by_loops(crys)
+    level sum, as (stages or the raised message) for each."""
     crys.level_and_minimal = lambda: level_by_loops(crys)
     return outcome(crys.is_simple), outcome(lambda: crys.is_perfect(s))
 
@@ -498,9 +475,8 @@ def test_whole_array_checks_match_the_loops_on_scope(case, n, i, s):
     datum = make_datum(case, n)
     for crys in (build_hat_crystal(datum, i, s).crystal, kr_crystal(datum, i, s)):
         crys = fresh(crys)
-        assert crys._string_arrays() is not None and crys._axioms_hold()
+        assert crys._strings_agree() and crys._axioms_hold()
         assert checks_by_arrays(crys, s) == checks_by_loops(fresh(crys), s)
-        assert crys.extremal_elements() == extremal_by_loops(crys)
         assert crys.level_and_minimal() == level_by_loops(crys)
 
 
@@ -530,15 +506,15 @@ def test_whole_array_checks_match_the_loops_on_corruptions(data):
             == checks_by_loops(fresh(crys, f, weights), s))
 
 
-def test_extremal_falls_back_when_weights_disagree_with_strings():
+def test_checks_where_weights_disagree_with_strings():
     # the top of the sl2 3-string claims weight 0, so s_0 fixes it and
     # sends the bottom two steps up to it; its string says 2
     top = B3_SL2.weights.index((2,))
     bottom = B3_SL2.weights.index((-2,))
     weights = [(0,) if k == top else wt for k, wt in enumerate(B3_SL2.weights)]
     bad = fresh(B3_SL2, weights=weights)
-    assert bad._string_arrays() is None
-    assert bad.extremal_elements() == extremal_by_loops(bad) == tuple(sorted((top, bottom)))
+    assert not bad._strings_agree()
+    assert bad.extremal_elements() == tuple(sorted((top, bottom)))
     assert checks_by_arrays(bad, 2) == checks_by_loops(fresh(bad), 2)
     # and a weight whose Weyl step falls off the graph fails S2 with that message
     middle = B3_SL2.weights.index((0,))
@@ -554,7 +530,7 @@ def test_weight_step_fails_where_every_string_matches_its_weight():
     # weights, yet the step leaves coordinate 1 at 0 where alpha_0 gives +1
     crys = Crystal.from_edges(SL3, (1, 1), {"a": ((1, 0), None), "b": ((-1, 0), None)},
                               {0: {"a": "b"}})
-    assert crys._string_arrays() is not None and not crys._axioms_hold()
+    assert crys._strings_agree() and not crys._axioms_hold()
     stages = crys.verify_crystal_axioms().stages
     assert stages == axioms_by_loops(fresh(crys)).stages
     assert stages[1] == ("axiom:weight-step", False, "color 0: weight step fails at a")
@@ -565,7 +541,7 @@ def test_a_weight_of_the_wrong_length_is_left_to_the_loops():
     middle = B3_SL2.weights.index((0,))
     weights = [(0, 7) if k == middle else wt for k, wt in enumerate(B3_SL2.weights)]
     bad = fresh(B3_SL2, weights=weights)
-    assert bad._string_arrays() is None
+    assert not bad._strings_agree()
     got = checks_by_arrays(bad, 2)
     assert got == checks_by_loops(fresh(bad), 2)
     assert got[0][1] == ("axiom:weight-step", False,
