@@ -63,13 +63,17 @@ class Crystal:
 
     ids[k], weights[k] and payloads[k] describe node k, and f[j][k] is its
     color j lowering image, -1 for none. Ids ascend strictly, so index order
-    is id order and all derived output is canonical.
+    is id order and all derived output is canonical, and every weight has
+    one coordinate per color.
     """
 
     def __init__(self, gcm, comarks, ids, weights, f, payloads):
         if not all(map(str.__lt__, ids, islice(ids, 1, None))):
             k = next(k for k in range(1, len(ids)) if ids[k - 1] >= ids[k])
             raise ValueError("node ids collide or are out of order at %s" % ids[k])
+        if set(map(len, weights)) - {len(gcm)}:
+            k = next(k for k, wt in enumerate(weights) if len(wt) != len(gcm))
+            raise ValueError("weight length mismatch at %s" % ids[k])
         self.gcm = tuple(tuple(row) for row in gcm)
         self.comarks = tuple(comarks)
         self.ncolors = len(self.gcm)
@@ -80,27 +84,6 @@ class Crystal:
         self.e = [_inverse(arr) for arr in f]
         self._eps = {}
         self._phi = {}
-
-    @classmethod
-    def from_edges(cls, gcm, comarks, nodes, f_edges):
-        """Crystal from nodes {id: (weight, payload)} and f_edges {color: {src_id: dst_id}}."""
-        ids = tuple(sorted(nodes))
-        index = {b: k for k, b in enumerate(ids)}
-        weights = []
-        payloads = []
-        for b in ids:
-            wt, payload = nodes[b]
-            if len(wt) != len(gcm):
-                raise ValueError("weight length mismatch at %s" % b)
-            weights.append(tuple(wt))
-            payloads.append(payload)
-        f = []
-        for j in range(len(gcm)):
-            arr = [-1] * len(ids)
-            for src, dst in f_edges.get(j, {}).items():
-                arr[index[src]] = index[dst]
-            f.append(arr)
-        return cls(gcm, comarks, ids, tuple(weights), f, tuple(payloads))
 
     def __len__(self):
         return len(self.ids)
@@ -193,99 +176,59 @@ class Crystal:
 
     # -- axioms -------------------------------------------------------------
 
-    def _strings_agree(self):
-        """Whether every color's strings walk and phi - eps is the weight at
-        every node.
-
-        The whole-array axiom check rests on both. Where either fails, the
-        per-node loops decide, and raise their own errors in their own order.
-        """
-        if set(map(len, self.weights)) - {self.ncolors}:
-            return False
-        try:
-            for j in range(self.ncolors):
-                self._walk_color(j)
-        except VerificationError:
-            return False
-        return all(tuple(map(sub, self._phi[j], self._eps[j])) == col
-                   for j, col in enumerate(zip(*self.weights)))
-
-    def _axioms_hold(self):
-        """The three crystal axioms on whole arrays, a color at a time.
-
-        Pairing holds when e_j f_j is the identity wherever f_j is defined,
-        and the weight step when each weight coordinate steps by the root's
-        pairing along every edge; semiregularity is _strings_agree's own test.
-        """
-        if not self._strings_agree():
-            return False
-        nodes = range(len(self.ids))
-        columns = list(zip(*self.weights))
-        for j in range(self.ncolors):
-            f = self.f[j]
-            live = list(map((-1).__ne__, f))
-            srcs = list(compress(nodes, live))
-            dsts = list(compress(f, live))
-            if list(map(self.e[j].__getitem__, dsts)) != srcs:
-                return False
-            for col, a in zip(columns, classical_alpha(self.gcm, j)):
-                above = list(map(col.__getitem__, srcs))
-                if a:
-                    above = list(map(a.__rsub__, above))
-                if list(map(col.__getitem__, dsts)) != above:
-                    return False
-        return True
-
     def verify_crystal_axioms(self, report=None):
         """Pairing, weight step and semiregularity, as three report stages.
 
-        Decided on whole arrays when they all hold; otherwise the per-node
-        loops below find the first failure of each and name its witness.
+        Each is decided on whole arrays, a color at a time over that color's
+        edge sources and targets; only where a comparison fails are the
+        nodes searched for the witness, the first in index order.
         """
         report = report if report is not None else Report()
-        whole = False
+        nodes = range(len(self.ids))
+        edges = []
+        for f in self.f:
+            live = list(map((-1).__ne__, f))
+            edges.append((list(compress(nodes, live)), list(compress(f, live))))
+        columns = list(zip(*self.weights))
 
         def pairing():
-            nonlocal whole
-            whole = self._axioms_hold()
-            if whole:
-                return
-            for j in range(self.ncolors):
+            # e_j f_j is the identity where f_j is defined; e_j is derived
+            # from f_j, so this fails where two sources share a target
+            for j, (srcs, dsts) in enumerate(edges):
+                back = list(map(self.e[j].__getitem__, dsts))
+                if back == srcs:
+                    continue
                 seen = {}
-                for src, dst in enumerate(self.f[j]):
-                    if dst == -1:
-                        continue
+                for src, dst in zip(srcs, dsts):
                     if dst in seen:
                         raise VerificationError(
                             "color %d: nodes %s and %s share f-target %s"
                             % (j, self.ids[seen[dst]], self.ids[src], self.ids[dst]))
                     seen[dst] = src
-                for src, dst in enumerate(self.f[j]):
-                    if dst != -1 and self.e[j][dst] != src:
-                        raise VerificationError(
-                            "color %d: raising map does not invert %s" % (j, self.ids[src]))
+                raise VerificationError("color %d: raising map does not invert %s"
+                                        % (j, self.ids[_first_difference(srcs, back, srcs)]))
 
         def weight_step():
-            if whole:
-                return
-            for j in range(self.ncolors):
-                alpha = classical_alpha(self.gcm, j)
-                for src, dst in enumerate(self.f[j]):
-                    if dst == -1:
-                        continue
-                    expect = tuple(w - a for w, a in zip(self.weights[src], alpha))
-                    if self.weights[dst] != expect:
-                        raise VerificationError(
-                            "color %d: weight step fails at %s" % (j, self.ids[src]))
+            for j, (srcs, dsts) in enumerate(edges):
+                failing = []
+                for col, a in zip(columns, classical_alpha(self.gcm, j)):
+                    above = list(map(col.__getitem__, srcs))
+                    if a:
+                        above = list(map(a.__rsub__, above))
+                    below = list(map(col.__getitem__, dsts))
+                    if below != above:
+                        failing.append(_first_difference(srcs, below, above))
+                if failing:
+                    raise VerificationError(
+                        "color %d: weight step fails at %s" % (j, self.ids[min(failing)]))
 
         def semiregular():
-            if whole:
-                return
-            for j in range(self.ncolors):
-                for i in range(len(self.ids)):
-                    if self.phi(j, i) - self.eps(j, i) != self.weights[i][j]:
-                        raise VerificationError(
-                            "color %d: phi - eps != weight at %s" % (j, self.ids[i]))
+            for j, col in enumerate(columns):
+                self._walk_color(j)
+                diff = tuple(map(sub, self._phi[j], self._eps[j]))
+                if diff != col:
+                    raise VerificationError("color %d: phi - eps != weight at %s"
+                                            % (j, self.ids[_first_difference(nodes, diff, col)]))
 
         report.run("axiom:pairing", pairing)
         report.run("axiom:weight-step", weight_step)

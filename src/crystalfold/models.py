@@ -221,26 +221,37 @@ def _vec_f(xs, bars, j, m):
     return tuple(xs), tuple(bars)
 
 
-def _vector_crystal(datum, s):
-    m = datum.n + 1
-    states = _vec_states(m, s)
-    named = sorted((_vec_id(xs, bars), xs, bars) for xs, bars in states)
-    index = {(xs, bars): k for k, (_, xs, bars) in enumerate(named)}
-    ids = tuple(bid for bid, _, _ in named)
+def _state_crystal(datum, states, name, lower, weigh):
+    """A column on index arrays from its list of states.
+
+    name(state) renders its id, lower(state, j) is its color j image or
+    None, and weigh(state) its weight; each id is rendered once.
+    """
+    named = sorted((name(state), state) for state in states)
+    index = {state: k for k, (_, state) in enumerate(named)}
+    ids = tuple(bid for bid, _ in named)
     f = [[-1] * len(ids) for _ in range(datum.size)]
+    # in enumeration order, so that a lowering out of the states names the first witness
     for state in states:
         k = index[state]
         for j, row in enumerate(f):
-            nxt = _vec_f(*state, j, m)
+            nxt = lower(state, j)
             if nxt is None:
                 continue
-            nx, nb = nxt
-            if nx[m - 1] and nb[m - 1]:
+            dst = index.get(nxt)
+            if dst is None:
                 raise VerificationError("lowering left the state space at %s" % ids[k])
-            row[k] = index[nxt]
-    weights = tuple(_vec_weight(datum, xs, bars) for _, xs, bars in named)
+            row[k] = dst
+    weights = tuple(weigh(state) for _, state in named)
     return Crystal(datum.gcm, datum.comarks, ids, weights, f,
                    tuple(bid[2:] for bid in ids))
+
+
+def _vector_crystal(datum, s):
+    m = datum.n + 1
+    return _state_crystal(datum, _vec_states(m, s), lambda state: _vec_id(*state),
+                          lambda state, j: _vec_f(*state, j, m),
+                          lambda state: _vec_weight(datum, *state))
 
 
 # -- fork columns as sign vectors -------------------------------------------
@@ -280,16 +291,8 @@ def _spin_crystal(datum, parity):
     m = datum.n + 1
     states = [signs for signs in itertools.product((1, -1), repeat=m)
               if sum(1 for v in signs if v < 0) % 2 == parity]
-    nodes = {}
-    f_edges = {j: {} for j in range(datum.size)}
-    for signs in states:
-        nodes[_spin_id(signs)] = (_spin_weight(datum, signs), _spin_id(signs)[2:])
-    for signs in states:
-        for j in range(datum.size):
-            nxt = _spin_f(signs, j, m)
-            if nxt is not None:
-                f_edges[j][_spin_id(signs)] = _spin_id(nxt)
-    return Crystal.from_edges(datum.gcm, datum.comarks, nodes, f_edges)
+    return _state_crystal(datum, states, _spin_id, lambda signs, j: _spin_f(signs, j, m),
+                          lambda signs: _spin_weight(datum, signs))
 
 
 # -- branch-point column of the triple fork ---------------------------------
@@ -367,18 +370,19 @@ def _center_crystal(datum, s):
     from .monomial import highest_weight_crystal
 
     block_gcm = block(datum.gcm, (1, 2, 3, 4))
-    nodes = {}
-    f_edges = {j: {} for j in range(datum.size)}
+    ids, weights, payloads = [], [], []
+    classical = [[] for _ in range(4)]
+    # blocks c0:, c1:, ... in order, each with its indices shifted by base
     for k in range(s + 1):
         part = highest_weight_crystal(block_gcm, (k, 0, 0, 0))
-        rename = ["c%d:%s" % (k, b[2:]) for b in part.ids]
-        for b, wt, payload in zip(rename, part.weights, part.payloads):
-            nodes[b] = (affinize(datum.comarks, wt), (k, payload))
-        for pos in range(4):
-            for src, dst in enumerate(part.f[pos]):
-                if dst != -1:
-                    f_edges[pos + 1][rename[src]] = rename[dst]
-    partial = Crystal.from_edges(datum.gcm, datum.comarks, nodes, f_edges)
+        base = len(ids)
+        ids += ["c%d:%s" % (k, b[2:]) for b in part.ids]
+        weights += [affinize(datum.comarks, wt) for wt in part.weights]
+        payloads += [(k, payload) for payload in part.payloads]
+        for row, lowering in zip(classical, part.f):
+            row += [-1 if dst == -1 else base + dst for dst in lowering]
+    partial = Crystal(datum.gcm, datum.comarks, tuple(ids), tuple(weights),
+                      [[-1] * len(ids)] + classical, tuple(payloads))
     comps = partial.components(colors=(1, 3, 4))
     heads, matchings = _center_candidates(partial, comps)
     pieces = {}

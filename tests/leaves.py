@@ -1,8 +1,23 @@
-"""Test oracles: leaf-index columns of a tensor product, read off its left_of/right_of
-arrays, and the energy on B (x) B by the walk over single nodes."""
+"""Test oracles: crystals built from id-keyed dicts, leaf-index columns of a
+tensor product, read off its left_of/right_of arrays, and the energy on
+B (x) B by the walk over single nodes."""
 
-from crystalfold.crystal import Tensor, VerificationError
+from crystalfold.crystal import Crystal, Tensor, VerificationError
 from crystalfold.intertwine import energy_steps
+
+
+def crystal_from_edges(gcm, comarks, nodes, f_edges):
+    """Crystal from nodes {id: (weight, payload)} and f_edges {color: {src_id: dst_id}}."""
+    ids = tuple(sorted(nodes))
+    index = {b: k for k, b in enumerate(ids)}
+    f = []
+    for j in range(len(gcm)):
+        arr = [-1] * len(ids)
+        for src, dst in f_edges.get(j, {}).items():
+            arr[index[src]] = index[dst]
+        f.append(arr)
+    return Crystal(gcm, comarks, ids, tuple(tuple(nodes[b][0]) for b in ids), f,
+                   tuple(nodes[b][1] for b in ids))
 
 
 def leaf_columns(crys):

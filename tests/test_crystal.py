@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -14,7 +15,7 @@ from crystalfold.crystal import (
 from crystalfold.fixedpoint import build_hat_crystal
 from crystalfold.models import kr_crystal
 from crystalfold.monomial import highest_weight_crystal
-from leaves import leaf_columns
+from leaves import crystal_from_edges, leaf_columns
 
 SL2 = ((2,),)
 SL3 = ((2, -1), (-1, 2))
@@ -51,7 +52,7 @@ def test_duplicated_target_fails_pairing_with_witness():
     # point a second source at an existing target
     a, b = srcs[0], srcs[1]
     f_edges[0][b] = f_edges[0][a]
-    bad = Crystal.from_edges(SL2, (1,), nodes, f_edges)
+    bad = crystal_from_edges(SL2, (1,), nodes, f_edges)
     report = bad.verify_crystal_axioms()
     name, ok, detail = report.stages[0]
     assert name == "axiom:pairing" and not ok
@@ -62,7 +63,7 @@ def test_deleted_edge_breaks_semiregularity():
     nodes, f_edges = crystal_to_dicts(B3_SL2)
     victim = sorted(f_edges[0])[0]
     del f_edges[0][victim]
-    bad = Crystal.from_edges(SL2, (1,), nodes, f_edges)
+    bad = crystal_from_edges(SL2, (1,), nodes, f_edges)
     report = bad.verify_crystal_axioms()
     assert not report.ok
     failed = [name for name, ok, _ in report.stages if not ok]
@@ -74,7 +75,7 @@ def test_wrong_weight_breaks_weight_step():
     victim = sorted(nodes)[0]
     wt, payload = nodes[victim]
     nodes[victim] = (tuple(v + 1 for v in wt), payload)
-    bad = Crystal.from_edges(SL3, (1, 1), nodes, f_edges)
+    bad = crystal_from_edges(SL3, (1, 1), nodes, f_edges)
     assert not bad.verify_crystal_axioms().ok
 
 
@@ -157,7 +158,7 @@ def test_tensor_rejects_mixed_data():
 def test_tensor_allows_composite_leaf_ids():
     """Factor boundaries are tracked by count, not by parsing the ids."""
     nodes = {"x*y": ((0,), None)}
-    leaf = Crystal.from_edges(SL2, (1,), nodes, {})
+    leaf = crystal_from_edges(SL2, (1,), nodes, {})
     prod = tensor(leaf, leaf)
     assert prod.ids == ("x*y*x*y",)
     assert len(leaf_columns(prod)) == 2
@@ -178,7 +179,7 @@ def reference_tensor(left, right):
                     ta, tb = a, right.f[j][b]
                 if ta != -1 and tb != -1:
                     f_edges[j][x + "*" + y] = left.ids[ta] + "*" + right.ids[tb]
-    return Crystal.from_edges(left.gcm, left.comarks, nodes, f_edges)
+    return crystal_from_edges(left.gcm, left.comarks, nodes, f_edges)
 
 
 def assert_same_graph(prod, ref):
@@ -212,15 +213,15 @@ def test_index_tensor_matches_reference_center_columns():
 def test_index_tensor_refuses_when_pair_order_is_not_id_order():
     # "x y" extends "x" by a blank, which sorts below "*", so the pair
     # x y*x sorts below x*x y, which comes before it in pair order
-    leaf = Crystal.from_edges(SL2, (1,), {"x": ((1,), None), "x y": ((-1,), None)},
+    leaf = crystal_from_edges(SL2, (1,), {"x": ((1,), None), "x y": ((-1,), None)},
                               {0: {"x": "x y"}})
     with pytest.raises(ValueError, match="^node ids collide or are out of order at x y\\*x$"):
         tensor(leaf, leaf)
 
 
 def test_index_tensor_rejects_colliding_ids():
-    left = Crystal.from_edges(SL2, (1,), {"x": ((0,), None), "x*y": ((0,), None)}, {})
-    right = Crystal.from_edges(SL2, (1,), {"y*z": ((0,), None), "z": ((0,), None)}, {})
+    left = crystal_from_edges(SL2, (1,), {"x": ((0,), None), "x*y": ((0,), None)}, {})
+    right = crystal_from_edges(SL2, (1,), {"y*z": ((0,), None), "z": ((0,), None)}, {})
     with pytest.raises(ValueError, match="collide"):
         tensor(left, right)
 
@@ -247,7 +248,7 @@ def test_littlewood_richardson_fixture():
 
 
 def test_cyclic_string_is_rejected_by_both_walks():
-    loop = Crystal.from_edges(SL2, (1,), {"a": ((0,), None), "b": ((0,), None)},
+    loop = crystal_from_edges(SL2, (1,), {"a": ((0,), None), "b": ((0,), None)},
                               {0: {"a": "b", "b": "a"}})
     with pytest.raises(VerificationError, match="cyclic string through a"):
         loop.own_strings(0)
@@ -314,14 +315,14 @@ def _decomposition_failure(crys, colors):
 def test_decomposition_requires_unique_highest():
     nodes = {"a": ((0, 0), None), "b": ((0, 0), None), "c": ((0, 0), None)}
     f_edges = {0: {"a": "b"}, 1: {"c": "b"}}
-    weird = Crystal.from_edges(SL3, (1, 1), nodes, f_edges)
+    weird = crystal_from_edges(SL3, (1, 1), nodes, f_edges)
     assert (_decomposition_failure(weird, (0, 1))
             == "component of a has 2 highest nodes under colors (0, 1)")
 
 
 def test_decomposition_without_a_highest_node():
     # f_0 a = b and f_1 b = a: each node is raised by the other
-    loop = Crystal.from_edges(SL3, (1, 1), {"a": ((0, 0), None), "b": ((0, 0), None)},
+    loop = crystal_from_edges(SL3, (1, 1), {"a": ((0, 0), None), "b": ((0, 0), None)},
                               {0: {"a": "b"}, 1: {"b": "a"}})
     assert (_decomposition_failure(loop, (0, 1))
             == "component of a has 0 highest nodes under colors (0, 1)")
@@ -332,7 +333,7 @@ def test_decomposition_of_a_cyclic_component():
     # h lowers into z, which the color 0 cycle y <-> w also reaches under
     # color 1: one highest node, though the cycle is not below it
     nodes = {b: ((0, 0), None) for b in "hwyz"}
-    cyclic = Crystal.from_edges(SL3, (1, 1), nodes,
+    cyclic = crystal_from_edges(SL3, (1, 1), nodes,
                                 {0: {"h": "z", "y": "w", "w": "y"}, 1: {"y": "z"}})
     got = cyclic.highest_weight_decomposition((0, 1))
     assert got == reference_decomposition(cyclic, (0, 1)) == [(0, (0, 0), (0, 1, 2, 3))]
@@ -475,35 +476,78 @@ def test_whole_array_checks_match_the_loops_on_scope(case, n, i, s):
     datum = make_datum(case, n)
     for crys in (build_hat_crystal(datum, i, s).crystal, kr_crystal(datum, i, s)):
         crys = fresh(crys)
-        assert crys._strings_agree() and crys._axioms_hold()
         assert checks_by_arrays(crys, s) == checks_by_loops(fresh(crys), s)
         assert crys.level_and_minimal() == level_by_loops(crys)
 
 
-@given(st.data())
-def test_whole_array_checks_match_the_loops_on_corruptions(data):
-    crys, s = data.draw(st.sampled_from(CHECKED))
-    n = len(crys)
+def corrupted(crys, kind, j, k, value):
+    """crys with one corruption at color j and node k, as (f, weights):
+    f_j k set to value ("edge"), weight coordinate j of k moved by value
+    ("weight"), or k's color j string closed into a cycle ("cycle")."""
     f = [list(row) for row in crys.f]
     weights = list(crys.weights)
-    kind = data.draw(st.sampled_from(["edge", "weight", "cycle"]))
-    j = data.draw(st.integers(0, crys.ncolors - 1))
-    k = data.draw(st.integers(0, n - 1))
     if kind == "edge":
-        f[j][k] = data.draw(st.integers(-1, n - 1))
+        f[j][k] = value
     elif kind == "weight":
-        step = data.draw(st.sampled_from([-2, -1, 1, 2]))
-        weights[k] = tuple(v + step if c == j else v for c, v in enumerate(weights[k]))
+        weights[k] = tuple(v + value if c == j else v for c, v in enumerate(weights[k]))
     else:
-        # close k's color j string into a cycle: its tail lowers to its head
+        # its tail lowers to its head
         head = tail = k
         while crys.e[j][head] != -1:
             head = crys.e[j][head]
         while crys.f[j][tail] != -1:
             tail = crys.f[j][tail]
         f[j][tail] = head
+    return f, weights
+
+
+@given(st.data())
+def test_whole_array_checks_match_the_loops_on_corruptions(data):
+    crys, s = data.draw(st.sampled_from(CHECKED))
+    n = len(crys)
+    kind = data.draw(st.sampled_from(["edge", "weight", "cycle"]))
+    j = data.draw(st.integers(0, crys.ncolors - 1))
+    k = data.draw(st.integers(0, n - 1))
+    value = (data.draw(st.integers(-1, n - 1)) if kind == "edge"
+             else data.draw(st.sampled_from([-2, -1, 1, 2])))
+    f, weights = corrupted(crys, kind, j, k, value)
     assert (checks_by_arrays(fresh(crys, f, weights), s)
             == checks_by_loops(fresh(crys, f, weights), s))
+
+
+@pytest.mark.parametrize("kind", ["edge", "weight", "cycle"])
+@pytest.mark.parametrize("at", ["first", "last"])
+def test_axiom_witnesses_match_the_loops_at_the_ends(kind, at):
+    # every checked crystal, corrupted at its first or last color and node;
+    # an edge goes to the node at the other end, or away if it already does
+    for crys, _ in CHECKED:
+        n = len(crys)
+        j, k = (0, 0) if at == "first" else (crys.ncolors - 1, n - 1)
+        value = 1 if kind != "edge" else (-1 if crys.f[j][k] == n - 1 - k else n - 1 - k)
+        f, weights = corrupted(crys, kind, j, k, value)
+        got = fresh(crys, f, weights).verify_crystal_axioms().stages
+        assert got == axioms_by_loops(fresh(crys, f, weights)).stages
+
+
+def test_weight_step_names_the_smaller_source_over_the_columns():
+    # color 0 over sl3 steps by alpha_0 = (2, -1): a -> b is wrong in
+    # coordinate 1 only, c -> d in coordinate 0 only
+    crys = crystal_from_edges(SL3, (1, 1), {
+        "a": ((1, 0), None), "b": ((-1, 0), None),
+        "c": ((2, 0), None), "d": ((1, 1), None)}, {0: {"a": "b", "c": "d"}})
+    stages = crys.verify_crystal_axioms().stages
+    assert stages == axioms_by_loops(fresh(crys)).stages
+    assert stages[1] == ("axiom:weight-step", False, "color 0: weight step fails at a")
+
+
+def test_pairing_names_the_first_failing_color():
+    # both colors send two sources to d; color 1's pair is the smaller
+    nodes = {b: ((0, 0), None) for b in "abcd"}
+    crys = crystal_from_edges(SL3, (1, 1), nodes,
+                              {0: {"b": "d", "c": "d"}, 1: {"a": "d", "b": "d"}})
+    stages = crys.verify_crystal_axioms().stages
+    assert stages == axioms_by_loops(fresh(crys)).stages
+    assert stages[0] == ("axiom:pairing", False, "color 0: nodes b and c share f-target d")
 
 
 def test_checks_where_weights_disagree_with_strings():
@@ -513,7 +557,6 @@ def test_checks_where_weights_disagree_with_strings():
     bottom = B3_SL2.weights.index((-2,))
     weights = [(0,) if k == top else wt for k, wt in enumerate(B3_SL2.weights)]
     bad = fresh(B3_SL2, weights=weights)
-    assert not bad._strings_agree()
     assert bad.extremal_elements() == tuple(sorted((top, bottom)))
     assert checks_by_arrays(bad, 2) == checks_by_loops(fresh(bad), 2)
     # and a weight whose Weyl step falls off the graph fails S2 with that message
@@ -528,24 +571,21 @@ def test_checks_where_weights_disagree_with_strings():
 def test_weight_step_fails_where_every_string_matches_its_weight():
     # f_0 a = b over sl3 and no color 1 edge: each string agrees with the
     # weights, yet the step leaves coordinate 1 at 0 where alpha_0 gives +1
-    crys = Crystal.from_edges(SL3, (1, 1), {"a": ((1, 0), None), "b": ((-1, 0), None)},
+    crys = crystal_from_edges(SL3, (1, 1), {"a": ((1, 0), None), "b": ((-1, 0), None)},
                               {0: {"a": "b"}})
-    assert crys._strings_agree() and not crys._axioms_hold()
     stages = crys.verify_crystal_axioms().stages
     assert stages == axioms_by_loops(fresh(crys)).stages
     assert stages[1] == ("axiom:weight-step", False, "color 0: weight step fails at a")
+    assert stages[2] == ("axiom:semiregular", True, "")
 
 
-def test_a_weight_of_the_wrong_length_is_left_to_the_loops():
-    # an extra coordinate at the middle node: the weight step into it fails
+def test_a_weight_of_the_wrong_length_is_refused_at_construction():
+    # an extra coordinate at the middle node, whose monomial id holds "^"
     middle = B3_SL2.weights.index((0,))
     weights = [(0, 7) if k == middle else wt for k, wt in enumerate(B3_SL2.weights)]
-    bad = fresh(B3_SL2, weights=weights)
-    assert not bad._strings_agree()
-    got = checks_by_arrays(bad, 2)
-    assert got == checks_by_loops(fresh(bad), 2)
-    assert got[0][1] == ("axiom:weight-step", False,
-                         "color 0: weight step fails at %s" % B3_SL2.ids[B3_SL2.e[0][middle]])
+    message = "weight length mismatch at %s" % B3_SL2.ids[middle]
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        fresh(B3_SL2, weights=weights)
 
 
 # -- serialization ----------------------------------------------------------
@@ -592,7 +632,7 @@ def test_propagate_orders_agree():
 def test_propagate_corrupted_edge_witness(order, witness):
     nodes, f_edges = crystal_to_dicts(ADJ_SL3)
     del f_edges[1][sorted(f_edges[1])[-1]]
-    bad = Crystal.from_edges(SL3, (1, 1), nodes, f_edges)
+    bad = crystal_from_edges(SL3, (1, 1), nodes, f_edges)
     top = ADJ_SL3.ids.index(ADJ_TOP)
     with pytest.raises(VerificationError) as exc:
         propagate_map(ADJ_SL3, bad, {top: bad.ids.index(ADJ_TOP)}, order=order)
@@ -662,7 +702,7 @@ def two_copies(crys):
     both = {p + b: node for p in ("a:", "b:") for b, node in nodes.items()}
     edges = {j: {p + x: p + y for p in ("a:", "b:") for x, y in row.items()}
              for j, row in f_edges.items()}
-    return Crystal.from_edges(crys.gcm, crys.comarks, both, edges)
+    return crystal_from_edges(crys.gcm, crys.comarks, both, edges)
 
 
 ADJ_FORK = next(k for k in range(len(ADJ_SL3))

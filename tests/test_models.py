@@ -1,5 +1,6 @@
 """Node models: frozen sizes, operator spot checks, scope gates."""
 
+import itertools
 import json
 
 import pytest
@@ -10,10 +11,11 @@ from crystalfold.cli import SCOPE_INSTANCES
 from crystalfold.crystal import Crystal, Report, VerificationError, propagate_map
 from crystalfold.models import (
     _bk_swap, _center_candidates, _center_crystal, _center_swap, _promote,
-    _tab_id, _tab_weight, _tableau_crystal, _vec_id,
+    _spin_id, _spin_weight, _tab_id, _tab_weight, _tableau_crystal, _vec_id,
     _vec_states, _vec_weight, _vector_crystal, affinize, classical_highest_node,
     kr_crystal)
 from crystalfold.monomial import highest_weight_crystal
+from leaves import crystal_from_edges
 
 A2 = make_datum("a", 2)
 A3 = make_datum("a", 3)
@@ -137,7 +139,7 @@ def tableau_crystal_from_edges(datum, i, s):
             if not _is_rect_ssyt(down, nletters):
                 raise VerificationError("affine lowering broke the filling at %s" % bid)
             f_edges[0][bid] = _tab_id(down)
-    return Crystal.from_edges(datum.gcm, datum.comarks, nodes, f_edges)
+    return crystal_from_edges(datum.gcm, datum.comarks, nodes, f_edges)
 
 
 def _scope_tableau_columns():
@@ -268,7 +270,7 @@ def vector_crystal_from_edges(datum, s):
             if nx[m - 1] and nb[m - 1]:
                 raise VerificationError("lowering left the state space at %s" % bid)
             f_edges[j][bid] = _vec_id(nx, nb)
-    return Crystal.from_edges(datum.gcm, datum.comarks, nodes, f_edges)
+    return crystal_from_edges(datum.gcm, datum.comarks, nodes, f_edges)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -317,6 +319,37 @@ def test_spin_edges():
     assert ids[even.f[2][ids.index("p:++--")]] == "p:+-+-"
     assert even.f[3][ids.index("p:++--")] == -1
     assert ids[even.e[0][ids.index("p:++++")]] == "p:--++"
+
+
+def spin_crystal_from_edges(datum, parity):
+    """The string-keyed builder, kept as the oracle of _spin_crystal."""
+    m = datum.n + 1
+    states = [signs for signs in itertools.product((1, -1), repeat=m)
+              if sum(1 for v in signs if v < 0) % 2 == parity]
+    nodes = {}
+    f_edges = {j: {} for j in range(datum.size)}
+    for signs in states:
+        nodes[_spin_id(signs)] = (_spin_weight(datum, signs), _spin_id(signs)[2:])
+    for signs in states:
+        for j in range(datum.size):
+            nxt = models._spin_f(signs, j, m)
+            if nxt is not None:
+                f_edges[j][_spin_id(signs)] = _spin_id(nxt)
+    return crystal_from_edges(datum.gcm, datum.comarks, nodes, f_edges)
+
+
+@pytest.mark.parametrize("case,n,i", [("c", n, i) for n in (3, 4, 5) for i in (n, n + 1)]
+                         + [("d", 3, 3), ("d", 3, 4)])
+def test_spin_arrays_match_the_edge_builder(case, n, i):
+    datum = make_datum(case, n)
+    if case == "c":
+        want = spin_crystal_from_edges(datum, 1 if i == n else 0)
+    else:
+        want = models._relabeled_triple(
+            datum, lambda std: spin_crystal_from_edges(std, 1 if i == 3 else 0))
+    got = kr_crystal(datum, i, 1)
+    assert (json.dumps(got.to_json(), sort_keys=True)
+            == json.dumps(want.to_json(), sort_keys=True))
 
 
 def test_center_classical_tower():
@@ -374,7 +407,7 @@ def center_crystal_by_matchings(datum, s):
             for src, dst in enumerate(part.f[pos]):
                 if dst != -1:
                     f_edges[pos + 1][rename[src]] = rename[dst]
-    partial = Crystal.from_edges(datum.gcm, datum.comarks, nodes, f_edges)
+    partial = crystal_from_edges(datum.gcm, datum.comarks, nodes, f_edges)
     comps = partial.components(colors=(1, 3, 4))
     heads, matchings = _center_candidates(partial, comps)
     survivors = []

@@ -2,10 +2,10 @@
 
 import pytest
 
-from crystalfold.crystal import Crystal
 from crystalfold.monomial import (
     _a_term, _as_dict, _as_key, _mul, f_mono, highest_weight_crystal, mono_id,
     mono_weight, weight_multiset)
+from leaves import crystal_from_edges
 
 SL2 = ((2,),)
 SL3 = ((2, -1), (-1, 2))
@@ -132,7 +132,7 @@ def highest_weight_crystal_from_edges(gcm, lam):
                 queue.append(nxt)
     nodes = {mono_id(key): (mono_weight(_as_dict(key), n), mono_id(key)[2:])
              for key in seen}
-    return Crystal.from_edges(gcm, (1,) * n, nodes, f_edges)
+    return crystal_from_edges(gcm, (1,) * n, nodes, f_edges)
 
 
 def _dominant(rank, top):
