@@ -129,15 +129,15 @@ def weyl_dimension(datum, coeffs):
 def branch_hat(datum, i, s):
     """Decompose the folded crystal over its classical nodes.
 
-    The highest nodes are computed twice: nodes killed by every folded
-    raising operator, and the classically-highest nodes upstairs among the
-    parent nodes under the folded ones, which the walk from the top node
-    found fixed by the twist. Any disagreement is a hard failure.
+    The highest nodes are computed twice: the heads of the folded classical
+    components, and the classically-highest nodes upstairs among the parent
+    nodes under the folded ones, which the walk from the top node found
+    fixed by the twist. Any disagreement is a hard failure.
     """
     hat = build_hat_crystal(datum, i, s)
     jset = datum.hat_classical_nodes
-    raising = [hat.crystal.e[j] for j in jset]
-    route1 = [h for h in range(len(hat.crystal)) if all(e[h] == -1 for e in raising)]
+    decomp = hat.crystal.highest_weight_decomposition(jset)
+    route1 = [h for h, _, _ in decomp]
     route2 = [h for h, p in enumerate(hat.fixed)
               if all(hat.parent.apply_word((j,), p, lowering=False) == -1
                      for j in datum.classical_nodes)]
@@ -146,9 +146,6 @@ def branch_hat(datum, i, s):
             "highest weight characterizations disagree: %d folded-highest vs "
             "%d fixed classically-highest" % (len(route1), len(route2)))
 
-    decomp = hat.crystal.highest_weight_decomposition(jset)
-    if [h for h, _, _ in decomp] != route1:
-        raise VerificationError("component heads differ from the raising kernel")
     counts = Counter()
     sizes = {}
     for _, wt, comp in decomp:

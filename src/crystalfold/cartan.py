@@ -322,15 +322,6 @@ def pi_tilde_weight(datum, i):
     return tuple(out)
 
 
-def hat_pi_weight(datum, i):
-    """Level-zero fundamental weight on the folded side (zero for i = 0)."""
-    out = [0] * len(datum.reps)
-    if i != 0:
-        out[i] = 1
-        out[0] = -datum.hat_comarks[i]
-    return tuple(out)
-
-
 def enumerate_dominant(comarks, lev):
     """All nonnegative coefficient tuples of the given level; finite since comarks > 0."""
     ranges = [range(lev // c + 1) for c in comarks]

@@ -286,8 +286,6 @@ class Crystal:
         owner = [-1] * len(self.ids)
         out = []
         for top in highs:
-            if owner[top] != -1:
-                return self._decomposition_by_components(colors)
             owner[top] = top
             members = [top]
             for cur in members:
@@ -484,7 +482,7 @@ class Tensor(Crystal):
     """Tensor product crystal left (x) right, stored by node index.
 
     Node a * len(right) + b is the pair (a, b) of a left and a right node,
-    and left_of and right_of read the pair off the node. Ids are rendered
+    so divmod(node, len(right)) reads the pair off the node. Ids are rendered
     once, as left id + "*" + right id; pair order must be id order, so an id
     that extends another id by a character below "*" is refused.
 
@@ -499,8 +497,6 @@ class Tensor(Crystal):
             raise ValueError("tensor factors live over different data")
         na, nb = len(left), len(right)
         self.left, self.right = left, right
-        self.left_of = [a for a in range(na) for _ in range(nb)]
-        self.right_of = list(range(nb)) * na
         weights = [tuple(map(add, x, y)) for x in left.weights for y in right.weights]
         f = []
         for j in range(left.ncolors):

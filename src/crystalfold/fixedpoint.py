@@ -1,23 +1,20 @@
 """Folding: the crystal living on twist-fixed nodes, and its verification.
 
-The folded graph keeps exactly the nodes the twist fixes, and every folded
-crystal is built by fold_crystal. Each folded color acts through a fixed
-word of parent operators; a word that ends anywhere outside the fixed set,
-or that its raising partner fails to undo, is a hard error rather than a
-skipped edge. Weights fold through the orbit-constant check, so a node whose
-parent weight is not constant on orbits cannot enter the folded crystal
-silently.
+Every folded crystal is built by one walk, fold_crystal, from a node the
+twist fixes. Each folded color acts through a fixed word of parent
+operators; a word that its omega-twisted twin does not match, or that its
+raising partner fails to undo, is a hard error rather than a skipped edge,
+and a weight that is not constant on orbits cannot enter the fold silently.
 
-The fixed nodes of a column are found by a walk from the top node on the
-orbit tensor, which is never built: the column crystal itself for a
-one-column orbit, a LazyTensor otherwise. Fixedness is checked along the
-walk's words, and the walk must reach the closed-form size; only the
-triality legs, which have no closed form, count the fixed nodes of the twist
-on the whole orbit tensor instead, and that count is the one place the twist
-is built. Verification, branching and tensor compatibility read this one
-walked hat; tensor compatibility builds the orbit tensor without the twist,
-pairs the nodes under the folded ones, and propagates the exchange on that
-pair tensor.
+A column is walked from its top node on the orbit tensor, which is never
+built: the column crystal itself for a one-column orbit, a LazyTensor
+otherwise. The walk must reach the closed-form size; only the triality legs,
+which have no closed form, count the fixed nodes of the twist on the whole
+orbit tensor instead, the one place the twist is built. Verification,
+branching and tensor compatibility read this one walked hat. Tensor
+compatibility walks the pair tensor of the orbit tensor from its top pair
+with the same fold, requires the fixed pairs to be the pairs of fixed
+nodes, and propagates the exchange on that pair tensor.
 """
 
 import itertools
@@ -26,11 +23,12 @@ from functools import lru_cache
 from operator import itemgetter
 
 from .cartan import (
-    ScopeError, block, hat_level, hat_pi_weight, kashiwara_word, p_omega_star,
-    p_omega_star_inverse, pi_tilde_weight, theta_word)
+    ScopeError, block, hat_level, kashiwara_word, p_omega_star, p_omega_star_inverse,
+    pi_tilde_weight, theta_word)
 from .crystal import (
     Crystal, LazyTensor, Report, VerificationError, propagate_map, tensor, tensor_many)
-from .intertwine import build_tilde_crystal, energy_on_tensor, energy_steps, orbit_factors
+from .intertwine import (
+    build_tilde_crystal, energy_on_tensor, energy_steps, orbit_factors, orbit_top)
 from .models import classical_highest_node
 from .monomial import weight_multiset
 
@@ -39,45 +37,49 @@ def _fixed_nodes(omega_map):
     return tuple(k for k, image in enumerate(omega_map) if image == k)
 
 
-def walk_fixed_nodes(datum, parent, top):
-    """The twist-fixed nodes of parent, walked from its top node, in id order.
+@dataclass
+class HatBundle:
+    parent: object  # the crystal that was folded: a column, a LazyTensor or a pair tensor
+    crystal: object
+    fixed: tuple  # the parent node under each folded node
 
-    The twist sigma fixes the top node and sends color j to color omega(j),
-    so sigma(f_w b) = f_omega(w) sigma(b): a node reached from a fixed node
-    is fixed when the omega-twisted word lands where the word does. That
-    check runs at every node and folded color; the walk follows lowering and
-    raising words.
+    def __len__(self):
+        return len(self.crystal)
+
+
+def fold_crystal(datum, parent, top):
+    """The crystal on the twist-fixed nodes of parent, walked from top; hard-fails on instability.
+
+    The twist sigma fixes top and sends color j to color omega(j), so
+    sigma(f_w b) = f_omega(w) sigma(b): a node reached from a fixed node is
+    fixed when the omega-twisted word lands where the word does. The walk
+    applies, at every node and folded color, the word, its twin and the
+    reversed raising word once, and follows both images. The walked nodes
+    are folded in id order: weights must be constant on orbits, and the
+    raising image of every folded edge's target must be its source.
     """
     steps = []
     for jh in range(len(datum.hat_gcm)):
         word = kashiwara_word(datum, jh)
         steps.append((word, tuple(datum.omega[j] for j in word), word[::-1]))
     queue = [top]
-    seen = {top}
+    images = {top: None}  # per walked node and folded color: (lowering, raising) image
     for p in queue:
+        row = []
         for jh, (word, twin, back) in enumerate(steps):
             down = parent.apply_word(word, p)
             if parent.apply_word(twin, p) != down:
                 raise VerificationError(
                     "lowering word for folded color %d leaves the fixed set at %s"
                     % (jh, parent.id(p)))
-            for q in (down, parent.apply_word(back, p, lowering=False)):
-                if q != -1 and q not in seen:
-                    seen.add(q)
+            up = parent.apply_word(back, p, lowering=False)
+            for q in (down, up):
+                if q != -1 and q not in images:
+                    images[q] = None
                     queue.append(q)
-    return tuple(sorted(queue, key=parent.id))
-
-
-def fold_crystal(datum, parent, fixed):
-    """The crystal on the fixed nodes over the folded data; hard-fails on instability.
-
-    fixed lists the nodes of parent that the twist fixes, in id order, and
-    parent is read only through apply_word, id and weight. Each folded color
-    lowers by its word, which must stay in the fixed set and be undone by the
-    reversed raising word; weights must be constant on orbits.
-    """
-    if not fixed:
-        raise VerificationError("the twist fixes no nodes")
+            row.append((down, up))
+        images[p] = row
+    fixed = tuple(sorted(queue, key=parent.id))
     where = {p: h for h, p in enumerate(fixed)}
     ids = tuple(map(parent.id, fixed))
     weights = []
@@ -86,31 +88,17 @@ def fold_crystal(datum, parent, fixed):
             weights.append(p_omega_star_inverse(datum, parent.weight(p)))
         except ValueError as exc:
             raise VerificationError("fixed node %s: %s" % (b, exc))
-    words = [kashiwara_word(datum, jh) for jh in range(len(datum.hat_gcm))]
-    backs = [word[::-1] for word in words]
-    f = [[-1] * len(fixed) for _ in words]
+    f = [[-1] * len(fixed) for _ in steps]
     for h, p in enumerate(fixed):
-        for jh, (word, back, row) in enumerate(zip(words, backs, f)):
-            down = parent.apply_word(word, p)
-            if down == -1:
-                continue
-            if down not in where:
-                raise VerificationError(
-                    "lowering word for folded color %d leaves the fixed set at %s"
-                    % (jh, ids[h]))
-            if parent.apply_word(back, down, lowering=False) != p:
-                raise VerificationError(
-                    "raising word fails to undo folded color %d at %s" % (jh, ids[h]))
-            row[h] = where[down]
-    return Crystal(datum.hat_gcm, datum.hat_comarks, ids, tuple(weights), f,
-                   (None,) * len(fixed))
-
-
-@dataclass
-class HatBundle:
-    parent: object  # the orbit tensor: the column crystal, or a LazyTensor of the orbit
-    crystal: object
-    fixed: tuple  # the parent node under each folded node
+        for jh, ((down, _), row) in enumerate(zip(images[p], f)):
+            if down != -1:
+                if images[down][jh][1] != p:
+                    raise VerificationError(
+                        "raising word fails to undo folded color %d at %s" % (jh, ids[h]))
+                row[h] = where[down]
+    crystal = Crystal(datum.hat_gcm, datum.hat_comarks, ids, tuple(weights), f,
+                      (None,) * len(fixed))
+    return HatBundle(parent, crystal, fixed)
 
 
 def _require_folded_column(datum, i):
@@ -129,7 +117,7 @@ def build_hat_crystal(datum, i, s):
 
     The parent is the orbit tensor, never built: the column crystal itself
     for a one-column orbit, a LazyTensor of the orbit's columns otherwise.
-    Its fixed nodes are walked from the top node, and the walk must reach
+    fold_crystal walks its fixed nodes from the top node, and must reach
     the size of the closed-form decomposition, or, where there is none (the
     triality legs), the number of nodes that the twist of the whole orbit
     tensor fixes.
@@ -150,11 +138,11 @@ def build_hat_crystal(datum, i, s):
     except ScopeError:
         total = len(_fixed_nodes(build_tilde_crystal(datum, i, s).omega_map))
         counted = "nodes that the twist fixes"
-    fixed = walk_fixed_nodes(datum, parent, top)
-    if len(fixed) != total:
+    hat = fold_crystal(datum, parent, top)
+    if len(hat) != total:
         raise VerificationError("walk reached %d of %d %s from %s"
-                                % (len(fixed), total, counted, parent.id(top)))
-    return HatBundle(parent=parent, crystal=fold_crystal(datum, parent, fixed), fixed=fixed)
+                                % (len(hat), total, counted, parent.id(top)))
+    return hat
 
 
 # -- the headline verification ----------------------------------------------
@@ -269,7 +257,9 @@ def check_string_identities(datum, i, s):
 def verify_tensor_compatibility(datum, spec1, spec2):
     """The folded tensor equals the fold of the tensor, edge for edge.
 
-    Also drags the pair exchange and the energy down to the folded side:
+    The fold of the tensor is walked on the pair tensor of the orbit tensor
+    from the pair of top nodes, by the same fold_crystal as every hat, and
+    its fixed pairs must be the pairs of fixed nodes, in id order. Also drags the pair exchange and the energy down to the folded side:
     the exchange must keep fixed nodes fixed and commute with every folded
     edge, and the energy inherited through the identification must satisfy
     the folded difference relations across all affine edges. The local
@@ -284,17 +274,19 @@ def verify_tensor_compatibility(datum, spec1, spec2):
     i, s = spec1
     hat = build_hat_crystal(datum, i, s)
     tilde = tensor_many(orbit_factors(datum, i, s))
-    index = {b: k for k, b in enumerate(tilde.ids)}
-    under = [index[b] for b in hat.crystal.ids]  # the parent node under each folded node
     pair = tensor(tilde, tilde)
-    fixed = [pair.at(x, y) for x in under for y in under]
+    top = orbit_top(datum, tilde, i, s)
+    anchor = pair.at(top, top)  # fixed by the twist and by the exchange
+    walked = fold_crystal(datum, pair, anchor)
+    folded, fixed = walked.crystal, walked.fixed
     where = {p: h for h, p in enumerate(fixed)}
-    folded = fold_crystal(datum, pair, fixed)
     lhs = tensor(hat.crystal, hat.crystal)
     report = Report()
 
-    report.add("iso:size", lhs.ids == folded.ids,
-               "%d vs %d fixed pairs" % (len(lhs), len(folded)))
+    # the later stages read folded by the node numbers of lhs
+    if not report.add("iso:size", lhs.ids == folded.ids,
+                      "%d vs %d fixed pairs" % (len(lhs), len(folded))):
+        return report
 
     def edges():
         for jh in range(lhs.ncolors):
@@ -312,10 +304,7 @@ def verify_tensor_compatibility(datum, spec1, spec2):
     report.run("iso:edges", edges)
     report.run("iso:eps", eps_match)
 
-    # exchange of the parent pair with itself, restricted to fixed nodes and
-    # anchored at the pair of the node under the folded top node
-    top = under[hat.crystal.weights.index(tuple(s * v for v in hat_pi_weight(datum, i)))]
-    anchor = pair.at(top, top)
+    # exchange of the parent pair with itself, restricted to fixed nodes
     exchange = propagate_map(pair, pair, {anchor: anchor})
 
     def fixed_closed():
@@ -324,7 +313,8 @@ def verify_tensor_compatibility(datum, spec1, spec2):
                 raise VerificationError(
                     "exchange moves %s off the fixed set" % pair.ids[p])
 
-    report.run("rhat:fixed", fixed_closed)
+    if not report.run("rhat:fixed", fixed_closed):
+        return report  # rhat:edges reads where at the image of every fixed pair
     report.add("rhat:anchor", exchange[anchor] == anchor, "anchor moved")
 
     def rhat_edges():

@@ -103,7 +103,8 @@ def energy_steps(prod, k):
     energy by one along f_0 and raises it by one along e_0; acting on the
     right factor does the opposite.
     """
-    return _steps(prod.left.phi(0, prod.left_of[k]), prod.right.eps(0, prod.right_of[k]))
+    a, b = divmod(k, len(prod.right))
+    return _steps(prod.left.phi(0, a), prod.right.eps(0, b))
 
 
 def energy_on_tensor(prod, anchor):
@@ -207,6 +208,15 @@ def orbit_factors(datum, i, s):
     return factors
 
 
+def orbit_top(datum, crystal, i, s):
+    """The one node of the orbit tensor crystal of weight s times pi-tilde."""
+    target = tuple(s * v for v in pi_tilde_weight(datum, i))
+    count = crystal.weights.count(target)
+    if count != 1:
+        raise VerificationError("%d candidates for the top node of the orbit tensor" % count)
+    return crystal.weights.index(target)
+
+
 @lru_cache(maxsize=None)
 def build_tilde_crystal(datum, i, s):
     """Tensor of the crystals along the orbit of column i, with the twist.
@@ -220,12 +230,7 @@ def build_tilde_crystal(datum, i, s):
     order.
     """
     crystal = tensor_many(orbit_factors(datum, i, s))
-
-    target = tuple(s * v for v in pi_tilde_weight(datum, i))
-    count = crystal.weights.count(target)
-    if count != 1:
-        raise VerificationError("%d candidates for the top node of the orbit tensor" % count)
-    top = crystal.weights.index(target)
+    top = orbit_top(datum, crystal, i, s)
 
     def twist(order):
         return propagate_map(crystal, crystal, {top: top}, relabel=dict(enumerate(datum.omega)),

@@ -1,5 +1,5 @@
 """Test oracles: crystals built from id-keyed dicts, leaf-index columns of a
-tensor product, read off its left_of/right_of arrays, and the energy on
+tensor product, read off its pair node numbers, and the energy on
 B (x) B by the walk over single nodes."""
 
 from crystalfold.crystal import Crystal, Tensor, VerificationError
@@ -24,8 +24,9 @@ def leaf_columns(crys):
     """Per leaf factor, the leaf node index of every node of crys."""
     if not isinstance(crys, Tensor):
         return [list(range(len(crys)))]
-    return ([[col[a] for a in crys.left_of] for col in leaf_columns(crys.left)]
-            + [[col[b] for b in crys.right_of] for col in leaf_columns(crys.right)])
+    na, nb = len(crys.left), len(crys.right)
+    return ([[col[a] for a in range(na) for _ in range(nb)] for col in leaf_columns(crys.left)]
+            + [col * na for col in leaf_columns(crys.right)])
 
 
 def leaf_node(crys, leaves):

@@ -196,7 +196,7 @@ def test_index_tensor_matches_reference_cyclic_columns():
     prod = tensor(left, right)
     assert_same_graph(prod, reference_tensor(left, right))
     for k in range(len(prod)):
-        a, b = prod.left_of[k], prod.right_of[k]
+        a, b = divmod(k, len(right))
         assert prod.ids[k] == left.ids[a] + "*" + right.ids[b]
         assert prod.at(a, b) == k
 
@@ -207,7 +207,7 @@ def test_index_tensor_matches_reference_center_columns():
     prod = tensor(left, right)
     assert_same_graph(prod, reference_tensor(left, right))
     for k in range(len(prod)):
-        assert prod.at(prod.left_of[k], prod.right_of[k]) == k
+        assert prod.at(*divmod(k, len(right))) == k
 
 
 def test_index_tensor_refuses_when_pair_order_is_not_id_order():

@@ -13,7 +13,7 @@ from crystalfold.cli import SCOPE_INSTANCES
 from crystalfold.crystal import Crystal, LazyTensor, Tensor, VerificationError
 from crystalfold.fixedpoint import (
     build_hat_crystal, check_string_identities, fold_crystal,
-    verify_main_theorem, verify_tensor_compatibility, walk_fixed_nodes)
+    verify_main_theorem, verify_tensor_compatibility)
 from crystalfold.intertwine import build_tilde_crystal, orbit_factors
 from crystalfold.models import classical_highest_node
 from leaves import leaf_node
@@ -94,19 +94,6 @@ def test_own_strings_match_the_crystal_wide_walk(case, n, i, s):
         assert parent.own_strings(k) == (parent.eps_tuple(k), parent.phi_tuple(k))
 
 
-def test_forged_fixed_node_is_rejected():
-    bundle = build_tilde_crystal(A2, 1, 1)
-    forged = list(bundle.omega_map)
-    victim = None
-    for k in range(len(bundle.crystal)):
-        if forged[k] != k:
-            victim = k
-            break
-    forged[victim] = victim
-    with pytest.raises(VerificationError):
-        fold_crystal(A2, bundle.crystal, [k for k, t in enumerate(forged) if t == k])
-
-
 @pytest.mark.parametrize("datum", [A2, C3])
 def test_tensor_compatibility_width_one(datum, monkeypatch):
     build_hat_crystal(datum, 1, 1)
@@ -144,6 +131,46 @@ def test_tensor_compatibility_refuses_unequal_factors(datum, spec1, spec2):
     with pytest.raises(ScopeError, match="B \\(x\\) B only"):
         verify_tensor_compatibility(datum, spec1, spec2)
     assert build_hat_crystal.cache_info().currsize == before
+
+
+def test_walked_pairs_other_than_the_hat_pairs_fail_iso_size(monkeypatch):
+    # a hat short of its last node: the pair tensor's walk still reaches all
+    # 36 fixed pairs, and the report ends at iso:size, since the later
+    # stages read the walked fold by the node numbers of hat (x) hat
+    hat = build_hat_crystal(A2, 1, 1)
+    crys = hat.crystal
+    assert crys.ids[-1] == "t:4*t:2|3|4"
+    keep = len(crys) - 1
+    f = [[t if t < keep else -1 for t in row[:keep]] for row in crys.f]
+    short = Crystal(crys.gcm, crys.comarks, crys.ids[:keep], crys.weights[:keep], f,
+                    crys.payloads[:keep])
+    monkeypatch.setattr(fixedpoint, "build_hat_crystal", lambda *args: fixedpoint.HatBundle(
+        parent=hat.parent, crystal=short, fixed=hat.fixed[:keep]))
+    report = verify_tensor_compatibility(A2, (1, 1), (1, 1))
+    assert report.stages == [("iso:size", False, "25 vs 36 fixed pairs")]
+
+
+def test_exchange_off_the_fixed_set_ends_the_report(monkeypatch):
+    # swap the exchange images of the first fixed pair past the anchor and
+    # the first pair that is not fixed: rhat:fixed names the fixed pair, and
+    # the stages after it, which read the fixed pairs' images, do not run
+    ids = build_hat_crystal(A2, 1, 1).crystal.ids
+    fixed_ids = {a + "*" + b for a in ids for b in ids}
+    propagate = fixedpoint.propagate_map
+
+    def swapped(src, dst, anchors):
+        out = propagate(src, dst, anchors)
+        p = next(k for k, b in enumerate(src.ids) if b in fixed_ids and k not in anchors)
+        x = next(k for k, b in enumerate(src.ids) if b not in fixed_ids)
+        out[p], out[x] = out[x], out[p]
+        return out
+
+    monkeypatch.setattr(fixedpoint, "propagate_map", swapped)
+    report = verify_tensor_compatibility(A2, (1, 1), (1, 1))
+    assert [name for name, _, _ in report.stages] == [
+        "iso:size", "iso:edges", "iso:eps", "rhat:fixed"]
+    assert report.stages[-1] == (
+        "rhat:fixed", False, "exchange moves t:1*t:1|2|3*t:1*t:2|3|4 off the fixed set")
 
 
 def test_hat_crystal_requires_an_orbit_representative():
@@ -225,7 +252,7 @@ def test_walk_catches_a_corrupted_factor_edge(monkeypatch, cold_hats):
     top = (classical_highest_node(A2, bad, 1, 1), classical_highest_node(A2, other, 3, 1))
     message = "lowering word for folded color 1 leaves the fixed set at t:1*t:1|2|3"
     with pytest.raises(VerificationError, match="^%s$" % re.escape(message)):
-        walk_fixed_nodes(A2, LazyTensor([bad, other]), top)
+        fold_crystal(A2, LazyTensor([bad, other]), top)
     monkeypatch.setattr(fixedpoint, "orbit_factors", lambda *args: [bad, other])
     assert verify_exit("a", 2, 1, 1) == (1, "error: %s\n" % message)
 
@@ -240,7 +267,38 @@ def test_walk_catches_a_corrupted_column_edge(monkeypatch, cold_hats):
     bad = Crystal(col.gcm, col.comarks, col.ids, col.weights, f, col.payloads)
     message = "lowering word for folded color 3 leaves the fixed set at v:0,0,1,0|0,0,0,0"
     with pytest.raises(VerificationError, match="^%s$" % re.escape(message)):
-        walk_fixed_nodes(C3, bad, classical_highest_node(C3, bad, 1, 1))
+        fold_crystal(C3, bad, classical_highest_node(C3, bad, 1, 1))
+    monkeypatch.setattr(fixedpoint, "orbit_factors", lambda *args: [bad])
+    assert verify_exit("c", 3, 1, 1) == (1, "error: %s\n" % message)
+
+
+def test_fold_catches_a_raising_word_that_fails_to_undo(monkeypatch, cold_hats):
+    # re-point the color 1 edge 1 -> 2 of the (c,3,1,1) column at 1bar, the
+    # target of 2bar: both lowering words agree with their twins, but the
+    # raising word from 1bar now leads back to 1, not to 2bar
+    (col,) = orbit_factors(C3, 1, 1)
+    f = [list(row) for row in col.f]
+    f[1][col.ids.index("v:1,0,0,0|0,0,0,0")] = col.ids.index("v:0,0,0,0|1,0,0,0")
+    bad = Crystal(col.gcm, col.comarks, col.ids, col.weights, f, col.payloads)
+    message = "raising word fails to undo folded color 1 at v:0,0,0,0|0,1,0,0"
+    with pytest.raises(VerificationError, match="^%s$" % re.escape(message)):
+        fold_crystal(C3, bad, classical_highest_node(C3, bad, 1, 1))
+    monkeypatch.setattr(fixedpoint, "orbit_factors", lambda *args: [bad])
+    assert verify_exit("c", 3, 1, 1) == (1, "error: %s\n" % message)
+
+
+def test_fold_catches_a_weight_off_the_orbits(monkeypatch, cold_hats):
+    # move one unit of the weight of the node 3 of the (c,3,1,1) column from
+    # color 4 to color 3: the walk is unchanged, the weight cannot fold
+    (col,) = orbit_factors(C3, 1, 1)
+    k = col.ids.index("v:0,0,1,0|0,0,0,0")
+    assert col.weights[k] == (0, 0, -1, 1, 1)
+    weights = col.weights[:k] + ((0, 0, -1, 2, 0),) + col.weights[k + 1:]
+    bad = Crystal(col.gcm, col.comarks, col.ids, weights, col.f, col.payloads)
+    message = ("fixed node v:0,0,1,0|0,0,0,0: weight not omega*-fixed: "
+               "coefficients differ on orbit (3, 4)")
+    with pytest.raises(VerificationError, match="^%s$" % re.escape(message)):
+        fold_crystal(C3, bad, classical_highest_node(C3, bad, 1, 1))
     monkeypatch.setattr(fixedpoint, "orbit_factors", lambda *args: [bad])
     assert verify_exit("c", 3, 1, 1) == (1, "error: %s\n" % message)
 
