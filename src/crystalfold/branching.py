@@ -15,7 +15,7 @@ from .cartan import ScopeError, block, omega_star
 from .crystal import Report, VerificationError, tensor_many
 from .fixedpoint import build_hat_crystal
 from .intertwine import orbit_factors
-from .monomial import highest_weight_crystal
+from .monomial import highest_weight_closure
 
 
 @dataclass(frozen=True)
@@ -111,15 +111,16 @@ def _weyl_product(gcm, lam):
 def weyl_dimension(datum, coeffs):
     """Dimension of the folded classical irreducible with the given highest weight.
 
-    Counted by building the highest weight crystal; _weyl_product, the
-    character product formula, is the independent route.
+    Counted as the monomials that the highest weight closure walk reaches,
+    without building a crystal; _weyl_product, the character product
+    formula, is the independent route.
     """
     if len(coeffs) != len(datum.hat_classical_nodes):
         raise ValueError("expected %d coefficients" % len(datum.hat_classical_nodes))
     if min(coeffs, default=0) < 0:
         raise ValueError("weight is not dominant: %r" % (coeffs,))
     bgcm = block(datum.hat_gcm, datum.hat_classical_nodes)
-    return len(highest_weight_crystal(bgcm, tuple(coeffs)))
+    return len(highest_weight_closure(bgcm, tuple(coeffs))[0])
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ Arithmetic is exact throughout (ints, with Fractions inside the kernel
 solver only).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -129,6 +129,10 @@ class FoldingDatum:
     hat_comarks: tuple
     parent_name: str
     hat_name: str
+    # per node: its orbit, from the node in application order, and the
+    # orbit's representative; both follow from omega
+    orbits: tuple = field(compare=False, repr=False)
+    rep_of: tuple = field(compare=False, repr=False)
 
     @property
     def size(self):
@@ -145,20 +149,22 @@ class FoldingDatum:
     def orbit(self, j):
         """The omega-orbit of node j, starting at j, in application order.
 
-        An orbit has at most order nodes; a longer walk (a negative j,
-        which the tuple index wraps) is refused.
+        A j that is not a node (a negative one would wrap the tuple index)
+        is refused.
         """
-        out = [j]
-        k = self.omega[j]
-        while k != j:
-            if len(out) == self.order:
-                raise ScopeError("node %d has no orbit of at most %d nodes" % (j, self.order))
-            out.append(k)
-            k = self.omega[k]
-        return tuple(out)
+        if not 0 <= j < len(self.orbits):
+            raise ScopeError("node %d has no orbit of at most %d nodes" % (j, self.order))
+        return self.orbits[j]
 
     def rep(self, j):
         return min(self.orbit(j))
+
+
+def _orbit_walk(omega, j):
+    out = [j]
+    while omega[out[-1]] != j:
+        out.append(omega[out[-1]])
+    return tuple(out)
 
 
 def _parent_shape(case, n):
@@ -222,20 +228,15 @@ def make_datum(case, n=3):
     comarks = positive_primitive_kernel(gcm, "left")
     if comarks[0] != 1:
         raise ValueError("node 0 comark expected to be 1")
-
-    datum = FoldingDatum(
-        case=case, n=n, gcm=gcm, omega=omega, order=order,
-        marks=marks, comarks=comarks,
-        reps=(), c_vals=(), hat_gcm=(), hat_marks=(), hat_comarks=(),
-        parent_name=parent_name, hat_name=hat_name,
-    )
+    orbits = tuple(_orbit_walk(omega, j) for j in range(size))
+    rep_of = tuple(map(min, orbits))
     # orbit representatives: minimum of each orbit, ascending
-    reps = tuple(sorted({min(datum.orbit(j)) for j in range(size)}))
+    reps = tuple(sorted(set(rep_of)))
     if reps != tuple(range(len(reps))):
         raise ValueError("orbit representatives expected to be 0..%d" % (len(reps) - 1))
 
     def c_entry(i, j):
-        return sum(gcm[i][k] for k in datum.orbit(j))
+        return sum(gcm[i][k] for k in orbits[j])
 
     c_vals = tuple(c_entry(j, j) for j in reps)
     for pos, j in enumerate(reps):
@@ -261,7 +262,7 @@ def make_datum(case, n=3):
         marks=marks, comarks=comarks,
         reps=reps, c_vals=c_vals, hat_gcm=hat_gcm,
         hat_marks=hat_marks, hat_comarks=hat_comarks,
-        parent_name=parent_name, hat_name=hat_name,
+        parent_name=parent_name, hat_name=hat_name, orbits=orbits, rep_of=rep_of,
     )
 
 
@@ -289,18 +290,20 @@ def p_omega_star(datum, mu_hat):
     """Embed an orbit-side weight: each hat fundamental maps to its orbit sum."""
     if len(mu_hat) != len(datum.reps):
         raise ValueError("expected %d coefficients" % len(datum.reps))
-    return tuple(mu_hat[datum.rep(i)] for i in range(datum.size))
+    return tuple(map(mu_hat.__getitem__, datum.rep_of))
 
 
 def p_omega_star_inverse(datum, mu):
     """Inverse embedding; rejects weights not constant on omega-orbits."""
-    for j in datum.reps:
-        orb = datum.orbit(j)
-        vals = {mu[k] for k in orb}
-        if len(vals) > 1:
-            raise ValueError(
-                "weight not omega*-fixed: coefficients differ on orbit %r" % (orb,))
-    return tuple(mu[j] for j in datum.reps)
+    if tuple(map(mu.__getitem__, datum.rep_of)) != tuple(mu):
+        # some coefficient differs from its representative's: name the
+        # first orbit, in representative order, where they differ
+        for j in datum.reps:
+            orb = datum.orbits[j]
+            if len({mu[k] for k in orb}) > 1:
+                raise ValueError(
+                    "weight not omega*-fixed: coefficients differ on orbit %r" % (orb,))
+    return tuple(map(mu.__getitem__, datum.reps))
 
 
 def pi_weight(datum, i):

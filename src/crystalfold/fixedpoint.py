@@ -232,10 +232,11 @@ def check_string_identities(datum, i, s):
                                                     % (kind, m, hat.ids[h], jh))
 
     def weyl_match():
+        words = [theta_word(datum, (jh,)) for jh in range(hat.ncolors)]
         for h, p in enumerate(fixed):
-            for jh in range(hat.ncolors):
+            for jh, word in enumerate(words):
                 lhs = fixed[hat.weyl_s(jh, h)]
-                rhs = parent.weyl_word(theta_word(datum, (jh,)), p)
+                rhs = parent.weyl_word(word, p)
                 if lhs != rhs:
                     raise VerificationError(
                         "folded Weyl operator %d differs at %s" % (jh, hat.ids[h]))

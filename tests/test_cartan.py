@@ -122,10 +122,13 @@ def test_orbits():
     dc = make_datum("c", 3)
     assert dc.orbit(3) == (3, 4)
     assert dc.reps == (0, 1, 2, 3)
-    # a negative node wraps the tuple index and never comes back to itself
+    # a negative node would wrap the tuple index; neither it nor a node past
+    # the diagram has an orbit
     for d in (datum, d4, dc):
         with pytest.raises(ScopeError, match="no orbit of at most %d nodes" % d.order):
             d.orbit(-1)
+        with pytest.raises(ScopeError, match="no orbit of at most %d nodes" % d.order):
+            d.orbit(d.size)
 
 
 def test_scope_errors():

@@ -2,9 +2,14 @@
 
 import pytest
 
+from crystalfold import fixedpoint, monomial
+from crystalfold.branching import weyl_dimension
+from crystalfold.cartan import make_datum
+from crystalfold.cli import SCOPE_INSTANCES
+from crystalfold.crystal import Crystal
 from crystalfold.monomial import (
-    _a_term, _as_dict, _as_key, _mul, f_mono, highest_weight_crystal, mono_id,
-    mono_weight, weight_multiset)
+    _a_term, _as_key, f_mono, highest_weight_closure, highest_weight_crystal, mono_id,
+    weight_multiset)
 from leaves import crystal_from_edges
 
 SL2 = ((2,),)
@@ -92,6 +97,22 @@ def test_rejects_bad_weight():
 
 # -- the string-keyed builder, kept as the oracle of the array builder -------
 
+def _mul(d, factors):
+    out = dict(d)
+    for ik, e in factors.items():
+        out[ik] = out.get(ik, 0) + e
+        if out[ik] == 0:
+            del out[ik]
+    return out
+
+
+def _weight_of_dict(d, ncolors):
+    wt = [0] * ncolors
+    for (c, _), e in d.items():
+        wt[c] += e
+    return tuple(wt)
+
+
 def _color_profile(d, i):
     """Sorted shifts, prefix sums, total weight for one color."""
     ks = sorted(k for (c, k) in d if c == i)
@@ -104,7 +125,7 @@ def _color_profile(d, i):
 
 
 def _f_mono_by_profile(gcm, key, i):
-    d = _as_dict(key)
+    d = dict(key)
     ks, prefixes, _ = _color_profile(d, i)
     phi = max([0] + prefixes)
     if phi == 0:
@@ -130,7 +151,7 @@ def highest_weight_crystal_from_edges(gcm, lam):
             if nxt not in seen:
                 seen.add(nxt)
                 queue.append(nxt)
-    nodes = {mono_id(key): (mono_weight(_as_dict(key), n), mono_id(key)[2:])
+    nodes = {mono_id(key): (_weight_of_dict(dict(key), n), mono_id(key)[2:])
              for key in seen}
     return crystal_from_edges(gcm, (1,) * n, nodes, f_edges)
 
@@ -154,7 +175,7 @@ def test_array_builder_matches_the_edge_builder(gcm, lam):
     want = highest_weight_crystal_from_edges(gcm, lam)
     assert (got.ids, got.weights, got.payloads, got.f) == (
         want.ids, want.weights, want.payloads, want.f)
-    assert weight_multiset(gcm, lam) == tuple(sorted(want.weights))
+    _closure_matches_the_edge_builder(gcm, lam)
 
 
 def test_lowering_acts_at_the_first_maximal_prefix():
@@ -169,3 +190,63 @@ def test_weight_multiset_is_cached_per_block_and_weight():
     first = weight_multiset(SL3, (1, 1))
     assert weight_multiset(SL3, (1, 1)) is first
     assert weight_multiset.cache_info().hits == 1
+
+
+# -- the closure walk, which builds no Crystal, against the same oracle -------
+
+@pytest.fixture(scope="module")
+def regular_blocks():
+    """Every (block, weight) that the regularity stages look up, on the scope
+    hats and on (c,5,1,4) with full regularity."""
+    seen = set()
+
+    def recording(gcm, lam):
+        seen.add((gcm, lam))
+        return weight_multiset(gcm, lam)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fixedpoint, "weight_multiset", recording)
+        for case, n, i, s in SCOPE_INSTANCES:
+            fixedpoint.verify_main_theorem(make_datum(case, n), i, s)
+        fixedpoint.verify_main_theorem(make_datum("c", 5), 1, 4, full_regularity=True)
+    return sorted(seen)
+
+
+def _closure_matches_the_edge_builder(gcm, lam):
+    want = highest_weight_crystal_from_edges(gcm, lam)
+    keys, _ = highest_weight_closure(gcm, lam)
+    assert len(keys) == len(want)
+    assert sorted(map(mono_id, keys)) == list(want.ids)
+    assert weight_multiset(gcm, lam) == tuple(sorted(want.weights))
+    for key in keys:
+        for j in range(len(gcm)):
+            assert f_mono(gcm, key, j) == _f_mono_by_profile(gcm, key, j)
+
+
+def test_closure_matches_the_edge_builder_where_regularity_looks(regular_blocks):
+    # the full regularity of (c,5,1,4) reaches rank-4 blocks
+    assert any(len(gcm) == 4 for gcm, _ in regular_blocks)
+    for gcm, lam in regular_blocks:
+        _closure_matches_the_edge_builder(gcm, lam)
+
+
+def test_multiset_and_dimension_keep_the_guard_and_build_no_crystal(monkeypatch):
+    built = []
+    init = Crystal.__init__
+
+    def counting(self, *args):
+        built.append(args[2])
+        init(self, *args)
+
+    monkeypatch.setattr(Crystal, "__init__", counting)
+    monkeypatch.setattr(monomial, "MAX_NODES", 5)
+    weight_multiset.cache_clear()
+    a3 = make_datum("a", 3)  # its folded classical block has rank 3
+    with pytest.raises(RuntimeError, match="^crystal walk exceeded 5 nodes$"):
+        weight_multiset(SL4, (1, 0, 1))
+    with pytest.raises(RuntimeError, match="^crystal walk exceeded 5 nodes$"):
+        weyl_dimension(a3, (1, 0, 0))
+    monkeypatch.setattr(monomial, "MAX_NODES", 15)
+    assert len(weight_multiset(SL4, (1, 0, 1))) == 15
+    assert weyl_dimension(a3, (1, 0, 0)) == 7
+    assert built == []
