@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .cartan import ScopeError, block, omega_star
-from .crystal import Report, VerificationError, tensor_many
+from .crystal import LazyTensor, Report, VerificationError
 from .fixedpoint import build_hat_crystal
 from .intertwine import orbit_factors
 from .monomial import highest_weight_closure
@@ -131,17 +131,16 @@ def branch_hat(datum, i, s):
     """Decompose the folded crystal over its classical nodes.
 
     The highest nodes are computed twice: the heads of the folded classical
-    components, and the classically-highest nodes upstairs among the parent
-    nodes under the folded ones, which the walk from the top node found
+    components, and the folded nodes over the parent's classically-highest
+    nodes, among the parent nodes that the walk from the top node found
     fixed by the twist. Any disagreement is a hard failure.
     """
     hat = build_hat_crystal(datum, i, s)
     jset = datum.hat_classical_nodes
     decomp = hat.crystal.highest_weight_decomposition(jset)
     route1 = [h for h, _, _ in decomp]
-    route2 = [h for h, p in enumerate(hat.fixed)
-              if all(hat.parent.apply_word((j,), p, lowering=False) == -1
-                     for j in datum.classical_nodes)]
+    upstairs = set(hat.parent.highest_nodes(datum.classical_nodes))
+    route2 = [h for h, p in enumerate(hat.fixed) if p in upstairs]
     if route1 != route2:
         raise VerificationError(
             "highest weight characterizations disagree: %d folded-highest vs "
@@ -226,21 +225,21 @@ def expected_size(datum, i, s):
 def multiplicity_free_gate(datum, i, s):
     """Whether the classical decomposition of the orbit tensor is multiplicity-free.
 
-    When it is, each weight names one highest node, so the highest nodes
-    that the twist fixes must be those whose weight the automorphism fixes.
-    The fixed ones are read off the walked hat, as the parent nodes under
-    its classical highest nodes, and compared by weight; any mismatch is a
-    hard failure.
+    The heads are the classical highest nodes of the orbit tensor, read off
+    a LazyTensor of the orbit's columns, which is never built. When their
+    weights are distinct, each weight names one highest node, so the
+    highest nodes that the twist fixes must be those whose weight the
+    automorphism fixes. The fixed ones are read off the walked hat, as the
+    parent nodes under its classical highest nodes, and compared by weight;
+    any mismatch is a hard failure.
     """
-    tilde = tensor_many(orbit_factors(datum, i, s))
-    decomp = tilde.highest_weight_decomposition(datum.classical_nodes)
-    mults = Counter(wt for _, wt, _ in decomp)
+    tilde = LazyTensor(orbit_factors(datum, i, s))
+    mults = Counter(map(tilde.weight, tilde.highest_nodes(datum.classical_nodes)))
     gate = all(v == 1 for v in mults.values())
     if gate:
         hat = build_hat_crystal(datum, i, s)
-        raising = [hat.crystal.e[j] for j in datum.hat_classical_nodes]
-        node_fixed = {hat.parent.weight(p) for h, p in enumerate(hat.fixed)
-                      if all(e[h] == -1 for e in raising)}
+        node_fixed = {hat.parent.weight(hat.fixed[h])
+                      for h in hat.crystal.highest_nodes(datum.hat_classical_nodes)}
         weight_fixed = {wt for wt in mults if omega_star(datum, wt) == wt}
         if node_fixed != weight_fixed:
             raise VerificationError(

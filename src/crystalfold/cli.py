@@ -78,6 +78,17 @@ def _require_case(case_):
         raise ScopeError("--case is required")
 
 
+def _sweep_scope(check):
+    """One pass/FAIL row per scope instance, by check(datum, i, s); exit 1 on a FAIL."""
+    rows, oks = [], []
+    for c_, n_, i_, s_ in SCOPE_INSTANCES:
+        oks.append(check(make_datum(c_, n_), i_, s_))
+        rows.append("case %s n=%d i=%d s=%d %s"
+                    % (c_, n_, i_, s_, "pass" if oks[-1] else "FAIL"))
+    click.echo("\n".join(rows))
+    sys.exit(0 if all(oks) else 1)
+
+
 @click.group()
 def main():
     """Exact combinatorics for folded affine crystal graphs."""
@@ -127,19 +138,11 @@ def verify(case_, n, i, s, full_regularity, all_scope):
     """Run the full verification stack on one instance or the whole scope."""
     with _boundary():
         if all_scope:
-            ok_all = True
-            rows = []
-            for c_, n_, i_, s_ in SCOPE_INSTANCES:
-                d_ = make_datum(c_, n_)
-                rep = verify_main_theorem(d_, i_, s_,
-                                          full_regularity=full_regularity)
+            def check(d_, i_, s_):
+                rep = verify_main_theorem(d_, i_, s_, full_regularity=full_regularity)
                 strings = check_string_identities(d_, i_, s_)
-                ok = rep.ok and strings.ok
-                ok_all = ok_all and ok
-                rows.append("case %s n=%d i=%d s=%d %s"
-                            % (c_, n_, i_, s_, "pass" if ok else "FAIL"))
-            click.echo("\n".join(rows))
-            sys.exit(0 if ok_all else 1)
+                return rep.ok and strings.ok
+            _sweep_scope(check)
         _require_case(case_)
         datum = make_datum(case_, n)
         report = verify_main_theorem(datum, i, s, full_regularity=full_regularity)
@@ -159,15 +162,7 @@ def branch(case_, n, i, s, fmt, all_scope, out):
     """Decompose the folded crystal and compare with the closed formula."""
     with _boundary():
         if all_scope:
-            ok_all = True
-            rows = []
-            for c_, n_, i_, s_ in SCOPE_INSTANCES:
-                rep = verify_branching(make_datum(c_, n_), i_, s_)
-                ok_all = ok_all and rep.ok
-                rows.append("case %s n=%d i=%d s=%d %s"
-                            % (c_, n_, i_, s_, "pass" if rep.ok else "FAIL"))
-            click.echo("\n".join(rows))
-            sys.exit(0 if ok_all else 1)
+            _sweep_scope(lambda d_, i_, s_: verify_branching(d_, i_, s_).ok)
         _require_case(case_)
         datum = make_datum(case_, n)
         got = branch_hat(datum, i, s)

@@ -15,7 +15,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from itertools import compress, islice
 from math import prod
-from operator import add, sub
+from operator import add, le, sub
 
 from .cartan import classical_alpha, enumerate_dominant
 
@@ -264,6 +264,12 @@ class Crystal:
     def is_connected(self):
         return len(self.components()) <= 1
 
+    def highest_nodes(self, colors):
+        """The nodes that every e_j with j in colors, a nonempty set, kills, ascending."""
+        raising = [self.e[j] for j in colors]
+        blank = (-1,) * len(raising)
+        return [k for k, up in enumerate(zip(*raising)) if up == blank]
+
     def highest_weight_decomposition(self, colors):
         """Components under a proper color subset, each with its unique highest node.
 
@@ -280,9 +286,7 @@ class Crystal:
         """
         colors = tuple(colors)
         lowering = [self.f[j] for j in colors]
-        raising = [self.e[j] for j in colors]
-        blank = (-1,) * len(colors)
-        highs = [k for k, up in enumerate(zip(*raising)) if up == blank]
+        highs = self.highest_nodes(colors)
         owner = [-1] * len(self.ids)
         out = []
         for top in highs:
@@ -304,10 +308,10 @@ class Crystal:
 
     def _decomposition_by_components(self, colors):
         """highest_weight_decomposition by labeling the components first."""
-        raising = [self.e[j] for j in colors]
+        heads = set(self.highest_nodes(colors))
         out = []
         for comp in self.components(colors):
-            highs = [k for k in comp if all(e[k] == -1 for e in raising)]
+            highs = [k for k in comp if k in heads]
             if len(highs) != 1:
                 raise VerificationError(
                     "component of %s has %d highest nodes under colors %r"
@@ -325,12 +329,6 @@ class Crystal:
             i = maps[i]
             if i == -1:
                 raise VerificationError("Weyl step fell off the graph (color %d)" % j)
-        return i
-
-    def weyl_word(self, word, i):
-        """Apply simple Weyl operators along the word, first letter first."""
-        for j in word:
-            i = self.weyl_s(j, i)
         return i
 
     # -- extremal elements, simplicity, perfectness --------------------------
@@ -541,8 +539,8 @@ class LazyTensor:
     signature rule, read off the factors' cached eps/phi arrays in one pass
     over the factors, and ids render as in tensor_many. Offers the node
     methods the fold, the string identities and branching read: id, weight,
-    apply_word, own_strings, weyl_s and weyl_word; its length is the size of
-    the tensor it stands for.
+    apply_word, highest_nodes, own_strings and weyl_s; its length is the
+    size of the tensor it stands for.
     """
 
     def __init__(self, factors):
@@ -589,6 +587,26 @@ class LazyTensor:
                 return -1
         return node
 
+    def highest_nodes(self, colors):
+        """The nodes that every e_j with j in colors kills, in index order.
+
+        Grown factor by factor from the empty prefix, whose phi is zero: a
+        killed prefix stays killed followed by node b of the next factor
+        when eps_j(b) <= phi_j(prefix) for every j, and phi_j of the longer
+        prefix is then phi_j(prefix) + phi_j(b) - eps_j(b).
+        """
+        colors = tuple(colors)
+        heads = [((), (0,) * len(colors))]  # (killed prefix, its phi over colors)
+        for k, fac in enumerate(self.factors):
+            eps = [self._eps[j][k] for j in colors]
+            phi = [self._phi[j][k] for j in colors]
+            strings = [(tuple(e[b] for e in eps), tuple(p[b] for p in phi))
+                       for b in range(len(fac))]
+            heads = [(node + (b,), tuple(map(add, room, map(sub, pb, eb))))
+                     for node, room in heads
+                     for b, (eb, pb) in enumerate(strings) if all(map(le, eb, room))]
+        return [node for node, _ in heads]
+
     def own_strings(self, node):
         """eps and phi tuples of node, folded from the factors' strings."""
         eps_out, phi_out = [], []
@@ -607,12 +625,6 @@ class LazyTensor:
             node = self.step(j, node, m >= 0)
             if node == -1:
                 raise VerificationError("Weyl step fell off the graph (color %d)" % j)
-        return node
-
-    def weyl_word(self, word, node):
-        """Apply simple Weyl operators along the word, first letter first."""
-        for j in word:
-            node = self.weyl_s(j, node)
         return node
 
 

@@ -235,9 +235,10 @@ def check_string_identities(datum, i, s):
         words = [theta_word(datum, (jh,)) for jh in range(hat.ncolors)]
         for h, p in enumerate(fixed):
             for jh, word in enumerate(words):
-                lhs = fixed[hat.weyl_s(jh, h)]
-                rhs = parent.weyl_word(word, p)
-                if lhs != rhs:
+                rhs = p
+                for j in word:
+                    rhs = parent.weyl_s(j, rhs)
+                if fixed[hat.weyl_s(jh, h)] != rhs:
                     raise VerificationError(
                         "folded Weyl operator %d differs at %s" % (jh, hat.ids[h]))
 
@@ -266,7 +267,10 @@ def verify_tensor_compatibility(datum, spec1, spec2):
     the folded difference relations across all affine edges. The local
     energy rule used here holds for a crystal tensored with itself only, so
     both factors are one crystal and the exchange maps the pair tensor to
-    itself.
+    itself: it is propagate_map(pair, pair, {anchor: anchor}), whose source
+    is its target. It is therefore the identity wherever it is defined, and
+    propagate_map raises unless it is defined on every pair, so the rhat:*
+    stages are a named check that B~ (x) B~ is connected.
     """
     if spec1 != spec2:
         raise ScopeError(

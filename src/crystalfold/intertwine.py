@@ -50,9 +50,6 @@ class Exchange:
     n1: int
     n2: int
 
-    def __call__(self, a, b):
-        return divmod(self.codes[a * self.n2 + b], self.n1)
-
     def apply_at(self, columns, pos):
         """Leaf-index columns with the exchange applied at slots pos, pos + 1."""
         codes, n1, n2 = self.codes, self.n1, self.n2

@@ -47,32 +47,21 @@ def _reading_cells(i, s):
     return [(r, c) for c in range(s - 1, -1, -1) for r in range(i)]
 
 
-def _tab_signature_act(tab, t, lower):
-    """Apply the letter-t lowering (or raising) operator, None at the end."""
+def _tab_signature_act(tab, t):
+    """Apply the letter-t lowering operator, None at the end."""
     i, s = len(tab), len(tab[0])
     stack = []
-    minus = []
     for r, c in _reading_cells(i, s):
         v = tab[r][c]
         if v == t:
             stack.append((r, c))
-        elif v == t + 1:
-            if stack:
-                stack.pop()
-            else:
-                minus.append((r, c))
-    if lower:
-        if not stack:
-            return None
-        r, c = stack[0]
-        new_val = t + 1
-    else:
-        if not minus:
-            return None
-        r, c = minus[-1]
-        new_val = t
+        elif v == t + 1 and stack:
+            stack.pop()
+    if not stack:
+        return None
+    r, c = stack[0]
     rows = [list(row) for row in tab]
-    rows[r][c] = new_val
+    rows[r][c] = t + 1
     return tuple(tuple(row) for row in rows)
 
 
@@ -140,7 +129,7 @@ def _tableau_crystal(datum, i, s):
     for tab in tabs:
         k = index[tab]
         for t in range(1, nletters):
-            down = _tab_signature_act(tab, t, lower=True)
+            down = _tab_signature_act(tab, t)
             if down is not None:
                 if down not in index:
                     raise VerificationError("lowering broke the filling at %s" % ids[k])
@@ -317,10 +306,10 @@ def _center_swap(wt):
 
 def _center_candidates(partial, comps):
     """All involutive component matchings compatible with the weight twist."""
-    raising = [partial.e[j] for j in (1, 3, 4)]
+    highest = set(partial.highest_nodes((1, 3, 4)))
     heads = []
     for comp in comps:
-        top = [k for k in comp if all(e[k] == -1 for e in raising)]
+        top = [k for k in comp if k in highest]
         if len(top) != 1:
             raise VerificationError("component without a unique head")
         heads.append(top[0])

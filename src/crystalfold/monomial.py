@@ -48,7 +48,13 @@ def mono_weight(key, ncolors):
 
 
 def _lower(key, i, inverse):
-    """f_mono with the row of _lowering_table for color i."""
+    """Lower a monomial at color i; None when the string is exhausted.
+
+    key is sorted, as _as_key makes it, so the shifts of color i come in
+    ascending order and the lowering acts at the first maximal prefix sum
+    n_f, multiplying by A_{i,0}^{-1} shifted by n_f; inverse is the row of
+    _lowering_table for color i.
+    """
     phi = run = 0
     for (c, k), e in key:
         if c == i:
@@ -66,16 +72,6 @@ def _lower(key, i, inverse):
         else:
             del out[ik]
     return tuple(sorted(out.items()))
-
-
-def f_mono(gcm, key, i):
-    """Lower a monomial at color i; None when the string is exhausted.
-
-    key is sorted, as _as_key makes it, so the shifts of color i come in
-    ascending order and the lowering acts at the first maximal prefix sum
-    n_f, multiplying by A_{i,0}^{-1} shifted by n_f.
-    """
-    return _lower(key, i, _lowering_table(gcm)[i])
 
 
 def mono_id(key):

@@ -1,6 +1,6 @@
 """Test oracles: crystals built from id-keyed dicts, leaf-index columns of a
-tensor product, read off its pair node numbers, and the energy on
-B (x) B by the walk over single nodes."""
+tensor product, read off its pair node numbers, the pair an exchange sends
+a pair to, and the energy on B (x) B by the walk over single nodes."""
 
 from crystalfold.crystal import Crystal, Tensor, VerificationError
 from crystalfold.intertwine import energy_steps
@@ -34,6 +34,11 @@ def leaf_node(crys, leaves):
     if len(leaves) == 1:
         return leaves[0]
     return crys.at(leaf_node(crys.left, leaves[:-1]), leaves[-1])
+
+
+def exchange_pair(rmat, a, b):
+    """The pair (c, d) that the exchange rmat sends the pair (a, b) to."""
+    return divmod(rmat.codes[a * rmat.n2 + b], rmat.n1)
 
 
 def energy_walk(prod, anchor):

@@ -14,6 +14,7 @@ from crystalfold.branching import (
 from crystalfold.cartan import ScopeError, block, make_datum
 from crystalfold.crystal import Crystal, VerificationError
 from crystalfold.fixedpoint import HatBundle, build_hat_crystal
+from crystalfold.intertwine import orbit_factors
 from crystalfold.models import classical_highest_node
 
 A2 = make_datum("a", 2)
@@ -94,6 +95,16 @@ def test_gate_reads_the_walked_hat(monkeypatch):
     monkeypatch.setattr(branching, "build_hat_crystal", lambda *args: forged)
     with pytest.raises(VerificationError, match="^fixed-weight characterization fails: "
                                                 "3 node-fixed vs 6 weight-fixed heads$"):
+        multiplicity_free_gate(A3, 2, 2)
+
+
+def test_gate_reads_its_own_orbit_tensor(monkeypatch):
+    # the width-1 columns forged in for (a,3,2,2): the 6 classical highest
+    # nodes of the real hat are not the 3 weight-fixed heads at width 1
+    forged = orbit_factors(A3, 2, 1)
+    monkeypatch.setattr(branching, "orbit_factors", lambda *args: forged)
+    with pytest.raises(VerificationError, match="^fixed-weight characterization fails: "
+                                                "6 node-fixed vs 3 weight-fixed heads$"):
         multiplicity_free_gate(A3, 2, 2)
 
 

@@ -12,6 +12,7 @@ from crystalfold.cli import SCOPE_INSTANCES, main
 from crystalfold.crystal import Report, tensor
 from crystalfold.intertwine import compute_r_matrix, energy_on_tensor
 from crystalfold.models import classical_highest_node, kr_crystal
+from leaves import exchange_pair
 
 
 def run(*args):
@@ -166,7 +167,7 @@ def _tables_as_dicts(case, n, i, s):
     exchange = {}
     for a, x in enumerate(left.ids):
         for b, y in enumerate(right.ids):
-            c, d = rmat(a, b)
+            c, d = exchange_pair(rmat, a, b)
             exchange[x + "*" + y] = right.ids[c] + "*" + left.ids[d]
     return {"energy": ("H", energy), "rmatrix": ("map", exchange)}
 

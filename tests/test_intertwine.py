@@ -13,13 +13,13 @@ from crystalfold import cli, fixedpoint, intertwine
 from crystalfold.branching import verify_branching
 from crystalfold.cartan import make_datum, pi_tilde_weight
 from crystalfold.cli import SCOPE_INSTANCES
-from crystalfold.crystal import LazyTensor, Tensor, VerificationError, tensor
+from crystalfold.crystal import LazyTensor, Tensor, VerificationError, tensor, tensor_many
 from crystalfold.fixedpoint import build_hat_crystal, verify_tensor_compatibility
 from crystalfold.intertwine import (
     build_tilde_crystal, compute_r_matrix, compute_tau_omega,
     energy_on_tensor, orbit_factors, verify_yang_baxter)
 from crystalfold.models import classical_highest_node, kr_crystal
-from leaves import energy_walk, leaf_columns, leaf_node
+from leaves import energy_walk, exchange_pair, leaf_columns, leaf_node
 
 A2 = make_datum("a", 2)
 A3 = make_datum("a", 3)
@@ -69,12 +69,12 @@ def test_r_matrix_inverts():
     rev = compute_r_matrix(A2, (2, 1), (1, 1))
     for a in range(fwd.n1):
         for b in range(fwd.n2):
-            assert rev(*fwd(a, b)) == (a, b)
+            assert exchange_pair(rev, *exchange_pair(fwd, a, b)) == (a, b)
 
 
 def test_r_matrix_equal_factors_is_identity():
     rmap = compute_r_matrix(A2, (1, 1), (1, 1))
-    assert all(rmap(a, b) == (a, b)
+    assert all(exchange_pair(rmap, a, b) == (a, b)
                for a in range(rmap.n1) for b in range(rmap.n2))
 
 
@@ -84,7 +84,7 @@ def test_r_matrix_anchor():
     b3 = kr_crystal(A2, 3, 1)
     u1 = classical_highest_node(A2, b1, 1, 1)
     u3 = classical_highest_node(A2, b3, 3, 1)
-    assert rmap(u1, u3) == (u3, u1)
+    assert exchange_pair(rmap, u1, u3) == (u3, u1)
 
 
 def test_yang_baxter_cyclic_parent():
@@ -100,7 +100,7 @@ def test_exchange_apply_at_slots():
     pairs = [(a, b) for a in range(rmap.n1) for b in range(rmap.n2)]
     lefts = [a for a, _ in pairs]
     rights = [b for _, b in pairs]
-    images = [rmap(a, b) for a, b in pairs]
+    images = [exchange_pair(rmap, a, b) for a, b in pairs]
     spare = [9] * len(pairs)
     assert rmap.apply_at([lefts, rights, spare], 0) == [
         [c for c, _ in images], [d for _, d in images], spare]
@@ -345,10 +345,14 @@ def report_ok(report):
     # (2, 4), on the lazy orbit tensor
     pytest.param(lambda: cli_ok("branch", "--case", "a", "--n", "3", "--i", "2", "--s", "2"),
                  {}, id="cli-branch-a-3-2-2"),
-    # the multiplicity gate decomposes the orbit tensor and reads the fixed
-    # highest nodes off the walked hat
-    pytest.param(lambda: report_ok(verify_branching(A3, 2, 2)), {"tensor": 1},
+    # the multiplicity gate reads the classical highest nodes of the orbit
+    # tensor off a lazy tensor, and the fixed ones off the walked hat
+    pytest.param(lambda: report_ok(verify_branching(A3, 2, 2)), {},
                  id="verify-branching-a-3-2-2"),
+    # only the count of the triality leg's walk builds the orbit tensor and
+    # its twist; the gate builds no second copy
+    pytest.param(lambda: report_ok(verify_branching(D3, 2, 1)),
+                 {"tensor": 2, "propagate_map": 2}, id="verify-branching-d-3-2-1"),
     # the orbit tensor, the parent pair and the pair of folded crystals, and
     # one map: the exchange of the parent pair with itself
     pytest.param(lambda: report_ok(verify_tensor_compatibility(A2, (1, 1), (1, 1))),
@@ -357,6 +361,24 @@ def report_ok(report):
 def test_tensors_and_maps_built_per_request(calls, call, built):
     call()
     assert calls == built
+
+
+@pytest.mark.parametrize("case,n,i,s", SCOPE_INSTANCES + [
+    ("a", 4, 2, 2), ("b", 3, 2, 2), ("b", 2, 2, 3)])
+def test_highest_nodes_are_the_heads_of_the_orbit_tensor(case, n, i, s):
+    datum = make_datum(case, n)
+    classical = datum.classical_nodes
+    factors = orbit_factors(datum, i, s)
+    eager = tensor_many(factors)
+    heads = [top for top, _, _ in eager.highest_weight_decomposition(classical)]
+    killed = [k for k in range(len(eager))
+              if all(eager.apply_word((j,), k, lowering=False) == -1 for j in classical)]
+    assert eager.highest_nodes(classical) == heads == killed
+    lazy = LazyTensor(factors)
+    nodes = lazy.highest_nodes(classical)
+    assert sorted(leaf_node(eager, node) for node in nodes) == heads
+    assert (Counter(map(lazy.weight, nodes))
+            == Counter(eager.weights[k] for k in heads))
 
 
 @pytest.mark.parametrize("case,n,i,s", [inst for inst in SCOPE_INSTANCES

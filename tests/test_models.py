@@ -128,12 +128,12 @@ def tableau_crystal_from_edges(datum, i, s):
     for tab in tabs:
         bid = _tab_id(tab)
         for t in range(1, nletters):
-            down = models._tab_signature_act(tab, t, lower=True)
+            down = models._tab_signature_act(tab, t)
             if down is not None:
                 if not _is_rect_ssyt(down, nletters):
                     raise VerificationError("lowering broke the filling at %s" % bid)
                 f_edges[t][bid] = _tab_id(down)
-        shifted = models._tab_signature_act(_promote_inv(tab, nletters), 1, lower=True)
+        shifted = models._tab_signature_act(_promote_inv(tab, nletters), 1)
         if shifted is not None:
             down = _promote(shifted, nletters)
             if not _is_rect_ssyt(down, nletters):
@@ -170,8 +170,8 @@ def test_tableau_lowering_out_of_the_fillings_is_caught(
     # witness is the first broken filling in enumeration order
     step = models._tab_signature_act
 
-    def leaky(tab, letter, lower):
-        out = step(tab, letter, lower)
+    def leaky(tab, letter):
+        out = step(tab, letter)
         if out is None or letter != t or (uneven and len(set(tab[0])) == 1):
             return out
         return out[:-1] + (out[-1][:-1] + (datum.size + 1,),)

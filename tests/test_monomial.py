@@ -8,8 +8,8 @@ from crystalfold.cartan import make_datum
 from crystalfold.cli import SCOPE_INSTANCES
 from crystalfold.crystal import Crystal
 from crystalfold.monomial import (
-    _a_term, _as_key, f_mono, highest_weight_closure, highest_weight_crystal, mono_id,
-    weight_multiset)
+    _a_term, _as_key, _lower, _lowering_table, highest_weight_closure, highest_weight_crystal,
+    mono_id, weight_multiset)
 from leaves import crystal_from_edges
 
 SL2 = ((2,),)
@@ -122,6 +122,11 @@ def _color_profile(d, i):
         run += d[(i, k)]
         prefixes.append(run)
     return ks, prefixes, run
+
+
+def f_mono(gcm, key, i):
+    """The package's lowering at color i, with the row of its table."""
+    return _lower(key, i, _lowering_table(gcm)[i])
 
 
 def _f_mono_by_profile(gcm, key, i):
