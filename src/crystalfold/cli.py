@@ -10,7 +10,7 @@ import click
 
 from .branching import branch_hat, expected_branching, verify_branching
 from .cartan import ScopeError, make_datum
-from .crystal import VerificationError, tensor, tensor_many
+from .crystal import VerificationError, pair_ids, tensor, tensor_many
 from .fixedpoint import (build_hat_crystal, check_string_identities,
                          verify_main_theorem)
 from .intertwine import compute_r_matrix, energy_on_tensor, orbit_factors
@@ -59,6 +59,13 @@ def _json_map(name, keys, values):
     body = ",\n    ".join(map(": ".join, zip(map(encode_basestring_ascii, keys),
                                              map(render, values))))
     return "{\n  %s: {\n    %s\n  }\n}\n" % (encode_basestring_ascii(name), body)
+
+
+def _energy_values(datum, crys, i, s):
+    """The energy on crys (x) crys, over its pairs; the tensor is freed on return."""
+    top = classical_highest_node(datum, crys, i, s)
+    prod = tensor(crys, crys)
+    return energy_on_tensor(prod, prod.at(top, top))
 
 
 def _instance_options(fn):
@@ -203,10 +210,10 @@ def rmatrix(case_, n, i, s, fmt, out):
         left = kr_crystal(datum, i, s)
         right = kr_crystal(datum, datum.omega[i], s)
         rmat = compute_r_matrix(datum, (i, s), (datum.omega[i], s))
-        # pair ids in pair order, which tensor() checked is id order
-        keys = [x + "*" + y for x in left.ids for y in right.ids]
-        values = [right.ids[c] + "*" + left.ids[d]
-                  for c, d in (divmod(code, rmat.n1) for code in rmat.codes)]
+        # pair ids in pair order, which tensor() checked is id order; a
+        # code is a node of right (x) left
+        keys = list(pair_ids(left.ids, right.ids))
+        values = list(map(list(pair_ids(right.ids, left.ids)).__getitem__, rmat.codes))
         if fmt == "json":
             payload = _json_map("map", keys, values)
         else:
@@ -225,13 +232,12 @@ def energy(case_, n, i, s, fmt, out):
         _require_case(case_)
         datum = make_datum(case_, n)
         crys = kr_crystal(datum, i, s)
-        top = classical_highest_node(datum, crys, i, s)
-        prod = tensor(crys, crys)
-        values = energy_on_tensor(prod, prod.at(top, top))
+        values = _energy_values(datum, crys, i, s)
+        keys = list(pair_ids(crys.ids, crys.ids))
         if fmt == "json":
-            payload = _json_map("H", prod.ids, values)
+            payload = _json_map("H", keys, values)
         else:
-            lines = ["H %s %d" % item for item in zip(prod.ids, values)]
+            lines = ["H %s %d" % item for item in zip(keys, values)]
             payload = "\n".join(lines) + "\n"
         _emit(payload, out)
 

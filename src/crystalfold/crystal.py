@@ -13,7 +13,8 @@ its nodes by tuples of factor indices instead.
 
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import compress, islice
+from functools import cached_property
+from itertools import chain, compress, islice, pairwise
 from math import prod
 from operator import add, le, sub
 
@@ -70,23 +71,31 @@ class Crystal:
     def __init__(self, gcm, comarks, ids, weights, f, payloads):
         if not all(map(str.__lt__, ids, islice(ids, 1, None))):
             k = next(k for k in range(1, len(ids)) if ids[k - 1] >= ids[k])
-            raise ValueError("node ids collide or are out of order at %s" % ids[k])
+            raise _out_of_order(ids[k])
         if set(map(len, weights)) - {len(gcm)}:
             k = next(k for k, wt in enumerate(weights) if len(wt) != len(gcm))
             raise ValueError("weight length mismatch at %s" % ids[k])
+        self.ids = ids
+        self._store(gcm, comarks, weights, f, payloads, list(range(len(weights))))
+
+    def _store(self, gcm, comarks, weights, f, payloads, nodes):
+        """Everything but the ids, which a Tensor renders only on demand.
+
+        nodes is list(range(len(self))): the raising maps hold its int
+        objects, one per node, and not a new one per edge.
+        """
         self.gcm = tuple(tuple(row) for row in gcm)
         self.comarks = tuple(comarks)
         self.ncolors = len(self.gcm)
-        self.ids = ids
         self.weights = weights
         self.payloads = payloads
         self.f = f
-        self.e = [_inverse(arr) for arr in f]
+        self.e = [_inverse(arr, nodes) for arr in f]
         self._eps = {}
         self._phi = {}
 
     def __len__(self):
-        return len(self.ids)
+        return len(self.weights)
 
     def id(self, k):
         return self.ids[k]
@@ -109,7 +118,7 @@ class Crystal:
         """String positions for one color; fails on collisions or cycles."""
         if j in self._eps:
             return
-        n = len(self.ids)
+        n = len(self)
         f, e = self.f[j], self.e[j]
         eps = [None] * n
         phi = [None] * n
@@ -117,13 +126,13 @@ class Crystal:
             if e[i] == -1:
                 cur, d = i, 0
                 if eps[cur] is not None:
-                    raise VerificationError("color %d string collision at %s" % (j, self.ids[cur]))
+                    raise VerificationError("color %d string collision at %s" % (j, self.id(cur)))
                 eps[cur] = 0
                 while f[cur] != -1:
                     cur = f[cur]
                     d += 1
                     if eps[cur] is not None:
-                        raise VerificationError("color %d string collision at %s" % (j, self.ids[cur]))
+                        raise VerificationError("color %d string collision at %s" % (j, self.id(cur)))
                     eps[cur] = d
         for i in range(n):
             if f[i] == -1:
@@ -135,7 +144,7 @@ class Crystal:
                     phi[cur] = d
         for i in range(n):
             if eps[i] is None or phi[i] is None:
-                raise VerificationError("color %d has a cyclic string through %s" % (j, self.ids[i]))
+                raise VerificationError("color %d has a cyclic string through %s" % (j, self.id(i)))
         self._eps[j] = eps
         self._phi[j] = phi
 
@@ -167,9 +176,9 @@ class Crystal:
                 while arr[cur] != -1:
                     cur = arr[cur]
                     d += 1
-                    if d == len(self.ids):
+                    if d == len(self):
                         raise VerificationError(
-                            "color %d has a cyclic string through %s" % (j, self.ids[i]))
+                            "color %d has a cyclic string through %s" % (j, self.id(i)))
                 lengths.append(d)
             out.append(tuple(lengths))
         return tuple(out)
@@ -184,7 +193,7 @@ class Crystal:
         nodes searched for the witness, the first in index order.
         """
         report = report if report is not None else Report()
-        nodes = range(len(self.ids))
+        nodes = range(len(self))
         edges = []
         for f in self.f:
             live = list(map((-1).__ne__, f))
@@ -203,10 +212,10 @@ class Crystal:
                     if dst in seen:
                         raise VerificationError(
                             "color %d: nodes %s and %s share f-target %s"
-                            % (j, self.ids[seen[dst]], self.ids[src], self.ids[dst]))
+                            % (j, self.id(seen[dst]), self.id(src), self.id(dst)))
                     seen[dst] = src
                 raise VerificationError("color %d: raising map does not invert %s"
-                                        % (j, self.ids[_first_difference(srcs, back, srcs)]))
+                                        % (j, self.id(_first_difference(srcs, back, srcs))))
 
         def weight_step():
             for j, (srcs, dsts) in enumerate(edges):
@@ -220,7 +229,7 @@ class Crystal:
                         failing.append(_first_difference(srcs, below, above))
                 if failing:
                     raise VerificationError(
-                        "color %d: weight step fails at %s" % (j, self.ids[min(failing)]))
+                        "color %d: weight step fails at %s" % (j, self.id(min(failing))))
 
         def semiregular():
             for j, col in enumerate(columns):
@@ -228,7 +237,7 @@ class Crystal:
                 diff = tuple(map(sub, self._phi[j], self._eps[j]))
                 if diff != col:
                     raise VerificationError("color %d: phi - eps != weight at %s"
-                                            % (j, self.ids[_first_difference(nodes, diff, col)]))
+                                            % (j, self.id(_first_difference(nodes, diff, col))))
 
         report.run("axiom:pairing", pairing)
         report.run("axiom:weight-step", weight_step)
@@ -240,7 +249,7 @@ class Crystal:
     def components(self, colors=None):
         """Connected components under the given colors, as sorted index tuples."""
         colors = range(self.ncolors) if colors is None else tuple(colors)
-        n = len(self.ids)
+        n = len(self)
         comp = [-1] * n
         out = []
         for start in range(n):
@@ -287,7 +296,7 @@ class Crystal:
         colors = tuple(colors)
         lowering = [self.f[j] for j in colors]
         highs = self.highest_nodes(colors)
-        owner = [-1] * len(self.ids)
+        owner = [-1] * len(self)
         out = []
         for top in highs:
             owner[top] = top
@@ -315,7 +324,7 @@ class Crystal:
             if len(highs) != 1:
                 raise VerificationError(
                     "component of %s has %d highest nodes under colors %r"
-                    % (self.ids[comp[0]], len(highs), colors))
+                    % (self.id(comp[0]), len(highs), colors))
             out.append((highs[0], self.weights[highs[0]], comp))
         out.sort(key=lambda item: item[0])
         return out
@@ -336,7 +345,7 @@ class Crystal:
     def extremal_elements(self):
         """Nodes whose full orbit under the Weyl operators has, for every
         color, a vanishing string length on one side."""
-        n = len(self.ids)
+        n = len(self)
         ok_here = []
         for i in range(n):
             ok_here.append(all(
@@ -368,7 +377,7 @@ class Crystal:
         def s1():
             for i, wt in enumerate(self.weights):
                 if sum(c * v for c, v in zip(self.comarks, wt)) != 0:
-                    raise VerificationError("nonzero level weight at %s" % self.ids[i])
+                    raise VerificationError("nonzero level weight at %s" % self.id(i))
 
         extremal = []
 
@@ -397,7 +406,7 @@ class Crystal:
             for k in extremal:
                 if counts[self.weights[k]] != 1:
                     raise VerificationError(
-                        "extremal weight of %s has multiplicity > 1" % self.ids[k])
+                        "extremal weight of %s has multiplicity > 1" % self.id(k))
 
         report.run("simple:S1", s1)
         report.run("simple:S2", s2)
@@ -406,7 +415,7 @@ class Crystal:
 
     def level_and_minimal(self):
         """The minimal level and the nodes that have it."""
-        levels = [0] * len(self.ids)
+        levels = [0] * len(self)
         for j, c in enumerate(self.comarks):
             self._walk_color(j)
             levels = list(map(add, levels, map(c.__mul__, self._eps[j])))
@@ -427,10 +436,10 @@ class Crystal:
                 v = table(i)
                 if v not in targets:
                     raise VerificationError(
-                        "%s of %s leaves the dominant set" % (kind, self.ids[i]))
+                        "%s of %s leaves the dominant set" % (kind, self.id(i)))
                 if v in image:
                     raise VerificationError(
-                        "%s collides on %s and %s" % (kind, self.ids[image[v]], self.ids[i]))
+                        "%s collides on %s and %s" % (kind, self.id(image[v]), self.id(i)))
                 image[v] = i
             if len(image) != len(targets):
                 raise VerificationError(
@@ -468,21 +477,43 @@ class Crystal:
         return "\n".join(lines) + "\n"
 
 
-def _inverse(arr):
+def _inverse(arr, nodes):
     inv = [-1] * len(arr)
-    for src, dst in enumerate(arr):
+    for src, dst in zip(nodes, arr):
         if dst != -1:
             inv[dst] = src
     return inv
+
+
+def _out_of_order(node_id):
+    return ValueError("node ids collide or are out of order at %s" % node_id)
+
+
+def pair_ids(left_ids, right_ids):
+    """The pair ids, left id + "*" + right id, in pair order, as an iterator."""
+    return (x + y for x in [x + "*" for x in left_ids] for y in right_ids)
+
+
+def _extends_below_star(x, y):
+    # y = x + c + rest with c <= "*": then x's pairs need not sort below y's
+    return y.startswith(x) and y[len(x)] <= "*"
 
 
 class Tensor(Crystal):
     """Tensor product crystal left (x) right, stored by node index.
 
     Node a * len(right) + b is the pair (a, b) of a left and a right node,
-    so divmod(node, len(right)) reads the pair off the node. Ids are rendered
-    once, as left id + "*" + right id; pair order must be id order, so an id
-    that extends another id by a character below "*" is refused.
+    so divmod(node, len(right)) reads the pair off the node. No per-pair
+    object is stored that a reader does not ask for: id(k) renders one pair
+    id from the factor ids by pair_ids, ids renders them all on first
+    access, each distinct sum of a left and a right weight is one tuple,
+    shared by every pair of that weight, and every lowering and raising map
+    holds the int objects of one list of the nodes, not a new int per edge.
+
+    Pair order must be id order. Both factors' ids ascend, so it is unless
+    some left id extends the one before it by a character <= "*"; only then
+    are the pair ids rendered, as a stream, and compared, and the first one
+    out of order is refused.
 
     The lowering rule: f_j acts on the left factor when phi_j(left) is
     strictly larger than eps_j(right), otherwise on the right factor; the
@@ -495,24 +526,46 @@ class Tensor(Crystal):
             raise ValueError("tensor factors live over different data")
         na, nb = len(left), len(right)
         self.left, self.right = left, right
-        weights = [tuple(map(add, x, y)) for x in left.weights for y in right.weights]
+        if any(map(_extends_below_star, left.ids, islice(left.ids, 1, None))):
+            for x, y in pairwise(pair_ids(left.ids, right.ids)):
+                if x >= y:
+                    raise _out_of_order(y)
+        # one row of shared sums per distinct left weight, read by right weight code
+        codes = {}
+        right_codes = [codes.setdefault(y, len(codes)) for y in right.weights]
+        shared, rows = {}, {}
+        for x in left.weights:
+            if x not in rows:
+                rows[x] = [shared.setdefault(w, w) for w in (tuple(map(add, x, y)) for y in codes)]
+        weights = tuple(chain.from_iterable(
+            map(rows[x].__getitem__, right_codes) for x in left.weights))
+        # the rows of pairs (a, .), each with -1 appended, so that every map
+        # holds the int objects of nodes and not a new one per edge
+        nodes = list(range(na * nb))
+        blocks = [nodes[a * nb:(a + 1) * nb] + [-1] for a in range(na)]
         f = []
         for j in range(left.ncolors):
             left._walk_color(j)
             right._walk_color(j)
-            fb = right.f[j]
+            fb, eps = right.f[j], right._eps[j]
             row = []
-            for a, (pa, ta) in enumerate(zip(left._phi[j], left.f[j])):
-                base = a * nb
+            for pa, ta, block in zip(left._phi[j], left.f[j], blocks):
+                here = map(block.__getitem__, fb)
                 if pa == 0:
-                    row += [-1 if t == -1 else base + t for t in fb]
+                    row += here
                 else:
-                    row += [ta * nb + b if pa > e else (-1 if t == -1 else base + t)
-                            for b, e, t in zip(range(nb), right._eps[j], fb)]
+                    row += [y if pa <= e else x for x, y, e in zip(blocks[ta], here, eps)]
             f.append(row)
-        super().__init__(left.gcm, left.comarks,
-                         tuple(a + "*" + b for a in left.ids for b in right.ids),
-                         tuple(weights), f, (None,) * (na * nb))
+        self._store(left.gcm, left.comarks, weights, f, (None,) * (na * nb), nodes)
+
+    def id(self, k):
+        a, b = divmod(k, len(self.right))
+        (node_id,) = pair_ids([self.left.id(a)], [self.right.id(b)])
+        return node_id
+
+    @cached_property
+    def ids(self):
+        return tuple(pair_ids(self.left.ids, self.right.ids))
 
     def at(self, a, b):
         """The node of the pair (left node a, right node b)."""
@@ -620,7 +673,7 @@ class LazyTensor:
         return tuple(eps_out), tuple(phi_out)
 
     def weyl_s(self, j, node):
-        m = self.weight(node)[j]
+        m = sum(fac.weights[a][j] for fac, a in zip(self.factors, node))
         for _ in range(abs(m)):
             node = self.step(j, node, m >= 0)
             if node == -1:
@@ -663,19 +716,19 @@ def propagate_map(src, dst, anchors, relabel=None, colors=None, domain=None,
             if nx == -1 or ny == -1:
                 if nx != ny:
                     raise VerificationError(
-                        "string mismatch at %s under color %d" % (src.ids[x], j))
+                        "string mismatch at %s under color %d" % (src.id(x), j))
                 continue
             seen = out[nx]
             if seen == -1:
                 out[nx] = ny
                 queue.append(nx)
             elif seen != ny:
-                raise VerificationError("conflicting images for %s" % src.ids[nx])
+                raise VerificationError("conflicting images for %s" % src.id(nx))
     domain = range(len(src)) if domain is None else domain
     missing = [x for x in domain if out[x] == -1]
     if missing:
         raise VerificationError(
-            "propagation missed %d nodes, first %s" % (len(missing), src.ids[missing[0]]))
+            "propagation missed %d nodes, first %s" % (len(missing), src.id(missing[0])))
     _recheck_map(src, dst, out, lowering, weight_map)
     return out
 
@@ -688,7 +741,6 @@ def _recheck_map(src, dst, out, lowering, weight_map):
     the one at the smallest mapped node is raised, and at that node
     injectivity comes first, then the colors in order, then the weight rule.
     """
-    ids = src.ids
     total = -1 not in out
     nodes = range(len(out)) if total else [x for x, y in enumerate(out) if y != -1]
 
@@ -702,7 +754,7 @@ def _recheck_map(src, dst, out, lowering, weight_map):
         for x, y in zip(nodes, images):
             if y in hit:
                 failures.append((x, 0, "map sends %s and %s to %s"
-                                 % (ids[hit[y]], ids[x], dst.ids[y])))
+                                 % (src.id(hit[y]), src.id(x), dst.id(y))))
                 break
             hit[y] = x
     # image[t] is the image of the edge target t: -1 (read at index -1) for
@@ -714,7 +766,7 @@ def _recheck_map(src, dst, out, lowering, weight_map):
         if lhs != rhs:
             x = _first_difference(nodes, lhs, rhs)
             failures.append((x, rank, "edge re-check failed at %s under color %d"
-                             % (ids[x], j)))
+                             % (src.id(x), j)))
     if weight_map is not None:
         weights = restrict(src.weights)
         twisted = {wt: tuple(weight_map(wt)) for wt in set(weights)}
@@ -722,7 +774,7 @@ def _recheck_map(src, dst, out, lowering, weight_map):
         rhs = list(map(dst.weights.__getitem__, images))
         if lhs != rhs:
             x = _first_difference(nodes, lhs, rhs)
-            failures.append((x, len(lowering) + 1, "weight rule fails at %s" % ids[x]))
+            failures.append((x, len(lowering) + 1, "weight rule fails at %s" % src.id(x)))
     if failures:
         raise VerificationError(min(failures)[2])
 

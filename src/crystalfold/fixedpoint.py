@@ -316,7 +316,7 @@ def verify_tensor_compatibility(datum, spec1, spec2):
         for p in fixed:
             if exchange[p] not in where:
                 raise VerificationError(
-                    "exchange moves %s off the fixed set" % pair.ids[p])
+                    "exchange moves %s off the fixed set" % pair.id(p))
 
     if not report.run("rhat:fixed", fixed_closed):
         return report  # rhat:edges reads where at the image of every fixed pair

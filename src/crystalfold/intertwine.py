@@ -81,7 +81,7 @@ def compute_r_matrix(datum, left_spec, right_spec):
             "exchange map depends on traversal order for %r %r" % (left_spec, right_spec))
     for x, y in enumerate(first):
         if forward.weights[x] != backward.weights[y]:
-            raise VerificationError("exchange map moved a weight at %s" % forward.ids[x])
+            raise VerificationError("exchange map moved a weight at %s" % forward.id(x))
     return Exchange(codes=tuple(first), n1=len(b1), n2=len(b2))
 
 
@@ -130,7 +130,7 @@ def energy_on_tensor(prod, anchor):
         if sum(map(ne, map(label.__getitem__, e), comp)) != e.count(-1):
             k = next(k for k, y in enumerate(e) if y != -1 and comp[y] != comp[k])
             raise VerificationError("color %d raising edge leaves its classical component at %s"
-                                    % (j, prod.ids[k]))
+                                    % (j, prod.id(k)))
 
     # the steps read a pair only through phi_0 of its left node and eps_0 of
     # its right node, so the pairs of one left node form one row per phi_0
@@ -171,7 +171,7 @@ def energy_on_tensor(prod, anchor):
             k = next(k for k, y in enumerate(targets)
                      if y != -1 and values[y] != values[k] + steps[k])
             raise VerificationError("energy is path dependent %s color 0 at %s"
-                                    % (kind, prod.ids[k]))
+                                    % (kind, prod.id(k)))
     return values
 
 

@@ -1,18 +1,23 @@
 """Graph-level behavior: axioms, tensor rule, Weyl action, decomposition."""
 
+import gc
 import itertools
 import json
 import re
+import tracemalloc
+from operator import add
 
 import pytest
 from hypothesis import given, strategies as st
 
+from crystalfold import crystal
 from crystalfold.cartan import classical_alpha, make_datum
 from crystalfold.cli import SCOPE_INSTANCES
 from crystalfold.crystal import (
-    Crystal, Report, VerificationError, _recheck_map, propagate_map, tensor,
+    Crystal, Report, Tensor, VerificationError, _recheck_map, propagate_map, tensor,
     tensor_many)
-from crystalfold.fixedpoint import build_hat_crystal
+from crystalfold.fixedpoint import build_hat_crystal, fold_crystal
+from crystalfold.intertwine import energy_on_tensor, orbit_factors, orbit_top
 from crystalfold.models import kr_crystal
 from crystalfold.monomial import highest_weight_crystal
 from leaves import crystal_from_edges, leaf_columns
@@ -235,6 +240,149 @@ def test_index_tensor_many_matches_reference():
         # the leaf indices locate the node again
         assert prod.at(prod.left.at(columns[0][k], columns[1][k]), columns[2][k]) == k
         assert b == "*".join(c.ids[col[k]] for c, col in zip(parts, columns))
+
+
+# -- a Tensor stores no per-pair object a reader does not ask for ----------------
+
+def eager_ids(crys):
+    if not isinstance(crys, Tensor):
+        return list(crys.ids)
+    return [x + "*" + y for x in eager_ids(crys.left) for y in crys.right.ids]
+
+
+def eager_weights(crys):
+    if not isinstance(crys, Tensor):
+        return list(crys.weights)
+    return [tuple(map(add, x, y)) for x in eager_weights(crys.left) for y in crys.right.weights]
+
+
+def _pair_tensor(c, n, i, s):
+    crys = kr_crystal(make_datum(c, n), i, s)
+    return tensor(crys, crys)
+
+
+def _parity_cases():
+    """The orbit tensor of every scope instance, or B (x) B where the orbit is one column."""
+    cases = []
+    for c, n, i, s in SCOPE_INSTANCES + [("c", 4, 1, 3)]:
+        if len(make_datum(c, n).orbit(i)) > 1:
+            build, kind = lambda c=c, n=n, i=i, s=s: tensor_many(
+                orbit_factors(make_datum(c, n), i, s)), "orbit"
+        else:
+            build, kind = lambda c=c, n=n, i=i, s=s: _pair_tensor(c, n, i, s), "pair"
+        cases.append(pytest.param(build, id="%s-%s-%d-%d-%d" % (kind, c, n, i, s)))
+    return cases
+
+
+@pytest.mark.parametrize("build", _parity_cases())
+def test_pair_ids_and_shared_weights_match_the_eager_tensor(build):
+    prod = build()
+    ids = eager_ids(prod)
+    assert list(map(prod.id, range(len(prod)))) == ids
+    assert "ids" not in vars(prod)
+    assert prod.ids == tuple(ids)
+    assert prod.weights == tuple(eager_weights(prod))
+    # pairs of equal weight share one tuple, and the maps one int per node
+    assert len(set(map(id, prod.weights))) == len(set(prod.weights))
+    assert len({id(k) for row in prod.f + prod.e for k in row if k != -1}) <= len(prod)
+
+
+def test_readers_of_the_pair_tensor_render_no_ids():
+    # (d,3,1,2) is a one-column orbit, so B (x) B is the pair tensor that
+    # tensor compatibility folds, from its top pair
+    datum = make_datum("d", 3)
+    crys = kr_crystal(datum, 1, 2)
+    top = orbit_top(datum, crys, 1, 2)
+    prod = _pair_tensor("d", 3, 1, 2)
+    assert len(prod) == len(crys) ** 2
+    energy_on_tensor(prod, prod.at(top, top))
+    assert len(fold_crystal(datum, prod, prod.at(top, top))) > 1
+    assert "ids" not in vars(prod)
+
+
+def test_tensor_memory_holds_no_per_pair_objects():
+    # over 50 MB held when every pair kept its id and its own weight tuple,
+    # and 31 MB when every edge also kept its own int in each map
+    crys = kr_crystal(make_datum("d", 3), 1, 2)
+    for j in range(crys.ncolors):
+        crys.eps(j, 0)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        prod = tensor(crys, crys)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(prod) == 108241
+    assert held <= 20e6, "tensor(B, B) of (d,3,1,2) holds %.1f MB" % (held / 1e6)
+
+
+def _eager_order_witness(left, right):
+    """The first pair id not above the one before it, or None, and the pair ids."""
+    ids = [x + "*" + y for x in left.ids for y in right.ids]
+    return next((y for x, y in zip(ids, ids[1:]) if x >= y), None), ids
+
+
+def _leaf(ids):
+    return crystal_from_edges(SL2, (1,), {b: ((0,), None) for b in ids}, {})
+
+
+def _checks_pairs(monkeypatch):
+    """The number of pair ids asked of each pair_ids call from now on."""
+    calls = []
+    render = crystal.pair_ids
+
+    def counting(left_ids, right_ids):
+        calls.append(len(left_ids) * len(right_ids))
+        return render(left_ids, right_ids)
+
+    monkeypatch.setattr(crystal, "pair_ids", counting)
+    return calls
+
+
+@pytest.mark.parametrize("right_ids, witness", [
+    (("a", "b"), None),  # x*b sorts below x*y*a
+    (("y*z", "z"), "x*y*y*z"),  # x*z sorts above x*y*y*z
+    (("a", "y*a"), "x*y*a"),  # x*y*a, the last pair of x, is the first pair of x*y
+])
+def test_pair_order_runs_the_full_check_when_a_left_id_extends_by_star(
+        monkeypatch, right_ids, witness):
+    left, right = _leaf(("x", "x*y")), _leaf(right_ids)
+    assert _eager_order_witness(left, right)[0] == witness
+    calls = _checks_pairs(monkeypatch)
+    if witness is None:
+        tensor(left, right)
+    else:
+        with pytest.raises(ValueError, match="^node ids collide or are out of order at %s$"
+                           % re.escape(witness)):
+            tensor(left, right)
+    assert calls == [4]
+
+
+@given(st.lists(st.text(alphabet=" *+xy", max_size=3), min_size=1, max_size=4, unique=True),
+       st.lists(st.text(alphabet=" *+xy", max_size=3), min_size=1, max_size=4, unique=True))
+def test_pair_order_verdict_matches_the_eager_check(left_ids, right_ids):
+    left, right = _leaf(left_ids), _leaf(right_ids)
+    witness, ids = _eager_order_witness(left, right)
+    extends = any(y.startswith(x) and y[len(x)] <= "*"
+                  for x, y in zip(left.ids, left.ids[1:]))
+    # without such a left id, pair order is id order
+    assert extends or witness is None
+    if witness is None:
+        prod = tensor(left, right)
+        assert prod.ids == tuple(ids)
+        assert list(map(prod.id, range(len(prod)))) == ids
+    else:
+        with pytest.raises(ValueError) as info:
+            tensor(left, right)
+        assert str(info.value) == "node ids collide or are out of order at %s" % witness
+
+
+def test_pair_order_skips_the_full_check_otherwise(monkeypatch):
+    calls = _checks_pairs(monkeypatch)
+    prod = tensor(_leaf(("x", "x+y", "y")), _leaf(("a", "b")))
+    assert calls == []
+    assert "ids" not in vars(prod)
 
 
 def test_littlewood_richardson_fixture():
