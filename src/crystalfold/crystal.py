@@ -114,6 +114,18 @@ class Crystal:
                 return -1
         return i
 
+    def images(self, word, nodes, lowering=True):
+        """apply_word(word, k, lowering) for every k in nodes, as a list.
+
+        Each letter is one lookup over the nodes in a copy of its map that
+        ends in -1, so a node that died, -1, reads -1 again.
+        """
+        maps = self.f if lowering else self.e
+        ends = {j: maps[j] + [-1] for j in set(word)}
+        for j in word:
+            nodes = list(map(ends[j].__getitem__, nodes))
+        return nodes
+
     def _walk_color(self, j):
         """String positions for one color; fails on collisions or cycles."""
         if j in self._eps:
@@ -499,6 +511,17 @@ def _extends_below_star(x, y):
     return y.startswith(x) and y[len(x)] <= "*"
 
 
+def _some_id_extends_below_star(crys):
+    """Whether some id of crys extends the one before it by a character <= "*".
+
+    A tensor's id does only where an id of one of its factors does, so a
+    tensor is answered from its factors and its own ids stay unrendered.
+    """
+    if isinstance(crys, Tensor):
+        return _some_id_extends_below_star(crys.left) or _some_id_extends_below_star(crys.right)
+    return any(map(_extends_below_star, crys.ids, islice(crys.ids, 1, None)))
+
+
 class Tensor(Crystal):
     """Tensor product crystal left (x) right, stored by node index.
 
@@ -511,9 +534,10 @@ class Tensor(Crystal):
     holds the int objects of one list of the nodes, not a new int per edge.
 
     Pair order must be id order. Both factors' ids ascend, so it is unless
-    some left id extends the one before it by a character <= "*"; only then
-    are the pair ids rendered, as a stream, and compared, and the first one
-    out of order is refused.
+    some left id extends the one before it by a character <= "*", which a
+    left factor that is itself a Tensor answers from its own factors' ids;
+    only then are the pair ids rendered, as a stream, and compared, and the
+    first one out of order is refused.
 
     The lowering rule: f_j acts on the left factor when phi_j(left) is
     strictly larger than eps_j(right), otherwise on the right factor; the
@@ -526,7 +550,7 @@ class Tensor(Crystal):
             raise ValueError("tensor factors live over different data")
         na, nb = len(left), len(right)
         self.left, self.right = left, right
-        if any(map(_extends_below_star, left.ids, islice(left.ids, 1, None))):
+        if _some_id_extends_below_star(left):
             for x, y in pairwise(pair_ids(left.ids, right.ids)):
                 if x >= y:
                     raise _out_of_order(y)
@@ -592,8 +616,8 @@ class LazyTensor:
     signature rule, read off the factors' cached eps/phi arrays in one pass
     over the factors, and ids render as in tensor_many. Offers the node
     methods the fold, the string identities and branching read: id, weight,
-    apply_word, highest_nodes, own_strings and weyl_s; its length is the
-    size of the tensor it stands for.
+    apply_word, images, highest_nodes, own_strings and weyl_s; its length is
+    the size of the tensor it stands for.
     """
 
     def __init__(self, factors):
@@ -639,6 +663,10 @@ class LazyTensor:
             if node == -1:
                 return -1
         return node
+
+    def images(self, word, nodes, lowering=True):
+        """apply_word(word, node, lowering) for every node in nodes, as a list."""
+        return [self.apply_word(word, node, lowering) for node in nodes]
 
     def highest_nodes(self, colors):
         """The nodes that every e_j with j in colors kills, in index order.

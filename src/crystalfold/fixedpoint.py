@@ -215,21 +215,36 @@ def check_string_identities(datum, i, s):
                 raise VerificationError("phi tuples disagree at %s" % hat.ids[h])
 
     def powered_words():
-        words = {}  # (color, power) -> the raising word and the lowering word
-        for h, p in enumerate(fixed):
-            for jh in range(hat.ncolors):
-                for lowering, kind, top, maps in ((True, "lowering", hat.phi(jh, h), hat.f[jh]),
-                                                  (False, "raising", hat.eps(jh, h), hat.e[jh])):
-                    cur = h
-                    for m in range(1, top + 2):
-                        cur = maps[cur] if cur != -1 else -1
-                        if (jh, m) not in words:
-                            word = kashiwara_word(datum, jh, m)
-                            words[jh, m] = (word[::-1], word)
-                        via_word = parent.apply_word(words[jh, m][lowering], p, lowering)
-                        if via_word != (fixed[cur] if cur != -1 else -1):
-                            raise VerificationError("%s power %d disagrees at %s color %d"
-                                                    % (kind, m, hat.ids[h], jh))
+        # one batch per color, direction and power m, over the folded nodes
+        # whose string reaches power m - 1; each parent node applies the whole
+        # word of power m. Of all failures the first by node, color,
+        # direction (lowering first) and power is raised.
+        for jh in range(hat.ncolors):
+            hat.phi(jh, 0)  # walks every string of color jh, refusing a cycle
+        ends = fixed + (-1,)
+        failures = []
+        for jh in range(hat.ncolors):
+            for rank, (kind, maps) in enumerate((("lowering", hat.f[jh]), ("raising", hat.e[jh]))):
+                steps = maps + [-1]
+                nodes = cur = range(len(hat))  # cur: the nodes' images at power m - 1
+                m = 1
+                while nodes:
+                    word = kashiwara_word(datum, jh, m)
+                    cur = list(map(steps.__getitem__, cur))
+                    want = list(map(ends.__getitem__, cur))
+                    got = parent.images(word if rank == 0 else word[::-1],
+                                        list(map(fixed.__getitem__, nodes)), rank == 0)
+                    if got != want:
+                        h = next(h for h, a, b in zip(nodes, got, want) if a != b)
+                        failures.append((h, jh, rank, m, kind))
+                    alive = list(map((-1).__ne__, cur))
+                    nodes = list(itertools.compress(nodes, alive))
+                    cur = list(itertools.compress(cur, alive))
+                    m += 1
+        if failures:
+            h, jh, _, m, kind = min(failures)
+            raise VerificationError("%s power %d disagrees at %s color %d"
+                                    % (kind, m, hat.ids[h], jh))
 
     def weyl_match():
         words = [theta_word(datum, (jh,)) for jh in range(hat.ncolors)]

@@ -10,6 +10,7 @@ the encoding.
 
 import itertools
 from functools import lru_cache
+from operator import add, and_, gt, sub
 
 from .cartan import ScopeError, block, make_datum, pi_weight
 from .crystal import Crystal, VerificationError, propagate_map
@@ -148,140 +149,105 @@ def _tableau_crystal(datum, i, s):
                    tuple(bid[2:] for bid in ids))
 
 
-# -- vector column (simply branched parents) --------------------------------
+# -- vector and fork columns on whole arrays --------------------------------
 
-def _vec_id(xs, bars):
-    return ("v:" + ",".join(str(v) for v in xs)
-            + "|" + ",".join(str(v) for v in bars))
+def _state_crystal(datum, digits, radix, lowering, fmt, labels, classical):
+    """A column on whole arrays from the digit columns of its states.
 
-
-def _vec_weight(datum, xs, bars):
-    m = len(xs)
-    mu = [x - b for x, b in zip(xs, bars)]
-    pairs = [mu[j - 1] - mu[j] for j in range(1, m)]
-    pairs.append(mu[m - 2] + mu[m - 1])
-    return affinize(datum.comarks, pairs)
-
-
-def _vec_states(m, s):
-    out = []
-    for cut in itertools.combinations(range(2 * m + s - 1), 2 * m - 1):
-        parts = []
-        prev = -1
-        for pos in cut + (2 * m + s - 1,):
-            parts.append(pos - prev - 1)
-            prev = pos
-        xs, bars = tuple(parts[:m]), tuple(parts[m:])
-        if xs[m - 1] and bars[m - 1]:
-            continue
-        out.append((xs, bars))
-    return out
-
-
-def _vec_f(xs, bars, j, m):
-    xs, bars = list(xs), list(bars)
-    if j == 0:
-        if bars[1] > xs[1]:
-            bars[1] -= 1
-            xs[0] += 1
-        elif bars[0] >= 1:
-            bars[0] -= 1
-            xs[1] += 1
-        else:
-            return None
-    elif j < m:
-        if bars[j] > xs[j]:
-            bars[j] -= 1
-            bars[j - 1] += 1
-        elif xs[j - 1] >= 1:
-            xs[j - 1] -= 1
-            xs[j] += 1
-        else:
-            return None
-    else:
-        if xs[m - 1] > 0:
-            xs[m - 1] -= 1
-            bars[m - 2] += 1
-        elif xs[m - 2] > 0:
-            xs[m - 2] -= 1
-            bars[m - 1] += 1
-        else:
-            return None
-    return tuple(xs), tuple(bars)
-
-
-def _state_crystal(datum, states, name, lower, weigh):
-    """A column on index arrays from its list of states.
-
-    name(state) renders its id, lower(state, j) is its color j image or
-    None, and weigh(state) its weight; each id is rendered once.
+    digits holds one column per coordinate, over the states in enumeration
+    order, and a state's code is its mixed-radix integer: digit c in place
+    radix**c. Its id is fmt % its labels, one column per % field, rendered
+    once, and the nodes are the states sorted by id. lowering[j] is color
+    j's ordered list of (guard column, code delta), each guard read once:
+    the first true guard applies, and no true guard means no image. A delta
+    keeps every digit of a state that its guard passes in range, so the
+    image is a state exactly when its code is one. classical holds the
+    weight columns of colors 1 and up; the affine one is computed from them.
     """
-    named = sorted((name(state), state) for state in states)
-    index = {state: k for k, (_, state) in enumerate(named)}
-    ids = tuple(bid for bid, _ in named)
-    f = [[-1] * len(ids) for _ in range(datum.size)]
-    # in enumeration order, so that a lowering out of the states names the first witness
-    for state in states:
-        k = index[state]
-        for j, row in enumerate(f):
-            nxt = lower(state, j)
-            if nxt is None:
-                continue
-            dst = index.get(nxt)
-            if dst is None:
-                raise VerificationError("lowering left the state space at %s" % ids[k])
-            row[k] = dst
-    weights = tuple(weigh(state) for _, state in named)
+    rendered = [fmt % row for row in zip(*labels)]
+    nodes = list(range(len(rendered)))
+    order = sorted(nodes, key=rendered.__getitem__)
+    codes = [0] * len(nodes)
+    for c, col in enumerate(digits):
+        codes = list(map(add, codes, map((radix ** c).__mul__, col)))
+    position = dict(zip(map(codes.__getitem__, order), nodes))
+    position[-1] = -1  # no image
+    f, left = [], []
+    for rules in lowering:
+        targets = [-1] * len(nodes)
+        for guard, delta in reversed(rules):
+            targets = [code + delta if g else t for code, g, t in zip(codes, guard, targets)]
+        row = list(map(position.get, targets))
+        if None in row:
+            left.append(row.index(None))
+        f.append(list(map(row.__getitem__, order)))
+    del codes, position, targets, row  # freed before the weights are built
+    if left:
+        # in enumeration order, so that a lowering out of the states names the first witness
+        raise VerificationError("lowering left the state space at %s" % rendered[min(left)])
+    zero = [0] * len(nodes)
+    for c, col in zip(datum.comarks[1:], classical):
+        zero = list(map(sub, zero, map(c.__mul__, col)))
+    ids = tuple(map(rendered.__getitem__, order))
+    weights = tuple(zip(*(map(col.__getitem__, order) for col in [zero] + classical)))
     return Crystal(datum.gcm, datum.comarks, ids, weights, f,
                    tuple(bid[2:] for bid in ids))
 
 
+def _vec_states(m, s):
+    """The states xs + bars, each with m slots and s boxes in all, whose last
+    slot is not filled on both sides, as one flat tuple each.
+
+    The running box counts before each slot but the first ascend weakly,
+    so they run through the multisets of 2m - 1 counts up to s.
+    """
+    out = []
+    for cut in itertools.combinations_with_replacement(range(s + 1), 2 * m - 1):
+        parts = tuple(map(sub, cut + (s,), (0,) + cut))
+        if not (parts[m - 1] and parts[2 * m - 1]):
+            out.append(parts)
+    return out
+
+
 def _vector_crystal(datum, s):
+    """The vector column: xs[c] and bars[c] are digits c and m + c.
+
+    Every lowering moves one box from one slot to another.
+    """
     m = datum.n + 1
-    return _state_crystal(datum, _vec_states(m, s), lambda state: _vec_id(*state),
-                          lambda state, j: _vec_f(*state, j, m),
-                          lambda state: _vec_weight(datum, *state))
+    digits = [list(col) for col in zip(*_vec_states(m, s))]
+    xs, bars = digits[:m], digits[m:]
 
+    def move(src, dst):
+        return (s + 1) ** dst - (s + 1) ** src
 
-# -- fork columns as sign vectors -------------------------------------------
-
-def _spin_id(signs):
-    return "p:" + "".join("+" if v > 0 else "-" for v in signs)
-
-
-def _spin_weight(datum, signs):
-    m = len(signs)
-    pairs = [(signs[j - 1] - signs[j]) // 2 for j in range(1, m)]
-    pairs.append((signs[m - 2] + signs[m - 1]) // 2)
-    return affinize(datum.comarks, pairs)
-
-
-def _spin_f(signs, j, m):
-    signs = list(signs)
-    if j == 0:
-        if signs[0] < 0 and signs[1] < 0:
-            signs[0] = signs[1] = 1
-        else:
-            return None
-    elif j < m:
-        if signs[j - 1] > 0 and signs[j] < 0:
-            signs[j - 1], signs[j] = -1, 1
-        else:
-            return None
-    else:
-        if signs[m - 2] > 0 and signs[m - 1] > 0:
-            signs[m - 2] = signs[m - 1] = -1
-        else:
-            return None
-    return tuple(signs)
+    lowering = [[(map(gt, bars[1], xs[1]), move(m + 1, 0)), (bars[0], move(m, 1))]]
+    for j in range(1, m):
+        lowering.append([(map(gt, bars[j], xs[j]), move(m + j, m + j - 1)),
+                         (xs[j - 1], move(j - 1, j))])
+    lowering.append([(xs[m - 1], move(m - 1, 2 * m - 2)), (xs[m - 2], move(m - 2, 2 * m - 1))])
+    mu = [list(map(sub, x, b)) for x, b in zip(xs, bars)]
+    classical = [list(map(sub, mu[j - 1], mu[j])) for j in range(1, m)]
+    classical.append(list(map(add, mu[m - 2], mu[m - 1])))
+    del mu  # freed before the column is built
+    fmt = "v:" + ",".join(["%d"] * m) + "|" + ",".join(["%d"] * m)
+    return _state_crystal(datum, digits, s + 1, lowering, fmt, digits, classical)
 
 
 def _spin_crystal(datum, parity):
+    """The fork column of the given parity: digit c is 1 where sign c is minus."""
     m = datum.n + 1
-    states = [signs for signs in itertools.product((1, -1), repeat=m)
-              if sum(1 for v in signs if v < 0) % 2 == parity]
-    return _state_crystal(datum, states, _spin_id, lambda signs, j: _spin_f(signs, j, m),
-                          lambda signs: _spin_weight(datum, signs))
+    states = [signs for signs in itertools.product((0, 1), repeat=m) if sum(signs) % 2 == parity]
+    minus = [list(col) for col in zip(*states)]
+    plus = [list(map((1).__sub__, col)) for col in minus]
+    lowering = [[(map(and_, minus[0], minus[1]), -(1 + 2))]]
+    for j in range(1, m):
+        lowering.append([(map(and_, plus[j - 1], minus[j]), 2 ** (j - 1) - 2 ** j)])
+    lowering.append([(map(and_, plus[m - 2], plus[m - 1]), 2 ** (m - 2) + 2 ** (m - 1))])
+    classical = [list(map(sub, minus[j], minus[j - 1])) for j in range(1, m)]
+    classical.append(list(map(sub, plus[m - 2], minus[m - 1])))
+    labels = [list(map("+-".__getitem__, col)) for col in minus]
+    return _state_crystal(datum, minus, 2, lowering, "p:" + "%s" * m, labels, classical)
 
 
 # -- branch-point column of the triple fork ---------------------------------

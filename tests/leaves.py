@@ -1,7 +1,9 @@
 """Test oracles: crystals built from id-keyed dicts, leaf-index columns of a
 tensor product, read off its pair node numbers, the pair an exchange sends
-a pair to, and the energy on B (x) B by the walk over single nodes."""
+a pair to, the energy on B (x) B by the walk over single nodes, and the
+powered-word check node by node."""
 
+from crystalfold.cartan import kashiwara_word
 from crystalfold.crystal import Crystal, Tensor, VerificationError
 from crystalfold.intertwine import energy_steps
 
@@ -72,3 +74,29 @@ def energy_walk(prod, anchor):
         raise VerificationError(
             "energy walk reached %d of %d nodes" % (reached, len(prod)))
     return values
+
+
+def powered_words_by_nodes(datum, bundle):
+    """Stage strings:powered-words by the loop over single nodes, as the oracle.
+
+    Node by node, color by color, lowering before raising, power by power:
+    the parent applies the whole word of power m from the fixed node, which
+    must land on the fixed node under the m-th folded image, or die with it;
+    the first disagreement raises.
+    """
+    hat, parent, fixed = bundle.crystal, bundle.parent, bundle.fixed
+    words = {}  # (color, power) -> the raising word and the lowering word
+    for h, p in enumerate(fixed):
+        for jh in range(hat.ncolors):
+            for lowering, kind, top, maps in ((True, "lowering", hat.phi(jh, h), hat.f[jh]),
+                                              (False, "raising", hat.eps(jh, h), hat.e[jh])):
+                cur = h
+                for m in range(1, top + 2):
+                    cur = maps[cur] if cur != -1 else -1
+                    if (jh, m) not in words:
+                        word = kashiwara_word(datum, jh, m)
+                        words[jh, m] = (word[::-1], word)
+                    via_word = parent.apply_word(words[jh, m][lowering], p, lowering)
+                    if via_word != (fixed[cur] if cur != -1 else -1):
+                        raise VerificationError("%s power %d disagrees at %s color %d"
+                                                % (kind, m, hat.ids[h], jh))

@@ -385,6 +385,36 @@ def test_pair_order_skips_the_full_check_otherwise(monkeypatch):
     assert "ids" not in vars(prod)
 
 
+def test_pairing_a_tensor_leaves_its_ids_unrendered():
+    # the 100-node orbit tensor of (a,2,1,2) is decided from its factors' ids
+    orbit = tensor_many(orbit_factors(make_datum("a", 2), 1, 2))
+    assert len(orbit) == 100
+    pair = tensor(orbit, orbit)
+    assert "ids" not in vars(orbit)
+    assert list(map(pair.id, range(len(pair)))) == eager_ids(pair)
+
+
+_ID_LISTS = st.lists(st.text(alphabet=" *+xy", max_size=2), min_size=1, max_size=3, unique=True)
+
+
+@given(_ID_LISTS, _ID_LISTS, _ID_LISTS)
+def test_pair_order_after_a_tensor_left_factor_matches_the_eager_check(a_ids, b_ids, right_ids):
+    try:
+        left = tensor(_leaf(a_ids), _leaf(b_ids))
+    except ValueError:
+        return
+    right = _leaf(right_ids)
+    ids = [x + "*" + y for x in eager_ids(left) for y in right.ids]
+    witness = next((y for x, y in zip(ids, ids[1:]) if x >= y), None)
+    if witness is None:
+        prod = tensor(left, right)
+        assert list(map(prod.id, range(len(prod)))) == ids
+    else:
+        with pytest.raises(ValueError) as info:
+            tensor(left, right)
+        assert str(info.value) == "node ids collide or are out of order at %s" % witness
+
+
 def test_littlewood_richardson_fixture():
     """Standard times dual standard splits into a trivial and an adjoint part."""
     prod = tensor(V_SL4, COV_SL4)

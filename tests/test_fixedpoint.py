@@ -1,5 +1,6 @@
 """Folded crystals: sizes, the headline verification, string identities."""
 
+import copy
 import re
 from collections import Counter
 
@@ -16,7 +17,7 @@ from crystalfold.fixedpoint import (
     verify_main_theorem, verify_tensor_compatibility)
 from crystalfold.intertwine import build_tilde_crystal, orbit_factors
 from crystalfold.models import classical_highest_node
-from leaves import leaf_node
+from leaves import leaf_node, powered_words_by_nodes
 
 A2 = make_datum("a", 2)
 A3 = make_datum("a", 3)
@@ -83,6 +84,65 @@ def test_main_theorem_full_regularity_flag():
 def test_string_identities(datum, i, s):
     report = check_string_identities(datum, i, s)
     assert report.ok, report.to_text()
+
+
+def _with_dead_edge(bundle, factor, kind, j, x):
+    """bundle.parent with the color j map kind ("f" or "e") of one factor
+    killed at node x; the other map is kept, and so are the factors' strings."""
+    parent = bundle.parent
+    factors = parent.factors if isinstance(parent, LazyTensor) else [parent]
+    bad = copy.copy(factors[factor])
+    maps = [list(row) for row in getattr(bad, kind)]
+    maps[j][x] = -1
+    setattr(bad, kind, maps)
+    factors = factors[:factor] + [bad] + factors[factor + 1:]
+    return LazyTensor(factors) if isinstance(parent, LazyTensor) else bad
+
+
+def _powered_words_both_ways(monkeypatch, datum, i, s, mutant):
+    """The strings:powered-words detail and the oracle's message, "" for a pass."""
+    bundle = build_hat_crystal(datum, i, s)
+    with monkeypatch.context() as patch:
+        patch.setattr(bundle, "parent", _with_dead_edge(bundle, *mutant))
+        stages = check_string_identities(datum, i, s).stages
+        try:
+            powered_words_by_nodes(datum, bundle)
+            want = ""
+        except VerificationError as exc:
+            want = str(exc)
+    return [detail for name, _, detail in stages if name == "strings:powered-words"][0], want
+
+
+@pytest.mark.parametrize("datum,i,s,mutant,message", [
+    (C3, 1, 2, (0, "f", 1, "v:1,0,0,0|1,0,0,0"),
+     "lowering power 2 disagrees at v:1,0,0,0|0,1,0,0 color 1"),
+    (C3, 1, 2, (0, "e", 2, "v:0,1,1,0|0,0,0,0"),
+     "raising power 2 disagrees at v:0,0,2,0|0,0,0,0 color 2"),
+    (A2, 1, 1, (1, "f", 2, "t:1|2|4"), "lowering power 2 disagrees at t:2*t:1|2|4 color 2"),
+    (A2, 1, 1, (0, "e", 0, "t:1"), "raising power 2 disagrees at t:1*t:1|2|3 color 0"),
+])
+def test_powered_words_name_the_first_failing_power(monkeypatch, datum, i, s, mutant, message):
+    # a parent edge killed after the fold: the batches over the nodes and the
+    # loop over single nodes name the same node, color, direction and power
+    factor, kind, j, node_id = mutant
+    col = orbit_factors(datum, i, s)[factor]
+    mutant = (factor, kind, j, col.ids.index(node_id))
+    assert _powered_words_both_ways(monkeypatch, datum, i, s, mutant) == (message, message)
+
+
+@pytest.mark.parametrize("datum,i,s", [(C3, 1, 1), (A2, 1, 1), (B1, 1, 2)])
+def test_powered_words_agree_with_the_node_loop_on_every_dead_edge(monkeypatch, datum, i, s):
+    failed = 0
+    for factor, col in enumerate(orbit_factors(datum, i, s)):
+        for kind in ("f", "e"):
+            for j, row in enumerate(getattr(col, kind)):
+                for x in range(len(col)):
+                    if row[x] != -1:
+                        got, want = _powered_words_both_ways(
+                            monkeypatch, datum, i, s, (factor, kind, j, x))
+                        assert got == want
+                        failed += got != ""
+    assert failed > 0
 
 
 @pytest.mark.parametrize("case,n,i,s", SCOPE_INSTANCES)

@@ -11,9 +11,8 @@ from crystalfold.cli import SCOPE_INSTANCES
 from crystalfold.crystal import Crystal, Report, VerificationError, propagate_map
 from crystalfold.models import (
     _bk_swap, _center_candidates, _center_crystal, _center_swap, _promote,
-    _spin_id, _spin_weight, _tab_id, _tab_weight, _tableau_crystal, _vec_id,
-    _vec_states, _vec_weight, _vector_crystal, affinize, classical_highest_node,
-    kr_crystal)
+    _spin_crystal, _tab_id, _tab_weight, _tableau_crystal, _vec_states, _vector_crystal,
+    affinize, classical_highest_node, kr_crystal)
 from crystalfold.monomial import highest_weight_crystal
 from leaves import crystal_from_edges
 
@@ -252,10 +251,151 @@ def test_vector_highest():
 
 
 
+# -- the per-state oracles of the columns -------------------------------------
+
+def _vec_id(xs, bars):
+    return ("v:" + ",".join(str(v) for v in xs)
+            + "|" + ",".join(str(v) for v in bars))
+
+
+def _vec_weight(datum, xs, bars):
+    m = len(xs)
+    mu = [x - b for x, b in zip(xs, bars)]
+    pairs = [mu[j - 1] - mu[j] for j in range(1, m)]
+    pairs.append(mu[m - 2] + mu[m - 1])
+    return affinize(datum.comarks, pairs)
+
+
+def vec_states_by_cuts(m, s):
+    """(xs, bars) of every state, by the cut positions of s boxes into 2m slots."""
+    out = []
+    for cut in itertools.combinations(range(2 * m + s - 1), 2 * m - 1):
+        parts = []
+        prev = -1
+        for pos in cut + (2 * m + s - 1,):
+            parts.append(pos - prev - 1)
+            prev = pos
+        xs, bars = tuple(parts[:m]), tuple(parts[m:])
+        if xs[m - 1] and bars[m - 1]:
+            continue
+        out.append((xs, bars))
+    return out
+
+
+def _vec_f(xs, bars, j, m):
+    xs, bars = list(xs), list(bars)
+    if j == 0:
+        if bars[1] > xs[1]:
+            bars[1] -= 1
+            xs[0] += 1
+        elif bars[0] >= 1:
+            bars[0] -= 1
+            xs[1] += 1
+        else:
+            return None
+    elif j < m:
+        if bars[j] > xs[j]:
+            bars[j] -= 1
+            bars[j - 1] += 1
+        elif xs[j - 1] >= 1:
+            xs[j - 1] -= 1
+            xs[j] += 1
+        else:
+            return None
+    else:
+        if xs[m - 1] > 0:
+            xs[m - 1] -= 1
+            bars[m - 2] += 1
+        elif xs[m - 2] > 0:
+            xs[m - 2] -= 1
+            bars[m - 1] += 1
+        else:
+            return None
+    return tuple(xs), tuple(bars)
+
+
+def _spin_id(signs):
+    return "p:" + "".join("+" if v > 0 else "-" for v in signs)
+
+
+def _spin_weight(datum, signs):
+    m = len(signs)
+    pairs = [(signs[j - 1] - signs[j]) // 2 for j in range(1, m)]
+    pairs.append((signs[m - 2] + signs[m - 1]) // 2)
+    return affinize(datum.comarks, pairs)
+
+
+def _spin_f(signs, j, m):
+    signs = list(signs)
+    if j == 0:
+        if signs[0] < 0 and signs[1] < 0:
+            signs[0] = signs[1] = 1
+        else:
+            return None
+    elif j < m:
+        if signs[j - 1] > 0 and signs[j] < 0:
+            signs[j - 1], signs[j] = -1, 1
+        else:
+            return None
+    else:
+        if signs[m - 2] > 0 and signs[m - 1] > 0:
+            signs[m - 2] = signs[m - 1] = -1
+        else:
+            return None
+    return tuple(signs)
+
+
+def _spin_states(m, parity):
+    return [signs for signs in itertools.product((1, -1), repeat=m)
+            if sum(1 for v in signs if v < 0) % 2 == parity]
+
+
+def crystal_by_states(datum, states, name, lower, weigh):
+    """The per-state builder, kept as the oracle of models._state_crystal:
+    name(state) renders its id, lower(state, j) is its color j image or
+    None, and weigh(state) its weight; a lowering out of the states names
+    the first witness in enumeration order."""
+    named = sorted((name(state), state) for state in states)
+    index = {state: k for k, (_, state) in enumerate(named)}
+    ids = tuple(bid for bid, _ in named)
+    f = [[-1] * len(ids) for _ in range(datum.size)]
+    for state in states:
+        k = index[state]
+        for j, row in enumerate(f):
+            nxt = lower(state, j)
+            if nxt is None:
+                continue
+            dst = index.get(nxt)
+            if dst is None:
+                raise VerificationError("lowering left the state space at %s" % ids[k])
+            row[k] = dst
+    weights = tuple(weigh(state) for _, state in named)
+    return Crystal(datum.gcm, datum.comarks, ids, weights, f,
+                   tuple(bid[2:] for bid in ids))
+
+
+def vector_crystal_by_states(datum, s):
+    m = datum.n + 1
+    return crystal_by_states(datum, vec_states_by_cuts(m, s), lambda state: _vec_id(*state),
+                             lambda state, j: _vec_f(*state, j, m),
+                             lambda state: _vec_weight(datum, *state))
+
+
+def spin_crystal_by_states(datum, parity):
+    m = datum.n + 1
+    return crystal_by_states(datum, _spin_states(m, parity), _spin_id,
+                             lambda signs, j: _spin_f(signs, j, m),
+                             lambda signs: _spin_weight(datum, signs))
+
+
+def _arrays(crys):
+    return crys.ids, crys.weights, crys.payloads, crys.f
+
+
 def vector_crystal_from_edges(datum, s):
     """The string-keyed builder, kept as the oracle of _vector_crystal."""
     m = datum.n + 1
-    states = _vec_states(m, s)
+    states = vec_states_by_cuts(m, s)
     nodes = {}
     f_edges = {j: {} for j in range(datum.size)}
     for xs, bars in states:
@@ -263,7 +403,7 @@ def vector_crystal_from_edges(datum, s):
     for xs, bars in states:
         bid = _vec_id(xs, bars)
         for j in range(datum.size):
-            nxt = models._vec_f(xs, bars, j, m)
+            nxt = _vec_f(xs, bars, j, m)
             if nxt is None:
                 continue
             nx, nb = nxt
@@ -277,15 +417,42 @@ def vector_crystal_from_edges(datum, s):
 @pytest.mark.parametrize("s", [1, 2, 3])
 def test_vector_arrays_match_the_edge_builder(n, s):
     datum = make_datum("c", n)
+    assert _arrays(_vector_crystal(datum, s)) == _arrays(vector_crystal_from_edges(datum, s))
+
+
+@pytest.mark.parametrize("n,s", [(n, s) for n in range(3, 8) for s in range(1, 6)] + [(3, 10)])
+def test_vector_columns_match_the_state_builder(n, s):
+    datum = make_datum("c", n)
     got = _vector_crystal(datum, s)
-    want = vector_crystal_from_edges(datum, s)
-    assert (got.ids, got.weights, got.payloads, got.f) == (
-        want.ids, want.weights, want.payloads, want.f)
+    assert _arrays(got) == _arrays(vector_crystal_by_states(datum, s))
+    assert _vec_states(n + 1, s) == [xs + bars for xs, bars in vec_states_by_cuts(n + 1, s)]
+    if s == 10:
+        # two-digit ids: id order is not the order of the states as tuples
+        by_tuple = [_vec_id(*state) for state in sorted(vec_states_by_cuts(n + 1, s))]
+        assert list(got.ids) != by_tuple
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+@pytest.mark.parametrize("parity", [0, 1])
+def test_spin_columns_match_the_state_builder(n, parity):
+    datum = make_datum("c", n)
+    assert _arrays(_spin_crystal(datum, parity)) == _arrays(spin_crystal_by_states(datum, parity))
 
 
 def test_vector_lowering_out_of_the_state_space_is_caught(monkeypatch):
-    # a lowering that fills the last slot now fills its barred twin too
-    step = models._vec_f
+    # a lowering that fills the last slot now fills its barred twin too: in
+    # the delta table of the columns, the move from slot m - 2 into slot
+    # m - 1 also adds a box to the barred slot m - 1
+    build = models._state_crystal
+
+    def leaky_table(datum, digits, radix, lowering, *rest):
+        m = len(digits) // 2
+        into_last = radix ** (m - 1) - radix ** (m - 2)
+        lowering = [[(guard, delta + radix ** (2 * m - 1) if delta == into_last else delta)
+                     for guard, delta in rules] for rules in lowering]
+        return build(datum, digits, radix, lowering, *rest)
+
+    step = _vec_f
 
     def leaky(xs, bars, j, m):
         out = step(xs, bars, j, m)
@@ -293,12 +460,12 @@ def test_vector_lowering_out_of_the_state_space_is_caught(monkeypatch):
             return out
         return out[0], out[1][:m - 1] + (1,)
 
-    monkeypatch.setattr(models, "_vec_f", leaky)
+    monkeypatch.setattr(models, "_state_crystal", leaky_table)
+    monkeypatch.setitem(globals(), "_vec_f", leaky)
     message = "lowering left the state space at v:0,0,1,0|0,0,0,0"
-    with pytest.raises(VerificationError, match="^%s$" % message):
-        _vector_crystal(C3, 1)
-    with pytest.raises(VerificationError, match="^%s$" % message):
-        vector_crystal_from_edges(C3, 1)
+    for build_column in (_vector_crystal, vector_crystal_by_states, vector_crystal_from_edges):
+        with pytest.raises(VerificationError, match="^%s$" % message):
+            build_column(C3, 1)
 
 # -- fork and branch point families -----------------------------------------
 
@@ -324,15 +491,14 @@ def test_spin_edges():
 def spin_crystal_from_edges(datum, parity):
     """The string-keyed builder, kept as the oracle of _spin_crystal."""
     m = datum.n + 1
-    states = [signs for signs in itertools.product((1, -1), repeat=m)
-              if sum(1 for v in signs if v < 0) % 2 == parity]
+    states = _spin_states(m, parity)
     nodes = {}
     f_edges = {j: {} for j in range(datum.size)}
     for signs in states:
         nodes[_spin_id(signs)] = (_spin_weight(datum, signs), _spin_id(signs)[2:])
     for signs in states:
         for j in range(datum.size):
-            nxt = models._spin_f(signs, j, m)
+            nxt = _spin_f(signs, j, m)
             if nxt is not None:
                 f_edges[j][_spin_id(signs)] = _spin_id(nxt)
     return crystal_from_edges(datum.gcm, datum.comarks, nodes, f_edges)
