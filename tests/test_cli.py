@@ -9,7 +9,7 @@ from click.testing import CliRunner
 from crystalfold import cli
 from crystalfold.cartan import make_datum
 from crystalfold.cli import SCOPE_INSTANCES, main
-from crystalfold.crystal import Report, tensor
+from crystalfold.crystal import Report, pair_ids, tensor
 from crystalfold.intertwine import compute_r_matrix, energy_on_tensor
 from crystalfold.models import classical_highest_node, kr_crystal
 from leaves import exchange_pair
@@ -183,15 +183,34 @@ def test_json_maps_render_as_json_dumps(case, n, i, s):
 
 
 def test_json_map_escapes_as_json_dumps():
-    keys, values = ['a"\\', "b\u00e9\n", "c\U0001f600"], ["x\t", "y/\u0100", "z"]
-    assert cli._json_map("m\u00fc", keys, values) == json.dumps(
-        {"m\u00fc": dict(zip(keys, values))}, sort_keys=True, indent=2) + "\n"
+    left, right = ['a"\\', "b\u00e9\n"], ["c\U0001f600", "d/"]
+    values = ["x\t", "y/\u0100", "z", "\u2028"]
+    chunks = list(cli._json_map("m\u00fc", left, right, values))
+    # a block of lines per left id, then the closing braces
+    assert len(chunks) == len(left) + 1
+    assert "".join(chunks) == json.dumps(
+        {"m\u00fc": dict(zip(pair_ids(left, right), values))}, sort_keys=True, indent=2) + "\n"
 
 
-@pytest.mark.parametrize("keys", [["b", "a"], ["a", "a"], ["ab", "a"]])
+@pytest.mark.parametrize("keys", [
+    (("x",), ("b", "a")),
+    (("x",), ("a", "a")),
+    # each factor ascends, but x*z sorts above x*y*y*z, the next left id's first pair
+    (("x", "x*y"), ("y*z", "z")),
+    (("ab", "a"), ("y",)),
+])
 def test_json_map_refuses_keys_out_of_order(keys):
+    left, right = keys
+    # refused on the call, before any chunk is written
     with pytest.raises(ValueError, match="keys of the H map do not ascend strictly"):
-        cli._json_map("H", keys, [0] * len(keys))
+        cli._json_map("H", left, right, [0] * (len(left) * len(right)))
+
+
+def test_release_freed_heap_without_malloc_trim_does_nothing(monkeypatch):
+    import ctypes
+    cli._release_freed_heap()  # this C library's own, where it has one
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: object())
+    assert cli._release_freed_heap() is None
 
 
 def test_verify_all_scope_without_case():
