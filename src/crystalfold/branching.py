@@ -9,7 +9,6 @@ exists, and cross-checks cardinalities against Weyl dimensions.
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .cartan import ScopeError, block, omega_star
 from .crystal import LazyTensor, Report, VerificationError
@@ -126,7 +125,6 @@ def weyl_dimension(datum, coeffs):
 # ---------------------------------------------------------------------------
 # computed decomposition
 
-@lru_cache(maxsize=None)
 def branch_hat(datum, i, s):
     """Decompose the folded crystal over its classical nodes.
 

@@ -3,14 +3,14 @@
 import contextlib
 import json
 import sys
-from itertools import islice
 from json.encoder import encode_basestring_ascii
 
 import click
 
 from .branching import branch_hat, expected_branching, verify_branching
 from .cartan import ScopeError, make_datum
-from .crystal import VerificationError, pair_ids, tensor, tensor_many
+from .crystal import (VerificationError, pair_ids, pair_order_witness, tensor,
+                      tensor_many)
 from .fixedpoint import (build_hat_crystal, check_string_identities,
                          verify_main_theorem)
 from .intertwine import compute_r_matrix, energy_on_tensor, orbit_factors
@@ -36,6 +36,9 @@ def _boundary():
     except (VerificationError, ValueError) as exc:
         click.echo("error: %s" % exc, err=True)
         sys.exit(1)
+    except OSError as exc:  # only --out opens a file
+        click.echo("error: cannot write %s: %s" % (exc.filename, exc.strerror), err=True)
+        sys.exit(2)
 
 
 def _emit(chunks, out):
@@ -55,15 +58,10 @@ def _json_map(name, left_ids, right_ids, values):
     Written directly: with indent set, json.dumps runs its pure Python
     encoder. Renders the same bytes for string ids and for values that are
     all strings or all ints, one per pair in pair order. The pair ids must
-    ascend strictly, which is checked before any chunk from the ids alone:
-    the right ids ascend, and the last pair of each left id sorts below the
-    first pair of the next. Block by block, neither the keys nor the whole
-    text are ever held.
+    ascend strictly, which pair_order_witness checks before any chunk.
+    Block by block, neither the keys nor the whole text are ever held.
     """
-    firsts = [x + "*" + right_ids[0] for x in islice(left_ids, 1, None)]
-    lasts = [x + "*" + right_ids[-1] for x in left_ids]
-    if not (all(map(str.__lt__, right_ids, islice(right_ids, 1, None)))
-            and all(map(str.__lt__, lasts, firsts))):
+    if pair_order_witness(left_ids, right_ids) is not None:
         raise ValueError("keys of the %s map do not ascend strictly" % name)
     render = encode_basestring_ascii if isinstance(values[0], str) else int.__repr__
     # the quoted pair id is the quoted left id + "*", less its closing quote,

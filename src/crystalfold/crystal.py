@@ -91,8 +91,7 @@ class Crystal:
         self.payloads = payloads
         self.f = f
         self.e = [_inverse(arr, nodes) for arr in f]
-        self._eps = {}
-        self._phi = {}
+        self._strings = {}
 
     def __len__(self):
         return len(self.weights)
@@ -126,10 +125,13 @@ class Crystal:
             nodes = list(map(ends[j].__getitem__, nodes))
         return nodes
 
-    def _walk_color(self, j):
-        """String positions for one color; fails on collisions or cycles."""
-        if j in self._eps:
-            return
+    def strings(self, j):
+        """eps and phi of every node for color j, as two lists, walked once.
+
+        Fails on a string collision or a cyclic string.
+        """
+        if j in self._strings:
+            return self._strings[j]
         n = len(self)
         f, e = self.f[j], self.e[j]
         eps = [None] * n
@@ -157,16 +159,14 @@ class Crystal:
         for i in range(n):
             if eps[i] is None or phi[i] is None:
                 raise VerificationError("color %d has a cyclic string through %s" % (j, self.id(i)))
-        self._eps[j] = eps
-        self._phi[j] = phi
+        self._strings[j] = eps, phi
+        return eps, phi
 
     def eps(self, j, i):
-        self._walk_color(j)
-        return self._eps[j][i]
+        return self.strings(j)[0][i]
 
     def phi(self, j, i):
-        self._walk_color(j)
-        return self._phi[j][i]
+        return self.strings(j)[1][i]
 
     def eps_tuple(self, i):
         return tuple(self.eps(j, i) for j in range(self.ncolors))
@@ -177,8 +177,8 @@ class Crystal:
     def own_strings(self, i):
         """eps and phi tuples of node i, walking only its own strings.
 
-        For a few nodes of a large crystal, where _walk_color would walk
-        every string; a walk longer than the crystal is a cycle.
+        For a few nodes of a large crystal, where strings(j) would walk
+        every string of color j; a walk longer than the crystal is a cycle.
         """
         out = []
         for maps in (self.e, self.f):
@@ -245,8 +245,8 @@ class Crystal:
 
         def semiregular():
             for j, col in enumerate(columns):
-                self._walk_color(j)
-                diff = tuple(map(sub, self._phi[j], self._eps[j]))
+                eps, phi = self.strings(j)
+                diff = tuple(map(sub, phi, eps))
                 if diff != col:
                     raise VerificationError("color %d: phi - eps != weight at %s"
                                             % (j, self.id(_first_difference(nodes, diff, col))))
@@ -429,8 +429,7 @@ class Crystal:
         """The minimal level and the nodes that have it."""
         levels = [0] * len(self)
         for j, c in enumerate(self.comarks):
-            self._walk_color(j)
-            levels = list(map(add, levels, map(c.__mul__, self._eps[j])))
+            levels = list(map(add, levels, map(c.__mul__, self.strings(j)[0])))
         lev = min(levels)
         return lev, tuple(i for i, l in enumerate(levels) if l == lev)
 
@@ -506,20 +505,26 @@ def pair_ids(left_ids, right_ids):
     return (x + y for x in [x + "*" for x in left_ids] for y in right_ids)
 
 
-def _extends_below_star(x, y):
-    # y = x + c + rest with c <= "*": then x's pairs need not sort below y's
-    return y.startswith(x) and y[len(x)] <= "*"
+def pair_order_witness(left_ids, right_ids):
+    """The first pair id, in pair order, not above the one before it, or None.
 
-
-def _some_id_extends_below_star(crys):
-    """Whether some id of crys extends the one before it by a character <= "*".
-
-    A tensor's id does only where an id of one of its factors does, so a
-    tensor is answered from its factors and its own ids stay unrendered.
+    left_ids is read once, as a stream; right_ids is a sequence. The first
+    left id's block of pairs is compared in full, which compares the right
+    ids; once they ascend, so do the pairs inside every block, and of each
+    later block only its first and last pair are compared.
     """
+    left_ids = iter(left_ids)
+    first = list(islice(left_ids, 1))
+    ends = right_ids[:1] + right_ids[1:][-1:]
+    stream = chain(pair_ids(first, right_ids), pair_ids(left_ids, ends))
+    return next((y for x, y in pairwise(stream) if x >= y), None)
+
+
+def _stream_ids(crys):
+    """The ids of crys in index order; a Tensor's are rendered and not kept."""
     if isinstance(crys, Tensor):
-        return _some_id_extends_below_star(crys.left) or _some_id_extends_below_star(crys.right)
-    return any(map(_extends_below_star, crys.ids, islice(crys.ids, 1, None)))
+        return pair_ids(_stream_ids(crys.left), tuple(_stream_ids(crys.right)))
+    return crys.ids
 
 
 class Tensor(Crystal):
@@ -533,11 +538,10 @@ class Tensor(Crystal):
     shared by every pair of that weight, and every lowering and raising map
     holds the int objects of one list of the nodes, not a new int per edge.
 
-    Pair order must be id order. Both factors' ids ascend, so it is unless
-    some left id extends the one before it by a character <= "*", which a
-    left factor that is itself a Tensor answers from its own factors' ids;
-    only then are the pair ids rendered, as a stream, and compared, and the
-    first one out of order is refused.
+    Pair order must be id order: pair_order_witness compares the pair ids
+    at the ends of each left node's block, rendered from the factors' ids,
+    and the first one out of order is refused. A factor that is itself a
+    Tensor streams its ids for this and does not keep them.
 
     The lowering rule: f_j acts on the left factor when phi_j(left) is
     strictly larger than eps_j(right), otherwise on the right factor; the
@@ -550,10 +554,9 @@ class Tensor(Crystal):
             raise ValueError("tensor factors live over different data")
         na, nb = len(left), len(right)
         self.left, self.right = left, right
-        if _some_id_extends_below_star(left):
-            for x, y in pairwise(pair_ids(left.ids, right.ids)):
-                if x >= y:
-                    raise _out_of_order(y)
+        witness = pair_order_witness(_stream_ids(left), tuple(_stream_ids(right)))
+        if witness is not None:
+            raise _out_of_order(witness)
         # one row of shared sums per distinct left weight, read by right weight code
         codes = {}
         right_codes = [codes.setdefault(y, len(codes)) for y in right.weights]
@@ -569,11 +572,10 @@ class Tensor(Crystal):
         blocks = [nodes[a * nb:(a + 1) * nb] + [-1] for a in range(na)]
         f = []
         for j in range(left.ncolors):
-            left._walk_color(j)
-            right._walk_color(j)
-            fb, eps = right.f[j], right._eps[j]
+            phi, eps = left.strings(j)[1], right.strings(j)[0]
+            fb = right.f[j]
             row = []
-            for pa, ta, block in zip(left._phi[j], left.f[j], blocks):
+            for pa, ta, block in zip(phi, left.f[j], blocks):
                 here = map(block.__getitem__, fb)
                 if pa == 0:
                     row += here
@@ -613,7 +615,7 @@ class LazyTensor:
     """tensor_many(factors), evaluated only at the nodes asked about.
 
     A node is a tuple of factor node indices. Operators follow Tensor's
-    signature rule, read off the factors' cached eps/phi arrays in one pass
+    signature rule, read off each factor's strings(j) lists in one pass
     over the factors, and ids render as in tensor_many. Offers the node
     methods the fold, the string identities and branching read: id, weight,
     apply_word, images, highest_nodes, own_strings and weyl_s; its length is
@@ -623,11 +625,9 @@ class LazyTensor:
     def __init__(self, factors):
         self.factors = factors
         self.ncolors = factors[0].ncolors
-        for fac in factors:
-            for j in range(self.ncolors):
-                fac._walk_color(j)
-        self._eps = [[fac._eps[j] for fac in factors] for j in range(self.ncolors)]
-        self._phi = [[fac._phi[j] for fac in factors] for j in range(self.ncolors)]
+        strings = [list(map(fac.strings, range(self.ncolors))) for fac in factors]
+        self._eps = [[row[j][0] for row in strings] for j in range(self.ncolors)]
+        self._phi = [[row[j][1] for row in strings] for j in range(self.ncolors)]
 
     def __len__(self):
         return prod(map(len, self.factors))
@@ -769,13 +769,8 @@ def _recheck_map(src, dst, out, lowering, weight_map):
     the one at the smallest mapped node is raised, and at that node
     injectivity comes first, then the colors in order, then the weight rule.
     """
-    total = -1 not in out
-    nodes = range(len(out)) if total else [x for x, y in enumerate(out) if y != -1]
-
-    def restrict(arr):
-        return arr if total else list(map(arr.__getitem__, nodes))
-
-    images = restrict(out)
+    nodes = [x for x, y in enumerate(out) if y != -1]
+    images = [out[x] for x in nodes]
     failures = []
     if len(set(images)) != len(images):
         hit = {}
@@ -787,16 +782,16 @@ def _recheck_map(src, dst, out, lowering, weight_map):
             hit[y] = x
     # image[t] is the image of the edge target t: -1 (read at index -1) for
     # no edge, -2 for an edge into an unmapped node, which matches nothing
-    image = (out if total else [-2 if y == -1 else y for y in out]) + [-1]
+    image = [-2 if y == -1 else y for y in out] + [-1]
     for rank, (smap, dmap, j) in enumerate(lowering, 1):
-        lhs = list(map(image.__getitem__, restrict(smap)))
+        lhs = [image[smap[x]] for x in nodes]
         rhs = list(map(dmap.__getitem__, images))
         if lhs != rhs:
             x = _first_difference(nodes, lhs, rhs)
             failures.append((x, rank, "edge re-check failed at %s under color %d"
                              % (src.id(x), j)))
     if weight_map is not None:
-        weights = restrict(src.weights)
+        weights = [src.weights[x] for x in nodes]
         twisted = {wt: tuple(weight_map(wt)) for wt in set(weights)}
         lhs = list(map(twisted.__getitem__, weights))
         rhs = list(map(dst.weights.__getitem__, images))

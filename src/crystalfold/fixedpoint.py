@@ -220,7 +220,7 @@ def check_string_identities(datum, i, s):
         # word of power m. Of all failures the first by node, color,
         # direction (lowering first) and power is raised.
         for jh in range(hat.ncolors):
-            hat.phi(jh, 0)  # walks every string of color jh, refusing a cycle
+            hat.strings(jh)  # walks every string of color jh, refusing a cycle
         ends = fixed + (-1,)
         failures = []
         for jh in range(hat.ncolors):

@@ -16,27 +16,6 @@ from .crystal import VerificationError, propagate_map, tensor, tensor_many
 from .models import classical_highest_node, kr_crystal
 
 
-@lru_cache(maxsize=None)
-def compute_tau_omega(datum, i, s):
-    """Color-twisted isomorphism from column i to column omega(i).
-
-    Sends the top node to the top node and interchanges color j edges with
-    color omega(j) edges; weights transform by the dual twist. Returns the
-    mapping as a tuple over source node indices.
-    """
-    src = kr_crystal(datum, i, s)
-    dst = kr_crystal(datum, datum.omega[i], s)
-    u_src = classical_highest_node(datum, src, i, s)
-    u_dst = classical_highest_node(datum, dst, datum.omega[i], s)
-    expect = tuple(omega_star(datum, src.weights[u_src]))
-    if dst.weights[u_dst] != expect:
-        raise VerificationError("anchor weights disagree for column %d" % i)
-    relabel = {j: datum.omega[j] for j in range(datum.size)}
-    return tuple(propagate_map(src, dst, {u_src: u_dst},
-                               relabel=relabel,
-                               weight_map=lambda mu: omega_star(datum, mu)))
-
-
 @dataclass(frozen=True)
 class Exchange:
     """A combinatorial R matrix B1 (x) B2 -> B2 (x) B1 on leaf node indices.
@@ -134,11 +113,10 @@ def energy_on_tensor(prod, anchor):
 
     # the steps read a pair only through phi_0 of its left node and eps_0 of
     # its right node, so the pairs of one left node form one row per phi_0
-    eps = [prod.right.eps(0, b) for b in range(len(prod.right))]
+    eps = prod.right.strings(0)[0]
     rows = {}
     down, up = [], []
-    for a in range(len(prod.left)):
-        phi = prod.left.phi(0, a)
+    for phi in prod.left.strings(0)[1]:
         if phi not in rows:
             rows[phi] = tuple(zip(*(_steps(phi, x) for x in eps)))
         d, u = rows[phi]

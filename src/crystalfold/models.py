@@ -14,6 +14,7 @@ from operator import add, and_, gt, sub
 
 from .cartan import ScopeError, block, make_datum, pi_weight
 from .crystal import Crystal, VerificationError, propagate_map
+from .monomial import highest_weight_crystal
 
 
 def affinize(comarks, classical):
@@ -322,8 +323,6 @@ def _center_crystal(datum, s):
     under the remaining colors and, where several matchings are possible,
     by keeping the unique one whose affine graph verifies.
     """
-    from .monomial import highest_weight_crystal
-
     block_gcm = block(datum.gcm, (1, 2, 3, 4))
     ids, weights, payloads = [], [], []
     classical = [[] for _ in range(4)]

@@ -1,11 +1,12 @@
 """Test oracles: crystals built from id-keyed dicts, leaf-index columns of a
 tensor product, read off its pair node numbers, the pair an exchange sends
-a pair to, the energy on B (x) B by the walk over single nodes, and the
-powered-word check node by node."""
+a pair to, the color twist tau of one column, the energy on B (x) B by the
+walk over single nodes, and the powered-word check node by node."""
 
-from crystalfold.cartan import kashiwara_word
-from crystalfold.crystal import Crystal, Tensor, VerificationError
+from crystalfold.cartan import kashiwara_word, omega_star
+from crystalfold.crystal import Crystal, Tensor, VerificationError, propagate_map
 from crystalfold.intertwine import energy_steps
+from crystalfold.models import classical_highest_node, kr_crystal
 
 
 def crystal_from_edges(gcm, comarks, nodes, f_edges):
@@ -41,6 +42,26 @@ def leaf_node(crys, leaves):
 def exchange_pair(rmat, a, b):
     """The pair (c, d) that the exchange rmat sends the pair (a, b) to."""
     return divmod(rmat.codes[a * rmat.n2 + b], rmat.n1)
+
+
+def compute_tau_omega(datum, i, s):
+    """Color-twisted isomorphism from column i to column omega(i).
+
+    Sends the top node to the top node and interchanges color j edges with
+    color omega(j) edges; weights transform by the dual twist. Returns the
+    mapping as a tuple over source node indices.
+    """
+    src = kr_crystal(datum, i, s)
+    dst = kr_crystal(datum, datum.omega[i], s)
+    u_src = classical_highest_node(datum, src, i, s)
+    u_dst = classical_highest_node(datum, dst, datum.omega[i], s)
+    expect = tuple(omega_star(datum, src.weights[u_src]))
+    if dst.weights[u_dst] != expect:
+        raise VerificationError("anchor weights disagree for column %d" % i)
+    relabel = {j: datum.omega[j] for j in range(datum.size)}
+    return tuple(propagate_map(src, dst, {u_src: u_dst},
+                               relabel=relabel,
+                               weight_map=lambda mu: omega_star(datum, mu)))
 
 
 def energy_walk(prod, anchor):

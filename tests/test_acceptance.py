@@ -16,9 +16,9 @@ from crystalfold.crystal import Report, tensor
 from crystalfold.fixedpoint import (check_string_identities,
                                     verify_main_theorem,
                                     verify_tensor_compatibility)
-from crystalfold.intertwine import (compute_r_matrix, compute_tau_omega,
-                                    energy_on_tensor, verify_yang_baxter)
+from crystalfold.intertwine import compute_r_matrix, energy_on_tensor, verify_yang_baxter
 from crystalfold.models import classical_highest_node, kr_crystal
+from leaves import compute_tau_omega
 
 A2 = make_datum("a", 2)
 A3 = make_datum("a", 3)

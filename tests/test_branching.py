@@ -148,6 +148,6 @@ def test_branch_hat_routes_must_agree(monkeypatch):
     monkeypatch.setattr(branching, "build_hat_crystal",
                         lambda *args: HatBundle(bad, bundle.crystal, bundle.fixed))
     with pytest.raises(VerificationError) as err:
-        branch_hat.__wrapped__(C3, 1, 1)
+        branch_hat(C3, 1, 1)
     assert str(err.value) == ("highest weight characterizations disagree: "
                               "1 folded-highest vs 0 fixed classically-highest")

@@ -1,10 +1,12 @@
 """Exercise the command line surface through the click test runner."""
 
+import errno
 import json
+import os
 
 import pytest
-
 from click.testing import CliRunner
+from hypothesis import given, strategies as st
 
 from crystalfold import cli
 from crystalfold.cartan import make_datum
@@ -57,6 +59,16 @@ def test_build_writes_file(tmp_path):
     assert res.exit_code == 0
     doc = json.loads(out.read_text())
     assert len(doc["nodes"]) == 8
+
+
+@pytest.mark.parametrize("command", ["build", "branch", "rmatrix", "energy"])
+@pytest.mark.parametrize("where, code", [("directory", errno.EISDIR),
+                                         ("missing parent", errno.ENOENT)])
+def test_out_that_cannot_be_written_exits_two(tmp_path, command, where, code):
+    out = str(tmp_path if where == "directory" else tmp_path / "missing" / "x.json")
+    res = run(command, "--case", "a", "--n", "2", "--out", out)
+    assert res.exit_code == 2
+    assert res.output == "error: cannot write %s: %s\n" % (out, os.strerror(code))
 
 
 def test_out_of_scope_exits_two():
@@ -204,6 +216,20 @@ def test_json_map_refuses_keys_out_of_order(keys):
     # refused on the call, before any chunk is written
     with pytest.raises(ValueError, match="keys of the H map do not ascend strictly"):
         cli._json_map("H", left, right, [0] * (len(left) * len(right)))
+
+
+@given(st.lists(st.text(alphabet=" *+xy", max_size=3), min_size=1, max_size=4),
+       st.lists(st.text(alphabet=" *+xy", max_size=3), min_size=1, max_size=4))
+def test_json_map_refuses_exactly_when_the_pair_ids_do_not_ascend(left, right):
+    ids = [x + "*" + y for x in left for y in right]
+    values = list(range(len(ids)))
+    if all(map(str.__lt__, ids, ids[1:])):
+        chunks = cli._json_map("H", left, right, values)
+        assert "".join(chunks) == json.dumps(
+            {"H": dict(zip(ids, values))}, sort_keys=True, indent=2) + "\n"
+    else:
+        with pytest.raises(ValueError, match="keys of the H map do not ascend strictly"):
+            cli._json_map("H", left, right, values)
 
 
 def test_release_freed_heap_without_malloc_trim_does_nothing(monkeypatch):

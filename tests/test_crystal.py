@@ -327,17 +327,18 @@ def _leaf(ids):
     return crystal_from_edges(SL2, (1,), {b: ((0,), None) for b in ids}, {})
 
 
-def _checks_pairs(monkeypatch):
-    """The number of pair ids asked of each pair_ids call from now on."""
-    calls = []
+def _rendered_pairs(monkeypatch):
+    """The pair ids that pair_ids renders from now on, in order."""
+    rendered = []
     render = crystal.pair_ids
 
-    def counting(left_ids, right_ids):
-        calls.append(len(left_ids) * len(right_ids))
-        return render(left_ids, right_ids)
+    def recording(left_ids, right_ids):
+        for pair in render(left_ids, right_ids):
+            rendered.append(pair)
+            yield pair
 
-    monkeypatch.setattr(crystal, "pair_ids", counting)
-    return calls
+    monkeypatch.setattr(crystal, "pair_ids", recording)
+    return rendered
 
 
 @pytest.mark.parametrize("right_ids, witness", [
@@ -349,14 +350,15 @@ def test_pair_order_runs_the_full_check_when_a_left_id_extends_by_star(
         monkeypatch, right_ids, witness):
     left, right = _leaf(("x", "x*y")), _leaf(right_ids)
     assert _eager_order_witness(left, right)[0] == witness
-    calls = _checks_pairs(monkeypatch)
+    rendered = _rendered_pairs(monkeypatch)
     if witness is None:
         tensor(left, right)
     else:
         with pytest.raises(ValueError, match="^node ids collide or are out of order at %s$"
                            % re.escape(witness)):
             tensor(left, right)
-    assert calls == [4]
+    # the first block in full, then the next block's ends, stopping at the witness
+    assert len(rendered) <= 4 and rendered[-1] == (witness or "x*y*" + right_ids[-1])
 
 
 @given(st.lists(st.text(alphabet=" *+xy", max_size=3), min_size=1, max_size=4, unique=True),
@@ -379,10 +381,24 @@ def test_pair_order_verdict_matches_the_eager_check(left_ids, right_ids):
 
 
 def test_pair_order_skips_the_full_check_otherwise(monkeypatch):
-    calls = _checks_pairs(monkeypatch)
-    prod = tensor(_leaf(("x", "x+y", "y")), _leaf(("a", "b")))
-    assert calls == []
+    rendered = _rendered_pairs(monkeypatch)
+    prod = tensor(_leaf(("x", "x+y", "y")), _leaf(("a", "b", "c")))
+    # the pairs inside a block ascend with the right ids, so past the first
+    # block only each block's first and last pair is rendered
+    assert rendered == ["x*a", "x*b", "x*c", "x+y*a", "x+y*c", "y*a", "y*c"]
     assert "ids" not in vars(prod)
+
+
+_ANY_IDS = st.lists(st.text(alphabet=" *+xy", max_size=3), max_size=4)
+
+
+@given(_ANY_IDS, _ANY_IDS)
+def test_pair_order_witness_is_the_eager_first_pair_out_of_order(left_ids, right_ids):
+    # any id lists, ascending or not, with repeats or empty
+    ids = [x + "*" + y for x in left_ids for y in right_ids]
+    witness = next((y for x, y in zip(ids, ids[1:]) if x >= y), None)
+    assert crystal.pair_order_witness(left_ids, right_ids) == witness
+    assert crystal.pair_order_witness(iter(left_ids), tuple(right_ids)) == witness
 
 
 def test_pairing_a_tensor_leaves_its_ids_unrendered():

@@ -147,7 +147,7 @@ def test_powered_words_agree_with_the_node_loop_on_every_dead_edge(monkeypatch, 
 
 @pytest.mark.parametrize("case,n,i,s", SCOPE_INSTANCES)
 def test_own_strings_match_the_crystal_wide_walk(case, n, i, s):
-    # strings:eps-orbit reads the fixed nodes' own strings; _walk_color,
+    # strings:eps-orbit reads the fixed nodes' own strings; strings(j),
     # behind eps_tuple and phi_tuple, is the reference
     parent = build_tilde_crystal(make_datum(case, n), i, s).crystal
     for k in range(len(parent)):

@@ -16,10 +16,10 @@ from crystalfold.cli import SCOPE_INSTANCES
 from crystalfold.crystal import LazyTensor, Tensor, VerificationError, tensor, tensor_many
 from crystalfold.fixedpoint import build_hat_crystal, verify_tensor_compatibility
 from crystalfold.intertwine import (
-    build_tilde_crystal, compute_r_matrix, compute_tau_omega,
-    energy_on_tensor, orbit_factors, verify_yang_baxter)
+    build_tilde_crystal, compute_r_matrix, energy_on_tensor, orbit_factors,
+    verify_yang_baxter)
 from crystalfold.models import classical_highest_node, kr_crystal
-from leaves import energy_walk, exchange_pair, leaf_columns, leaf_node
+from leaves import compute_tau_omega, energy_walk, exchange_pair, leaf_columns, leaf_node
 
 A2 = make_datum("a", 2)
 A3 = make_datum("a", 3)

@@ -17,8 +17,6 @@ EXEMPT = {
     "build", "verify", "branch", "rmatrix", "energy",
     # library entry points that the benchmark calls
     "verify_tensor_compatibility", "verify_yang_baxter",
-    # the tests' twist oracle; ROADMAP item 11 moves it out of the package
-    "compute_tau_omega",
 }
 
 
