@@ -6,6 +6,7 @@ import sys
 from json.encoder import encode_basestring_ascii
 
 import click
+from click.core import ParameterSource
 
 from .branching import branch_hat, expected_branching, verify_branching
 from .cartan import ScopeError, make_datum
@@ -125,6 +126,15 @@ def _require_case(case_):
         raise ScopeError("--case is required")
 
 
+def _refuse_with_sweep(*names):
+    """Refuse the first of these options given on the command line: an
+    --all-scope sweep checks every scope instance into one text table."""
+    ctx = click.get_current_context()
+    for param in ctx.command.params:
+        if param.name in names and ctx.get_parameter_source(param.name) is not ParameterSource.DEFAULT:
+            raise ScopeError("%s cannot be combined with --all-scope" % param.opts[0])
+
+
 def _sweep_scope(check):
     """One pass/FAIL row per scope instance, by check(datum, i, s); exit 1 on a FAIL."""
     rows, oks = [], []
@@ -185,6 +195,8 @@ def verify(case_, n, i, s, full_regularity, all_scope):
     """Run the full verification stack on one instance or the whole scope."""
     with _boundary():
         if all_scope:
+            _refuse_with_sweep("case_", "n", "i", "s")
+
             def check(d_, i_, s_):
                 rep = verify_main_theorem(d_, i_, s_, full_regularity=full_regularity)
                 strings = check_string_identities(d_, i_, s_)
@@ -209,6 +221,7 @@ def branch(case_, n, i, s, fmt, all_scope, out):
     """Decompose the folded crystal and compare with the closed formula."""
     with _boundary():
         if all_scope:
+            _refuse_with_sweep("case_", "n", "i", "s", "fmt", "out")
             _sweep_scope(lambda d_, i_, s_: verify_branching(d_, i_, s_).ok)
         _require_case(case_)
         datum = make_datum(case_, n)

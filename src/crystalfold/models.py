@@ -10,7 +10,7 @@ the encoding.
 
 import itertools
 from functools import lru_cache
-from operator import add, and_, gt, sub
+from operator import add, and_, gt, le, sub
 
 from .cartan import ScopeError, block, make_datum, pi_weight
 from .crystal import Crystal, VerificationError, propagate_map
@@ -24,130 +24,196 @@ def affinize(comarks, classical):
     return (zero,) + rest
 
 
+# -- columns on whole arrays ------------------------------------------------
+
+def _codes(digits, radix):
+    """The mixed-radix integer of each state: digit c in place radix**c."""
+    codes = [0] * len(digits[0])
+    for c, col in enumerate(digits):
+        codes = list(map(add, codes, map((radix ** c).__mul__, col)))
+    return codes
+
+
+def _state_arrays(digits, radix, rendered, lowering):
+    """The lowering arrays of the states, as index arrays.
+
+    digits holds one column per coordinate, over the states in enumeration
+    order, and a state's code is its _codes integer. The nodes are the
+    states sorted by their rendered ids. lowering[j] is color j's ordered
+    list of (guard column, code delta), each guard read once: the first
+    true guard applies, and no true guard means no image. A delta keeps
+    every digit of a state that its guard passes in range, so the image is
+    a state exactly when its code is one.
+
+    Returns the node order of the states, the node of each code (-1 for no
+    image), f in node order, and the enumeration index of the first state
+    that some color lowers out of the states, or None.
+    """
+    codes = _codes(digits, radix)
+    order = sorted(range(len(rendered)), key=rendered.__getitem__)
+    position = dict(zip(map(codes.__getitem__, order), range(len(order))))
+    position[-1] = -1  # no image
+    f, left = [], []
+    for rules in lowering:
+        targets = [-1] * len(codes)
+        for guard, delta in reversed(rules):
+            targets = [code + delta if g else t for code, g, t in zip(codes, guard, targets)]
+        row = list(map(position.get, targets))
+        if None in row:
+            left.append(row.index(None))
+        f.append(list(map(row.__getitem__, order)))
+    return order, position, f, min(left, default=None)
+
+
+def _sorted_column(datum, rendered, order, f, classical):
+    """The column whose nodes are the states taken in order, with f in node
+    order; rendered holds the ids and classical the weight columns of colors
+    1 and up, both in enumeration order. The affine weight is computed."""
+    zero = [0] * len(order)
+    for c, col in zip(datum.comarks[1:], classical):
+        zero = list(map(sub, zero, map(c.__mul__, col)))
+    ids = tuple(map(rendered.__getitem__, order))
+    weights = tuple(zip(*(map(col.__getitem__, order) for col in [zero] + classical)))
+    return Crystal(datum.gcm, datum.comarks, ids, weights, f,
+                   tuple(bid[2:] for bid in ids))
+
+
 # -- rectangular tableaux (cyclic parents) ----------------------------------
 
 def _enumerate_rect(nletters, i, s):
-    """All semistandard fillings of the i by s rectangle."""
+    """All semistandard fillings of the i by s rectangle, as tuples of rows,
+    in lexicographic order of their column sequences."""
     cols = list(itertools.combinations(range(1, nletters + 1), i))
-    out = []
-
-    def grow(chosen):
-        if len(chosen) == s:
-            out.append(tuple(tuple(col[r] for col in chosen) for r in range(i)))
-            return
-        floor = chosen[-1] if chosen else None
-        for col in cols:
-            if floor is None or all(a <= b for a, b in zip(floor, col)):
-                grow(chosen + [col])
-
-    grow([])
-    return out
+    chains = [(col,) for col in cols]
+    if s > 1:
+        right = {a: [b for b in cols if all(map(le, a, b))] for a in cols}
+        for _ in range(s - 1):
+            chains = [chain + (col,) for chain in chains for col in right[chain[-1]]]
+    return [tuple(zip(*chain)) for chain in chains]
 
 
-def _reading_cells(i, s):
-    # rightmost column first, top to bottom inside a column
-    return [(r, c) for c in range(s - 1, -1, -1) for r in range(i)]
+def _tab_ids(tabs, i, s):
+    """The id of each i by s filling: its rows, each joined by commas,
+    joined by bars."""
+    fmt = "t:" + "|".join([",".join(["%d"] * s)] * i)
+    return [fmt % sum(tab, ()) for tab in tabs]
 
 
-def _tab_signature_act(tab, t):
-    """Apply the letter-t lowering operator, None at the end."""
-    i, s = len(tab), len(tab[0])
-    stack = []
-    for r, c in _reading_cells(i, s):
-        v = tab[r][c]
-        if v == t:
-            stack.append((r, c))
-        elif v == t + 1 and stack:
-            stack.pop()
-    if not stack:
-        return None
-    r, c = stack[0]
-    rows = [list(row) for row in tab]
-    rows[r][c] = t + 1
-    return tuple(tuple(row) for row in rows)
+def _tableau_lowering(rows, t, radix):
+    """Color t's ordered (guard column, code delta) rules, one per row.
+
+    rows[r][a - 1] is the column of the counts of letter a in row r, and
+    that count is digit r * len(rows[r]) + a - 1 of a filling's code. The
+    signature rule, reading the rows from the top, each from its right end,
+    lowers the first unmatched t: the rightmost t of the topmost row r that
+    holds a t and whose mark m_r, the t's less the t+1's read before its
+    t's, is below the mark of every lower row.
+    """
+    nletters, size = len(rows[0]), len(rows[0][0])
+    marks, lead = [], [0] * size
+    for row in rows:
+        marks.append(list(map(sub, lead, row[t])))
+        lead = list(map(add, lead, map(sub, row[t - 1], row[t])))
+    # above every mark, which counts at most the i * s boxes
+    rules, floor = [], [len(rows) * radix] * size
+    for r in range(len(rows) - 1, -1, -1):
+        guard = [c > 0 and m < low for c, m, low in zip(rows[r][t - 1], marks[r], floor)]
+        place = radix ** (r * nletters + t - 1)
+        rules.append((guard, place * radix - place))
+        floor = list(map(min, floor, marks[r]))
+    return rules[::-1]
 
 
-def _bk_swap(tab, t):
-    """Exchange free occurrences of t and t+1 row by row."""
-    i, s = len(tab), len(tab[0])
-    rows = [list(row) for row in tab]
-    for r in range(i):
-        free = []
-        for c in range(s):
-            v = rows[r][c]
-            if v == t:
-                below = rows[r + 1][c] if r + 1 < i else None
-                if below != t + 1:
-                    free.append(c)
-            elif v == t + 1:
-                above = rows[r - 1][c] if r > 0 else None
-                if above != t:
-                    free.append(c)
-        if not free:
-            continue
-        a = sum(1 for c in free if rows[r][c] == t)
-        b = len(free) - a
-        for k, c in enumerate(free):
-            rows[r][c] = t if k < b else t + 1
-    return tuple(tuple(row) for row in rows)
+def _bk_step(rows, lower, t):
+    """The Bender-Knuth step t on row-content columns, in place.
 
-
-def _promote(tab, nletters):
-    for t in range(1, nletters):
-        tab = _bk_swap(tab, t)
-    return tab
-
-
-def _tab_id(tab):
-    return "t:" + "|".join(",".join(str(v) for v in row) for row in tab)
-
-
-def _tab_weight(tab, nletters):
-    counts = [0] * (nletters + 1)
-    for row in tab:
-        for v in row:
-            counts[v] += 1
-    wt = [counts[nletters] - counts[1]]
-    for t in range(1, nletters):
-        wt.append(counts[t] - counts[t + 1])
-    return tuple(wt)
+    lower[r] counts the letters below t in row r and comes out counting
+    those up to t. A t with a t+1 under it and a t+1 with a t over it stay;
+    the free t's and t+1's of each row exchange their numbers.
+    """
+    size = len(lower[0])
+    over = [0] * size  # the t's of the row above with a t+1 under them
+    for r, row in enumerate(rows):
+        under = [0] * size
+        if r + 1 < len(rows):
+            # the t+1's of the next row sit under the t's of this one
+            reach = map(add, map(add, lower[r + 1], rows[r + 1][t - 1]), rows[r + 1][t])
+            under = [x - y if x > y else 0 for x, y in zip(reach, lower[r])]
+        ts, ups = row[t - 1], row[t]
+        row[t - 1] = list(map(sub, map(add, under, ups), over))
+        row[t] = list(map(sub, map(add, over, ts), under))
+        lower[r] = list(map(add, lower[r], row[t - 1]))
+        over = under
 
 
 def _tableau_crystal(datum, i, s):
-    """The tableau column on index arrays.
+    """The tableau column on whole arrays, from the row contents of its fillings.
 
-    f_1..f_{n-1} are looked up in the index of the fillings. The affine
-    edge is the promotion conjugate f_0 = pr f_1 pr^-1, composed on whole
-    arrays from the promotion permutation pr, one _promote per filling.
+    A filling is determined by its row contents, which are its digits in
+    _codes. With N letters, f_1..f_{N-1} are the _tableau_lowering rules.
+    The affine edge is the promotion conjugate f_0 = pr f_1 pr^-1, with
+    promotion the composed Bender-Knuth steps 1, ..., N - 1 on the content
+    columns, as one permutation pr of the fillings.
     """
-    nletters = datum.size
+    nletters, radix = datum.size, s + 1
     tabs = _enumerate_rect(nletters, i, s)
-    named = sorted((_tab_id(tab), tab) for tab in tabs)
-    index = {tab: k for k, (_, tab) in enumerate(named)}
-    ids = tuple(bid for bid, _ in named)
-    f = [[-1] * len(ids) for _ in range(nletters)]
-    pr = [-1] * len(ids)
-    # in enumeration order, so that a broken filling names the first witness
-    for tab in tabs:
-        k = index[tab]
-        for t in range(1, nletters):
-            down = _tab_signature_act(tab, t)
-            if down is not None:
-                if down not in index:
-                    raise VerificationError("lowering broke the filling at %s" % ids[k])
-                f[t][k] = index[down]
-        up = _promote(tab, nletters)
-        if up not in index:
-            raise VerificationError("promotion broke the filling at %s" % ids[k])
-        pr[k] = index[up]
+    rendered = _tab_ids(tabs, i, s)
+    rows = [[[row.count(a) for row in rth] for a in range(1, nletters + 1)]
+            for rth in zip(*tabs)]
+    # one color's rules at a time; color 0 is composed below
+    lowering = (_tableau_lowering(rows, t, radix) if t else [] for t in range(nletters))
+    order, position, f, left = _state_arrays(
+        [col for row in rows for col in row], radix, rendered, lowering)
+    if left is not None:
+        # in enumeration order, so that a broken filling names the first witness
+        raise VerificationError("lowering broke the filling at %s" % rendered[left])
+    promoted, lower = [list(row) for row in rows], [[0] * len(tabs) for _ in rows]
+    for t in range(1, nletters):
+        _bk_step(promoted, lower, t)
+    pr = list(map(position.get, _codes([col for row in promoted for col in row], radix)))
+    if None in pr:
+        raise VerificationError("promotion broke the filling at %s" % rendered[pr.index(None)])
+    pr = list(map(pr.__getitem__, order))
     if len(set(pr)) != len(pr):
         raise VerificationError("promotion is not a permutation of the fillings")
     for src, dst in enumerate(f[1]):
         if dst != -1:
             f[0][pr[src]] = pr[dst]
-    weights = tuple(_tab_weight(tab, nletters) for _, tab in named)
-    return Crystal(datum.gcm, datum.comarks, ids, weights, f,
-                   tuple(bid[2:] for bid in ids))
+    counts = [list(map(sum, zip(*letter))) for letter in zip(*rows)]
+    classical = [list(map(sub, counts[t - 1], counts[t])) for t in range(1, nletters)]
+    return _sorted_column(datum, rendered, order, f, classical)
+
+
+def _twist_column(col, nletters):
+    """phi on one column: its complement in the letters 1..nletters, with
+    each letter a sent to nletters + 1 - a."""
+    return tuple(nletters + 1 - a for a in range(nletters, 0, -1) if a not in col)
+
+
+def _twisted_column(datum, i, s):
+    """B^{i,s} with N letters, 2i > N, as the twist image of B^{N-i,s} under phi.
+
+    phi sends a filling column by column through _twist_column, keeping
+    the column order. It carries color j to omega(j): f'[omega(j)] =
+    phi f[j] phi^-1, and wt'(phi b)_t = wt(b)_{omega(t)}.
+    """
+    nletters, omega = datum.size, datum.omega
+    rep = kr_crystal(datum, nletters - i, s)
+    tabs = _enumerate_rect(nletters, nletters - i, s)
+    phi = {col: _twist_column(col, nletters)
+           for col in itertools.combinations(range(1, nletters + 1), nletters - i)}
+    # the id of phi of each filling of rep, in rep's node order
+    images = _tab_ids([tuple(zip(*map(phi.__getitem__, zip(*tab)))) for _, tab in
+                       sorted(zip(_tab_ids(tabs, nletters - i, s), tabs))], i, s)
+    order = sorted(range(len(images)), key=images.__getitem__)
+    moved = [0] * len(order) + [-1]  # the position of each image, -1 kept
+    for k, src in enumerate(order):
+        moved[src] = k
+    f = [None] * nletters
+    for j, row in enumerate(rep.f):
+        f[omega[j]] = list(map(moved.__getitem__, map(row.__getitem__, order)))
+    columns = list(zip(*rep.weights))
+    return _sorted_column(datum, images, order, f, [columns[w] for w in omega[1:]])
 
 
 # -- vector and fork columns on whole arrays --------------------------------
@@ -155,44 +221,17 @@ def _tableau_crystal(datum, i, s):
 def _state_crystal(datum, digits, radix, lowering, fmt, labels, classical):
     """A column on whole arrays from the digit columns of its states.
 
-    digits holds one column per coordinate, over the states in enumeration
-    order, and a state's code is its mixed-radix integer: digit c in place
-    radix**c. Its id is fmt % its labels, one column per % field, rendered
-    once, and the nodes are the states sorted by id. lowering[j] is color
-    j's ordered list of (guard column, code delta), each guard read once:
-    the first true guard applies, and no true guard means no image. A delta
-    keeps every digit of a state that its guard passes in range, so the
-    image is a state exactly when its code is one. classical holds the
-    weight columns of colors 1 and up; the affine one is computed from them.
+    A state's id is fmt % its labels, one column per % field, rendered once;
+    digits and lowering are as in _state_arrays, and classical holds the
+    weight columns of colors 1 and up.
     """
     rendered = [fmt % row for row in zip(*labels)]
-    nodes = list(range(len(rendered)))
-    order = sorted(nodes, key=rendered.__getitem__)
-    codes = [0] * len(nodes)
-    for c, col in enumerate(digits):
-        codes = list(map(add, codes, map((radix ** c).__mul__, col)))
-    position = dict(zip(map(codes.__getitem__, order), nodes))
-    position[-1] = -1  # no image
-    f, left = [], []
-    for rules in lowering:
-        targets = [-1] * len(nodes)
-        for guard, delta in reversed(rules):
-            targets = [code + delta if g else t for code, g, t in zip(codes, guard, targets)]
-        row = list(map(position.get, targets))
-        if None in row:
-            left.append(row.index(None))
-        f.append(list(map(row.__getitem__, order)))
-    del codes, position, targets, row  # freed before the weights are built
-    if left:
+    order, position, f, left = _state_arrays(digits, radix, rendered, lowering)
+    del position  # freed before the weights are built
+    if left is not None:
         # in enumeration order, so that a lowering out of the states names the first witness
-        raise VerificationError("lowering left the state space at %s" % rendered[min(left)])
-    zero = [0] * len(nodes)
-    for c, col in zip(datum.comarks[1:], classical):
-        zero = list(map(sub, zero, map(c.__mul__, col)))
-    ids = tuple(map(rendered.__getitem__, order))
-    weights = tuple(zip(*(map(col.__getitem__, order) for col in [zero] + classical)))
-    return Crystal(datum.gcm, datum.comarks, ids, weights, f,
-                   tuple(bid[2:] for bid in ids))
+        raise VerificationError("lowering left the state space at %s" % rendered[left])
+    return _sorted_column(datum, rendered, order, f, classical)
 
 
 def _vec_states(m, s):
@@ -389,13 +428,17 @@ def kr_crystal(datum, i, s):
     """Kirillov-Reshetikhin crystal B^{i,s} over the parent affine data.
 
     Any classical parent node is accepted so that whole orbits can be
-    built; columns without an in-scope model raise ScopeError.
+    built; columns without an in-scope model raise ScopeError. A tableau
+    column past the middle is the twist image of its partner, built once
+    through this cache.
     """
     if s < 1:
         raise ScopeError("width must be positive")
     if datum.case in ("a", "b"):
         if not 1 <= i <= datum.size - 1:
             raise ScopeError("column %d is not a classical node" % i)
+        if 2 * i > datum.size:
+            return _twisted_column(datum, i, s)
         return _tableau_crystal(datum, i, s)
     if datum.case == "c":
         n = datum.n

@@ -1,8 +1,13 @@
 """Test oracles: crystals built from id-keyed dicts, leaf-index columns of a
 tensor product, read off its pair node numbers, the pair an exchange sends
 a pair to, the color twist tau of one column, the energy on B (x) B by the
-walk over single nodes, and the powered-word check node by node."""
+walk over single nodes, the powered-word check node by node, and a clear
+of every package cache."""
 
+import importlib
+import pkgutil
+
+import crystalfold
 from crystalfold.cartan import kashiwara_word, omega_star
 from crystalfold.crystal import Crystal, Tensor, VerificationError, propagate_map
 from crystalfold.intertwine import energy_steps
@@ -121,3 +126,12 @@ def powered_words_by_nodes(datum, bundle):
                     if via_word != (fixed[cur] if cur != -1 else -1):
                         raise VerificationError("%s power %d disagrees at %s color %d"
                                                 % (kind, m, hat.ids[h], jh))
+
+
+def clear_package_caches():
+    """Empty every lru_cache of the package, as a fresh CLI process starts."""
+    for info in pkgutil.iter_modules(crystalfold.__path__):
+        module = importlib.import_module("crystalfold." + info.name)
+        for value in vars(module).values():
+            if callable(getattr(value, "cache_clear", None)):
+                value.cache_clear()

@@ -253,6 +253,24 @@ def test_branch_all_scope_without_case():
     assert len(res.output.strip().splitlines()) == 22
 
 
+@pytest.mark.parametrize("args,option", [
+    (("verify", "--all-scope", "--case", "a"), "--case"),
+    (("verify", "--all-scope", "--full-regularity", "--n", "2"), "--n"),
+    (("verify", "--all-scope", "--i", "1"), "--i"),
+    (("branch", "--all-scope", "--s", "2", "--case", "b"), "--case"),
+    (("branch", "--all-scope", "--format", "json"), "--format"),
+    (("branch", "--all-scope", "--out", "scope.txt"), "--out"),
+])
+def test_all_scope_refuses_the_options_it_would_drop(monkeypatch, tmp_path, args, option):
+    # the sweep covers every scope instance into one text table, so an
+    # instance, a format or an output file would be silently ignored
+    monkeypatch.chdir(tmp_path)
+    res = run(*args)
+    assert res.exit_code == 2
+    assert res.output == "error: %s cannot be combined with --all-scope\n" % option
+    assert not os.listdir(tmp_path)
+
+
 def test_missing_case_is_rejected():
     res = run("build")
     assert res.exit_code == 2

@@ -1,14 +1,11 @@
 """Twist maps, exchange maps, orbit tensors, and the energy table."""
 
-import importlib
-import pkgutil
 from collections import Counter
 from itertools import product
 
 import pytest
 from click.testing import CliRunner
 
-import crystalfold
 from crystalfold import cli, fixedpoint, intertwine
 from crystalfold.branching import verify_branching
 from crystalfold.cartan import make_datum, pi_tilde_weight
@@ -19,7 +16,8 @@ from crystalfold.intertwine import (
     build_tilde_crystal, compute_r_matrix, energy_on_tensor, orbit_factors,
     verify_yang_baxter)
 from crystalfold.models import classical_highest_node, kr_crystal
-from leaves import compute_tau_omega, energy_walk, exchange_pair, leaf_columns, leaf_node
+from leaves import (clear_package_caches, compute_tau_omega, energy_walk, exchange_pair,
+                    leaf_columns, leaf_node)
 
 A2 = make_datum("a", 2)
 A3 = make_datum("a", 3)
@@ -282,14 +280,6 @@ def test_twist_equals_tau_then_r_on_the_scope(case, n, i, s):
     assert list(bundle.omega_map) == twist_by_tau_and_r(datum, i, s, bundle.crystal)
 
 
-def _clear_package_caches():
-    for info in pkgutil.iter_modules(crystalfold.__path__):
-        module = importlib.import_module("crystalfold." + info.name)
-        for value in vars(module).values():
-            if callable(getattr(value, "cache_clear", None)):
-                value.cache_clear()
-
-
 @pytest.fixture
 def calls(monkeypatch):
     """Cold package caches, then a count of tensors, R matrices and propagated maps."""
@@ -301,7 +291,7 @@ def calls(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    _clear_package_caches()
+    clear_package_caches()
     monkeypatch.setattr(Tensor, "__init__", counting("tensor", Tensor.__init__))
     monkeypatch.setattr(intertwine, "compute_r_matrix",
                         counting("r_matrix", intertwine.compute_r_matrix))

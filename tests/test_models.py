@@ -1,5 +1,6 @@
 """Node models: frozen sizes, operator spot checks, scope gates."""
 
+import dataclasses
 import itertools
 import json
 
@@ -9,12 +10,12 @@ from crystalfold import models
 from crystalfold.cartan import ScopeError, block, make_datum
 from crystalfold.cli import SCOPE_INSTANCES
 from crystalfold.crystal import Crystal, Report, VerificationError, propagate_map
+from crystalfold.fixedpoint import verify_main_theorem
 from crystalfold.models import (
-    _bk_swap, _center_candidates, _center_crystal, _center_swap, _promote,
-    _spin_crystal, _tab_id, _tab_weight, _tableau_crystal, _vec_states, _vector_crystal,
-    affinize, classical_highest_node, kr_crystal)
+    _center_candidates, _center_crystal, _center_swap, _spin_crystal, _tableau_crystal,
+    _vec_states, _vector_crystal, affinize, classical_highest_node, kr_crystal)
 from crystalfold.monomial import highest_weight_crystal
-from leaves import crystal_from_edges
+from leaves import clear_package_caches, crystal_from_edges
 
 A2 = make_datum("a", 2)
 A3 = make_datum("a", 3)
@@ -71,10 +72,105 @@ def test_cache_returns_same_object():
 
 # -- tableau family ---------------------------------------------------------
 
+# The filling-by-filling tableau operators, kept as the oracle of the
+# whole-array builders in models: the signature rule on the column reading
+# word, and promotion as Bender-Knuth swaps on the fillings themselves.
+
+def _enumerate_rect_by_growth(nletters, i, s):
+    """All semistandard fillings of the i by s rectangle, column by column."""
+    cols = list(itertools.combinations(range(1, nletters + 1), i))
+    out = []
+
+    def grow(chosen):
+        if len(chosen) == s:
+            out.append(tuple(tuple(col[r] for col in chosen) for r in range(i)))
+            return
+        floor = chosen[-1] if chosen else None
+        for col in cols:
+            if floor is None or all(a <= b for a, b in zip(floor, col)):
+                grow(chosen + [col])
+
+    grow([])
+    return out
+
+
+def _reading_cells(i, s):
+    # rightmost column first, top to bottom inside a column
+    return [(r, c) for c in range(s - 1, -1, -1) for r in range(i)]
+
+
+def _tab_signature_act(tab, t):
+    """Apply the letter-t lowering operator, None at the end."""
+    i, s = len(tab), len(tab[0])
+    stack = []
+    for r, c in _reading_cells(i, s):
+        v = tab[r][c]
+        if v == t:
+            stack.append((r, c))
+        elif v == t + 1 and stack:
+            stack.pop()
+    if not stack:
+        return None
+    r, c = stack[0]
+    rows = [list(row) for row in tab]
+    rows[r][c] = t + 1
+    return tuple(tuple(row) for row in rows)
+
+
+def _bk_swap(tab, t):
+    """Exchange free occurrences of t and t+1 row by row."""
+    i, s = len(tab), len(tab[0])
+    rows = [list(row) for row in tab]
+    for r in range(i):
+        free = []
+        for c in range(s):
+            v = rows[r][c]
+            if v == t:
+                below = rows[r + 1][c] if r + 1 < i else None
+                if below != t + 1:
+                    free.append(c)
+            elif v == t + 1:
+                above = rows[r - 1][c] if r > 0 else None
+                if above != t:
+                    free.append(c)
+        if not free:
+            continue
+        a = sum(1 for c in free if rows[r][c] == t)
+        b = len(free) - a
+        for k, c in enumerate(free):
+            rows[r][c] = t if k < b else t + 1
+    return tuple(tuple(row) for row in rows)
+
+
+def _promote(tab, nletters):
+    for t in range(1, nletters):
+        tab = _bk_swap(tab, t)
+    return tab
+
+
 def _promote_inv(tab, nletters):
     for t in range(nletters - 1, 0, -1):
         tab = _bk_swap(tab, t)
     return tab
+
+
+def _tab_id(tab):
+    return "t:" + "|".join(",".join(str(v) for v in row) for row in tab)
+
+
+def _tab_weight(tab, nletters):
+    counts = [0] * (nletters + 1)
+    for row in tab:
+        for v in row:
+            counts[v] += 1
+    wt = [counts[nletters] - counts[1]]
+    for t in range(1, nletters):
+        wt.append(counts[t] - counts[t + 1])
+    return tuple(wt)
+
+
+def _row_contents(tab, nletters):
+    return [[row.count(a) for a in range(1, nletters + 1)] for row in tab]
 
 
 def _is_rect_ssyt(rows, nletters):
@@ -119,7 +215,7 @@ def tableau_crystal_from_edges(datum, i, s):
     every lowered filling re-checked as semistandard, and f_0 applied
     tableau by tableau as promotion, f_1, inverse promotion."""
     nletters = datum.size
-    tabs = models._enumerate_rect(nletters, i, s)
+    tabs = _enumerate_rect_by_growth(nletters, i, s)
     nodes = {}
     f_edges = {j: {} for j in range(nletters)}
     for tab in tabs:
@@ -127,12 +223,12 @@ def tableau_crystal_from_edges(datum, i, s):
     for tab in tabs:
         bid = _tab_id(tab)
         for t in range(1, nletters):
-            down = models._tab_signature_act(tab, t)
+            down = _tab_signature_act(tab, t)
             if down is not None:
                 if not _is_rect_ssyt(down, nletters):
                     raise VerificationError("lowering broke the filling at %s" % bid)
                 f_edges[t][bid] = _tab_id(down)
-        shifted = models._tab_signature_act(_promote_inv(tab, nletters), 1)
+        shifted = _tab_signature_act(_promote_inv(tab, nletters), 1)
         if shifted is not None:
             down = _promote(shifted, nletters)
             if not _is_rect_ssyt(down, nletters):
@@ -141,19 +237,37 @@ def tableau_crystal_from_edges(datum, i, s):
     return crystal_from_edges(datum.gcm, datum.comarks, nodes, f_edges)
 
 
+def _rect_size(nletters, i, s):
+    """The number of fillings, by the hook-content formula."""
+    num = den = 1
+    for r in range(i):
+        for c in range(s):
+            num *= nletters + c - r
+            den *= (i - r) + (s - c) - 1
+    return num // den
+
+
+TABLEAU_COLUMNS = [
+    (case, n, i, s)
+    for case, ns in (("a", (2, 3, 4)), ("b", (1, 2, 3))) for n in ns
+    for i in range(1, make_datum(case, n).size) for s in (1, 2, 3)
+    if _rect_size(make_datum(case, n).size, i, s) <= 2000]
+
+
 def _scope_tableau_columns():
     cols = set()
     for case, n, i, s in SCOPE_INSTANCES + [("a", 4, 2, 2), ("b", 3, 2, 2)]:
         if case in ("a", "b"):
             datum = make_datum(case, n)
             cols.update((case, n, col, s) for col in datum.orbit(i))
-    return sorted(cols) + [("a", 4, 3, 2), ("b", 3, 4, 2), ("a", 3, 1, 4)]
+    return cols | {("a", 4, 3, 2), ("b", 3, 4, 2), ("a", 3, 1, 4)}
 
 
-@pytest.mark.parametrize("case,n,i,s", _scope_tableau_columns())
+@pytest.mark.parametrize("case,n,i,s", sorted(_scope_tableau_columns() | set(TABLEAU_COLUMNS)))
 def test_tableau_arrays_match_the_edge_builder(case, n, i, s):
+    # past the middle, kr_crystal twists the column's partner
     datum = make_datum(case, n)
-    got = json.dumps(_tableau_crystal(datum, i, s).to_json(), sort_keys=True)
+    got = json.dumps(kr_crystal(datum, i, s).to_json(), sort_keys=True)
     want = json.dumps(tableau_crystal_from_edges(datum, i, s).to_json(), sort_keys=True)
     assert got == want
 
@@ -164,18 +278,33 @@ def test_tableau_arrays_match_the_edge_builder(case, n, i, s):
 ])
 def test_tableau_lowering_out_of_the_fillings_is_caught(
         monkeypatch, datum, i, s, t, uneven, witness):
-    # a letter-t lowering that also bumps the last box past the alphabet,
+    # a letter-t lowering that also turns a 1 of the top row into t + 1,
     # only on fillings with an uneven first row when uneven is set; the
-    # witness is the first broken filling in enumeration order
-    step = models._tab_signature_act
+    # witness is the first broken filling in enumeration order. In the
+    # rules, each guard of color t gets a leaky twin ahead of it.
+    rules_of = models._tableau_lowering
+
+    def leaky_rules(rows, letter, radix):
+        rules = rules_of(rows, letter, radix)
+        if letter != t:
+            return rules
+        top = rows[0]
+        leaks = [ones > 0 and not (uneven and max(counts) == radix - 1)
+                 for ones, counts in zip(top[0], zip(*top))]
+        leak = radix ** t - 1  # one box of the top row from letter 1 to letter t + 1
+        return [rule for guard, delta in rules
+                for rule in ((list(map(all, zip(guard, leaks))), delta + leak), (guard, delta))]
+
+    step = _tab_signature_act
 
     def leaky(tab, letter):
         out = step(tab, letter)
-        if out is None or letter != t or (uneven and len(set(tab[0])) == 1):
+        if out is None or letter != t or out[0][0] != 1 or (uneven and len(set(tab[0])) == 1):
             return out
-        return out[:-1] + (out[-1][:-1] + (datum.size + 1,),)
+        return (tuple(sorted(out[0][1:] + (t + 1,))),) + out[1:]
 
-    monkeypatch.setattr(models, "_tab_signature_act", leaky)
+    monkeypatch.setattr(models, "_tableau_lowering", leaky_rules)
+    monkeypatch.setitem(globals(), "_tab_signature_act", leaky)
     message = r"^lowering broke the filling at %s$" % witness.replace("|", r"\|")
     with pytest.raises(VerificationError, match=message):
         _tableau_crystal(datum, i, s)
@@ -184,19 +313,26 @@ def test_tableau_lowering_out_of_the_fillings_is_caught(
 
 
 def test_tableau_promotion_out_of_the_fillings_is_caught(monkeypatch):
-    promote = models._promote
+    # the last Bender-Knuth step drops the box of the filling it ends at 1
+    step = models._bk_step
 
-    def broken(tab, nletters):
-        out = promote(tab, nletters)
-        return ((nletters + 1,),) if out == ((1,),) else out
+    def broken(rows, lower, t):
+        step(rows, lower, t)
+        if t == B1.size - 1:
+            rows[0][0] = [0] * len(lower[0])
 
-    monkeypatch.setattr(models, "_promote", broken)
+    monkeypatch.setattr(models, "_bk_step", broken)
     with pytest.raises(VerificationError, match="^promotion broke the filling at t:2$"):
         _tableau_crystal(B1, 1, 1)
 
 
 def test_tableau_promotion_that_is_not_a_permutation_is_caught(monkeypatch):
-    monkeypatch.setattr(models, "_promote", lambda tab, nletters: ((1,),))
+    def constant(rows, lower, t):
+        # every filling ends as the single box 1
+        ones = [1] * len(lower[0])
+        rows[0][:] = [ones] + [[0] * len(ones) for _ in rows[0][1:]]
+
+    monkeypatch.setattr(models, "_bk_step", constant)
     with pytest.raises(VerificationError,
                        match="^promotion is not a permutation of the fillings$"):
         _tableau_crystal(B1, 1, 1)
@@ -210,6 +346,65 @@ def test_bk_is_involution():
                     for row in b[2:].split("|"))
         for t in range(1, n):
             assert _bk_swap(_bk_swap(tab, t), t) == tab
+
+
+@pytest.mark.parametrize("datum,i,s", [(A2, 2, 2), (A3, 3, 2), (B2, 2, 3), (A3, 2, 3)])
+def test_bk_steps_on_row_contents_are_the_swaps(datum, i, s):
+    nletters = datum.size
+    tabs = _enumerate_rect_by_growth(nletters, i, s)
+    rows = [[list(col) for col in zip(*letters)]
+            for letters in zip(*(_row_contents(tab, nletters) for tab in tabs))]
+    lower = [[0] * len(tabs) for _ in range(i)]
+    for t in range(1, nletters):
+        models._bk_step(rows, lower, t)
+        tabs = [_bk_swap(tab, t) for tab in tabs]
+        want = [_row_contents(tab, nletters) for tab in tabs]
+        got = [[list(counts) for counts in contents] for contents in zip(*(zip(*row) for row in rows))]
+        assert got == want
+        assert lower == [[sum(contents[r][:t]) for contents in want] for r in range(i)]
+
+
+@pytest.mark.parametrize("nletters,i,s", [(4, 2, 2), (6, 3, 2), (7, 2, 3), (3, 1, 4)])
+def test_fillings_come_in_the_order_of_growth(nletters, i, s):
+    # the enumeration order fixes which filling a fault names
+    assert models._enumerate_rect(nletters, i, s) == _enumerate_rect_by_growth(nletters, i, s)
+
+
+def _twist(tab, nletters):
+    return tuple(zip(*(models._twist_column(col, nletters) for col in zip(*tab))))
+
+
+@pytest.mark.parametrize("case,n", [("a", 2), ("a", 3), ("a", 4), ("b", 1), ("b", 2), ("b", 3)])
+def test_twist_there_and_back_returns_every_filling(case, n):
+    nletters = make_datum(case, n).size
+    for i in range(1, nletters):
+        for s in (1, 2):
+            tabs = _enumerate_rect_by_growth(nletters, i, s)
+            there = [_twist(tab, nletters) for tab in tabs]
+            assert sorted(there) == sorted(_enumerate_rect_by_growth(nletters, nletters - i, s))
+            assert [_twist(tab, nletters) for tab in there] == tabs
+
+
+@pytest.fixture
+def cold_caches():
+    clear_package_caches()
+    yield
+    clear_package_caches()
+
+
+@pytest.mark.parametrize("case,n,i,s,twin", [("a", 2, 1, 1, 3), ("a", 3, 1, 2, 5), ("b", 2, 1, 2, 4)])
+def test_a_twist_whose_colors_skip_omega_is_caught(monkeypatch, cold_caches, case, n, i, s, twin):
+    # the twist image built as if omega fixed every color: its weights are
+    # its partner's, so no node of the twin carries the twin's top weight
+    twisted = models._twisted_column
+
+    def skipping(datum, i_, s_):
+        return twisted(dataclasses.replace(datum, omega=tuple(range(datum.size))), i_, s_)
+
+    monkeypatch.setattr(models, "_twisted_column", skipping)
+    message = "^0 nodes carry the top weight for column %d width %d$" % (twin, s)
+    with pytest.raises(VerificationError, match=message):
+        verify_main_theorem(make_datum(case, n), i, s)
 
 
 def test_affine_edges_on_single_boxes():
