@@ -8,15 +8,16 @@ derived from the graph and re-verified rather than trusted. Every method
 and every map between crystals addresses nodes by index; string ids are
 made by the model builders and only rendered for messages and output.
 LazyTensor, a tensor product evaluated only where it is asked, addresses
-its nodes by tuples of factor indices instead.
+its nodes by tuples of factor indices instead. Both act on batches of
+nodes through images, strings_at and weyl_images.
 """
 
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, compress, islice, pairwise
+from itertools import chain, compress, islice, pairwise, repeat
 from math import prod
-from operator import add, le, sub
+from operator import add, itemgetter, le, lt, neg, not_, sub
 
 from .cartan import classical_alpha, enumerate_dominant
 
@@ -104,25 +105,16 @@ class Crystal:
 
     # -- basic maps ---------------------------------------------------------
 
-    def apply_word(self, word, i, lowering=True):
-        """Apply an operator word to node i, first letter first; -1 once it dies."""
-        maps = self.f if lowering else self.e
-        for j in word:
-            i = maps[j][i]
-            if i == -1:
-                return -1
-        return i
-
     def images(self, word, nodes, lowering=True):
-        """apply_word(word, k, lowering) for every k in nodes, as a list.
+        """The image of every node in nodes under an operator word, as a list.
 
-        Each letter is one lookup over the nodes in a copy of its map that
-        ends in -1, so a node that died, -1, reads -1 again.
+        First letter first, one pass over the nodes per letter; a node that
+        dies is -1, and -1 reads -1 again. No map is copied.
         """
         maps = self.f if lowering else self.e
-        ends = {j: maps[j] + [-1] for j in set(word)}
         for j in word:
-            nodes = list(map(ends[j].__getitem__, nodes))
+            arr = maps[j]
+            nodes = [-1 if x == -1 else arr[x] for x in nodes]
         return nodes
 
     def strings(self, j):
@@ -174,26 +166,36 @@ class Crystal:
     def phi_tuple(self, i):
         return tuple(self.phi(j, i) for j in range(self.ncolors))
 
-    def own_strings(self, i):
-        """eps and phi tuples of node i, walking only its own strings.
+    def strings_at(self, nodes):
+        """The eps and phi tuples of every node in nodes, as a list of pairs.
 
         For a few nodes of a large crystal, where strings(j) would walk
-        every string of color j; a walk longer than the crystal is a cycle.
+        every string of color j: only the nodes' own strings are walked, one
+        step of every live walk at a time. A walk as long as the crystal is
+        a cycle; of those, the first by node, raising before lowering, then
+        color, is raised.
         """
-        out = []
-        for maps in (self.e, self.f):
-            lengths = []
+        nodes = list(nodes)
+        lengths, cyclic = [], []
+        for rank, maps in enumerate((self.e, self.f)):
             for j, arr in enumerate(maps):
-                cur, d = i, 0
-                while arr[cur] != -1:
-                    cur = arr[cur]
+                row = [0] * len(nodes)
+                pos, cur, d = range(len(nodes)), nodes, 0
+                while pos and d < len(self):
+                    cur = list(map(arr.__getitem__, cur))
+                    if -1 in cur:
+                        live = list(map((-1).__ne__, cur))
+                        for k in compress(pos, map(not_, live)):
+                            row[k] = d
+                        pos, cur = list(compress(pos, live)), list(compress(cur, live))
                     d += 1
-                    if d == len(self):
-                        raise VerificationError(
-                            "color %d has a cyclic string through %s" % (j, self.id(i)))
-                lengths.append(d)
-            out.append(tuple(lengths))
-        return tuple(out)
+                if pos:
+                    cyclic.append((pos[0], rank, j))
+                lengths.append(row)
+        if cyclic:
+            k, _, j = min(cyclic)
+            raise VerificationError("color %d has a cyclic string through %s" % (j, self.id(nodes[k])))
+        return list(zip(zip(*lengths[:self.ncolors]), zip(*lengths[self.ncolors:])))
 
     # -- axioms -------------------------------------------------------------
 
@@ -343,14 +345,27 @@ class Crystal:
 
     # -- Weyl action --------------------------------------------------------
 
+    def weyl_images(self, j, nodes):
+        """s_j of every node in nodes, as a list, -1 where a step falls off.
+
+        s_j is f_j^m for m, the weight at j, at least 0, else e_j^-m.
+        """
+        f, e, out = self.f[j], self.e[j], []
+        for i in nodes:
+            m = self.weights[i][j]
+            arr = f if m >= 0 else e
+            for _ in range(abs(m)):
+                i = arr[i]
+                if i == -1:
+                    break
+            out.append(i)
+        return out
+
     def weyl_s(self, j, i):
-        m = self.weights[i][j]
-        maps = self.f[j] if m >= 0 else self.e[j]
-        for _ in range(abs(m)):
-            i = maps[i]
-            if i == -1:
-                raise VerificationError("Weyl step fell off the graph (color %d)" % j)
-        return i
+        (t,) = self.weyl_images(j, (i,))
+        if t == -1:
+            raise weyl_fall(j)
+        return t
 
     # -- extremal elements, simplicity, perfectness --------------------------
 
@@ -363,6 +378,7 @@ class Crystal:
             ok_here.append(all(
                 self.eps(j, i) == 0 or self.phi(j, i) == 0
                 for j in range(self.ncolors)))
+        table = [self.weyl_images(j, range(n)) for j in range(self.ncolors)]
         verdict = [None] * n
         for start in range(n):
             if verdict[start] is not None:
@@ -373,8 +389,10 @@ class Crystal:
             while k < len(orbit):
                 cur = orbit[k]
                 k += 1
-                for j in range(self.ncolors):
-                    t = self.weyl_s(j, cur)
+                for j, row in enumerate(table):
+                    t = row[cur]
+                    if t == -1:
+                        raise weyl_fall(j)
                     if t not in seen:
                         seen.add(t)
                         orbit.append(t)
@@ -486,6 +504,11 @@ class Crystal:
                                  % (self.ids[src], self.ids[dst], j))
         lines.append("}")
         return "\n".join(lines) + "\n"
+
+
+def weyl_fall(j):
+    """The error of a Weyl step of color j that falls off the graph."""
+    return VerificationError("Weyl step fell off the graph (color %d)" % j)
 
 
 def _inverse(arr, nodes):
@@ -614,20 +637,27 @@ def tensor_many(parts):
 class LazyTensor:
     """tensor_many(factors), evaluated only at the nodes asked about.
 
-    A node is a tuple of factor node indices. Operators follow Tensor's
-    signature rule, read off each factor's strings(j) lists in one pass
-    over the factors, and ids render as in tensor_many. Offers the node
-    methods the fold, the string identities and branching read: id, weight,
-    apply_word, images, highest_nodes, own_strings and weyl_s; its length is
-    the size of the tensor it stands for.
+    A node is a tuple of factor node indices. Every operator acts on a
+    batch of nodes, as one column of indices per factor, a letter at a
+    time: Tensor's signature rule is read off the factors' strings(j)
+    lists over whole columns, then each factor's map is indexed where the
+    rule puts the letter. Each factor's maps get a sentinel at index -1,
+    -1 in f and e and 0 in eps and phi, so a column that reads -1 stays -1,
+    and a node is dead exactly when one of its columns is -1. Ids render as
+    in tensor_many. Offers what the fold, the string identities and
+    branching read: id, weight, images, highest_nodes, strings_at and
+    weyl_images; its length is the size of the tensor it stands for.
     """
 
     def __init__(self, factors):
         self.factors = factors
         self.ncolors = factors[0].ncolors
         strings = [list(map(fac.strings, range(self.ncolors))) for fac in factors]
-        self._eps = [[row[j][0] for row in strings] for j in range(self.ncolors)]
-        self._phi = [[row[j][1] for row in strings] for j in range(self.ncolors)]
+        self._eps = [[row[j][0] + [0] for row in strings] for j in range(self.ncolors)]
+        self._phi = [[row[j][1] + [0] for row in strings] for j in range(self.ncolors)]
+        self._f = [[[*fac.f[j], -1] for fac in factors] for j in range(self.ncolors)]
+        self._e = [[[*fac.e[j], -1] for fac in factors] for j in range(self.ncolors)]
+        self._getters = [itemgetter(k) for k in range(len(factors))]
 
     def __len__(self):
         return prod(map(len, self.factors))
@@ -638,35 +668,49 @@ class LazyTensor:
     def weight(self, node):
         return tuple(map(sum, zip(*(fac.weights[a] for fac, a in zip(self.factors, node)))))
 
-    def step(self, j, node, lowering=True):
-        """f_j of node (e_j unless lowering), -1 for none.
+    def _columns(self, nodes):
+        """The factor columns of a batch of nodes, one per factor."""
+        return list(map(list, map(map, self._getters, repeat(nodes))))
 
-        On prefix (x) factor k, f_j acts on factor k when phi_j of the
-        prefix is at most eps_j of factor k (e_j when it is below), and
-        otherwise where it acts on the prefix.
+    def _act(self, j, cols, lowering):
+        """f_j (e_j unless lowering) on the node columns cols, as new columns.
+
+        On prefix (x) factor k, the letter acts on factor k when phi_j of
+        the prefix is at most eps_j of factor k (below it, for e_j), and
+        otherwise where it acts on the prefix; phi_j of the longer prefix is
+        phi_j of factor k plus max(0, phi_j(prefix) - eps_j(factor k)).
         """
         eps, phi = self._eps[j], self._phi[j]
-        slot, p = 0, phi[0][node[0]]
-        for k in range(1, len(node)):
-            e = eps[k][node[k]]
-            if p < e or (lowering and p == e):
-                slot = k
-            p = phi[k][node[k]] + max(0, p - e)
-        fac = self.factors[slot]
-        t = (fac.f if lowering else fac.e)[j][node[slot]]
-        return -1 if t == -1 else node[:slot] + (t,) + node[slot + 1:]
-
-    def apply_word(self, word, node, lowering=True):
-        """Apply an operator word to node, first letter first; -1 once it dies."""
-        for j in word:
-            node = self.step(j, node, lowering)
-            if node == -1:
-                return -1
-        return node
+        here = le if lowering else lt
+        p = list(map(phi[0].__getitem__, cols[0]))
+        slot = repeat(0)  # the factor each node's letter acts on; True is 1
+        for k in range(1, len(cols)):
+            e = list(map(eps[k].__getitem__, cols[k]))
+            if k == 1:
+                slot = list(map(here, p, e))
+            else:
+                slot = [k if h else s for h, s in zip(map(here, p, e), slot)]
+            if k + 1 < len(cols):
+                p = list(map(add, map(phi[k].__getitem__, cols[k]), map(max, repeat(0), map(sub, p, e))))
+        maps = (self._f if lowering else self._e)[j]
+        return [[arr[x] if s == k else x for x, s in zip(col, slot)]
+                for k, (col, arr) in enumerate(zip(cols, maps))]
 
     def images(self, word, nodes, lowering=True):
-        """apply_word(word, node, lowering) for every node in nodes, as a list."""
-        return [self.apply_word(word, node, lowering) for node in nodes]
+        """The image of every node in nodes under an operator word, as a list.
+
+        First letter first, a letter on every node at once; -1 for a node
+        that dies.
+        """
+        cols = self._columns(nodes)
+        for j in word:
+            cols = self._act(j, cols, lowering)
+        out = list(zip(*cols))
+        for col in cols:
+            if -1 in col:
+                for k in compress(range(len(col)), map((-1).__eq__, col)):
+                    out[k] = -1
+        return out
 
     def highest_nodes(self, colors):
         """The nodes that every e_j with j in colors kills, in index order.
@@ -688,25 +732,43 @@ class LazyTensor:
                      for b, (eb, pb) in enumerate(strings) if all(map(le, eb, room))]
         return [node for node, _ in heads]
 
-    def own_strings(self, node):
-        """eps and phi tuples of node, folded from the factors' strings."""
+    def strings_at(self, nodes):
+        """The eps and phi tuples of every node in nodes, as a list of pairs.
+
+        Folded from the factors' strings, factor by factor: eps_j of prefix
+        (x) factor k adds max(0, eps_j(factor k) - phi_j(prefix)) to
+        eps_j(prefix), and phi_j is as in the letter rule.
+        """
+        cols = self._columns(nodes)
         eps_out, phi_out = [], []
         for eps, phi in zip(self._eps, self._phi):
-            e, p = eps[0][node[0]], phi[0][node[0]]
-            for k in range(1, len(node)):
-                er, pr = eps[k][node[k]], phi[k][node[k]]
-                e, p = e + max(0, er - p), pr + max(0, p - er)
+            e = list(map(eps[0].__getitem__, cols[0]))
+            p = list(map(phi[0].__getitem__, cols[0]))
+            for k in range(1, len(cols)):
+                d = list(map(sub, map(eps[k].__getitem__, cols[k]), p))
+                e = list(map(add, e, map(max, repeat(0), d)))
+                p = list(map(add, map(phi[k].__getitem__, cols[k]), map(max, repeat(0), map(neg, d))))
             eps_out.append(e)
             phi_out.append(p)
-        return tuple(eps_out), tuple(phi_out)
+        return list(zip(zip(*eps_out), zip(*phi_out)))
 
-    def weyl_s(self, j, node):
-        m = sum(fac.weights[a][j] for fac, a in zip(self.factors, node))
-        for _ in range(abs(m)):
-            node = self.step(j, node, m >= 0)
-            if node == -1:
-                raise VerificationError("Weyl step fell off the graph (color %d)" % j)
-        return node
+    def weyl_images(self, j, nodes):
+        """s_j of every node in nodes, as a list, -1 where a step falls off.
+
+        s_j is f_j^m for m, the weight at j, at least 0, else e_j^-m: one
+        images batch per m.
+        """
+        charges = map(sum, zip(*([fac.weights[a][j] for a in col]
+                                 for fac, col in zip(self.factors, self._columns(nodes)))))
+        out = list(nodes)
+        groups = {}
+        for k, m in enumerate(charges):
+            if m:
+                groups.setdefault(m, []).append(k)
+        for m, pos in groups.items():
+            for k, t in zip(pos, self.images((j,) * abs(m), [out[k] for k in pos], m > 0)):
+                out[k] = t
+        return out
 
 
 def propagate_map(src, dst, anchors, relabel=None, colors=None, domain=None,

@@ -26,7 +26,8 @@ from .cartan import (
     ScopeError, block, hat_level, kashiwara_word, p_omega_star, p_omega_star_inverse,
     pi_tilde_weight, theta_word)
 from .crystal import (
-    Crystal, LazyTensor, Report, VerificationError, propagate_map, tensor, tensor_many)
+    Crystal, LazyTensor, Report, VerificationError, propagate_map, tensor, tensor_many,
+    weyl_fall)
 from .intertwine import (
     build_tilde_crystal, energy_on_tensor, energy_steps, orbit_factors, orbit_top)
 from .models import classical_highest_node
@@ -53,32 +54,44 @@ def fold_crystal(datum, parent, top):
     The twist sigma fixes top and sends color j to color omega(j), so
     sigma(f_w b) = f_omega(w) sigma(b): a node reached from a fixed node is
     fixed when the omega-twisted word lands where the word does. The walk
-    applies, at every node and folded color, the word, its twin and the
-    reversed raising word once, and follows both images. The walked nodes
-    are folded in id order: weights must be constant on orbits, and the
-    raising image of every folded edge's target must be its source.
+    is breadth first, a layer at a time: each folded color's word, its twin
+    (where that is another word) and the reversed raising word act once on
+    the whole layer through parent.images, and both images of every node
+    join the next layer in queue order, so nodes are discovered as a
+    node-by-node queue would find them. Of the layer's twins that part, the
+    first by node, then color, is raised. The walked nodes are folded in id
+    order: weights must be constant on orbits, and the raising image of
+    every folded edge's target must be its source.
     """
     steps = []
     for jh in range(len(datum.hat_gcm)):
         word = kashiwara_word(datum, jh)
         steps.append((word, tuple(datum.omega[j] for j in word), word[::-1]))
-    queue = [top]
+    queue, layer = [top], [top]
     images = {top: None}  # per walked node and folded color: (lowering, raising) image
-    for p in queue:
-        row = []
+    while layer:
+        downs, ups, parted = [], [], []
         for jh, (word, twin, back) in enumerate(steps):
-            down = parent.apply_word(word, p)
-            if parent.apply_word(twin, p) != down:
-                raise VerificationError(
-                    "lowering word for folded color %d leaves the fixed set at %s"
-                    % (jh, parent.id(p)))
-            up = parent.apply_word(back, p, lowering=False)
-            for q in (down, up):
+            down = parent.images(word, layer)
+            twins = down if twin == word else parent.images(twin, layer)
+            if twins != down:
+                parted.append((next(k for k, (a, b) in enumerate(zip(down, twins)) if a != b), jh))
+            downs.append(down)
+            ups.append(parent.images(back, layer, lowering=False))
+        if parted:
+            k, jh = min(parted)
+            raise VerificationError(
+                "lowering word for folded color %d leaves the fixed set at %s"
+                % (jh, parent.id(layer[k])))
+        found = []
+        for p, row in zip(layer, zip(*map(zip, downs, ups))):
+            for q in itertools.chain.from_iterable(row):
                 if q != -1 and q not in images:
                     images[q] = None
-                    queue.append(q)
-            row.append((down, up))
-        images[p] = row
+                    found.append(q)
+            images[p] = row
+        queue += found
+        layer = found
     fixed = tuple(sorted(queue, key=parent.id))
     where = {p: h for h, p in enumerate(fixed)}
     ids = tuple(map(parent.id, fixed))
@@ -199,7 +212,12 @@ def verify_main_theorem(datum, i, s, full_regularity=False):
 # -- string statistics against the parent -----------------------------------
 
 def check_string_identities(datum, i, s):
-    """Folded string data read off the parent in four independent ways."""
+    """Folded string data read off the parent in four independent ways.
+
+    Each stage reads the parent on batches of fixed nodes: strings_at,
+    images and weyl_images act on every fixed node at once, and a stage
+    that fails names the witness a loop over single nodes would name.
+    """
     bundle = build_hat_crystal(datum, i, s)
     hat = bundle.crystal
     parent = bundle.parent
@@ -207,11 +225,16 @@ def check_string_identities(datum, i, s):
     report = Report()
 
     def eps_orbit():
-        for h, p in enumerate(fixed):
-            eps, phi = parent.own_strings(p)
-            if p_omega_star(datum, hat.eps_tuple(h)) != eps:
+        # the parent's strings at every fixed node in one batch, which
+        # raises a cyclic parent string before the hat's strings are read
+        got = parent.strings_at(fixed)
+        columns = list(map(hat.strings, range(hat.ncolors)))
+        hat_eps = zip(*(eps for eps, _ in columns))
+        hat_phi = zip(*(phi for _, phi in columns))
+        for h, (eps, phi), e, p in zip(itertools.count(), got, hat_eps, hat_phi):
+            if p_omega_star(datum, e) != eps:
                 raise VerificationError("eps tuples disagree at %s" % hat.ids[h])
-            if p_omega_star(datum, hat.phi_tuple(h)) != phi:
+            if p_omega_star(datum, p) != phi:
                 raise VerificationError("phi tuples disagree at %s" % hat.ids[h])
 
     def powered_words():
@@ -247,15 +270,28 @@ def check_string_identities(datum, i, s):
                                     % (kind, m, hat.ids[h], jh))
 
     def weyl_match():
-        words = [theta_word(datum, (jh,)) for jh in range(hat.ncolors)]
-        for h, p in enumerate(fixed):
-            for jh, word in enumerate(words):
-                rhs = p
-                for j in word:
-                    rhs = parent.weyl_s(j, rhs)
-                if fixed[hat.weyl_s(jh, h)] != rhs:
-                    raise VerificationError(
-                        "folded Weyl operator %d differs at %s" % (jh, hat.ids[h]))
+        # one batch per folded color over the fixed nodes, a parent
+        # reflection at a time; of all failures the first by node, then
+        # color, is raised, and at one node and color a parent step that
+        # falls off comes before a folded one
+        failures = []
+        for jh in range(hat.ncolors):
+            rhs, fell = list(fixed), {}
+            for j in theta_word(datum, (jh,)):
+                live = [h for h, q in enumerate(rhs) if q != -1]
+                for h, q in zip(live, parent.weyl_images(j, [rhs[h] for h in live])):
+                    rhs[h] = q
+                    if q == -1:
+                        fell[h] = j
+            for h, (q, t) in enumerate(zip(rhs, hat.weyl_images(jh, range(len(hat))))):
+                if q == -1 or t == -1 or fixed[t] != q:
+                    failures.append((h, jh, fell[h] if q == -1 else jh if t == -1 else None))
+                    break
+        if failures:
+            h, jh, fall = min(failures)
+            if fall is not None:
+                raise weyl_fall(fall)
+            raise VerificationError("folded Weyl operator %d differs at %s" % (jh, hat.ids[h]))
 
     def level_zero():
         for k, wt in enumerate(hat.weights):

@@ -1,15 +1,20 @@
 """Test oracles: crystals built from id-keyed dicts, leaf-index columns of a
 tensor product, read off its pair node numbers, the pair an exchange sends
 a pair to, the color twist tau of one column, the energy on B (x) B by the
-walk over single nodes, the powered-word check node by node, and a clear
-of every package cache."""
+walk over single nodes, the node-level operators of a Crystal or a
+LazyTensor (one letter, a word, the own strings, a Weyl reflection), the
+fold walked node by node, the string-identity stages node by node, and a
+clear of every package cache."""
 
 import importlib
 import pkgutil
 
 import crystalfold
-from crystalfold.cartan import kashiwara_word, omega_star
-from crystalfold.crystal import Crystal, Tensor, VerificationError, propagate_map
+from crystalfold.cartan import (
+    kashiwara_word, omega_star, p_omega_star, p_omega_star_inverse, theta_word)
+from crystalfold.crystal import (
+    Crystal, LazyTensor, Tensor, VerificationError, propagate_map, weyl_fall)
+from crystalfold.fixedpoint import HatBundle
 from crystalfold.intertwine import energy_steps
 from crystalfold.models import classical_highest_node, kr_crystal
 
@@ -102,6 +107,153 @@ def energy_walk(prod, anchor):
     return values
 
 
+def lazy_step(lazy, j, node, lowering=True):
+    """f_j of one node of a LazyTensor (e_j unless lowering), -1 for none.
+
+    On prefix (x) factor k, f_j acts on factor k when phi_j of the prefix
+    is at most eps_j of factor k (e_j when it is below), and otherwise
+    where it acts on the prefix.
+    """
+    strings = [fac.strings(j) for fac in lazy.factors]
+    slot, p = 0, strings[0][1][node[0]]
+    for k in range(1, len(node)):
+        e = strings[k][0][node[k]]
+        if p < e or (lowering and p == e):
+            slot = k
+        p = strings[k][1][node[k]] + max(0, p - e)
+    fac = lazy.factors[slot]
+    t = (fac.f if lowering else fac.e)[j][node[slot]]
+    return -1 if t == -1 else node[:slot] + (t,) + node[slot + 1:]
+
+
+def apply_word(crys, word, node, lowering=True):
+    """An operator word on one node of a Crystal or a LazyTensor, first letter
+    first; -1 once it dies."""
+    for j in word:
+        if isinstance(crys, LazyTensor):
+            node = lazy_step(crys, j, node, lowering)
+        else:
+            node = (crys.f if lowering else crys.e)[j][node]
+        if node == -1:
+            return -1
+    return node
+
+
+def own_strings(crys, node):
+    """eps and phi tuples of one node: a LazyTensor's folded from the factors'
+    strings, a Crystal's by walking the node's own strings, where a walk as
+    long as the crystal is a cycle."""
+    if isinstance(crys, LazyTensor):
+        eps_out, phi_out = [], []
+        for j in range(crys.ncolors):
+            strings = [fac.strings(j) for fac in crys.factors]
+            e, p = strings[0][0][node[0]], strings[0][1][node[0]]
+            for k in range(1, len(node)):
+                er, pr = strings[k][0][node[k]], strings[k][1][node[k]]
+                e, p = e + max(0, er - p), pr + max(0, p - er)
+            eps_out.append(e)
+            phi_out.append(p)
+        return tuple(eps_out), tuple(phi_out)
+    out = []
+    for maps in (crys.e, crys.f):
+        lengths = []
+        for j, arr in enumerate(maps):
+            cur, d = node, 0
+            while arr[cur] != -1:
+                cur = arr[cur]
+                d += 1
+                if d == len(crys):
+                    raise VerificationError(
+                        "color %d has a cyclic string through %s" % (j, crys.id(node)))
+            lengths.append(d)
+        out.append(tuple(lengths))
+    return tuple(out)
+
+
+def weyl_s(crys, j, node):
+    """s_j of one node of a Crystal or a LazyTensor, step by step."""
+    m = crys.weight(node)[j]
+    for _ in range(abs(m)):
+        node = apply_word(crys, (j,), node, m >= 0)
+        if node == -1:
+            raise weyl_fall(j)
+    return node
+
+
+def fold_by_nodes(datum, parent, top):
+    """fold_crystal with its walk node by node, in queue order, as the oracle.
+
+    At each node and folded color the word, its twin and the reversed
+    raising word act on that one node, and both images join the queue.
+    """
+    steps = []
+    for jh in range(len(datum.hat_gcm)):
+        word = kashiwara_word(datum, jh)
+        steps.append((word, tuple(datum.omega[j] for j in word), word[::-1]))
+    queue = [top]
+    images = {top: None}  # per walked node and folded color: (lowering, raising) image
+    for p in queue:
+        row = []
+        for jh, (word, twin, back) in enumerate(steps):
+            down = apply_word(parent, word, p)
+            if apply_word(parent, twin, p) != down:
+                raise VerificationError(
+                    "lowering word for folded color %d leaves the fixed set at %s"
+                    % (jh, parent.id(p)))
+            up = apply_word(parent, back, p, lowering=False)
+            for q in (down, up):
+                if q != -1 and q not in images:
+                    images[q] = None
+                    queue.append(q)
+            row.append((down, up))
+        images[p] = row
+    fixed = tuple(sorted(queue, key=parent.id))
+    where = {p: h for h, p in enumerate(fixed)}
+    ids = tuple(map(parent.id, fixed))
+    weights = []
+    for p, b in zip(fixed, ids):
+        try:
+            weights.append(p_omega_star_inverse(datum, parent.weight(p)))
+        except ValueError as exc:
+            raise VerificationError("fixed node %s: %s" % (b, exc))
+    f = [[-1] * len(fixed) for _ in steps]
+    for h, p in enumerate(fixed):
+        for jh, ((down, _), row) in enumerate(zip(images[p], f)):
+            if down != -1:
+                if images[down][jh][1] != p:
+                    raise VerificationError(
+                        "raising word fails to undo folded color %d at %s" % (jh, ids[h]))
+                row[h] = where[down]
+    crystal = Crystal(datum.hat_gcm, datum.hat_comarks, ids, tuple(weights), f,
+                      (None,) * len(fixed))
+    return HatBundle(parent, crystal, fixed)
+
+
+def eps_orbit_by_nodes(datum, bundle):
+    """Stage strings:eps-orbit by the loop over single nodes, as the oracle."""
+    hat, parent, fixed = bundle.crystal, bundle.parent, bundle.fixed
+    for h, p in enumerate(fixed):
+        eps, phi = own_strings(parent, p)
+        if p_omega_star(datum, hat.eps_tuple(h)) != eps:
+            raise VerificationError("eps tuples disagree at %s" % hat.ids[h])
+        if p_omega_star(datum, hat.phi_tuple(h)) != phi:
+            raise VerificationError("phi tuples disagree at %s" % hat.ids[h])
+
+
+def weyl_by_nodes(datum, bundle):
+    """Stage strings:weyl by the loop over single nodes, as the oracle."""
+    hat, parent, fixed = bundle.crystal, bundle.parent, bundle.fixed
+    words = [theta_word(datum, (jh,)) for jh in range(hat.ncolors)]
+    for h, p in enumerate(fixed):
+        for jh, word in enumerate(words):
+            rhs = p
+            for j in word:
+                rhs = weyl_s(parent, j, rhs)
+            if fixed[weyl_s(hat, jh, h)] != rhs:
+                raise VerificationError(
+                    "folded Weyl operator %d differs at %s" % (jh, hat.ids[h]))
+
+
 def powered_words_by_nodes(datum, bundle):
     """Stage strings:powered-words by the loop over single nodes, as the oracle.
 
@@ -122,7 +274,7 @@ def powered_words_by_nodes(datum, bundle):
                     if (jh, m) not in words:
                         word = kashiwara_word(datum, jh, m)
                         words[jh, m] = (word[::-1], word)
-                    via_word = parent.apply_word(words[jh, m][lowering], p, lowering)
+                    via_word = apply_word(parent, words[jh, m][lowering], p, lowering)
                     if via_word != (fixed[cur] if cur != -1 else -1):
                         raise VerificationError("%s power %d disagrees at %s color %d"
                                                 % (kind, m, hat.ids[h], jh))

@@ -3,9 +3,10 @@
 perfbench/run.py hashes every output, Report stage list and folded graph
 of a workload and compares them with perfbench/expected.json, so a changed
 output fails here, before the benchmark runs. smoke and scope are small;
-orbit-verify folds (b,3,2,2) and (a,4,2,2) by the walk on a lazy orbit
-tensor, and its hat digests were recorded from the eager fold of the whole
-orbit tensor; wide-fold is the one workload with vector columns of width 4
+orbit-verify folds (b,3,2,2) and (a,4,2,2) by the layered walk on a lazy
+orbit tensor, whose operators act on whole factor columns, and its hat
+digests were recorded from the eager fold of the whole orbit tensor, node
+by node; wide-fold is the one workload with vector columns of width 4
 and 5 and with --full-regularity, so its digests, recorded from the
 string-keyed builders, guard the array-built vector columns, the monomial
 oracle and the regularity stages; parent-full is the one workload that

@@ -1,5 +1,6 @@
 """Graph-level behavior: axioms, tensor rule, Weyl action, decomposition."""
 
+import copy
 import gc
 import itertools
 import json
@@ -18,7 +19,7 @@ from crystalfold.crystal import (
     tensor_many)
 from crystalfold.fixedpoint import build_hat_crystal, fold_crystal
 from crystalfold.intertwine import energy_on_tensor, orbit_factors, orbit_top
-from crystalfold.models import kr_crystal
+from crystalfold.models import classical_highest_node, kr_crystal
 from crystalfold.monomial import highest_weight_crystal
 from leaves import crystal_from_edges, leaf_columns
 
@@ -441,11 +442,32 @@ def test_littlewood_richardson_fixture():
     assert sizes == [1, 15]
 
 
+def test_images_read_a_copy_with_a_mutated_map():
+    # images derives nothing it keeps: after the column has served a whole
+    # fold, a copy of it with one lowering and one raising entry killed is
+    # read as mutated, and the column itself is read as before
+    datum = make_datum("c", 3)
+    (col,) = orbit_factors(datum, 1, 1)
+    nodes = list(range(len(col))) + [-1]
+    fold_crystal(datum, col, classical_highest_node(datum, col, 1, 1))
+    before = {lowering: col.images((1,), nodes, lowering) for lowering in (True, False)}
+    bad = copy.copy(col)
+    bad.f, bad.e = [list(row) for row in col.f], [list(row) for row in col.e]
+    x = next(k for k in range(len(col)) if col.f[1][k] != -1)
+    y = next(k for k in range(len(col)) if col.e[1][k] != -1)
+    bad.f[1][x] = bad.e[1][y] = -1
+    for lowering, z in ((True, x), (False, y)):
+        want = list(before[lowering])
+        want[z] = -1
+        assert bad.images((1,), nodes, lowering) == want != before[lowering]
+        assert col.images((1,), nodes, lowering) == before[lowering]
+
+
 def test_cyclic_string_is_rejected_by_both_walks():
     loop = crystal_from_edges(SL2, (1,), {"a": ((0,), None), "b": ((0,), None)},
                               {0: {"a": "b", "b": "a"}})
     with pytest.raises(VerificationError, match="cyclic string through a"):
-        loop.own_strings(0)
+        loop.strings_at([0])
     with pytest.raises(VerificationError, match="cyclic string"):
         loop.eps(0, 0)
 

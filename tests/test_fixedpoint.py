@@ -11,13 +11,14 @@ from click.testing import CliRunner
 from crystalfold import branching, cli, fixedpoint
 from crystalfold.cartan import ScopeError, kashiwara_word, make_datum, p_omega_star_inverse
 from crystalfold.cli import SCOPE_INSTANCES
-from crystalfold.crystal import Crystal, LazyTensor, Tensor, VerificationError
+from crystalfold.crystal import Crystal, LazyTensor, Tensor, VerificationError, tensor, tensor_many
 from crystalfold.fixedpoint import (
     build_hat_crystal, check_string_identities, fold_crystal,
     verify_main_theorem, verify_tensor_compatibility)
-from crystalfold.intertwine import build_tilde_crystal, orbit_factors
+from crystalfold.intertwine import build_tilde_crystal, orbit_factors, orbit_top
 from crystalfold.models import classical_highest_node
-from leaves import leaf_node, powered_words_by_nodes
+from leaves import (apply_word, eps_orbit_by_nodes, fold_by_nodes, leaf_node, own_strings,
+                    powered_words_by_nodes, weyl_by_nodes)
 
 A2 = make_datum("a", 2)
 A3 = make_datum("a", 3)
@@ -145,13 +146,131 @@ def test_powered_words_agree_with_the_node_loop_on_every_dead_edge(monkeypatch, 
     assert failed > 0
 
 
+def _stage_both_ways(monkeypatch, datum, i, s, name, oracle, **patched):
+    """The detail of stage name and the oracle's message, "" for a pass, with
+    the hat bundle's fields replaced by patched."""
+    bundle = build_hat_crystal(datum, i, s)
+    with monkeypatch.context() as patch:
+        for field, value in patched.items():
+            patch.setattr(bundle, field, value)
+        stages = check_string_identities(datum, i, s).stages
+        try:
+            oracle(datum, bundle)
+            want = ""
+        except VerificationError as exc:
+            want = str(exc)
+    return [detail for stage, _, detail in stages if stage == name][0], want
+
+
+def _without_edge(bundle, factor, j, x):
+    """bundle.parent with the color j edge from node x of one factor taken
+    out, and that factor rebuilt, so its raising maps and strings follow."""
+    parent = bundle.parent
+    factors = parent.factors if isinstance(parent, LazyTensor) else [parent]
+    col = factors[factor]
+    f = [list(row) for row in col.f]
+    f[j][x] = -1
+    bad = Crystal(col.gcm, col.comarks, col.ids, col.weights, f, col.payloads)
+    factors = factors[:factor] + [bad] + factors[factor + 1:]
+    return LazyTensor(factors) if isinstance(parent, LazyTensor) else bad
+
+
+def _with_dead_hat_edge(hat, kind, j, x):
+    """A copy of hat with its color j map kind killed at node x; the other
+    map and the strings are kept."""
+    bad = copy.copy(hat)
+    maps = [list(row) for row in getattr(hat, kind)]
+    maps[j][x] = -1
+    setattr(bad, kind, maps)
+    return bad
+
+
+@pytest.mark.parametrize("datum,i,s", [(C3, 1, 1), (A2, 1, 1), (B1, 1, 2), (D3, 2, 1)])
+@pytest.mark.parametrize("name,oracle", [("strings:eps-orbit", eps_orbit_by_nodes),
+                                         ("strings:weyl", weyl_by_nodes)])
+def test_batched_stages_name_the_node_loops_witness(monkeypatch, datum, i, s, name, oracle):
+    # every one-edge mutant of the parent (a column, or a factor of a
+    # LazyTensor), with its strings kept or re-derived, and of the hat: the
+    # batched stage and the loop over single nodes name the same node, color
+    # and text
+    bundle = build_hat_crystal(datum, i, s)
+    details = Counter()
+    for factor, col in enumerate(orbit_factors(datum, i, s)):
+        for kind in ("f", "e", "rebuilt"):
+            for j, row in enumerate(col.f if kind == "rebuilt" else getattr(col, kind)):
+                for x in range(len(col)):
+                    if row[x] != -1:
+                        if kind == "rebuilt":
+                            parent = _without_edge(bundle, factor, j, x)
+                        else:
+                            parent = _with_dead_edge(bundle, factor, kind, j, x)
+                        got, want = _stage_both_ways(monkeypatch, datum, i, s, name, oracle,
+                                                     parent=parent)
+                        assert got == want
+                        details[re.sub(r" at .*| \(color \d+\)", "", got)] += 1
+    hat = bundle.crystal
+    for kind in ("f", "e"):
+        for j, row in enumerate(getattr(hat, kind)):
+            for x in range(len(hat)):
+                if row[x] != -1:
+                    got, want = _stage_both_ways(monkeypatch, datum, i, s, name, oracle,
+                                                 crystal=_with_dead_hat_edge(hat, kind, j, x))
+                    assert got == want
+                    details[re.sub(r" at .*| \(color \d+\)", "", got)] += 1
+    if name == "strings:eps-orbit":
+        assert details["eps tuples disagree"] > 0 and details["phi tuples disagree"] > 0
+    else:
+        assert details["Weyl step fell off the graph"] > 0
+        if datum is D3:
+            assert details["folded Weyl operator 1 differs"] > 0
+
+
+def test_weyl_names_the_first_failure_when_the_hat_falls_off(monkeypatch):
+    # a dead hat edge, where s_jh of the hat itself falls off, together with
+    # a dead parent edge that fails on its own with another text: the first
+    # failure by node and color wins, whichever side it is on, and at one
+    # node and color the parent's comes first
+    bundle = build_hat_crystal(A2, 1, 1)
+    hat = bundle.crystal
+
+    def weyl(**patched):
+        return _stage_both_ways(monkeypatch, A2, 1, 1, "strings:weyl", weyl_by_nodes, **patched)
+
+    hats = {}
+    for kind in ("f", "e"):
+        for j, row in enumerate(getattr(hat, kind)):
+            for x in range(len(hat)):
+                if row[x] != -1:
+                    bad = _with_dead_hat_edge(hat, kind, j, x)
+                    hats[bad] = weyl(crystal=bad)[0]
+    parents = {}
+    for factor, col in enumerate(orbit_factors(A2, 1, 1)):
+        for kind in ("f", "e"):
+            for j, row in enumerate(getattr(col, kind)):
+                for x in range(len(col)):
+                    if row[x] != -1:
+                        bad = _with_dead_edge(bundle, factor, kind, j, x)
+                        parents[bad] = weyl(parent=bad)[0]
+    winners = Counter()
+    for bad_hat, alone in hats.items():
+        for bad_parent, other in parents.items():
+            if alone and other and alone != other:
+                got, want = weyl(crystal=bad_hat, parent=bad_parent)
+                assert got == want
+                winners["hat" if got == alone else "parent" if got == other else "?"] += 1
+    assert winners["hat"] > 0 and winners["parent"] > 0 and winners["?"] == 0
+
+
 @pytest.mark.parametrize("case,n,i,s", SCOPE_INSTANCES)
 def test_own_strings_match_the_crystal_wide_walk(case, n, i, s):
-    # strings:eps-orbit reads the fixed nodes' own strings; strings(j),
-    # behind eps_tuple and phi_tuple, is the reference
+    # strings:eps-orbit reads the fixed nodes' own strings in one batch;
+    # strings(j), behind eps_tuple and phi_tuple, is the reference, and so
+    # is the walk from one node at a time
     parent = build_tilde_crystal(make_datum(case, n), i, s).crystal
-    for k in range(len(parent)):
-        assert parent.own_strings(k) == (parent.eps_tuple(k), parent.phi_tuple(k))
+    nodes = range(len(parent))
+    assert (parent.strings_at(nodes)
+            == [(parent.eps_tuple(k), parent.phi_tuple(k)) for k in nodes]
+            == [own_strings(parent, k) for k in nodes])
 
 
 @pytest.mark.parametrize("datum", [A2, C3])
@@ -255,7 +374,7 @@ def test_walk_equals_the_eager_fold(case, n, i, s):
     fixed = [k for k, t in enumerate(tilde.omega_map) if t == k]
     where = {p: h for h, p in enumerate(fixed)}
     where[-1] = -1
-    f = [[where[parent.apply_word(kashiwara_word(datum, jh), p)] for p in fixed]
+    f = [[where[apply_word(parent, kashiwara_word(datum, jh), p)] for p in fixed]
          for jh in range(len(datum.hat_gcm))]
     bundle = build_hat_crystal(datum, i, s)
     hat = bundle.crystal
@@ -265,6 +384,42 @@ def test_walk_equals_the_eager_fold(case, n, i, s):
     lazy = isinstance(bundle.parent, LazyTensor)
     assert lazy == (len(datum.orbit(i)) > 1)
     assert [leaf_node(parent, p) if lazy else p for p in bundle.fixed] == fixed
+
+
+def _fold_request(datum, i, s):
+    """The parent and top node that build_hat_crystal folds."""
+    factors = orbit_factors(datum, i, s)
+    tops = [classical_highest_node(datum, fac, col, s)
+            for fac, col in zip(factors, datum.orbit(i))]
+    if len(factors) == 1:
+        return factors[0], tops[0]
+    return LazyTensor(factors), tuple(tops)
+
+
+def _same_bundle(got, want):
+    assert got.fixed == want.fixed
+    assert got.crystal.ids == want.crystal.ids
+    assert got.crystal.f == want.crystal.f
+    assert got.crystal.weights == want.crystal.weights
+
+
+@pytest.mark.parametrize("case,n,i,s", SCOPE_INSTANCES + [
+    ("a", 4, 2, 2), ("b", 3, 2, 2), ("c", 6, 1, 5)])
+def test_layered_fold_equals_the_node_walk(case, n, i, s):
+    # the walk in layers discovers the nodes in the node walk's queue order,
+    # so the fixed nodes, ids, edges and weights are the same
+    datum = make_datum(case, n)
+    parent, top = _fold_request(datum, i, s)
+    _same_bundle(fold_crystal(datum, parent, top), fold_by_nodes(datum, parent, top))
+
+
+@pytest.mark.parametrize("datum", [A2, C3])
+def test_layered_fold_equals_the_node_walk_on_a_pair_tensor(datum):
+    tilde = tensor_many(orbit_factors(datum, 1, 1))
+    pair = tensor(tilde, tilde)
+    top = orbit_top(datum, tilde, 1, 1)
+    anchor = pair.at(top, top)
+    _same_bundle(fold_crystal(datum, pair, anchor), fold_by_nodes(datum, pair, anchor))
 
 
 @pytest.fixture

@@ -4,6 +4,7 @@ from collections import Counter
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from click.testing import CliRunner
 
 from crystalfold import cli, fixedpoint, intertwine
@@ -16,8 +17,8 @@ from crystalfold.intertwine import (
     build_tilde_crystal, compute_r_matrix, energy_on_tensor, orbit_factors,
     verify_yang_baxter)
 from crystalfold.models import classical_highest_node, kr_crystal
-from leaves import (clear_package_caches, compute_tau_omega, energy_walk, exchange_pair,
-                    leaf_columns, leaf_node)
+from leaves import (apply_word, clear_package_caches, compute_tau_omega, energy_walk,
+                    exchange_pair, lazy_step, leaf_columns, leaf_node, own_strings, weyl_s)
 
 A2 = make_datum("a", 2)
 A3 = make_datum("a", 3)
@@ -362,7 +363,7 @@ def test_highest_nodes_are_the_heads_of_the_orbit_tensor(case, n, i, s):
     eager = tensor_many(factors)
     heads = [top for top, _, _ in eager.highest_weight_decomposition(classical)]
     killed = [k for k in range(len(eager))
-              if all(eager.apply_word((j,), k, lowering=False) == -1 for j in classical)]
+              if all(eager.e[j][k] == -1 for j in classical)]
     assert eager.highest_nodes(classical) == heads == killed
     lazy = LazyTensor(factors)
     nodes = lazy.highest_nodes(classical)
@@ -374,17 +375,53 @@ def test_highest_nodes_are_the_heads_of_the_orbit_tensor(case, n, i, s):
 @pytest.mark.parametrize("case,n,i,s", [inst for inst in SCOPE_INSTANCES
                                         if len(make_datum(*inst[:2]).orbit(inst[2])) > 1])
 def test_lazy_tensor_matches_the_orbit_tensor(case, n, i, s):
+    # every node in one batch, against the node-level oracle and the built
+    # orbit tensor
     datum = make_datum(case, n)
     factors = orbit_factors(datum, i, s)
     lazy = LazyTensor(factors)
     eager = build_tilde_crystal(datum, i, s).crystal
     assert len(lazy) == len(eager)
-    for node in product(*(range(len(fac)) for fac in factors)):
-        k = leaf_node(eager, node)
-        assert (lazy.id(node), lazy.weight(node)) == (eager.ids[k], eager.weights[k])
-        assert lazy.own_strings(node) == eager.own_strings(k)
-        for j in range(eager.ncolors):
-            for lowering, maps in ((True, eager.f), (False, eager.e)):
-                step = lazy.step(j, node, lowering)
-                assert (-1 if step == -1 else leaf_node(eager, step)) == maps[j][k]
-            assert leaf_node(eager, lazy.weyl_s(j, node)) == eager.weyl_s(j, k)
+    nodes = list(product(*(range(len(fac)) for fac in factors)))
+    ks = [leaf_node(eager, node) for node in nodes]
+
+    def leaves(batch):
+        return [-1 if node == -1 else leaf_node(eager, node) for node in batch]
+
+    assert ([(lazy.id(node), lazy.weight(node)) for node in nodes]
+            == [(eager.ids[k], eager.weights[k]) for k in ks])
+    assert (lazy.strings_at(nodes) == [own_strings(lazy, node) for node in nodes]
+            == eager.strings_at(ks) == [own_strings(eager, k) for k in ks])
+    for j in range(eager.ncolors):
+        for lowering, maps in ((True, eager.f), (False, eager.e)):
+            images = lazy.images((j,), nodes, lowering)
+            assert images == [lazy_step(lazy, j, node, lowering) for node in nodes]
+            assert leaves(images) == [maps[j][k] for k in ks]
+        weyl = lazy.weyl_images(j, nodes)
+        assert weyl == [weyl_s(lazy, j, node) for node in nodes]
+        assert leaves(weyl) == eager.weyl_images(j, ks) == [eager.weyl_s(j, k) for k in ks]
+
+
+# two-factor orbits, and the three-factor orbit of the triality leg
+BATCHED_ORBITS = [("a", 2, 1, 1), ("a", 3, 2, 1), ("b", 2, 1, 2), ("c", 3, 3, 1),
+                  ("d", 3, 2, 1)]
+
+
+@pytest.mark.parametrize("case,n,i,s", BATCHED_ORBITS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_lazy_batches_equal_the_node_loop(case, n, i, s, data):
+    # random batches, empty, single and with repeats, under random words of
+    # up to four letters, which may kill a node midway and then keep acting
+    datum = make_datum(case, n)
+    lazy = LazyTensor(orbit_factors(datum, i, s))
+    node = st.tuples(*(st.integers(0, len(fac) - 1) for fac in lazy.factors))
+    nodes = data.draw(st.one_of(st.just([]), st.lists(node, max_size=1),
+                                st.lists(node, max_size=12).map(lambda xs: xs + xs[:3])))
+    word = data.draw(st.lists(st.integers(0, lazy.ncolors - 1), max_size=4))
+    lowering = data.draw(st.booleans())
+    assert (lazy.images(word, nodes, lowering)
+            == [apply_word(lazy, word, node, lowering) for node in nodes])
+    assert lazy.strings_at(nodes) == [own_strings(lazy, node) for node in nodes]
+    j = word[0] if word else 0
+    assert lazy.weyl_images(j, nodes) == [weyl_s(lazy, j, node) for node in nodes]
