@@ -100,18 +100,28 @@ def _with_dead_edge(bundle, factor, kind, j, x):
     return LazyTensor(factors) if isinstance(parent, LazyTensor) else bad
 
 
-def _powered_words_both_ways(monkeypatch, datum, i, s, mutant):
-    """The strings:powered-words detail and the oracle's message, "" for a pass."""
+def _stage_both_ways(monkeypatch, datum, i, s, name, oracle, **patched):
+    """The detail of stage name and the oracle's message, "" for a pass, with
+    the hat bundle's fields replaced by patched."""
     bundle = build_hat_crystal(datum, i, s)
     with monkeypatch.context() as patch:
-        patch.setattr(bundle, "parent", _with_dead_edge(bundle, *mutant))
+        for field, value in patched.items():
+            patch.setattr(bundle, field, value)
         stages = check_string_identities(datum, i, s).stages
         try:
-            powered_words_by_nodes(datum, bundle)
+            oracle(datum, bundle)
             want = ""
         except VerificationError as exc:
             want = str(exc)
-    return [detail for name, _, detail in stages if name == "strings:powered-words"][0], want
+    return [detail for stage, _, detail in stages if stage == name][0], want
+
+
+def _powered_words_both_ways(monkeypatch, datum, i, s, mutant):
+    """The strings:powered-words detail and the oracle's message, "" for a
+    pass, with one parent edge killed."""
+    parent = _with_dead_edge(build_hat_crystal(datum, i, s), *mutant)
+    return _stage_both_ways(monkeypatch, datum, i, s, "strings:powered-words",
+                            powered_words_by_nodes, parent=parent)
 
 
 @pytest.mark.parametrize("datum,i,s,mutant,message", [
@@ -144,22 +154,6 @@ def test_powered_words_agree_with_the_node_loop_on_every_dead_edge(monkeypatch, 
                         assert got == want
                         failed += got != ""
     assert failed > 0
-
-
-def _stage_both_ways(monkeypatch, datum, i, s, name, oracle, **patched):
-    """The detail of stage name and the oracle's message, "" for a pass, with
-    the hat bundle's fields replaced by patched."""
-    bundle = build_hat_crystal(datum, i, s)
-    with monkeypatch.context() as patch:
-        for field, value in patched.items():
-            patch.setattr(bundle, field, value)
-        stages = check_string_identities(datum, i, s).stages
-        try:
-            oracle(datum, bundle)
-            want = ""
-        except VerificationError as exc:
-            want = str(exc)
-    return [detail for stage, _, detail in stages if stage == name][0], want
 
 
 def _without_edge(bundle, factor, j, x):
