@@ -20,7 +20,6 @@ solver only).
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
 from math import gcd
 
 
@@ -326,13 +325,17 @@ def pi_tilde_weight(datum, i):
 
 
 def enumerate_dominant(comarks, lev):
-    """All nonnegative coefficient tuples of the given level; finite since comarks > 0."""
-    ranges = [range(lev // c + 1) for c in comarks]
-    out = []
-    for combo in product(*ranges):
-        if sum(c * v for c, v in zip(comarks, combo)) == lev:
-            out.append(combo)
-    return out
+    """All nonnegative coefficient tuples of the given level; finite since comarks > 0.
+
+    The tuples are grown a coefficient at a time, each prefix keeping the
+    level it has left, so no prefix overshoots the level; they come in
+    lexicographic order.
+    """
+    partial = [((), lev)]
+    for c in comarks:
+        partial = [(head + (v,), left - c * v)
+                   for head, left in partial for v in range(left // c + 1)]
+    return [head for head, left in partial if left == 0]
 
 
 def block(gcm, nodes):

@@ -176,14 +176,18 @@ def _regularity_stages(report, datum, hat, full):
                 restricted = [(wt[sub[0]],) for wt in hat.weights]
             else:
                 restricted = list(map(itemgetter(*sub), hat.weights))
+            wanted = {}  # restricted highest weight -> its weight multiset
             for top, _, comp in hat.highest_weight_decomposition(sub):
                 lam = restricted[top]
-                if min(lam) < 0:
-                    raise VerificationError(
-                        "restricted component at %s has the non-dominant highest weight %r"
-                        % (hat.ids[top], lam))
+                want = wanted.get(lam)
+                if want is None:
+                    if min(lam) < 0:
+                        raise VerificationError(
+                            "restricted component at %s has the non-dominant highest weight %r"
+                            % (hat.ids[top], lam))
+                    want = wanted[lam] = weight_multiset(blockg, lam)
                 got = tuple(sorted(map(restricted.__getitem__, comp)))
-                if got != weight_multiset(blockg, lam):
+                if got != want:
                     raise VerificationError(
                         "restricted component at %s is not a highest weight crystal"
                         % hat.ids[top])

@@ -5,6 +5,8 @@ transcriptions from the standard affine tables, kept independent of the
 code that computes them by folding.
 """
 
+from itertools import product
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -24,6 +26,7 @@ from crystalfold.cartan import (
     positive_primitive_kernel,
     theta_word,
 )
+from crystalfold.cli import SCOPE_INSTANCES
 
 
 def level(datum, mu):
@@ -241,6 +244,32 @@ def test_enumerate_dominant():
     a2 = make_datum("a", 2)
     # parent comarks all 1 on four nodes
     assert len(enumerate_dominant(a2.comarks, 1)) == 4
+
+
+def _dominant_by_filter(comarks, lev):
+    """The product-and-filter enumeration, kept as the oracle of the pruned one."""
+    ranges = [range(lev // c + 1) for c in comarks]
+    return [combo for combo in product(*ranges)
+            if sum(c * v for c, v in zip(comarks, combo)) == lev]
+
+
+# every datum of the scope instances and of the wide folds
+DOMINANT_DATA = sorted(set(ALL_DATA) | {(c, n) for c, n, _, _ in SCOPE_INSTANCES}
+                       | {("c", 5), ("c", 6), ("c", 7)})
+
+
+@pytest.mark.parametrize("case,n", DOMINANT_DATA)
+def test_enumerate_dominant_matches_the_filtered_product(case, n):
+    datum = make_datum(case, n)
+    for comarks in (datum.comarks, datum.hat_comarks):
+        for lev in range(6):
+            assert enumerate_dominant(comarks, lev) == _dominant_by_filter(comarks, lev)
+
+
+@given(st.lists(st.integers(1, 4), min_size=1, max_size=5), st.integers(0, 8))
+def test_enumerate_dominant_matches_the_filtered_product_on_a_grid(comarks, lev):
+    comarks = tuple(comarks)
+    assert enumerate_dominant(comarks, lev) == _dominant_by_filter(comarks, lev)
 
 
 def test_block_submatrix():

@@ -8,8 +8,8 @@ from crystalfold.cartan import make_datum
 from crystalfold.cli import SCOPE_INSTANCES
 from crystalfold.crystal import Crystal
 from crystalfold.monomial import (
-    _a_term, _as_key, _lower, _lowering_table, highest_weight_closure, highest_weight_crystal,
-    mono_id, weight_multiset)
+    MAX_NODES, SHIFT_BITS, _lower, _lowering_table, highest_weight_closure,
+    highest_weight_crystal, mono_id, mono_weight, weight_multiset)
 from leaves import crystal_from_edges
 
 SL2 = ((2,),)
@@ -93,9 +93,47 @@ def test_rejects_bad_weight():
         highest_weight_crystal(SL3, (1, -1))
     with pytest.raises(ValueError):
         highest_weight_crystal(SL3, (1,))
+    # a disconnected block is checked before it is split into pieces
+    for lam in [(1, -1), (1,)]:
+        with pytest.raises(ValueError):
+            weight_multiset(((2, 0), (0, 2)), lam)
 
 
 # -- the string-keyed builder, kept as the oracle of the array builder -------
+#
+# The oracle keeps monomials as (color, shift) keys; the package's coded keys
+# are compared with it through _decode.
+
+def _as_key(d):
+    return tuple(sorted((ik, e) for ik, e in d.items() if e != 0))
+
+
+def _encode(key):
+    return tuple(((c << SHIFT_BITS) | k, e) for (c, k), e in key)
+
+
+def _decode(key):
+    return tuple(((code >> SHIFT_BITS, code & ((1 << SHIFT_BITS) - 1)), e)
+                 for code, e in key)
+
+
+def _a_term(gcm, i, k):
+    """Exponent dict of A_{i,k}, keyed by (color, shift)."""
+    out = {(i, k): 1, (i, k + 1): 1}
+    for j in range(len(gcm)):
+        if j == i or gcm[j][i] == 0:
+            continue
+        shift = 1 if j > i else 0
+        ik = (j, k + shift)
+        out[ik] = out.get(ik, 0) + gcm[j][i]
+    return out
+
+
+def _render(key):
+    if not key:
+        return "m:1"
+    return "m:" + " ".join("Y%d,%d^%d" % (c, k, e) for (c, k), e in key)
+
 
 def _mul(d, factors):
     out = dict(d)
@@ -125,8 +163,10 @@ def _color_profile(d, i):
 
 
 def f_mono(gcm, key, i):
-    """The package's lowering at color i, with the row of its table."""
-    return _lower(key, i, _lowering_table(gcm)[i])
+    """The package's lowering at color i, with the row of its table, on a
+    (color, shift) key."""
+    out = _lower(_encode(key), i, _lowering_table(gcm)[i])
+    return None if out is None else _decode(out)
 
 
 def _f_mono_by_profile(gcm, key, i):
@@ -152,11 +192,11 @@ def highest_weight_crystal_from_edges(gcm, lam):
             nxt = _f_mono_by_profile(gcm, cur, j)
             if nxt is None:
                 continue
-            f_edges[j][mono_id(cur)] = mono_id(nxt)
+            f_edges[j][_render(cur)] = _render(nxt)
             if nxt not in seen:
                 seen.add(nxt)
                 queue.append(nxt)
-    nodes = {mono_id(key): (_weight_of_dict(dict(key), n), mono_id(key)[2:])
+    nodes = {_render(key): (_weight_of_dict(dict(key), n), _render(key)[2:])
              for key in seen}
     return crystal_from_edges(gcm, (1,) * n, nodes, f_edges)
 
@@ -222,8 +262,9 @@ def _closure_matches_the_edge_builder(gcm, lam):
     keys, _ = highest_weight_closure(gcm, lam)
     assert len(keys) == len(want)
     assert sorted(map(mono_id, keys)) == list(want.ids)
+    assert sorted(map(_render, map(_decode, keys))) == list(want.ids)
     assert weight_multiset(gcm, lam) == tuple(sorted(want.weights))
-    for key in keys:
+    for key in map(_decode, keys):
         for j in range(len(gcm)):
             assert f_mono(gcm, key, j) == _f_mono_by_profile(gcm, key, j)
 
@@ -254,4 +295,60 @@ def test_multiset_and_dimension_keep_the_guard_and_build_no_crystal(monkeypatch)
     monkeypatch.setattr(monomial, "MAX_NODES", 15)
     assert len(weight_multiset(SL4, (1, 0, 1))) == 15
     assert weyl_dimension(a3, (1, 0, 0)) == 7
+    assert built == []
+
+
+def test_every_shift_fits_below_the_color_bits():
+    """A walk starts at shift 0 and each lowering adds at most 1 to the
+    largest shift, so no shift reaches MAX_NODES; a shift of 1 << SHIFT_BITS
+    would carry into the color bits of its code."""
+    assert MAX_NODES < 1 << SHIFT_BITS
+
+
+# -- the weight multiset of a disconnected block, factored over its pieces ----
+
+def _whole_block_weights(gcm, lam):
+    keys, _ = highest_weight_closure(gcm, lam)
+    return tuple(sorted(mono_weight(key, len(gcm)) for key in keys))
+
+
+def test_factored_multiset_matches_the_whole_block_walk(regular_blocks):
+    # size-2 subsets of non-adjacent nodes give disconnected blocks
+    assert any(gcm[0][1] == 0 for gcm, _ in regular_blocks if len(gcm) == 2)
+    for gcm, lam in regular_blocks:
+        assert weight_multiset(gcm, lam) == _whole_block_weights(gcm, lam)
+
+
+# A2 on nodes 0 and 2, node 1 isolated: the pieces interleave
+A2_AROUND_A1 = ((2, 0, -1), (0, 2, 0), (-1, 0, 2))
+# three pieces: B2 on nodes 0 and 3, A1 on node 1 and A1 on node 2
+THREE_PIECES = ((2, 0, 0, -2), (0, 2, 0, 0), (0, 0, 2, 0), (-1, 0, 0, 2))
+
+
+@pytest.mark.parametrize("gcm,lam", [
+    (A2_AROUND_A1, lam) for lam in [(1, 0, 0), (0, 1, 0), (1, 2, 0), (2, 1, 1), (0, 3, 2)]
+] + [
+    (THREE_PIECES, lam) for lam in [(1, 0, 0, 0), (0, 1, 2, 0), (1, 1, 1, 1), (0, 2, 1, 1)]
+])
+def test_factored_multiset_matches_the_whole_block_walk_on_synthetic_blocks(gcm, lam):
+    assert weight_multiset(gcm, lam) == _whole_block_weights(gcm, lam)
+
+
+def test_factored_multiset_refuses_a_product_past_the_guard(monkeypatch):
+    built = []
+    init = Crystal.__init__
+
+    def counting(self, *args):
+        built.append(args[2])
+        init(self, *args)
+
+    monkeypatch.setattr(Crystal, "__init__", counting)
+    a1_a1 = ((2, 0), (0, 2))
+    monkeypatch.setattr(monomial, "MAX_NODES", 15)
+    weight_multiset.cache_clear()
+    with pytest.raises(RuntimeError, match="^crystal walk exceeded 15 nodes$"):
+        weight_multiset(a1_a1, (3, 3))
+    monkeypatch.setattr(monomial, "MAX_NODES", 16)
+    weight_multiset.cache_clear()
+    assert len(weight_multiset(a1_a1, (3, 3))) == 16
     assert built == []
