@@ -8,7 +8,9 @@ exists, and cross-checks cardinalities against Weyl dimensions.
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import lru_cache
+from math import prod
+from operator import mul
 
 from .cartan import ScopeError, block, omega_star
 from .crystal import LazyTensor, Report, VerificationError
@@ -50,19 +52,21 @@ class BranchingResult:
 # Weyl dimensions
 
 def _symmetrizer(gcm):
-    # d[i] * gcm[i][j] == d[j] * gcm[j][i]; any positive scaling works
+    # d[i] * gcm[i][j] == d[j] * gcm[j][i]; any positive scaling works, so
+    # every entry found so far is scaled to make the next one an int
     rank = len(gcm)
-    d = [None] * rank
+    d = [0] * rank
     for seed in range(rank):
-        if d[seed] is not None:
+        if d[seed]:
             continue
-        d[seed] = Fraction(1)
+        d[seed] = 1
         stack = [seed]
         while stack:
             i = stack.pop()
             for j in range(rank):
-                if gcm[i][j] and d[j] is None:
-                    d[j] = d[i] * Fraction(gcm[i][j], gcm[j][i])
+                if gcm[i][j] and not d[j]:
+                    d = [v * abs(gcm[j][i]) for v in d]
+                    d[j] = d[i] * gcm[i][j] // gcm[j][i]
                     stack.append(j)
     for i in range(rank):
         for j in range(rank):
@@ -95,16 +99,24 @@ def _positive_roots(gcm):
     return sorted(roots)
 
 
-def _weyl_product(gcm, lam):
+@lru_cache(maxsize=None)
+def _weyl_factors(gcm):
+    """The part of the Weyl product that depends on the matrix only: per
+    positive root, its coefficients scaled by the symmetrizer, and the
+    product of their sums, the pairings of rho."""
     d = _symmetrizer(gcm)
-    num = den = Fraction(1)
-    for root in _positive_roots(gcm):
-        num *= sum(Fraction(c) * dj * (lj + 1) for c, dj, lj in zip(root, d, lam))
-        den *= sum(Fraction(c) * dj for c, dj in zip(root, d))
-    dim = num / den
-    if dim.denominator != 1 or dim <= 0:
+    rows = tuple(tuple(map(mul, root, d)) for root in _positive_roots(gcm))
+    return rows, prod(map(sum, rows))
+
+
+def _weyl_product(gcm, lam):
+    """The Weyl dimension of lam, an exact integer quotient of products."""
+    rows, den = _weyl_factors(gcm)
+    shifted = [v + 1 for v in lam]
+    dim, rest = divmod(prod(sum(map(mul, row, shifted)) for row in rows), den)
+    if rest or dim <= 0:
         raise VerificationError("dimension product is not a positive integer")
-    return int(dim)
+    return dim
 
 
 def weyl_dimension(datum, coeffs):

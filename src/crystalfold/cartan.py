@@ -13,14 +13,13 @@ Four diagram-automorphism cases are supported, tagged a, b, c, d:
 
 All weights are plain integer tuples of coefficients over the fundamental
 weights, indexed by the node set; levels are computed from comarks.
-Arithmetic is exact throughout (ints, with Fractions inside the kernel
-solver only).
+Arithmetic is exact throughout, in plain ints: the kernel solver
+eliminates without fractions.
 """
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 
 class ScopeError(ValueError):
@@ -57,48 +56,43 @@ def positive_primitive_kernel(mat, side="right"):
     side="right" solves mat @ x = 0 (marks), side="left" solves x @ mat = 0
     (comarks). Raises if the kernel dimension is not exactly one or the
     primitive generator is not strictly positive.
+
+    Fraction-free Gauss-Jordan elimination, after Bareiss (Math. Comp. 22,
+    1968): a row is cleared by a multiple of the pivot row, p * row - q *
+    pivot row, and divided by the gcd of its entries, so every entry stays
+    an exact int and every row a nonzero multiple of its rational one.
     """
     size = len(mat)
     if side == "left":
-        rows = [[Fraction(mat[j][k]) for j in range(size)] for k in range(size)]
+        rows = [[mat[j][k] for j in range(size)] for k in range(size)]
     else:
-        rows = [[Fraction(v) for v in row] for row in mat]
+        rows = [list(row) for row in mat]
     pivots = []
     r = 0
     for col in range(size):
-        piv = None
-        for rr in range(r, size):
-            if rows[rr][col] != 0:
-                piv = rr
-                break
+        piv = next((rr for rr in range(r, size) if rows[rr][col]), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        scale = rows[r][col]
-        rows[r] = [v / scale for v in rows[r]]
+        p = rows[r][col]
         for rr in range(size):
-            if rr != r and rows[rr][col] != 0:
-                factor = rows[rr][col]
-                rows[rr] = [v - factor * w for v, w in zip(rows[rr], rows[r])]
+            q = rows[rr][col]
+            if rr != r and q:
+                row = [p * v - q * w for v, w in zip(rows[rr], rows[r])]
+                g = gcd(*row) or 1
+                rows[rr] = [v // g for v in row]
         pivots.append(col)
         r += 1
     if r != size - 1:
         raise ValueError("kernel dimension is %d, expected 1" % (size - r))
     free = next(c for c in range(size) if c not in pivots)
-    sol = [Fraction(0)] * size
-    sol[free] = Fraction(1)
+    # row r reads p x_col + q x_free = 0; x_free is the lcm of the pivots
+    ints = [0] * size
+    ints[free] = lcm(*(row[col] for row, col in zip(rows, pivots)))
     for row, col in zip(rows, pivots):
-        sol[col] = -row[free]
-    denom_lcm = 1
-    for v in sol:
-        denom_lcm = denom_lcm * v.denominator // gcd(denom_lcm, v.denominator)
-    ints = [int(v * denom_lcm) for v in sol]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
+        ints[col] = -row[free] * ints[free] // row[col]
+    g = gcd(*ints)
     ints = [v // g for v in ints]
-    if ints[free] < 0:
-        ints = [-v for v in ints]
     if any(v <= 0 for v in ints):
         raise ValueError("kernel generator not positive: %r" % (ints,))
     return tuple(ints)

@@ -13,11 +13,12 @@ nodes through images, strings_at and weyl_images.
 """
 
 from collections import deque
+from copy import copy
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, compress, islice, pairwise, repeat
 from math import prod
-from operator import add, itemgetter, le, lt, neg, not_, sub
+from operator import add, itemgetter, le, lt, mul, neg, not_, sub
 
 from .cartan import classical_alpha, enumerate_dominant
 
@@ -96,6 +97,15 @@ class Crystal:
 
     def __len__(self):
         return len(self.weights)
+
+    def with_color(self, j, row):
+        """A copy with row as its color j lowering map; every other color's
+        maps and walked strings are this crystal's own lists, shared."""
+        twin = copy(self)
+        twin.f, twin.e = list(self.f), list(self.e)
+        twin.f[j], twin.e[j] = row, _inverse(row, range(len(row)))
+        twin._strings = {c: pair for c, pair in self._strings.items() if c != j}
+        return twin
 
     def id(self, k):
         return self.ids[k]
@@ -373,11 +383,9 @@ class Crystal:
         """Nodes whose full orbit under the Weyl operators has, for every
         color, a vanishing string length on one side."""
         n = len(self)
-        ok_here = []
-        for i in range(n):
-            ok_here.append(all(
-                self.eps(j, i) == 0 or self.phi(j, i) == 0
-                for j in range(self.ncolors)))
+        # eps_j * phi_j is 0 exactly where one side of the j-string vanishes
+        lengths = [list(map(mul, *self.strings(j))) for j in range(self.ncolors)]
+        ok_here = list(map(not_, map(any, zip(*lengths))))
         table = [self.weyl_images(j, range(n)) for j in range(self.ncolors)]
         verdict = [None] * n
         for start in range(n):
@@ -457,9 +465,11 @@ class Crystal:
         lev, bmin = self.level_and_minimal()
         report.add("level", lev == s,
                    "" if lev == s else "computed level %d, expected %d" % (lev, s))
-        targets = set(enumerate_dominant(self.comarks, s))
+        targets = set()  # filled inside the first bijection stage
 
         def bijection(kind, table):
+            if not targets:
+                targets.update(enumerate_dominant(self.comarks, s))
             image = {}
             for i in bmin:
                 v = table(i)

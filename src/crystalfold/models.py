@@ -393,6 +393,9 @@ def _center_crystal(datum, s):
         return pieces[k, pick]
 
     survivors = []
+    # each candidate differs from the one before it in color 0 only, so it
+    # shares the classical maps and walked strings of that one
+    crys = partial
     for matching in matchings:
         sigma = [-1] * len(partial)
         for k, pick in matching.items():
@@ -404,8 +407,7 @@ def _center_crystal(datum, s):
         else:
             mids = [partial.f[2][image] for image in sigma]
             zero = [-1 if mid == -1 else sigma[mid] for mid in mids]
-            crys = Crystal(datum.gcm, datum.comarks, partial.ids, partial.weights,
-                           [zero] + partial.f[1:], partial.payloads)
+            crys = crys.with_color(0, zero)
             if crys.verify_crystal_axioms().ok and crys.is_connected():
                 survivors.append(crys)
     distinct = {tuple(crys.f[0]): crys for crys in survivors}

@@ -3,13 +3,17 @@ tensor product, read off its pair node numbers, the pair an exchange sends
 a pair to, the color twist tau of one column, the energy on B (x) B by the
 walk over single nodes, the node-level operators of a Crystal or a
 LazyTensor (one letter, a word, the own strings, a Weyl reflection), the
-fold walked node by node, the string-identity stages node by node, and a
-clear of every package cache."""
+fold walked node by node, the string-identity stages node by node, the
+kernel solver and Weyl product in exact Fractions, and a clear of every
+package cache."""
 
 import importlib
 import pkgutil
+from fractions import Fraction
+from math import gcd
 
 import crystalfold
+from crystalfold.branching import _positive_roots
 from crystalfold.cartan import (
     kashiwara_word, omega_star, p_omega_star, p_omega_star_inverse, theta_word)
 from crystalfold.crystal import (
@@ -278,6 +282,92 @@ def powered_words_by_nodes(datum, bundle):
                     if via_word != (fixed[cur] if cur != -1 else -1):
                         raise VerificationError("%s power %d disagrees at %s color %d"
                                                 % (kind, m, hat.ids[h], jh))
+
+
+def kernel_by_fractions(mat, side="right"):
+    """positive_primitive_kernel by Gauss-Jordan elimination in Fractions,
+    the oracle of the integer solver: same pivots, same errors."""
+    size = len(mat)
+    if side == "left":
+        rows = [[Fraction(mat[j][k]) for j in range(size)] for k in range(size)]
+    else:
+        rows = [[Fraction(v) for v in row] for row in mat]
+    pivots = []
+    r = 0
+    for col in range(size):
+        piv = None
+        for rr in range(r, size):
+            if rows[rr][col] != 0:
+                piv = rr
+                break
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        scale = rows[r][col]
+        rows[r] = [v / scale for v in rows[r]]
+        for rr in range(size):
+            if rr != r and rows[rr][col] != 0:
+                factor = rows[rr][col]
+                rows[rr] = [v - factor * w for v, w in zip(rows[rr], rows[r])]
+        pivots.append(col)
+        r += 1
+    if r != size - 1:
+        raise ValueError("kernel dimension is %d, expected 1" % (size - r))
+    free = next(c for c in range(size) if c not in pivots)
+    sol = [Fraction(0)] * size
+    sol[free] = Fraction(1)
+    for row, col in zip(rows, pivots):
+        sol[col] = -row[free]
+    denom_lcm = 1
+    for v in sol:
+        denom_lcm = denom_lcm * v.denominator // gcd(denom_lcm, v.denominator)
+    ints = [int(v * denom_lcm) for v in sol]
+    g = 0
+    for v in ints:
+        g = gcd(g, v)
+    ints = [v // g for v in ints]
+    if ints[free] < 0:
+        ints = [-v for v in ints]
+    if any(v <= 0 for v in ints):
+        raise ValueError("kernel generator not positive: %r" % (ints,))
+    return tuple(ints)
+
+
+def symmetrizer_by_fractions(gcm):
+    """d with d[i] * gcm[i][j] == d[j] * gcm[j][i], d = 1 at each component's
+    first node, in Fractions."""
+    rank = len(gcm)
+    d = [None] * rank
+    for seed in range(rank):
+        if d[seed] is not None:
+            continue
+        d[seed] = Fraction(1)
+        stack = [seed]
+        while stack:
+            i = stack.pop()
+            for j in range(rank):
+                if gcm[i][j] and d[j] is None:
+                    d[j] = d[i] * Fraction(gcm[i][j], gcm[j][i])
+                    stack.append(j)
+    for i in range(rank):
+        for j in range(rank):
+            if d[i] * gcm[i][j] != d[j] * gcm[j][i]:
+                raise VerificationError("matrix is not symmetrizable")
+    return d
+
+
+def weyl_product_by_fractions(gcm, lam):
+    """The Weyl dimension product in Fractions, root by root, the oracle of
+    branching._weyl_product."""
+    d = symmetrizer_by_fractions(gcm)
+    num = den = Fraction(1)
+    for root in _positive_roots(gcm):
+        num *= sum(Fraction(c) * dj * (lj + 1) for c, dj, lj in zip(root, d, lam))
+        den *= sum(Fraction(c) * dj for c, dj in zip(root, d))
+    dim = num / den
+    if dim.denominator != 1 or dim <= 0:
+        raise VerificationError("dimension product is not a positive integer")
+    return int(dim)
 
 
 def clear_package_caches():

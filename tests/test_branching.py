@@ -6,16 +6,18 @@ the triple-fold block gives 7, 14, 27; the rank one block gives s + 1.
 """
 
 import pytest
+from hypothesis import given, strategies as st
 
 from crystalfold import branching
 from crystalfold.branching import (
     BranchingResult, _weyl_product, branch_hat, expected_branching, expected_size,
     multiplicity_free_gate, verify_branching, weyl_dimension)
-from crystalfold.cartan import ScopeError, block, make_datum
+from crystalfold.cartan import ScopeError, block, enumerate_dominant, make_datum
 from crystalfold.crystal import Crystal, VerificationError
 from crystalfold.fixedpoint import HatBundle, build_hat_crystal
 from crystalfold.intertwine import orbit_factors
 from crystalfold.models import classical_highest_node
+from leaves import weyl_product_by_fractions
 
 A2 = make_datum("a", 2)
 A3 = make_datum("a", 3)
@@ -38,6 +40,34 @@ D3 = make_datum("d", 3)
 def test_weyl_dimension_both_routes(datum, coeffs, dim):
     assert weyl_dimension(datum, coeffs) == dim
     assert _weyl_product(block(datum.hat_gcm, datum.hat_classical_nodes), coeffs) == dim
+
+
+# the hat classical block of every datum the cases build up to rank 10
+BLOCK_DATUMS = [make_datum(case, n) for case, ns in
+                (("a", range(2, 9)), ("b", range(1, 9)), ("c", range(3, 9)), ("d", (3,)))
+                for n in ns]
+
+
+def _hat_block(datum):
+    return block(datum.hat_gcm, datum.hat_classical_nodes)
+
+
+@pytest.mark.parametrize("datum", BLOCK_DATUMS, ids=lambda d: "%s%d" % (d.case, d.n))
+def test_integer_weyl_product_matches_fractions_up_to_level_3(datum):
+    bgcm = _hat_block(datum)
+    weights = [wt[1:] for lev in range(4) for wt in enumerate_dominant(datum.hat_comarks, lev)]
+    assert len(weights) > len(bgcm)
+    for coeffs in weights:
+        assert _weyl_product(bgcm, coeffs) == weyl_product_by_fractions(bgcm, coeffs)
+
+
+@given(st.sampled_from(BLOCK_DATUMS).flatmap(lambda datum: st.tuples(
+    st.just(datum), st.lists(st.integers(0, 6), min_size=len(datum.hat_classical_nodes),
+                             max_size=len(datum.hat_classical_nodes)))))
+def test_integer_weyl_product_matches_fractions_on_a_grid(case):
+    datum, coeffs = case
+    bgcm = _hat_block(datum)
+    assert _weyl_product(bgcm, coeffs) == weyl_product_by_fractions(bgcm, coeffs)
 
 
 def test_weyl_dimension_rejects_bad_weights():

@@ -27,6 +27,7 @@ from crystalfold.cartan import (
     theta_word,
 )
 from crystalfold.cli import SCOPE_INSTANCES
+from leaves import kernel_by_fractions
 
 
 def level(datum, mu):
@@ -282,3 +283,53 @@ def test_block_submatrix():
 def test_kernel_solver_rejects_finite_type():
     with pytest.raises(ValueError):
         positive_primitive_kernel(((2, -1), (-1, 2)), "right")
+
+
+# every datum the cases build up to rank 10
+KERNEL_DATUMS = ([("a", n) for n in range(2, 9)] + [("b", n) for n in range(1, 9)]
+                 + [("c", n) for n in range(3, 9)] + [("d", 3)])
+
+
+@pytest.mark.parametrize("case,n", KERNEL_DATUMS)
+def test_integer_kernel_matches_the_fraction_solver_on_every_datum(case, n):
+    datum = make_datum(case, n)
+    for gcm, marks, comarks in ((datum.gcm, datum.marks, datum.comarks),
+                                (datum.hat_gcm, datum.hat_marks, datum.hat_comarks)):
+        assert marks == kernel_by_fractions(gcm, "right")
+        assert comarks == kernel_by_fractions(gcm, "left")
+
+
+@pytest.mark.parametrize("mat,text", [
+    (((2, -1), (-1, 2)), "kernel dimension is 0, expected 1"),
+    (((2, -2, 0, 0), (-2, 2, 0, 0), (0, 0, 2, -2), (0, 0, -2, 2)),
+     "kernel dimension is 2, expected 1"),
+    (((2, -2, 0), (-2, 2, 0), (0, 0, 2)), "kernel generator not positive: [1, 1, 0]"),
+])
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_integer_kernel_refuses_with_the_fraction_solver_texts(mat, text, side):
+    for solver in (positive_primitive_kernel, kernel_by_fractions):
+        with pytest.raises(ValueError) as caught:
+            solver(mat, side)
+        assert str(caught.value) == text
+
+
+def _kernel_outcome(solver, mat, side):
+    try:
+        return solver(mat, side)
+    except ValueError as exc:
+        return "raised: %s" % exc
+
+
+@given(st.data(), st.sampled_from(["right", "left"]))
+def test_integer_kernel_matches_the_fraction_solver_on_any_matrix(data, side):
+    # mostly singular: one row is an integer combination of the others, so
+    # the solution path runs and not only the rank count
+    size = data.draw(st.integers(1, 5))
+    row = st.lists(st.integers(-4, 2), min_size=size, max_size=size)
+    mat = data.draw(st.lists(row, min_size=size - 1, max_size=size - 1))
+    coeffs = data.draw(st.lists(st.integers(-2, 2), min_size=size - 1, max_size=size - 1))
+    dependent = [sum(c * r[k] for c, r in zip(coeffs, mat)) for k in range(size)]
+    mat.insert(data.draw(st.integers(0, size - 1)),
+               data.draw(st.one_of(st.just(dependent), row)))
+    assert (_kernel_outcome(positive_primitive_kernel, mat, side)
+            == _kernel_outcome(kernel_by_fractions, mat, side))

@@ -16,7 +16,7 @@ from crystalfold.cartan import classical_alpha, make_datum
 from crystalfold.cli import SCOPE_INSTANCES
 from crystalfold.crystal import (
     Crystal, Report, Tensor, VerificationError, _recheck_map, propagate_map, tensor,
-    tensor_many)
+    tensor_many, weyl_fall)
 from crystalfold.fixedpoint import build_hat_crystal, fold_crystal
 from crystalfold.intertwine import energy_on_tensor, orbit_factors, orbit_top
 from crystalfold.models import classical_highest_node, kr_crystal
@@ -658,10 +658,38 @@ def level_by_loops(crys):
     return lev, tuple(i for i, v in enumerate(levels) if v == lev)
 
 
+def extremal_by_loops(crys):
+    """extremal_elements with its "eps_j = 0 or phi_j = 0 for every j" mask
+    read node by node and color by color, the oracle of the mask on whole
+    strings(j) columns."""
+    n = len(crys)
+    ok_here = [all(crys.eps(j, i) == 0 or crys.phi(j, i) == 0 for j in range(crys.ncolors))
+               for i in range(n)]
+    table = [crys.weyl_images(j, range(n)) for j in range(crys.ncolors)]
+    verdict = [None] * n
+    for start in range(n):
+        if verdict[start] is not None:
+            continue
+        orbit, seen = [start], {start}
+        for cur in orbit:
+            for j, row in enumerate(table):
+                t = row[cur]
+                if t == -1:
+                    raise weyl_fall(j)
+                if t not in seen:
+                    seen.add(t)
+                    orbit.append(t)
+        good = all(ok_here[i] for i in orbit)
+        for i in orbit:
+            verdict[i] = good
+    return tuple(i for i in range(n) if verdict[i])
+
+
 def simple_and_perfect_by_loops(crys, s):
     """is_simple and is_perfect of crys, which this rewires to the per-node
-    level sum, as (stages or the raised message) for each."""
+    level sum and extremal mask, as (stages or the raised message) for each."""
     crys.level_and_minimal = lambda: level_by_loops(crys)
+    crys.extremal_elements = lambda: extremal_by_loops(crys)
     return outcome(crys.is_simple), outcome(lambda: crys.is_perfect(s))
 
 
@@ -736,6 +764,44 @@ def test_whole_array_checks_match_the_loops_on_corruptions(data):
     f, weights = corrupted(crys, kind, j, k, value)
     assert (checks_by_arrays(fresh(crys, f, weights), s)
             == checks_by_loops(fresh(crys, f, weights), s))
+
+
+def test_perfect_stages_enumerate_the_dominant_weights_once(monkeypatch):
+    # inside the first bijection stage, so that its time is the stage's
+    crys, s = CHECKED[-1]
+    running, calls = [], []
+    run, enumerate_dominant = Report.run, crystal.enumerate_dominant
+
+    def timed_run(report, name, fn):
+        running.append(name)
+        try:
+            return run(report, name, fn)
+        finally:
+            running.pop()
+
+    def counted(comarks, lev):
+        calls.append(tuple(running))
+        return enumerate_dominant(comarks, lev)
+
+    monkeypatch.setattr(Report, "run", timed_run)
+    monkeypatch.setattr(crystal, "enumerate_dominant", counted)
+    stages = fresh(crys).is_perfect(s).stages
+    assert [name for name, ok, _ in stages if ok] == [
+        "level", "perfect:eps-bijection", "perfect:phi-bijection"]
+    assert calls == [("perfect:eps-bijection",)]
+
+
+@pytest.mark.parametrize("j", [0, 1])
+def test_a_cyclic_string_names_its_color_and_node_in_simple_s2(j):
+    # the scope hat of CHECKED, with the color j string through node 0
+    # closed; S1 reads no string, so S2 is the first stage to walk one
+    crys, _ = CHECKED[-1]
+    f, weights = corrupted(crys, "cycle", j, 0, None)
+    got = fresh(crys, f, weights).is_simple().stages
+    want = simple_and_perfect_by_loops(fresh(crys, f, weights), 2)[0]
+    assert got == want
+    assert got[1][:2] == ("simple:S2", False)
+    assert re.fullmatch("color %d has a cyclic string through .+" % j, got[1][2])
 
 
 @pytest.mark.parametrize("kind", ["edge", "weight", "cycle"])

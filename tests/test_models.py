@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import json
+import re
 
 import pytest
 
@@ -839,6 +840,40 @@ def test_center_search_propagates_each_piece_once(monkeypatch, s, most, oracle_c
     assert got[1] == want[1] and len(got[1]) > 0
     assert want[2] == oracle_calls
     assert got[2] <= most
+
+
+@pytest.mark.parametrize("s,color,head,candidates", [(1, 1, 5, 2), (2, 4, 12, 16)])
+def test_center_search_fails_a_cyclic_classical_string_in_each_candidate(
+        monkeypatch, s, color, head, candidates):
+    # block c<s> with its color string from node head closed into a cycle:
+    # the heads and pieces stand, and every candidate, which shares the
+    # classical strings of the one before it, walks the cycle in its own
+    # axiom:semiregular stage and fails there with the same text
+    clean = highest_weight_crystal
+
+    def closed(gcm, wt):
+        part = clean(gcm, wt)
+        if wt != (s, 0, 0, 0):
+            return part
+        f = [list(row) for row in part.f]
+        tail = head
+        while f[color - 1][tail] != -1:
+            tail = f[color - 1][tail]
+        f[color - 1][tail] = head
+        return Crystal(part.gcm, part.comarks, part.ids, part.weights, f, part.payloads)
+
+    closed.cache_clear = clean.cache_clear
+    monkeypatch.setattr(models, "highest_weight_crystal", closed)
+    monkeypatch.setitem(globals(), "highest_weight_crystal", closed)
+    got = _traced_build(monkeypatch, _center_crystal, D3, s)
+    want = _traced_build(monkeypatch, center_crystal_by_matchings, D3, s)
+    assert got[:2] == want[:2]
+    assert got[0] == "raised: no affine completion verifies at width %d" % s
+    semiregular = [stages[2] for stages in got[1]]
+    assert len(semiregular) == candidates and len(set(semiregular)) == 1
+    name, ok, text = semiregular[0]
+    assert (name, ok) == ("axiom:semiregular", False)
+    assert re.fullmatch("color %d has a cyclic string through c%d:.+" % (color, s), text)
 
 
 @pytest.mark.parametrize("s,head,image,outcome", [
