@@ -227,7 +227,16 @@ def expected_branching(datum, i, s):
 
 def expected_size(datum, i, s):
     """Size of the closed-form decomposition by the Weyl product formula, or
-    ScopeError where none exists."""
+    ScopeError where none exists.
+
+    The triality leg's decomposition has no {coefficients: 1} form, but the
+    D_4^(3) Q-system at the center (Hatayama, Kuniba, Okado, Takagi and
+    Tsuboi, Contemp. Math. 248, 1999) gives its size from the center
+    column's sizes C_t: C_s^2 - C_{s+1} C_{s-1}.
+    """
+    if (datum.case, i) == ("d", 2):
+        below, here, above = (expected_size(datum, 1, t) for t in (s - 1, s, s + 1))
+        return here * here - above * below
     bgcm = block(datum.hat_gcm, datum.hat_classical_nodes)
     return sum(_weyl_product(bgcm, coeffs) for coeffs in expected_branching(datum, i, s))
 

@@ -371,28 +371,24 @@ class Crystal:
             out.append(i)
         return out
 
-    def weyl_s(self, j, i):
-        (t,) = self.weyl_images(j, (i,))
-        if t == -1:
-            raise weyl_fall(j)
-        return t
-
     # -- extremal elements, simplicity, perfectness --------------------------
 
-    def extremal_elements(self):
-        """Nodes whose full orbit under the Weyl operators has, for every
-        color, a vanishing string length on one side."""
+    def extremal_orbits(self):
+        """The orbits under the Weyl operators whose every node has, for
+        every color, a vanishing string length on one side, in the order of
+        their least node; each orbit in the order of its walk."""
         n = len(self)
         # eps_j * phi_j is 0 exactly where one side of the j-string vanishes
         lengths = [list(map(mul, *self.strings(j))) for j in range(self.ncolors)]
         ok_here = list(map(not_, map(any, zip(*lengths))))
         table = [self.weyl_images(j, range(n)) for j in range(self.ncolors)]
-        verdict = [None] * n
+        seen = [False] * n
+        orbits = []
         for start in range(n):
-            if verdict[start] is not None:
+            if seen[start]:
                 continue
+            seen[start] = True
             orbit = [start]
-            seen = {start}
             k = 0
             while k < len(orbit):
                 cur = orbit[k]
@@ -401,13 +397,12 @@ class Crystal:
                     t = row[cur]
                     if t == -1:
                         raise weyl_fall(j)
-                    if t not in seen:
-                        seen.add(t)
+                    if not seen[t]:
+                        seen[t] = True
                         orbit.append(t)
-            good = all(ok_here[i] for i in orbit)
-            for i in orbit:
-                verdict[i] = good
-        return tuple(i for i in range(n) if verdict[i])
+            if all(ok_here[i] for i in orbit):
+                orbits.append(orbit)
+        return orbits
 
     def is_simple(self, report=None):
         report = report if report is not None else Report()
@@ -420,22 +415,14 @@ class Crystal:
         extremal = []
 
         def s2():
-            extremal.extend(self.extremal_elements())
+            orbits = self.extremal_orbits()
+            extremal.extend(sorted(chain.from_iterable(orbits)))
             if not extremal:
                 raise VerificationError("no extremal elements")
-            seen = {extremal[0]}
-            queue = [extremal[0]]
-            while queue:
-                cur = queue.pop()
-                for j in range(self.ncolors):
-                    t = self.weyl_s(j, cur)
-                    if t not in seen:
-                        seen.add(t)
-                        queue.append(t)
-            if seen != set(extremal):
+            if len(orbits) > 1:
                 raise VerificationError(
                     "extremal set is %d nodes but one orbit has %d"
-                    % (len(extremal), len(seen)))
+                    % (len(extremal), len(orbits[0])))
 
         def s3():
             counts = {}

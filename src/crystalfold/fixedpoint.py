@@ -8,12 +8,11 @@ and a weight that is not constant on orbits cannot enter the fold silently.
 
 A column is walked from its top node on the orbit tensor, which is never
 built: the column crystal itself for a one-column orbit, a LazyTensor
-otherwise. The walk must reach the closed-form size; only the triality legs,
-which have no closed form, count the fixed nodes of the twist on the whole
-orbit tensor instead, the one place the twist is built. Verification,
-branching and tensor compatibility read this one walked hat. Tensor
-compatibility walks the pair tensor of the orbit tensor from its top pair
-with the same fold, requires the fixed pairs to be the pairs of fixed
+otherwise; nor is the twist. The walk must reach the closed-form size,
+which for the triality legs the Q-system reads off the center column's.
+Verification, branching and tensor compatibility read this one walked hat.
+Tensor compatibility walks the pair tensor of the orbit tensor from its top
+pair with the same fold, requires the fixed pairs to be the pairs of fixed
 nodes, and propagates the exchange on that pair tensor.
 """
 
@@ -28,14 +27,9 @@ from .cartan import (
 from .crystal import (
     Crystal, LazyTensor, Report, VerificationError, propagate_map, tensor, tensor_many,
     weyl_fall)
-from .intertwine import (
-    build_tilde_crystal, energy_on_tensor, energy_steps, orbit_factors, orbit_top)
+from .intertwine import energy_on_tensor, energy_steps, orbit_factors, orbit_top
 from .models import classical_highest_node
 from .monomial import weight_multiset
-
-
-def _fixed_nodes(omega_map):
-    return tuple(k for k, image in enumerate(omega_map) if image == k)
 
 
 @dataclass
@@ -131,9 +125,7 @@ def build_hat_crystal(datum, i, s):
     The parent is the orbit tensor, never built: the column crystal itself
     for a one-column orbit, a LazyTensor of the orbit's columns otherwise.
     fold_crystal walks its fixed nodes from the top node, and must reach
-    the size of the closed-form decomposition, or, where there is none (the
-    triality legs), the number of nodes that the twist of the whole orbit
-    tensor fixes.
+    expected_size, the size of the closed-form decomposition.
     """
     from .branching import expected_size  # branching imports this module
     _require_folded_column(datum, i)
@@ -146,15 +138,11 @@ def build_hat_crystal(datum, i, s):
         parent, top = LazyTensor(factors), tuple(tops)
     if parent.weight(top) != tuple(s * v for v in pi_tilde_weight(datum, i)):
         raise VerificationError("top node %s is off the top weight" % parent.id(top))
-    try:
-        total, counted = expected_size(datum, i, s), "nodes of the closed form"
-    except ScopeError:
-        total = len(_fixed_nodes(build_tilde_crystal(datum, i, s).omega_map))
-        counted = "nodes that the twist fixes"
+    total = expected_size(datum, i, s)
     hat = fold_crystal(datum, parent, top)
     if len(hat) != total:
-        raise VerificationError("walk reached %d of %d %s from %s"
-                                % (len(hat), total, counted, parent.id(top)))
+        raise VerificationError("walk reached %d of %d nodes of the closed form from %s"
+                                % (len(hat), total, parent.id(top)))
     return hat
 
 
@@ -394,14 +382,14 @@ def verify_tensor_compatibility(datum, spec1, spec2):
     energy = energy_on_tensor(pair, anchor)
 
     def folded_energy():
+        down_steps, up_steps = energy_steps(lhs)
         for h, p in enumerate(fixed):
-            down_step, up_step = energy_steps(lhs, h)
             down = folded.f[0][h]
-            if down != -1 and energy[fixed[down]] - energy[p] != down_step:
+            if down != -1 and energy[fixed[down]] - energy[p] != down_steps[h]:
                 raise VerificationError(
                     "lowering energy relation fails at %s" % folded.ids[h])
             up = folded.e[0][h]
-            if up != -1 and energy[fixed[up]] - energy[p] != up_step:
+            if up != -1 and energy[fixed[up]] - energy[p] != up_steps[h]:
                 raise VerificationError(
                     "raising energy relation fails at %s" % folded.ids[h])
             for jh in range(1, folded.ncolors):

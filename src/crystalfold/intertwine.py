@@ -1,18 +1,19 @@
-"""Maps between rectangle crystals: color twists, pair exchange, energy.
+"""Maps between rectangle crystals: pair exchange and energy; the orbit tensor.
 
-Every map here is grown from a single anchor by edge propagation and then
+The exchange is grown from a single anchor by edge propagation and then
 re-verified on every edge, so a wrong anchor or a broken model cannot
-produce a silently wrong intertwiner. Maps are integer arrays over node
-indices; string ids are rendered only for messages and output.
+produce a silently wrong intertwiner; every energy step is re-checked on
+every color 0 edge. The orbit tensor's columns and top node are read here;
+the twist of the orbit tensor is never built. Maps are integer arrays over
+node indices; string ids are rendered only for messages and output.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
 from operator import add, ne
 
-from .cartan import ScopeError, omega_star, pi_tilde_weight
-from .crystal import VerificationError, propagate_map, tensor, tensor_many
+from .cartan import ScopeError, pi_tilde_weight
+from .crystal import VerificationError, propagate_map, tensor
 from .models import classical_highest_node, kr_crystal
 
 
@@ -66,21 +67,28 @@ def compute_r_matrix(datum, left_spec, right_spec):
 
 # -- energy -----------------------------------------------------------------
 
-def _steps(phi, eps):
-    """Energy change along f_0 and along e_0 with phi_0(left) = phi and eps_0(right) = eps."""
-    return (-1 if phi > eps else 1), (1 if phi >= eps else -1)
+def energy_steps(prod):
+    """Energy change along f_0 and along e_0 at every node of a binary tensor.
 
-
-def energy_steps(prod, k):
-    """Energy change along f_0 and along e_0 at node k of a binary tensor.
-
-    An operator that acts on the left factor, f_0 when phi_0(left) >
-    eps_0(right) and e_0 when phi_0(left) >= eps_0(right), lowers the
-    energy by one along f_0 and raises it by one along e_0; acting on the
-    right factor does the opposite.
+    Returns the lists (down, up) over the nodes. An operator that acts on
+    the left factor, f_0 when phi_0(left) > eps_0(right) and e_0 when
+    phi_0(left) >= eps_0(right), lowers the energy by one along f_0 and
+    raises it by one along e_0; acting on the right factor does the
+    opposite. The steps read a pair only through phi_0 of its left node and
+    eps_0 of its right node, so the pairs of one left node form one row per
+    phi_0.
     """
-    a, b = divmod(k, len(prod.right))
-    return _steps(prod.left.phi(0, a), prod.right.eps(0, b))
+    eps = prod.right.strings(0)[0]
+    rows = {}
+    down, up = [], []
+    for phi in prod.left.strings(0)[1]:
+        if phi not in rows:
+            rows[phi] = ([-1 if phi > x else 1 for x in eps],
+                         [1 if phi >= x else -1 for x in eps])
+        d, u = rows[phi]
+        down += d
+        up += u
+    return down, up
 
 
 def energy_on_tensor(prod, anchor):
@@ -111,18 +119,7 @@ def energy_on_tensor(prod, anchor):
             raise VerificationError("color %d raising edge leaves its classical component at %s"
                                     % (j, prod.id(k)))
 
-    # the steps read a pair only through phi_0 of its left node and eps_0 of
-    # its right node, so the pairs of one left node form one row per phi_0
-    eps = prod.right.strings(0)[0]
-    rows = {}
-    down, up = [], []
-    for phi in prod.left.strings(0)[1]:
-        if phi not in rows:
-            rows[phi] = tuple(zip(*(_steps(phi, x) for x in eps)))
-        d, u = rows[phi]
-        down += d
-        up += u
-
+    down, up = energy_steps(prod)
     f0, e0 = prod.f[0], prod.e[0]
     value = [None] * len(parts) + [0]
     value[comp[anchor]] = 0
@@ -153,14 +150,7 @@ def energy_on_tensor(prod, anchor):
     return values
 
 
-# -- the orbit tensor and its twist action ----------------------------------
-
-@dataclass
-class TildeBundle:
-    crystal: object
-    omega_map: tuple
-    top: int
-
+# -- the orbit tensor -------------------------------------------------------
 
 def orbit_factors(datum, i, s):
     """The width-s column crystals along the orbit of column i, in orbit order.
@@ -190,38 +180,6 @@ def orbit_top(datum, crystal, i, s):
     if count != 1:
         raise VerificationError("%d candidates for the top node of the orbit tensor" % count)
     return crystal.weights.index(target)
-
-
-@lru_cache(maxsize=None)
-def build_tilde_crystal(datum, i, s):
-    """Tensor of the crystals along the orbit of column i, with the twist.
-
-    The twist is the omega-twisted automorphism of the orbit tensor that
-    fixes its top node, the one node of weight s times the orbit sum of
-    fundamentals. It is propagated from that node, color j to color
-    omega(j) and weights through omega_star, depth first and breadth
-    first; both results must agree, every edge, injectivity and the weight
-    rule are re-checked, and the twist must close at the automorphism
-    order.
-    """
-    crystal = tensor_many(orbit_factors(datum, i, s))
-    top = orbit_top(datum, crystal, i, s)
-
-    def twist(order):
-        return propagate_map(crystal, crystal, {top: top}, relabel=dict(enumerate(datum.omega)),
-                             weight_map=lambda mu: omega_star(datum, mu), order=order)
-
-    mapping = twist("dfs")
-    if mapping != twist("bfs"):
-        raise VerificationError("twist depends on traversal order for column %d" % i)
-
-    cur = mapping
-    for _ in range(datum.order - 1):
-        cur = list(map(mapping.__getitem__, cur))
-    if cur != list(range(len(crystal))):
-        raise VerificationError("twist does not close at order %d" % datum.order)
-
-    return TildeBundle(crystal=crystal, omega_map=tuple(mapping), top=top)
 
 
 def verify_yang_baxter(datum, spec1, spec2, spec3):

@@ -1,7 +1,8 @@
 """Test oracles: crystals built from id-keyed dicts, leaf-index columns of a
 tensor product, read off its pair node numbers, the pair an exchange sends
-a pair to, the color twist tau of one column, the energy on B (x) B by the
-walk over single nodes, the node-level operators of a Crystal or a
+a pair to, the color twist tau of one column, the twist sigma of the whole
+orbit tensor and its fixed nodes, the energy on B (x) B by the walk over
+single nodes, the node-level operators of a Crystal or a
 LazyTensor (one letter, a word, the own strings, a Weyl reflection), the
 fold walked node by node, the string-identity stages node by node, the
 kernel solver and Weyl product in exact Fractions, and a clear of every
@@ -9,7 +10,9 @@ package cache."""
 
 import importlib
 import pkgutil
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 import crystalfold
@@ -17,9 +20,9 @@ from crystalfold.branching import _positive_roots
 from crystalfold.cartan import (
     kashiwara_word, omega_star, p_omega_star, p_omega_star_inverse, theta_word)
 from crystalfold.crystal import (
-    Crystal, LazyTensor, Tensor, VerificationError, propagate_map, weyl_fall)
+    Crystal, LazyTensor, Tensor, VerificationError, propagate_map, tensor_many, weyl_fall)
 from crystalfold.fixedpoint import HatBundle
-from crystalfold.intertwine import energy_steps
+from crystalfold.intertwine import orbit_factors, orbit_top
 from crystalfold.models import classical_highest_node, kr_crystal
 
 
@@ -78,12 +81,59 @@ def compute_tau_omega(datum, i, s):
                                weight_map=lambda mu: omega_star(datum, mu)))
 
 
+@dataclass
+class TildeBundle:
+    crystal: object
+    omega_map: tuple
+    top: int
+
+
+@lru_cache(maxsize=None)
+def build_tilde_crystal(datum, i, s):
+    """Tensor of the crystals along the orbit of column i, with the twist sigma.
+
+    sigma is the omega-twisted automorphism of the orbit tensor that fixes
+    its top node, the one node of weight s times the orbit sum of
+    fundamentals. It is propagated from that node, color j to color
+    omega(j) and weights through omega_star, depth first and breadth
+    first; both results must agree, every edge, injectivity and the weight
+    rule are re-checked, and the twist must close at the automorphism
+    order.
+    """
+    crystal = tensor_many(orbit_factors(datum, i, s))
+    top = orbit_top(datum, crystal, i, s)
+
+    def twist(order):
+        return propagate_map(crystal, crystal, {top: top}, relabel=dict(enumerate(datum.omega)),
+                             weight_map=lambda mu: omega_star(datum, mu), order=order)
+
+    mapping = twist("dfs")
+    if mapping != twist("bfs"):
+        raise VerificationError("twist depends on traversal order for column %d" % i)
+
+    cur = mapping
+    for _ in range(datum.order - 1):
+        cur = list(map(mapping.__getitem__, cur))
+    if cur != list(range(len(crystal))):
+        raise VerificationError("twist does not close at order %d" % datum.order)
+
+    return TildeBundle(crystal=crystal, omega_map=tuple(mapping), top=top)
+
+
+def fixed_nodes(omega_map):
+    """The nodes that a twist, given as its map over the nodes, fixes."""
+    return [k for k, image in enumerate(omega_map) if image == k]
+
+
 def energy_walk(prod, anchor):
     """The energy on a binary tensor by a walk over single nodes, as the oracle.
 
     Each node is popped once, and every edge leaving it, lowering and
     raising, either sets the value at its far end or is checked against
     it, so any path dependence raises instead of returning a skewed table.
+    At a pair (a, b), f_0 and e_0 act on a when phi_0(a) > eps_0(b) and when
+    phi_0(a) >= eps_0(b): acting on a lowers the energy by one along f_0 and
+    raises it by one along e_0, and acting on b does the opposite.
     """
     values = [None] * len(prod)
     values[anchor] = 0
@@ -92,7 +142,9 @@ def energy_walk(prod, anchor):
     while queue:
         x = queue.pop()
         here = values[x]
-        down, up = energy_steps(prod, x)
+        a, b = divmod(x, len(prod.right))
+        phi, eps = prod.left.phi(0, a), prod.right.eps(0, b)
+        down, up = (-1 if phi > eps else 1), (1 if phi >= eps else -1)
         for j in range(prod.ncolors):
             for y, value, kind in ((prod.f[j][x], here + down if j == 0 else here, "along"),
                                    (prod.e[j][x], here + up if j == 0 else here, "against")):
@@ -371,7 +423,9 @@ def weyl_product_by_fractions(gcm, lam):
 
 
 def clear_package_caches():
-    """Empty every lru_cache of the package, as a fresh CLI process starts."""
+    """Empty every lru_cache of the package, as a fresh CLI process starts,
+    and the twist oracle's."""
+    build_tilde_crystal.cache_clear()
     for info in pkgutil.iter_modules(crystalfold.__path__):
         module = importlib.import_module("crystalfold." + info.name)
         for value in vars(module).values():

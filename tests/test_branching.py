@@ -17,7 +17,7 @@ from crystalfold.crystal import Crystal, VerificationError
 from crystalfold.fixedpoint import HatBundle, build_hat_crystal
 from crystalfold.intertwine import orbit_factors
 from crystalfold.models import classical_highest_node
-from leaves import weyl_product_by_fractions
+from leaves import build_tilde_crystal, fixed_nodes, weyl_product_by_fractions
 
 A2 = make_datum("a", 2)
 A3 = make_datum("a", 3)
@@ -109,6 +109,19 @@ def test_expected_branching_wider_instance():
 def test_no_formula_for_branched_middle():
     with pytest.raises(ScopeError, match="no closed formula"):
         expected_branching(D3, 2, 1)
+
+
+def test_leg_sizes_by_the_q_relation():
+    # C_s^2 - C_{s+1} C_{s-1} over the center column's sizes C_t = 1, 8,
+    # 35, 112, 294 at t = 0..4
+    assert [expected_size(D3, 1, t) for t in range(5)] == [1, 8, 35, 112, 294]
+    assert [expected_size(D3, 2, s) for s in range(1, 5)] == [29, 329, 2254, 11172]
+
+
+def test_leg_q_relation_counts_the_twists_fixed_nodes():
+    # the oracle: the nodes that the twist of the three-leg orbit tensor fixes
+    tilde = build_tilde_crystal(D3, 2, 1)
+    assert len(fixed_nodes(tilde.omega_map)) == expected_size(D3, 2, 1) == 29
 
 
 @pytest.mark.parametrize("datum,i,s", [

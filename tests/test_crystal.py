@@ -21,7 +21,7 @@ from crystalfold.fixedpoint import build_hat_crystal, fold_crystal
 from crystalfold.intertwine import energy_on_tensor, orbit_factors, orbit_top
 from crystalfold.models import classical_highest_node, kr_crystal
 from crystalfold.monomial import highest_weight_crystal
-from leaves import crystal_from_edges, leaf_columns
+from leaves import crystal_from_edges, leaf_columns, weyl_s
 
 SL2 = ((2,),)
 SL3 = ((2, -1), (-1, 2))
@@ -563,8 +563,8 @@ def test_weyl_involution_and_weight_law():
     for crys in POOL:
         for b in range(len(crys)):
             for j in range(crys.ncolors):
-                image = crys.weyl_s(j, b)
-                assert crys.weyl_s(j, image) == b
+                image = weyl_s(crys, j, b)
+                assert weyl_s(crys, j, image) == b
                 # the simple reflection: wt - wt[j] * alpha_j
                 wt = crys.weights[b]
                 assert crys.weights[image] == tuple(
@@ -574,7 +574,7 @@ def test_weyl_involution_and_weight_law():
 def weyl_word(crys, word, b):
     """Apply simple Weyl operators along the word, first letter first."""
     for j in word:
-        b = crys.weyl_s(j, b)
+        b = weyl_s(crys, j, b)
     return b
 
 
@@ -589,19 +589,30 @@ def test_weyl_word_reversal(data):
 
 
 def test_extremal_chain():
-    ext = B3_SL2.extremal_elements()
+    (ext,) = B3_SL2.extremal_orbits()
     assert len(ext) == 2
     assert sorted(B3_SL2.weights[b] for b in ext) == [(-2,), (2,)]
 
 
 def test_extremal_adjoint_excludes_zero_weights():
-    ext = ADJ_SL3.extremal_elements()
+    (ext,) = ADJ_SL3.extremal_orbits()
     assert len(ext) == 6
     assert all(ADJ_SL3.weights[b] != (0, 0) for b in ext)
 
 
 def test_extremal_standard_is_everything():
-    assert set(V_SL3.extremal_elements()) == set(range(len(V_SL3)))
+    (ext,) = V_SL3.extremal_orbits()
+    assert sorted(ext) == list(range(len(V_SL3)))
+
+
+def test_two_extremal_orbits_fail_simple_s2():
+    # two sl2 strings of length 2: each is one extremal orbit
+    nodes = {b: ((1 if b in "ac" else -1,), None) for b in "abcd"}
+    two = crystal_from_edges(SL2, (1,), nodes, {0: {"a": "b", "c": "d"}})
+    assert two.extremal_orbits() == [[0, 1], [2, 3]]
+    assert two.is_simple().stages[1] == (
+        "simple:S2", False, "extremal set is 4 nodes but one orbit has 2")
+    assert checks_by_arrays(two, 1) == checks_by_loops(fresh(two), 1)
 
 
 # -- whole-array checks against the per-node loops ---------------------------
@@ -659,18 +670,19 @@ def level_by_loops(crys):
 
 
 def extremal_by_loops(crys):
-    """extremal_elements with its "eps_j = 0 or phi_j = 0 for every j" mask
+    """extremal_orbits with its "eps_j = 0 or phi_j = 0 for every j" mask
     read node by node and color by color, the oracle of the mask on whole
     strings(j) columns."""
     n = len(crys)
     ok_here = [all(crys.eps(j, i) == 0 or crys.phi(j, i) == 0 for j in range(crys.ncolors))
                for i in range(n)]
     table = [crys.weyl_images(j, range(n)) for j in range(crys.ncolors)]
-    verdict = [None] * n
+    seen, orbits = set(), []
     for start in range(n):
-        if verdict[start] is not None:
+        if start in seen:
             continue
-        orbit, seen = [start], {start}
+        seen.add(start)
+        orbit = [start]
         for cur in orbit:
             for j, row in enumerate(table):
                 t = row[cur]
@@ -679,17 +691,16 @@ def extremal_by_loops(crys):
                 if t not in seen:
                     seen.add(t)
                     orbit.append(t)
-        good = all(ok_here[i] for i in orbit)
-        for i in orbit:
-            verdict[i] = good
-    return tuple(i for i in range(n) if verdict[i])
+        if all(ok_here[i] for i in orbit):
+            orbits.append(orbit)
+    return orbits
 
 
 def simple_and_perfect_by_loops(crys, s):
     """is_simple and is_perfect of crys, which this rewires to the per-node
     level sum and extremal mask, as (stages or the raised message) for each."""
     crys.level_and_minimal = lambda: level_by_loops(crys)
-    crys.extremal_elements = lambda: extremal_by_loops(crys)
+    crys.extremal_orbits = lambda: extremal_by_loops(crys)
     return outcome(crys.is_simple), outcome(lambda: crys.is_perfect(s))
 
 
@@ -846,7 +857,7 @@ def test_checks_where_weights_disagree_with_strings():
     bottom = B3_SL2.weights.index((-2,))
     weights = [(0,) if k == top else wt for k, wt in enumerate(B3_SL2.weights)]
     bad = fresh(B3_SL2, weights=weights)
-    assert bad.extremal_elements() == tuple(sorted((top, bottom)))
+    assert sorted(itertools.chain(*bad.extremal_orbits())) == sorted((top, bottom))
     assert checks_by_arrays(bad, 2) == checks_by_loops(fresh(bad), 2)
     # and a weight whose Weyl step falls off the graph fails S2 with that message
     middle = B3_SL2.weights.index((0,))

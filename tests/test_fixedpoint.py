@@ -15,10 +15,11 @@ from crystalfold.crystal import Crystal, LazyTensor, Tensor, VerificationError, 
 from crystalfold.fixedpoint import (
     build_hat_crystal, check_string_identities, fold_crystal,
     verify_main_theorem, verify_tensor_compatibility)
-from crystalfold.intertwine import build_tilde_crystal, orbit_factors, orbit_top
+from crystalfold.intertwine import orbit_factors, orbit_top
 from crystalfold.models import classical_highest_node
-from leaves import (apply_word, eps_orbit_by_nodes, fold_by_nodes, leaf_node, own_strings,
-                    powered_words_by_nodes, weyl_by_nodes)
+from leaves import (apply_word, build_tilde_crystal, eps_orbit_by_nodes, fixed_nodes,
+                    fold_by_nodes, leaf_node, own_strings, powered_words_by_nodes,
+                    weyl_by_nodes)
 
 A2 = make_datum("a", 2)
 A3 = make_datum("a", 3)
@@ -365,7 +366,7 @@ def test_walk_equals_the_eager_fold(case, n, i, s):
     datum = make_datum(case, n)
     tilde = build_tilde_crystal(datum, i, s)
     parent = tilde.crystal
-    fixed = [k for k, t in enumerate(tilde.omega_map) if t == k]
+    fixed = fixed_nodes(tilde.omega_map)
     where = {p: h for h, p in enumerate(fixed)}
     where[-1] = -1
     f = [[where[apply_word(parent, kashiwara_word(datum, jh), p)] for p in fixed]
@@ -439,16 +440,21 @@ def test_walk_short_of_the_closed_form_fails(monkeypatch, cold_hats):
     assert verify_exit("a", 2, 1, 1) == (1, "error: %s\n" % message)
 
 
-def test_walk_short_of_the_twists_fixed_nodes_fails(monkeypatch, cold_hats):
-    # the triality leg (d,3,2,1) has no closed form: its walk is counted
-    # against the nodes that the twist of the orbit tensor fixes
-    fixed_nodes = fixedpoint._fixed_nodes
-    monkeypatch.setattr(fixedpoint, "_fixed_nodes", lambda omega: fixed_nodes(omega) + (-1,))
-    message = ("walk reached 29 of 30 nodes that the twist fixes from "
+def test_walk_short_of_the_legs_q_relation_fails(monkeypatch, cold_hats):
+    # the triality leg (d,3,2,1) is counted by the Q-system from the center
+    # column's sizes, and a walk short of that count fails as a closed-form
+    # walk does; the patch adds a node at (a,2,1,1) and (d,3,2,1) only, not
+    # at the center sizes that the leg's count reads
+    size = branching.expected_size
+    monkeypatch.setattr(branching, "expected_size", lambda datum, i, s: size(datum, i, s) + (
+        (datum.case, i) in (("a", 1), ("d", 2))))
+    message = ("walk reached 29 of 30 nodes of the closed form from "
                "v:1,0,0,0|0,0,0,0*p:+++-*p:++++")
     with pytest.raises(VerificationError, match="^%s$" % re.escape(message)):
         build_hat_crystal(D3, 2, 1)
     assert verify_exit("d", 3, 2, 1) == (1, "error: %s\n" % message)
+    message = "walk reached 6 of 7 nodes of the closed form from t:1*t:1|2|3"
+    assert verify_exit("a", 2, 1, 1) == (1, "error: %s\n" % message)
 
 
 def test_walk_catches_a_corrupted_factor_edge(monkeypatch, cold_hats):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from click.testing import CliRunner
 
+import leaves
 from crystalfold import cli, fixedpoint, intertwine
 from crystalfold.branching import verify_branching
 from crystalfold.cartan import make_datum, pi_tilde_weight
@@ -14,11 +15,11 @@ from crystalfold.cli import SCOPE_INSTANCES
 from crystalfold.crystal import LazyTensor, Tensor, VerificationError, tensor, tensor_many
 from crystalfold.fixedpoint import build_hat_crystal, verify_tensor_compatibility
 from crystalfold.intertwine import (
-    build_tilde_crystal, compute_r_matrix, energy_on_tensor, orbit_factors,
-    verify_yang_baxter)
+    compute_r_matrix, energy_on_tensor, orbit_factors, verify_yang_baxter)
 from crystalfold.models import classical_highest_node, kr_crystal
-from leaves import (apply_word, clear_package_caches, compute_tau_omega, energy_walk,
-                    exchange_pair, lazy_step, leaf_columns, leaf_node, own_strings, weyl_s)
+from leaves import (apply_word, build_tilde_crystal, clear_package_caches, compute_tau_omega,
+                    energy_walk, exchange_pair, lazy_step, leaf_columns, leaf_node,
+                    own_strings, weyl_s)
 
 A2 = make_datum("a", 2)
 A3 = make_datum("a", 3)
@@ -296,7 +297,7 @@ def calls(monkeypatch):
     monkeypatch.setattr(Tensor, "__init__", counting("tensor", Tensor.__init__))
     monkeypatch.setattr(intertwine, "compute_r_matrix",
                         counting("r_matrix", intertwine.compute_r_matrix))
-    for module in (intertwine, fixedpoint):
+    for module in (intertwine, fixedpoint, leaves):
         monkeypatch.setattr(module, "propagate_map",
                             counting("propagate_map", module.propagate_map))
     return counts
@@ -314,9 +315,9 @@ def report_ok(report):
 @pytest.mark.parametrize("call,built", [
     # the orbit (2, 4) has a closed form, so the fold walks a lazy tensor
     pytest.param(lambda: build_hat_crystal(A3, 2, 2), {}, id="hat-a-3-2-2"),
-    # the tableau columns of case a build no tensors of their own, so the
-    # one tensor is the orbit tensor B(2,2) (x) B(4,2), and the twist is
-    # propagated depth first and breadth first
+    # the twist oracle: the tableau columns of case a build no tensors of
+    # their own, so the one tensor is the orbit tensor B(2,2) (x) B(4,2),
+    # and the twist is propagated depth first and breadth first
     pytest.param(lambda: build_tilde_crystal(A3, 2, 2), {"tensor": 1, "propagate_map": 2},
                  id="tilde-a-3-2-2"),
     # build --target tilde prints that tensor and builds no twist
@@ -327,11 +328,16 @@ def report_ok(report):
     # vector column itself
     pytest.param(lambda: cli_ok("verify", "--case", "c", "--n", "3", "--i", "1", "--s", "1"),
                  {}, id="cli-verify-c-3-1-1"),
-    # the triality leg (d,3,2,1) has none: its walk is counted against the
-    # fixed nodes of the twist on the orbit tensor of three columns,
-    # propagated depth first and breadth first
-    pytest.param(lambda: build_hat_crystal(D3, 2, 1), {"tensor": 2, "propagate_map": 2},
-                 id="hat-d-3-2-1"),
+    # the triality leg (d,3,2,1) is counted by the Q-system from the center
+    # column's closed form, so its walk builds no tensor and no twist either
+    pytest.param(lambda: build_hat_crystal(D3, 2, 1), {}, id="hat-d-3-2-1"),
+    pytest.param(lambda: cli_ok("verify", "--case", "d", "--n", "3", "--i", "2", "--s", "1"),
+                 {}, id="cli-verify-d-3-2-1"),
+    pytest.param(lambda: cli_ok("branch", "--case", "d", "--n", "3", "--i", "2", "--s", "1"),
+                 {}, id="cli-branch-d-3-2-1"),
+    pytest.param(lambda: cli_ok("build", "--target", "hat", "--case", "d", "--n", "3",
+                                "--i", "2", "--s", "1"),
+                 {}, id="cli-build-hat-d-3-2-1"),
     # branch reads both highest node routes off the walked hat of the orbit
     # (2, 4), on the lazy orbit tensor
     pytest.param(lambda: cli_ok("branch", "--case", "a", "--n", "3", "--i", "2", "--s", "2"),
@@ -340,10 +346,9 @@ def report_ok(report):
     # tensor off a lazy tensor, and the fixed ones off the walked hat
     pytest.param(lambda: report_ok(verify_branching(A3, 2, 2)), {},
                  id="verify-branching-a-3-2-2"),
-    # only the count of the triality leg's walk builds the orbit tensor and
-    # its twist; the gate builds no second copy
-    pytest.param(lambda: report_ok(verify_branching(D3, 2, 1)),
-                 {"tensor": 2, "propagate_map": 2}, id="verify-branching-d-3-2-1"),
+    # the triality leg's walk and gate read lazy tensors only
+    pytest.param(lambda: report_ok(verify_branching(D3, 2, 1)), {},
+                 id="verify-branching-d-3-2-1"),
     # the orbit tensor, the parent pair and the pair of folded crystals, and
     # one map: the exchange of the parent pair with itself
     pytest.param(lambda: report_ok(verify_tensor_compatibility(A2, (1, 1), (1, 1))),
@@ -385,7 +390,7 @@ def test_lazy_tensor_matches_the_orbit_tensor(case, n, i, s):
     nodes = list(product(*(range(len(fac)) for fac in factors)))
     ks = [leaf_node(eager, node) for node in nodes]
 
-    def leaves(batch):
+    def leaf_batch(batch):
         return [-1 if node == -1 else leaf_node(eager, node) for node in batch]
 
     assert ([(lazy.id(node), lazy.weight(node)) for node in nodes]
@@ -396,10 +401,10 @@ def test_lazy_tensor_matches_the_orbit_tensor(case, n, i, s):
         for lowering, maps in ((True, eager.f), (False, eager.e)):
             images = lazy.images((j,), nodes, lowering)
             assert images == [lazy_step(lazy, j, node, lowering) for node in nodes]
-            assert leaves(images) == [maps[j][k] for k in ks]
+            assert leaf_batch(images) == [maps[j][k] for k in ks]
         weyl = lazy.weyl_images(j, nodes)
         assert weyl == [weyl_s(lazy, j, node) for node in nodes]
-        assert leaves(weyl) == eager.weyl_images(j, ks) == [eager.weyl_s(j, k) for k in ks]
+        assert leaf_batch(weyl) == eager.weyl_images(j, ks) == [weyl_s(eager, j, k) for k in ks]
 
 
 # two-factor orbits, and the three-factor orbit of the triality leg

@@ -1,4 +1,5 @@
-"""Every function and class of the package has a reader in the package.
+"""Every function and class of the package has a reader in the package,
+and every name a package module imports is read in that module.
 
 A definition counts as read when its name appears as a name or an
 attribute anywhere in src/crystalfold outside its own definition, so a
@@ -44,4 +45,18 @@ def test_every_definition_has_a_reader_in_the_package():
             continue
         if not any(word == name and node not in inside for word, node in read):
             unread.append("%s:%s" % (module, name))
+    assert unread == []
+
+
+def test_every_import_is_read_in_its_module():
+    unread = []
+    for name in sorted(os.listdir(PACKAGE)):
+        if not name.endswith(".py"):
+            continue
+        tree = ast.parse(open(os.path.join(PACKAGE, name)).read())
+        imported = [alias.asname or alias.name.split(".")[0]
+                    for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                    for alias in node.names]
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unread.extend("%s:%s" % (name, word) for word in imported if word not in read)
     assert unread == []
