@@ -14,7 +14,7 @@ from .crystal import (VerificationError, pair_ids, pair_order_witness, tensor,
                       tensor_many)
 from .fixedpoint import (build_hat_crystal, check_string_identities,
                          verify_main_theorem)
-from .intertwine import compute_r_matrix, energy_on_tensor, orbit_factors
+from .intertwine import compute_r_matrix, energy_on_tensor, orbit_column, orbit_factors
 from .models import classical_highest_node, kr_crystal
 
 # every instance the verification suite is expected to cover
@@ -261,7 +261,7 @@ def rmatrix(case_, n, i, s, fmt, out):
         _require_case(case_)
         datum = make_datum(case_, n)
         left = kr_crystal(datum, i, s)
-        right = kr_crystal(datum, datum.omega[i], s)
+        right = orbit_column(datum, i, datum.omega[i], s)
         rmat = compute_r_matrix(datum, (i, s), (datum.omega[i], s))
         # a code is a node of right (x) left
         values = list(map(list(pair_ids(right.ids, left.ids)).__getitem__, rmat.codes))

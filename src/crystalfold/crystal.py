@@ -93,18 +93,32 @@ class Crystal:
         self.payloads = payloads
         self.f = f
         self.e = [_inverse(arr, nodes) for arr in f]
-        self._strings = {}
+        self._derived = [{} for _ in f]
+        self._labels = {}
 
     def __len__(self):
         return len(self.weights)
 
     def with_color(self, j, row):
-        """A copy with row as its color j lowering map; every other color's
-        maps and walked strings are this crystal's own lists, shared."""
+        """A copy with row as its color j lowering map.
+
+        Every other color's maps are this crystal's own lists, and so is its
+        record in _derived: the dict of what is derived from that color's
+        maps (and the shared weights) alone, its walked strings and the
+        axiom stages it passed. The twin shares those record objects, so
+        what any twin derives for such a color every other one reads too;
+        color j gets a fresh record. Component labellings kept by
+        components() are shared unless their colors include j.
+
+        Records hold only while no map list is changed in place.
+        """
         twin = copy(self)
         twin.f, twin.e = list(self.f), list(self.e)
         twin.f[j], twin.e[j] = row, _inverse(row, range(len(row)))
-        twin._strings = {c: pair for c, pair in self._strings.items() if c != j}
+        twin._derived = list(self._derived)
+        twin._derived[j] = {}
+        twin._labels = {colors: comp for colors, comp in self._labels.items()
+                        if j not in colors}
         return twin
 
     def id(self, k):
@@ -132,8 +146,9 @@ class Crystal:
 
         Fails on a string collision or a cyclic string.
         """
-        if j in self._strings:
-            return self._strings[j]
+        record = self._derived[j]
+        if "strings" in record:
+            return record["strings"]
         n = len(self)
         f, e = self.f[j], self.e[j]
         eps = [None] * n
@@ -161,7 +176,7 @@ class Crystal:
         for i in range(n):
             if eps[i] is None or phi[i] is None:
                 raise VerificationError("color %d has a cyclic string through %s" % (j, self.id(i)))
-        self._strings[j] = eps, phi
+        record["strings"] = eps, phi
         return eps, phi
 
     def eps(self, j, i):
@@ -214,65 +229,83 @@ class Crystal:
 
         Each is decided on whole arrays, a color at a time over that color's
         edge sources and targets; only where a comparison fails are the
-        nodes searched for the witness, the first in index order.
+        nodes searched for the witness, the first in index order. A color
+        whose record (see with_color) holds a pass of a stage is not checked
+        again in that stage: it would pass again, so the first failing
+        color, and its text, are those of a check of every color.
         """
         report = report if report is not None else Report()
         nodes = range(len(self))
-        edges = []
-        for f in self.f:
-            live = list(map((-1).__ne__, f))
-            edges.append((list(compress(nodes, live)), list(compress(f, live))))
+        edges = {}
         columns = list(zip(*self.weights))
 
-        def pairing():
+        def edges_of(j):
+            if j not in edges:
+                live = list(map((-1).__ne__, self.f[j]))
+                edges[j] = list(compress(nodes, live)), list(compress(self.f[j], live))
+            return edges[j]
+
+        def pairing(j):
             # e_j f_j is the identity where f_j is defined; e_j is derived
             # from f_j, so this fails where two sources share a target
-            for j, (srcs, dsts) in enumerate(edges):
-                back = list(map(self.e[j].__getitem__, dsts))
-                if back == srcs:
-                    continue
-                seen = {}
-                for src, dst in zip(srcs, dsts):
-                    if dst in seen:
-                        raise VerificationError(
-                            "color %d: nodes %s and %s share f-target %s"
-                            % (j, self.id(seen[dst]), self.id(src), self.id(dst)))
-                    seen[dst] = src
-                raise VerificationError("color %d: raising map does not invert %s"
-                                        % (j, self.id(_first_difference(srcs, back, srcs))))
-
-        def weight_step():
-            for j, (srcs, dsts) in enumerate(edges):
-                failing = []
-                for col, a in zip(columns, classical_alpha(self.gcm, j)):
-                    above = list(map(col.__getitem__, srcs))
-                    if a:
-                        above = list(map(a.__rsub__, above))
-                    below = list(map(col.__getitem__, dsts))
-                    if below != above:
-                        failing.append(_first_difference(srcs, below, above))
-                if failing:
+            srcs, dsts = edges_of(j)
+            back = list(map(self.e[j].__getitem__, dsts))
+            if back == srcs:
+                return
+            seen = {}
+            for src, dst in zip(srcs, dsts):
+                if dst in seen:
                     raise VerificationError(
-                        "color %d: weight step fails at %s" % (j, self.id(min(failing))))
+                        "color %d: nodes %s and %s share f-target %s"
+                        % (j, self.id(seen[dst]), self.id(src), self.id(dst)))
+                seen[dst] = src
+            raise VerificationError("color %d: raising map does not invert %s"
+                                    % (j, self.id(_first_difference(srcs, back, srcs))))
 
-        def semiregular():
-            for j, col in enumerate(columns):
-                eps, phi = self.strings(j)
-                diff = tuple(map(sub, phi, eps))
-                if diff != col:
-                    raise VerificationError("color %d: phi - eps != weight at %s"
-                                            % (j, self.id(_first_difference(nodes, diff, col))))
+        def weight_step(j):
+            srcs, dsts = edges_of(j)
+            failing = []
+            for col, a in zip(columns, classical_alpha(self.gcm, j)):
+                above = list(map(col.__getitem__, srcs))
+                if a:
+                    above = list(map(a.__rsub__, above))
+                below = list(map(col.__getitem__, dsts))
+                if below != above:
+                    failing.append(_first_difference(srcs, below, above))
+            if failing:
+                raise VerificationError(
+                    "color %d: weight step fails at %s" % (j, self.id(min(failing))))
 
-        report.run("axiom:pairing", pairing)
-        report.run("axiom:weight-step", weight_step)
-        report.run("axiom:semiregular", semiregular)
+        def semiregular(j):
+            eps, phi = self.strings(j)
+            diff = tuple(map(sub, phi, eps))
+            if diff != columns[j]:
+                raise VerificationError("color %d: phi - eps != weight at %s"
+                                        % (j, self.id(_first_difference(nodes, diff, columns[j]))))
+
+        def stage(name, check):
+            def each():
+                for j, record in enumerate(self._derived):
+                    if name not in record:
+                        check(j)
+                        record[name] = True
+            report.run("axiom:" + name, each)
+
+        stage("pairing", pairing)
+        stage("weight-step", weight_step)
+        stage("semiregular", semiregular)
         return report
 
     # -- connectivity and decomposition -------------------------------------
 
     def components(self, colors=None):
-        """Connected components under the given colors, as sorted index tuples."""
-        colors = range(self.ncolors) if colors is None else tuple(colors)
+        """Connected components under the given colors, as sorted index tuples.
+
+        The labelling, each node's component number, is kept under its
+        colors, when they are not all of them, for is_connected (see
+        with_color for what a twin shares).
+        """
+        colors = frozenset(range(self.ncolors) if colors is None else colors)
         n = len(self)
         comp = [-1] * n
         out = []
@@ -292,10 +325,45 @@ class Crystal:
                             members.append(nxt)
                             stack.append(nxt)
             out.append(tuple(sorted(members)))
+        if len(colors) < self.ncolors:
+            # a labelling under every color is dropped by every twin
+            self._labels[colors] = comp, len(out)
         return out
 
     def is_connected(self):
-        return len(self.components()) <= 1
+        """One component under every color.
+
+        The kept labelling of the most colors is joined through the edges
+        of the colors it lacks: its components are merged along every such
+        edge, by union-find over their numbers. Without a kept labelling
+        every component is labelled from scratch. The two agree where every
+        lowering map is injective, as the pairing axiom requires; the
+        labelling walks f and the derived e, which keeps one source per
+        target, and the join reads every edge of f.
+        """
+        if not self._labels:
+            return len(self.components()) <= 1
+        colors = max(self._labels, key=len)
+        comp, count = self._labels[colors]
+        pairs = set()  # (component of the source, of the target) per edge
+        for j in range(self.ncolors):
+            if j not in colors:
+                live = list(map((-1).__ne__, self.f[j]))
+                pairs.update(zip(compress(comp, live), map(comp.__getitem__, compress(self.f[j], live))))
+        root = list(range(count))
+
+        def find(a):
+            while root[a] != a:
+                root[a] = root[root[a]]
+                a = root[a]
+            return a
+
+        for a, b in pairs:
+            a, b = find(a), find(b)
+            if a != b:
+                root[a] = b
+                count -= 1
+        return count <= 1
 
     def highest_nodes(self, colors):
         """The nodes that every e_j with j in colors, a nonempty set, kills, ascending."""

@@ -152,25 +152,27 @@ def energy_on_tensor(prod, anchor):
 
 # -- the orbit tensor -------------------------------------------------------
 
-def orbit_factors(datum, i, s):
-    """The width-s column crystals along the orbit of column i, in orbit order.
+def orbit_column(datum, i, col, s):
+    """The width-s column crystal of col, a column in the orbit of column i.
 
-    A refusal from another column of the orbit names that orbit and the
-    requested column.
+    A refusal at a column other than i names the orbit and the requested
+    column i.
     """
+    try:
+        return kr_crystal(datum, col, s)
+    except ScopeError as exc:
+        if col == i:
+            raise
+        raise ScopeError("%s; it is in the orbit %s of the requested column %d"
+                         % (exc, datum.orbit(i), i)) from None
+
+
+def orbit_factors(datum, i, s):
+    """The width-s column crystals along the orbit of column i, in orbit
+    order, each through orbit_column."""
     if i not in datum.classical_nodes:
         raise ScopeError("column %d is not a classical node" % i)
-    orbit = datum.orbit(i)
-    factors = []
-    for col in orbit:
-        try:
-            factors.append(kr_crystal(datum, col, s))
-        except ScopeError as exc:
-            if col == i:
-                raise
-            raise ScopeError("%s; it is in the orbit %s of the requested column %d"
-                             % (exc, orbit, i)) from None
-    return factors
+    return [orbit_column(datum, i, col, s) for col in datum.orbit(i)]
 
 
 def orbit_top(datum, crystal, i, s):

@@ -394,7 +394,11 @@ def _center_crystal(datum, s):
 
     survivors = []
     # each candidate differs from the one before it in color 0 only, so it
-    # shares the classical maps and walked strings of that one
+    # shares the classical maps and their records with that one: each
+    # classical color is walked and passes each axiom stage once, on the
+    # first candidate, and every later one checks color 0 alone; the
+    # (1, 3, 4) labelling of comps is shared too, and is_connected joins it
+    # through colors 0 and 2
     crys = partial
     for matching in matchings:
         sigma = [-1] * len(partial)

@@ -307,8 +307,10 @@ def test_non_representative_column_names_the_representative(command, case, n, i,
     assert "use i = %d" % rep in res.output
 
 
-def test_width_refusal_names_the_orbit_column():
-    res = run("verify", "--case", "d", "--n", "3", "--i", "2", "--s", "2")
+@pytest.mark.parametrize("command", [("verify",), ("branch",), ("build", "--target", "tilde"),
+                                     ("rmatrix",)], ids=["verify", "branch", "build-tilde", "rmatrix"])
+def test_width_refusal_names_the_orbit_column(command):
+    res = run(*command, "--case", "d", "--n", "3", "--i", "2", "--s", "2")
     assert res.exit_code == 2
     assert res.output == ("error: fork column 3 is only available at width 1; "
                           "it is in the orbit (2, 3, 4) of the requested column 2\n")

@@ -879,6 +879,87 @@ def test_weight_step_fails_where_every_string_matches_its_weight():
     assert stages[2] == ("axiom:semiregular", True, "")
 
 
+def twin_mutant(crys, j, stage):
+    """Color j of crys, an axiom-checked crystal, broken so that the given
+    stage is the first to fail: a second source sent to the target of the
+    first edge ("pairing"), that edge sent up to the head of its own string
+    instead ("weight-step"), or that edge deleted ("semiregular")."""
+    row = list(crys.f[j])
+    x = next(k for k, y in enumerate(row) if y != -1)
+    if stage == "pairing":
+        row[next(k for k in range(len(row)) if k != x)] = row[x]
+    elif stage == "weight-step":
+        head = x
+        while crys.e[j][head] != -1:
+            head = crys.e[j][head]
+        row[x] = head
+    else:
+        row[x] = -1
+    return row
+
+
+@pytest.mark.parametrize("stage", ["pairing", "weight-step", "semiregular"])
+def test_a_twin_rechecks_the_color_it_replaces(stage):
+    # the checked crystal's records hold a pass of every stage for every
+    # color; its twin keeps them for the other colors only, so it checks
+    # the mutant color and fails with the text of a crystal sharing nothing
+    for crys, _ in CHECKED:
+        crys = fresh(crys)
+        assert crys.verify_crystal_axioms().ok
+        for j in range(crys.ncolors):
+            if crys.f[j].count(-1) == len(crys):
+                continue
+            row = twin_mutant(crys, j, stage)
+            got = crys.with_color(j, row).verify_crystal_axioms().stages
+            want = fresh(crys, f=crys.f[:j] + [row] + crys.f[j + 1:]).verify_crystal_axioms().stages
+            assert got == want
+            assert [name for name, ok, _ in got if not ok][0] == "axiom:" + stage
+            assert got[[name for name, _, _ in got].index("axiom:" + stage)][2].startswith(
+                "color %d: " % j)
+        assert crys.verify_crystal_axioms().ok
+
+
+@given(st.data())
+def test_connectivity_from_shared_labels_matches_a_fresh_labelling(data):
+    # a labelling kept under some colors, then color j replaced by an
+    # injective row, as the pairing axiom requires, that deletes edges
+    # (which may split), adds edges (which may merge), or is drawn at
+    # random: the twin joins the labelling it still shares
+    crys, _ = data.draw(st.sampled_from(CHECKED + [(kr_crystal(make_datum("d", 3), 1, 1), 1)]))
+    crys = fresh(crys)
+    n = len(crys)
+    crys.components(data.draw(st.sets(st.integers(0, crys.ncolors - 1))))
+    j = data.draw(st.integers(0, crys.ncolors - 1))
+    kind = data.draw(st.sampled_from(["split", "merge", "random"]))
+    row = list(crys.f[j])
+    if kind == "split":
+        for k in data.draw(st.sets(st.integers(0, n - 1), max_size=4)):
+            row[k] = -1
+    elif kind == "merge":
+        sources = [k for k in range(n) if row[k] == -1]
+        targets = [k for k in range(n) if crys.e[j][k] == -1]
+        picks = data.draw(st.permutations(targets))
+        for k, t in zip(sources, picks[:data.draw(st.integers(0, 4))]):
+            row[k] = t
+    else:
+        row = data.draw(st.permutations(range(n)))
+        for k in data.draw(st.sets(st.integers(0, n - 1))):
+            row[k] = -1
+    twin = crys.with_color(j, row)
+    scratch = fresh(twin)
+    assert twin.is_connected() == scratch.is_connected() == (len(scratch.components()) <= 1)
+
+
+def test_connectivity_from_shared_labels_sees_a_split_and_a_merge():
+    # the branch-point column of D_4^(3) at width 1 is two classical
+    # components, 1 + 28 nodes, joined only by color 0
+    crys = fresh(kr_crystal(make_datum("d", 3), 1, 1))
+    assert sorted(map(len, crys.components((1, 2, 3, 4)))) == [1, 28]
+    split = crys.with_color(0, [-1] * len(crys))
+    assert not split.is_connected() and crys.with_color(0, crys.f[0]).is_connected()
+    assert list(split._labels) == [frozenset((1, 2, 3, 4))]
+
+
 def test_a_weight_of_the_wrong_length_is_refused_at_construction():
     # an extra coordinate at the middle node, whose monomial id holds "^"
     middle = B3_SL2.weights.index((0,))

@@ -893,3 +893,42 @@ def test_center_search_skips_a_failed_piece_in_every_matching(
     want = _traced_build(monkeypatch, center_crystal_by_matchings, D3, s, refuse)
     assert got[:2] == want[:2]
     assert got[0].startswith(outcome)
+
+
+def _checks(crys, s):
+    """The axiom, connectivity, simplicity and perfectness verdicts of crys,
+    each as its stages or the raised message."""
+    out = []
+    for check in (crys.verify_crystal_axioms, crys.is_connected, crys.is_simple,
+                  lambda: crys.is_perfect(s)):
+        try:
+            got = check()
+        except VerificationError as exc:
+            got = "raised: %s" % exc
+        out.append(got if isinstance(got, (bool, str)) else got.stages)
+    return out
+
+
+@pytest.mark.parametrize("s,connected", [(1, [False, True]), (2, [False] * 9 + [True] * 3
+                                                                   + [False] + [True] * 3)])
+def test_center_search_candidates_match_fresh_crystals(monkeypatch, s, connected):
+    # every candidate shares the classical colors' records and the (1, 3, 4)
+    # labelling with the one before it; a fresh crystal on copies of its
+    # arrays shares nothing and must give the same verdicts
+    twins = []
+    with_color = Crystal.with_color
+
+    def recording(crys, j, row):
+        twin = with_color(crys, j, row)
+        twins.append(twin)
+        return twin
+
+    highest_weight_crystal.cache_clear()
+    monkeypatch.setattr(Crystal, "with_color", recording)
+    _center_crystal(D3, s)
+    got = [_checks(twin, s) for twin in twins]
+    want = [_checks(Crystal(twin.gcm, twin.comarks, twin.ids, twin.weights,
+                            [list(row) for row in twin.f], twin.payloads), s)
+            for twin in twins]
+    assert got == want
+    assert [checks[1] for checks in got] == connected
