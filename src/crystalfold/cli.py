@@ -1,12 +1,9 @@
 """Command line front end: build, verify, branch, rmatrix, energy."""
 
-import contextlib
+import argparse
 import json
 import sys
 from json.encoder import encode_basestring_ascii
-
-import click
-from click.core import ParameterSource
 
 from .branching import branch_hat, expected_branching, verify_branching
 from .cartan import ScopeError, make_datum
@@ -27,29 +24,14 @@ SCOPE_INSTANCES = (
     + [("d", 3, 1, 1), ("d", 3, 1, 2), ("d", 3, 2, 1)])
 
 
-@contextlib.contextmanager
-def _boundary():
-    try:
-        yield
-    except ScopeError as exc:
-        click.echo("error: %s" % exc, err=True)
-        sys.exit(2)
-    except (VerificationError, ValueError) as exc:
-        click.echo("error: %s" % exc, err=True)
-        sys.exit(1)
-    except OSError as exc:  # only --out opens a file
-        click.echo("error: cannot write %s: %s" % (exc.filename, exc.strerror), err=True)
-        sys.exit(2)
-
-
 def _emit(chunks, out):
     """Write the output's chunks, in order, to the file out or to stdout."""
     if out:
         with open(out, "w") as fh:
             fh.writelines(chunks)
     else:
-        for chunk in chunks:
-            click.echo(chunk, nl=False)
+        sys.stdout.writelines(chunks)
+        sys.stdout.flush()
 
 
 def _json_map(name, left_ids, right_ids, values):
@@ -109,32 +91,6 @@ def _energy_values(datum, crys, i, s):
     return energy_on_tensor(prod, prod.at(top, top))
 
 
-def _instance_options(fn):
-    for opt in (
-            click.option("--s", "s", type=int, default=1, show_default=True),
-            click.option("--i", "i", type=int, default=1, show_default=True),
-            click.option("--n", "n", type=int, default=3, show_default=True),
-            click.option("--case", "case_", default=None,
-                         type=click.Choice(["a", "b", "c", "d"]))):
-        fn = opt(fn)
-    return fn
-
-
-def _require_case(case_):
-    # not enforced by click: --all-scope sweeps run without an instance
-    if case_ is None:
-        raise ScopeError("--case is required")
-
-
-def _refuse_with_sweep(*names):
-    """Refuse the first of these options given on the command line: an
-    --all-scope sweep checks every scope instance into one text table."""
-    ctx = click.get_current_context()
-    for param in ctx.command.params:
-        if param.name in names and ctx.get_parameter_source(param.name) is not ParameterSource.DEFAULT:
-            raise ScopeError("%s cannot be combined with --all-scope" % param.opts[0])
-
-
 def _sweep_scope(check):
     """One pass/FAIL row per scope instance, by check(datum, i, s); exit 1 on a FAIL."""
     rows, oks = [], []
@@ -142,155 +98,191 @@ def _sweep_scope(check):
         oks.append(check(make_datum(c_, n_), i_, s_))
         rows.append("case %s n=%d i=%d s=%d %s"
                     % (c_, n_, i_, s_, "pass" if oks[-1] else "FAIL"))
-    click.echo("\n".join(rows))
+    print("\n".join(rows), flush=True)
     sys.exit(0 if all(oks) else 1)
 
 
-@click.group()
-def main():
-    """Exact combinatorics for folded affine crystal graphs."""
-
-
-@main.command()
-@_instance_options
-@click.option("--target", type=click.Choice(["kr", "tilde", "hat"]),
-              default="hat", show_default=True)
-@click.option("--format", "fmt", type=click.Choice(["json", "dot", "text"]),
-              default="text", show_default=True)
-@click.option("--out", type=click.Path(), default=None)
 def build(case_, n, i, s, target, fmt, out):
     """Construct one crystal graph and print or save it."""
-    with _boundary():
-        _require_case(case_)
-        datum = make_datum(case_, n)
-        if target == "kr":
-            crys = kr_crystal(datum, i, s)
-        elif target == "tilde":
-            crys = tensor_many(orbit_factors(datum, i, s))
-        else:
-            crys = build_hat_crystal(datum, i, s).crystal
-        ref = "%s:n=%d:i=%d:s=%d:%s" % (case_, n, i, s, target)
-        if fmt == "json":
-            payload = json.dumps(crys.to_json(datum_ref=ref),
-                                 sort_keys=True, indent=2) + "\n"
-        elif fmt == "dot":
-            payload = crys.to_dot(ref)
-        else:
-            lines = ["%s nodes=%d" % (ref, len(crys))]
-            for b, wt in zip(crys.ids, crys.weights):
-                lines.append("%s wt=%s" % (b, ",".join(map(str, wt))))
-            for j in range(crys.ncolors):
-                for idx, t in enumerate(crys.f[j]):
-                    if t != -1:
-                        lines.append("f%d %s -> %s" % (j, crys.ids[idx], crys.ids[t]))
-            payload = "\n".join(lines) + "\n"
-        _emit((payload,), out)
+    datum = make_datum(case_, n)
+    if target == "kr":
+        crys = kr_crystal(datum, i, s)
+    elif target == "tilde":
+        crys = tensor_many(orbit_factors(datum, i, s))
+    else:
+        crys = build_hat_crystal(datum, i, s).crystal
+    ref = "%s:n=%d:i=%d:s=%d:%s" % (case_, n, i, s, target)
+    if fmt == "json":
+        payload = json.dumps(crys.to_json(datum_ref=ref),
+                             sort_keys=True, indent=2) + "\n"
+    elif fmt == "dot":
+        payload = crys.to_dot(ref)
+    else:
+        lines = ["%s nodes=%d" % (ref, len(crys))]
+        for b, wt in zip(crys.ids, crys.weights):
+            lines.append("%s wt=%s" % (b, ",".join(map(str, wt))))
+        for j in range(crys.ncolors):
+            for idx, t in enumerate(crys.f[j]):
+                if t != -1:
+                    lines.append("f%d %s -> %s" % (j, crys.ids[idx], crys.ids[t]))
+        payload = "\n".join(lines) + "\n"
+    _emit((payload,), out)
 
 
-@main.command()
-@_instance_options
-@click.option("--full-regularity", is_flag=True)
-@click.option("--all-scope", is_flag=True)
 def verify(case_, n, i, s, full_regularity, all_scope):
     """Run the full verification stack on one instance or the whole scope."""
-    with _boundary():
-        if all_scope:
-            _refuse_with_sweep("case_", "n", "i", "s")
-
-            def check(d_, i_, s_):
-                rep = verify_main_theorem(d_, i_, s_, full_regularity=full_regularity)
-                strings = check_string_identities(d_, i_, s_)
-                return rep.ok and strings.ok
-            _sweep_scope(check)
-        _require_case(case_)
-        datum = make_datum(case_, n)
-        report = verify_main_theorem(datum, i, s, full_regularity=full_regularity)
-        strings = check_string_identities(datum, i, s)
-        click.echo(report.to_text())
-        click.echo(strings.to_text())
-        sys.exit(0 if report.ok and strings.ok else 1)
+    if all_scope:
+        def check(d_, i_, s_):
+            rep = verify_main_theorem(d_, i_, s_, full_regularity=full_regularity)
+            strings = check_string_identities(d_, i_, s_)
+            return rep.ok and strings.ok
+        _sweep_scope(check)
+    datum = make_datum(case_, n)
+    report = verify_main_theorem(datum, i, s, full_regularity=full_regularity)
+    strings = check_string_identities(datum, i, s)
+    print(report.to_text())
+    print(strings.to_text(), flush=True)
+    sys.exit(0 if report.ok and strings.ok else 1)
 
 
-@main.command()
-@_instance_options
-@click.option("--format", "fmt", type=click.Choice(["json", "text"]),
-              default="text", show_default=True)
-@click.option("--all-scope", is_flag=True)
-@click.option("--out", type=click.Path(), default=None)
 def branch(case_, n, i, s, fmt, all_scope, out):
     """Decompose the folded crystal and compare with the closed formula."""
-    with _boundary():
-        if all_scope:
-            _refuse_with_sweep("case_", "n", "i", "s", "fmt", "out")
-            _sweep_scope(lambda d_, i_, s_: verify_branching(d_, i_, s_).ok)
-        _require_case(case_)
-        datum = make_datum(case_, n)
-        got = branch_hat(datum, i, s)
-        note = ""
-        match = True
-        try:
-            match = got.multiset() == expected_branching(datum, i, s)
-        except ScopeError as exc:
-            note = str(exc)
-        card = "cardinality: sum of mult*dim = %d = size" % got.total
-        if fmt == "json":
-            doc = got.to_json()
-            doc["cardinality_ok"] = True
-            doc["matches_formula"] = None if note else match
-            if note:
-                doc["note"] = note
-            payload = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-        else:
-            payload = got.to_text() + "\n" + card + "\n"
-            if note:
-                payload += "note: %s\n" % note
-            elif not match:
-                payload += "MISMATCH with the closed formula\n"
-        _emit((payload,), out)
-        sys.exit(0 if match else 1)
+    if all_scope:
+        _sweep_scope(lambda d_, i_, s_: verify_branching(d_, i_, s_).ok)
+    datum = make_datum(case_, n)
+    got = branch_hat(datum, i, s)
+    note = ""
+    match = True
+    try:
+        match = got.multiset() == expected_branching(datum, i, s)
+    except ScopeError as exc:
+        note = str(exc)
+    card = "cardinality: sum of mult*dim = %d = size" % got.total
+    if fmt == "json":
+        doc = got.to_json()
+        doc["cardinality_ok"] = True
+        doc["matches_formula"] = None if note else match
+        if note:
+            doc["note"] = note
+        payload = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    else:
+        payload = got.to_text() + "\n" + card + "\n"
+        if note:
+            payload += "note: %s\n" % note
+        elif not match:
+            payload += "MISMATCH with the closed formula\n"
+    _emit((payload,), out)
+    sys.exit(0 if match else 1)
 
 
-@main.command()
-@_instance_options
-@click.option("--format", "fmt", type=click.Choice(["json", "text"]),
-              default="text", show_default=True)
-@click.option("--out", type=click.Path(), default=None)
 def rmatrix(case_, n, i, s, fmt, out):
     """Exchange map between column i and its twist image, as a pair table."""
-    with _boundary():
-        _require_case(case_)
-        datum = make_datum(case_, n)
-        left = kr_crystal(datum, i, s)
-        right = orbit_column(datum, i, datum.omega[i], s)
-        rmat = compute_r_matrix(datum, (i, s), (datum.omega[i], s))
-        # a code is a node of right (x) left
-        values = list(map(list(pair_ids(right.ids, left.ids)).__getitem__, rmat.codes))
-        if fmt == "json":
-            chunks = _json_map("map", left.ids, right.ids, values)
-        else:
-            chunks = ["".join(map("%s -> %s\n".__mod__,
-                                  zip(pair_ids(left.ids, right.ids), values)))]
-        _emit(chunks, out)
+    datum = make_datum(case_, n)
+    left = kr_crystal(datum, i, s)
+    right = orbit_column(datum, i, datum.omega[i], s)
+    rmat = compute_r_matrix(datum, (i, s), (datum.omega[i], s))
+    # a code is a node of right (x) left
+    values = list(map(list(pair_ids(right.ids, left.ids)).__getitem__, rmat.codes))
+    if fmt == "json":
+        chunks = _json_map("map", left.ids, right.ids, values)
+    else:
+        chunks = ["".join(map("%s -> %s\n".__mod__,
+                              zip(pair_ids(left.ids, right.ids), values)))]
+    _emit(chunks, out)
 
 
-@main.command()
-@_instance_options
-@click.option("--format", "fmt", type=click.Choice(["json", "text"]),
-              default="text", show_default=True)
-@click.option("--out", type=click.Path(), default=None)
 def energy(case_, n, i, s, fmt, out):
     """Energy table on the self tensor square of one column crystal."""
-    with _boundary():
-        _require_case(case_)
-        datum = make_datum(case_, n)
-        crys = kr_crystal(datum, i, s)
-        values = _energy_values(datum, crys, i, s)
-        _release_freed_heap()
-        if fmt == "json":
-            chunks = _json_map("H", crys.ids, crys.ids, values)
-        else:
-            chunks = ["".join(map("H %s %d\n".__mod__, zip(pair_ids(crys.ids, crys.ids), values)))]
-        _emit(chunks, out)
+    datum = make_datum(case_, n)
+    crys = kr_crystal(datum, i, s)
+    values = _energy_values(datum, crys, i, s)
+    _release_freed_heap()
+    if fmt == "json":
+        chunks = _json_map("H", crys.ids, crys.ids, values)
+    else:
+        chunks = ["".join(map("H %s %d\n".__mod__, zip(pair_ids(crys.ids, crys.ids), values)))]
+    _emit(chunks, out)
+
+
+# each command with its options past the instance's, and the choices of its --format
+COMMANDS = (
+    (build, ("--target", "--format", "--out"), ("json", "dot", "text")),
+    (verify, ("--full-regularity", "--all-scope"), ()),
+    (branch, ("--format", "--all-scope", "--out"), ("json", "text")),
+    (rmatrix, ("--format", "--out"), ("json", "text")),
+    (energy, ("--format", "--out"), ("json", "text")),
+)
+
+OPTIONS = {
+    "--target": dict(choices=("kr", "tilde", "hat"), default="hat", help="default: hat"),
+    "--format": dict(dest="fmt", help="default: text"),
+    "--full-regularity": dict(action="store_true"),
+    "--all-scope": dict(action="store_true"),
+    "--out": dict(metavar="PATH"),
+}
+
+# options parsed with the default None, in the order an --all-scope sweep
+# refuses them when given, as it would drop them; then each takes this default
+SWEEP_REFUSED = (("--case", "case_", None), ("--n", "n", 3), ("--i", "i", 1),
+                 ("--s", "s", 1), ("--format", "fmt", "text"), ("--out", "out", None))
+
+
+def _parser():
+    """The parser of every command line; options are never abbreviated."""
+    kw = dict(allow_abbrev=False, add_help=False)
+    parser = argparse.ArgumentParser(
+        prog="crystalfold", description="Exact combinatorics for folded affine crystal graphs.",
+        **kw)
+    parser.add_argument("--help", action="help", help="show this message and exit")
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+    for run, flags, formats in COMMANDS:
+        sub = commands.add_parser(run.__name__, help=run.__doc__, description=run.__doc__, **kw)
+        sub.set_defaults(run=run)
+        sub.add_argument("--case", dest="case_", choices=("a", "b", "c", "d"))
+        for flag, dest, default in SWEEP_REFUSED[1:4]:  # --n, --i, --s
+            sub.add_argument(flag, type=int, metavar="INTEGER", help="default: %d" % default)
+        for flag in flags:
+            choices = {"choices": formats} if flag == "--format" else {}
+            sub.add_argument(flag, **OPTIONS[flag], **choices)
+        sub.add_argument("--help", action="help", help="show this message and exit")
+    return parser
+
+
+PARSER = _parser()
+
+
+def main(args=None, prog_name=None):
+    """Run one command line, the words args or else sys.argv[1:]. prog_name
+    is ignored: it is accepted for the call made through main.main."""
+    opts = vars(PARSER.parse_args(args))
+    run = opts.pop("run")
+    try:
+        for flag, dest, default in SWEEP_REFUSED:
+            if dest not in opts:
+                continue
+            if opts[dest] is None:
+                opts[dest] = default
+            elif opts.get("all_scope"):
+                raise ScopeError("%s cannot be combined with --all-scope" % flag)
+        # not required by the parser: --all-scope sweeps run without an instance
+        if opts["case_"] is None and not opts.get("all_scope"):
+            raise ScopeError("--case is required")
+        run(**opts)
+    except ScopeError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        sys.exit(2)
+    except (VerificationError, ValueError) as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        sys.exit(1)
+    except OSError as exc:  # the file of --out, or standard output closed early
+        where = "standard output" if exc.filename is None else exc.filename
+        print("error: cannot write %s: %s" % (where, exc.strerror), file=sys.stderr)
+        sys.exit(2)
+
+
+# perfbench/run.py calls main.main(args=..., prog_name=...), the entry point
+# of the click command this function replaced
+main.main = main
 
 
 if __name__ == "__main__":

@@ -304,8 +304,9 @@ def verify_tensor_compatibility(datum, spec1, spec2):
 
     The fold of the tensor is walked on the pair tensor of the orbit tensor
     from the pair of top nodes, by the same fold_crystal as every hat, and
-    its fixed pairs must be the pairs of fixed nodes, in id order. Also drags the pair exchange and the energy down to the folded side:
-    the exchange must keep fixed nodes fixed and commute with every folded
+    its fixed pairs must be the pairs of fixed nodes, in id order. Also
+    drags the pair exchange and the energy down to the folded side: the
+    exchange must keep fixed nodes fixed and commute with every folded
     edge, and the energy inherited through the identification must satisfy
     the folded difference relations across all affine edges. The local
     energy rule used here holds for a crystal tensored with itself only, so

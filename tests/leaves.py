@@ -5,10 +5,12 @@ orbit tensor and its fixed nodes, the energy on B (x) B by the walk over
 single nodes, the node-level operators of a Crystal or a
 LazyTensor (one letter, a word, the own strings, a Weyl reflection), the
 fold walked node by node, the string-identity stages node by node, the
-kernel solver and Weyl product in exact Fractions, and a clear of every
-package cache."""
+kernel solver and Weyl product in exact Fractions, a clear of every
+package cache, and a runner of the command line."""
 
+import contextlib
 import importlib
+import io
 import pkgutil
 from dataclasses import dataclass
 from fractions import Fraction
@@ -16,6 +18,7 @@ from functools import lru_cache
 from math import gcd
 
 import crystalfold
+from crystalfold import cli
 from crystalfold.branching import _positive_roots
 from crystalfold.cartan import (
     kashiwara_word, omega_star, p_omega_star, p_omega_star_inverse, theta_word)
@@ -431,3 +434,26 @@ def clear_package_caches():
         for value in vars(module).values():
             if callable(getattr(value, "cache_clear", None)):
                 value.cache_clear()
+
+
+@dataclass
+class CliResult:
+    exit_code: int
+    output: str
+    exception: BaseException | None
+
+
+def run_cli(*words):
+    """Run cli.main on the words with standard output and error in one
+    buffer: the exit code, the text written, and the exception raised (a
+    SystemExit on any exit through sys.exit, a raw error, or None)."""
+    buf = io.StringIO()
+    code, exc = 0, None
+    with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(buf):
+        try:
+            cli.main(list(words))
+        except SystemExit as raised:
+            code, exc = raised.code or 0, raised
+        except Exception as raised:  # a raw Python error, which the tests refuse
+            code, exc = 1, raised
+    return CliResult(code, buf.getvalue(), exc)

@@ -1,11 +1,14 @@
-"""Exercise the command line surface through the click test runner."""
+"""Exercise the command line surface: each command's output, exit code and
+error line, the argparse parser's refusals and help, and the --all-scope
+sweeps, through cli.main with its output captured."""
 
 import errno
+import io
 import json
 import os
+import sys
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, strategies as st
 
 from crystalfold import cli
@@ -14,11 +17,7 @@ from crystalfold.cli import SCOPE_INSTANCES, main
 from crystalfold.crystal import Report, pair_ids, tensor
 from crystalfold.intertwine import compute_r_matrix, energy_on_tensor
 from crystalfold.models import classical_highest_node, kr_crystal
-from leaves import exchange_pair
-
-
-def run(*args):
-    return CliRunner().invoke(main, list(args))
+from leaves import exchange_pair, run_cli as run
 
 
 def test_scope_list_has_every_instance():
@@ -74,7 +73,7 @@ def test_out_that_cannot_be_written_exits_two(tmp_path, command, where, code):
 def test_out_of_scope_exits_two():
     res = run("build", "--case", "e")
     assert res.exit_code == 2
-    assert "Invalid value for '--case': 'e' is not one of" in res.output
+    assert "argument --case: invalid choice: 'e'" in res.output
     res = run("build", "--case", "a", "--n", "2", "--i", "9", "--target", "kr")
     assert res.exit_code == 2
     res = run("build", "--case", "a", "--n", "2", "--s", "0", "--target", "kr")
@@ -275,6 +274,69 @@ def test_missing_case_is_rejected():
     res = run("build")
     assert res.exit_code == 2
     assert "--case is required" in res.output
+
+
+@pytest.mark.parametrize("args,error", [
+    (("verify", "--cas", "a"), "unrecognized arguments: --cas a"),
+    (("build", "--form", "json"), "unrecognized arguments: --form json"),
+    (("verify", "--all", "--case", "a"), "unrecognized arguments: --all"),
+    ((), "the following arguments are required: COMMAND"),
+])
+def test_parser_refuses_abbreviations_and_no_command(args, error):
+    res = run(*args)
+    assert res.exit_code == 2
+    assert res.output.endswith("crystalfold: error: %s\n" % error)
+
+
+# each command's options as --help lists them, with their choices and defaults
+INSTANCE_HELP = ("--case {a,b,c,d}", "--n INTEGER default: 3", "--i INTEGER default: 1",
+                 "--s INTEGER default: 1")
+HELP = {
+    "build": ("--target {kr,tilde,hat} default: hat", "--format {json,dot,text} default: text",
+              "--out PATH"),
+    "verify": ("--full-regularity", "--all-scope"),
+    "branch": ("--format {json,text} default: text", "--all-scope", "--out PATH"),
+    "rmatrix": ("--format {json,text} default: text", "--out PATH"),
+    "energy": ("--format {json,text} default: text", "--out PATH"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(HELP))
+def test_help_lists_each_option_with_its_choices_and_default(command):
+    res = run(command, "--help")
+    assert res.exit_code == 0
+    listed = " ".join(res.output.split("options:")[1].split())
+    assert listed == " ".join(INSTANCE_HELP + HELP[command] + ("--help show this message and exit",))
+
+
+def test_help_lists_every_command():
+    res = run("--help")
+    assert res.exit_code == 0
+    text = " ".join(res.output.split())
+    for command in HELP:
+        assert "%s %s" % (command, getattr(cli, command).__doc__) in text
+
+
+class ClosedPipe(io.TextIOBase):
+    """A standard output whose reader has gone: every write fails."""
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+
+@pytest.mark.parametrize("args", [
+    ("energy", "--format", "json"),  # the map, chunk by chunk
+    ("energy",),  # one chunk of text
+    ("rmatrix",),
+    ("verify", "--s", "2"),  # printed reports
+], ids=["energy-json", "energy-text", "rmatrix-text", "verify"])
+def test_closed_standard_output_is_named(monkeypatch, capsys, args):
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    with pytest.raises(SystemExit) as exc:
+        main([*args, "--case", "a", "--n", "2"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == "error: cannot write standard output: %s\n" % (
+        os.strerror(errno.EPIPE))
 
 
 # every (case, n, i, s) request is answered or refused, never crashed

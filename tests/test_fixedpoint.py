@@ -6,9 +6,8 @@ from collections import Counter
 
 import pytest
 
-from click.testing import CliRunner
 
-from crystalfold import branching, cli, fixedpoint
+from crystalfold import branching, fixedpoint
 from crystalfold.cartan import ScopeError, kashiwara_word, make_datum, p_omega_star_inverse
 from crystalfold.cli import SCOPE_INSTANCES
 from crystalfold.crystal import Crystal, LazyTensor, Tensor, VerificationError, tensor, tensor_many
@@ -18,7 +17,7 @@ from crystalfold.fixedpoint import (
 from crystalfold.intertwine import orbit_factors, orbit_top
 from crystalfold.models import classical_highest_node
 from leaves import (apply_word, build_tilde_crystal, eps_orbit_by_nodes, fixed_nodes,
-                    fold_by_nodes, leaf_node, own_strings, powered_words_by_nodes,
+                    fold_by_nodes, leaf_node, own_strings, powered_words_by_nodes, run_cli,
                     weyl_by_nodes)
 
 A2 = make_datum("a", 2)
@@ -425,8 +424,7 @@ def cold_hats():
 
 
 def verify_exit(case, n, i, s):
-    res = CliRunner().invoke(cli.main, ["verify", "--case", case, "--n", str(n),
-                                        "--i", str(i), "--s", str(s)])
+    res = run_cli("verify", "--case", case, "--n", str(n), "--i", str(i), "--s", str(s))
     assert isinstance(res.exception, SystemExit)
     return res.exit_code, res.output
 

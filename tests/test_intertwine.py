@@ -5,10 +5,9 @@ from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from click.testing import CliRunner
 
 import leaves
-from crystalfold import cli, fixedpoint, intertwine
+from crystalfold import fixedpoint, intertwine
 from crystalfold.branching import verify_branching
 from crystalfold.cartan import make_datum, pi_tilde_weight
 from crystalfold.cli import SCOPE_INSTANCES
@@ -19,7 +18,7 @@ from crystalfold.intertwine import (
 from crystalfold.models import classical_highest_node, kr_crystal
 from leaves import (apply_word, build_tilde_crystal, clear_package_caches, compute_tau_omega,
                     energy_walk, exchange_pair, lazy_step, leaf_columns, leaf_node,
-                    own_strings, weyl_s)
+                    own_strings, run_cli, weyl_s)
 
 A2 = make_datum("a", 2)
 A3 = make_datum("a", 3)
@@ -304,7 +303,7 @@ def calls(monkeypatch):
 
 
 def cli_ok(*words):
-    res = CliRunner().invoke(cli.main, list(words))
+    res = run_cli(*words)
     assert res.exit_code == 0, res.output
 
 

@@ -15,8 +15,6 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join(ROOT, "src", "crystalfold")
 
 EXEMPT = {
-    # click commands, read through the group's decorator
-    "build", "verify", "branch", "rmatrix", "energy",
     # library entry points that the benchmark calls
     "verify_tensor_compatibility", "verify_yang_baxter",
 }
