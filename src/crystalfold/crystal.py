@@ -304,9 +304,22 @@ class Crystal:
         The labelling, each node's component number, is kept under its
         colors, when they are not all of them, for is_connected (see
         with_color for what a twin shares).
+
+        Each node is joined along its f and e edges. Where f_j is not
+        injective, e_j keeps one source per target, so the f_j edges whose
+        source it drops are also joined from their targets; a color is
+        searched for them only when it has fewer targets than sources.
         """
         colors = frozenset(range(self.ncolors) if colors is None else colors)
         n = len(self)
+        rows = [maps[j] for j in colors for maps in (self.f, self.e)]
+        dropped = {}  # target -> the sources of its f edges that e drops
+        for j in colors:
+            f, e = self.f[j], self.e[j]
+            if f.count(-1) != e.count(-1):
+                for src, dst in enumerate(f):
+                    if dst != -1 and e[dst] != src:
+                        dropped.setdefault(dst, []).append(src)
         comp = [-1] * n
         out = []
         for start in range(n):
@@ -318,12 +331,17 @@ class Crystal:
             members = [start]
             while stack:
                 cur = stack.pop()
-                for j in colors:
-                    for nxt in (self.f[j][cur], self.e[j][cur]):
-                        if nxt != -1 and comp[nxt] == -1:
-                            comp[nxt] = tag
-                            members.append(nxt)
-                            stack.append(nxt)
+                for row in rows:
+                    nxt = row[cur]
+                    if nxt != -1 and comp[nxt] == -1:
+                        comp[nxt] = tag
+                        members.append(nxt)
+                        stack.append(nxt)
+                for nxt in dropped.get(cur, ()):
+                    if comp[nxt] == -1:
+                        comp[nxt] = tag
+                        members.append(nxt)
+                        stack.append(nxt)
             out.append(tuple(sorted(members)))
         if len(colors) < self.ncolors:
             # a labelling under every color is dropped by every twin
@@ -336,10 +354,8 @@ class Crystal:
         The kept labelling of the most colors is joined through the edges
         of the colors it lacks: its components are merged along every such
         edge, by union-find over their numbers. Without a kept labelling
-        every component is labelled from scratch. The two agree where every
-        lowering map is injective, as the pairing axiom requires; the
-        labelling walks f and the derived e, which keeps one source per
-        target, and the join reads every edge of f.
+        every component is labelled from scratch. Both read every edge of
+        f, also where a lowering map is not injective.
         """
         if not self._labels:
             return len(self.components()) <= 1

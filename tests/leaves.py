@@ -23,8 +23,9 @@ from crystalfold.branching import _positive_roots
 from crystalfold.cartan import (
     kashiwara_word, omega_star, p_omega_star, p_omega_star_inverse, theta_word)
 from crystalfold.crystal import (
-    Crystal, LazyTensor, Tensor, VerificationError, propagate_map, tensor_many, weyl_fall)
-from crystalfold.fixedpoint import HatBundle
+    Crystal, LazyTensor, Report, Tensor, VerificationError, propagate_map, tensor_many,
+    weyl_fall)
+from crystalfold.fixedpoint import HatBundle, _regularity_stages
 from crystalfold.intertwine import orbit_factors, orbit_top
 from crystalfold.models import classical_highest_node, kr_crystal
 
@@ -337,6 +338,16 @@ def powered_words_by_nodes(datum, bundle):
                     if via_word != (fixed[cur] if cur != -1 else -1):
                         raise VerificationError("%s power %d disagrees at %s color %d"
                                                 % (kind, m, hat.ids[h], jh))
+
+
+def regular_by_components(datum, crys, full=False):
+    """The regular:* stages of crys as {name: (ok, detail)}, every subset
+    by the component route: they run on a copy with no records, which
+    holds no axiom pass, so no subset is certified."""
+    bare = Crystal(crys.gcm, crys.comarks, crys.ids, crys.weights, crys.f, crys.payloads)
+    report = Report()
+    _regularity_stages(report, datum, bare, full)
+    return {name: (ok, detail) for name, ok, detail in report.stages}
 
 
 def kernel_by_fractions(mat, side="right"):

@@ -921,16 +921,17 @@ def test_a_twin_rechecks_the_color_it_replaces(stage):
 
 @given(st.data())
 def test_connectivity_from_shared_labels_matches_a_fresh_labelling(data):
-    # a labelling kept under some colors, then color j replaced by an
-    # injective row, as the pairing axiom requires, that deletes edges
-    # (which may split), adds edges (which may merge), or is drawn at
-    # random: the twin joins the labelling it still shares
+    # a labelling kept under some colors, then color j replaced by a row
+    # that deletes edges (which may split), adds edges (which may merge),
+    # or is drawn at random, injective as the pairing axiom requires or
+    # not: the twin joins the labelling it still shares, and both agree
+    # with union-find over every f edge
     crys, _ = data.draw(st.sampled_from(CHECKED + [(kr_crystal(make_datum("d", 3), 1, 1), 1)]))
     crys = fresh(crys)
     n = len(crys)
     crys.components(data.draw(st.sets(st.integers(0, crys.ncolors - 1))))
     j = data.draw(st.integers(0, crys.ncolors - 1))
-    kind = data.draw(st.sampled_from(["split", "merge", "random"]))
+    kind = data.draw(st.sampled_from(["split", "merge", "random", "any"]))
     row = list(crys.f[j])
     if kind == "split":
         for k in data.draw(st.sets(st.integers(0, n - 1), max_size=4)):
@@ -941,13 +942,50 @@ def test_connectivity_from_shared_labels_matches_a_fresh_labelling(data):
         picks = data.draw(st.permutations(targets))
         for k, t in zip(sources, picks[:data.draw(st.integers(0, 4))]):
             row[k] = t
-    else:
+    elif kind == "random":
         row = data.draw(st.permutations(range(n)))
         for k in data.draw(st.sets(st.integers(0, n - 1))):
             row[k] = -1
+    else:
+        row = data.draw(st.lists(st.integers(-1, n - 1), min_size=n, max_size=n))
     twin = crys.with_color(j, row)
     scratch = fresh(twin)
     assert twin.is_connected() == scratch.is_connected() == (len(scratch.components()) <= 1)
+    assert scratch.is_connected() == (_pieces_by_union_find(twin) == 1)
+
+
+def _pieces_by_union_find(crys):
+    root = list(range(len(crys)))
+
+    def find(a):
+        while root[a] != a:
+            a = root[a]
+        return a
+
+    for row in crys.f:
+        for src, dst in enumerate(row):
+            if dst != -1:
+                root[find(src)] = find(dst)
+    return sum(root[k] == k for k in range(len(crys)))
+
+
+def test_components_join_the_f_edges_that_the_derived_e_drops():
+    # f_0 sends every node of a 3-node sl2 crystal to node 0, and the derived
+    # e_0 keeps the last source, 2: node 1 is joined through its own f edge
+    crys = Crystal(((2,),), (1,), ("a", "b", "c"), ((0,),) * 3, [[0, 0, 0]], (None,) * 3)
+    assert crys.e[0] == [2, -1, -1]
+    assert crys.components() == [(0, 1, 2)] and crys.is_connected()
+    # two colors, a -> c and b -> c of color 0, c -> d of color 1: connected
+    # from scratch, and from a labelling kept under color 1 joined through
+    # the edges of color 0
+    maps = [[2, 2, -1, -1], [-1, -1, 3, -1]]
+    crys = Crystal(((2, 0), (0, 2)), (1, 1), ("a", "b", "c", "d"), ((0, 0),) * 4, maps,
+                   (None,) * 4)
+    assert crys.components((0,)) == [(0, 1, 2), (3,)]
+    assert crys.components() == [(0, 1, 2, 3)]
+    crys = Crystal(crys.gcm, crys.comarks, crys.ids, crys.weights, maps, crys.payloads)
+    assert crys.components((1,)) == [(0,), (1,), (2, 3)]
+    assert crys.is_connected()
 
 
 def test_connectivity_from_shared_labels_sees_a_split_and_a_merge():

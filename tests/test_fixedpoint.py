@@ -1,6 +1,7 @@
 """Folded crystals: sizes, the headline verification, string identities."""
 
 import copy
+import itertools
 import re
 from collections import Counter
 
@@ -16,9 +17,9 @@ from crystalfold.fixedpoint import (
     verify_main_theorem, verify_tensor_compatibility)
 from crystalfold.intertwine import orbit_factors, orbit_top
 from crystalfold.models import classical_highest_node
-from leaves import (apply_word, build_tilde_crystal, eps_orbit_by_nodes, fixed_nodes,
-                    fold_by_nodes, leaf_node, own_strings, powered_words_by_nodes, run_cli,
-                    weyl_by_nodes)
+from leaves import (apply_word, build_tilde_crystal, crystal_from_edges, eps_orbit_by_nodes,
+                    fixed_nodes, fold_by_nodes, leaf_node, own_strings,
+                    powered_words_by_nodes, regular_by_components, run_cli, weyl_by_nodes)
 
 A2 = make_datum("a", 2)
 A3 = make_datum("a", 3)
@@ -346,6 +347,33 @@ def test_exchange_off_the_fixed_set_ends_the_report(monkeypatch):
         "rhat:fixed", False, "exchange moves t:1*t:1|2|3*t:1*t:2|3|4 off the fixed set")
 
 
+@pytest.mark.parametrize("datum", [A2, C3])
+def test_eps_columns_name_the_node_loops_witness(monkeypatch, datum):
+    # the walked fold with the middle edge of every color cut: iso:edges
+    # fails, and iso:eps names the first pair where the eps tuples of
+    # hat (x) hat and the walked fold differ, as a loop over pairs does
+    hat = build_hat_crystal(datum, 1, 1).crystal
+    fold, cut = fixedpoint.fold_crystal, []
+
+    def cutting(*args):
+        walked = fold(*args)
+        crys = walked.crystal
+        f = []
+        for row in crys.f:
+            sources = [x for x, y in enumerate(row) if y != -1]
+            f.append([-1 if x == sources[len(sources) // 2] else y for x, y in enumerate(row)])
+        cut.append(Crystal(crys.gcm, crys.comarks, crys.ids, crys.weights, f, crys.payloads))
+        return fixedpoint.HatBundle(walked.parent, cut[0], walked.fixed)
+
+    monkeypatch.setattr(fixedpoint, "fold_crystal", cutting)
+    stages = {name: (ok, detail)
+              for name, ok, detail in verify_tensor_compatibility(datum, (1, 1), (1, 1)).stages}
+    lhs = tensor(hat, hat)
+    want = next(b for h, b in enumerate(lhs.ids) if lhs.eps_tuple(h) != cut[0].eps_tuple(h))
+    assert stages["iso:edges"][0] is False
+    assert stages["iso:eps"] == (False, "eps differs at %s" % want)
+
+
 def test_hat_crystal_requires_an_orbit_representative():
     with pytest.raises(ScopeError, match="use i = 1"):
         build_hat_crystal(A2, 3, 1)
@@ -536,11 +564,11 @@ def _hat_with_weight(hat, k, weight):
     return Crystal(hat.gcm, hat.comarks, hat.ids, weights, hat.f, hat.payloads)
 
 
-def _report_on(monkeypatch, crystal):
-    bundle = build_hat_crystal(A2, 1, 1)
+def _report_on(monkeypatch, crystal, datum=A2, i=1, s=1):
+    bundle = build_hat_crystal(datum, i, s)
     monkeypatch.setattr(fixedpoint, "build_hat_crystal", lambda *args: fixedpoint.HatBundle(
         parent=bundle.parent, crystal=crystal, fixed=bundle.fixed))
-    return verify_main_theorem(A2, 1, 1)
+    return verify_main_theorem(datum, i, s)
 
 
 def _regular(report):
@@ -582,3 +610,133 @@ def test_moved_weight_below_the_top_fails_regularity(monkeypatch):
         "regular:02": (False, witness % "t:4*t:2|3|4"),
         "regular:12": (True, ""),
     }
+
+
+# -- the product certificate of the regularity stages -------------------------
+
+def _with_crossed_strings(hat, x, y):
+    """hat with the color 0 targets of x and y exchanged."""
+    row = list(hat.f[0])
+    row[x], row[y] = row[y], row[x]
+    return Crystal(hat.gcm, hat.comarks, hat.ids, hat.weights, [row] + hat.f[1:], hat.payloads)
+
+
+def _crossovers(hat):
+    """Every crossing of two color-0 strings at nodes of equal weight and
+    eps_0, so of equal phi_0: each keeps every axiom."""
+    eps = hat.strings(0)[0]
+    sources = [x for x, y in enumerate(hat.f[0]) if y != -1]
+    return [_with_crossed_strings(hat, x, y) for x, y in itertools.combinations(sources, 2)
+            if hat.weights[x] == hat.weights[y] and eps[x] == eps[y]]
+
+
+@pytest.mark.parametrize("case,n,i,s", SCOPE_INSTANCES)
+def test_certified_regularity_matches_the_component_route_on_the_scope(case, n, i, s):
+    datum = make_datum(case, n)
+    report = verify_main_theorem(datum, i, s)
+    assert report.ok, report.to_text()
+    assert _regular(report) == regular_by_components(datum, build_hat_crystal(datum, i, s).crystal)
+
+
+@pytest.mark.parametrize("case,n,i,s,full,certified,subsets", [
+    ("c", 6, 1, 5, False, 22, 28), ("c", 7, 1, 4, False, 29, 36), ("c", 5, 1, 4, True, 22, 62),
+])
+def test_wide_folds_certify_every_single_color_and_orthogonal_pair(
+        monkeypatch, case, n, i, s, full, certified, subsets):
+    # the folded diagrams of case c are chains: a subset is certified
+    # unless two of its colors are adjacent, and only the component route
+    # decomposes, once per subset; a silent fall to it changes the count
+    datum = make_datum(case, n)
+    routed = []
+    decompose = Crystal.highest_weight_decomposition
+    monkeypatch.setattr(Crystal, "highest_weight_decomposition",
+                        lambda crys, colors: routed.append(colors) or decompose(crys, colors))
+    regular = _regular(verify_main_theorem(datum, i, s, full_regularity=full))
+    monkeypatch.undo()
+    assert len(regular) == subsets and len(routed) == subsets - certified
+    assert all(any(datum.hat_gcm[a][b] for a, b in itertools.combinations(sub, 2))
+               for sub in routed)
+    assert regular == regular_by_components(datum, build_hat_crystal(datum, i, s).crystal, full)
+    assert all(ok for ok, _ in regular.values())
+
+
+def _keeps_strings(crys, a, b):
+    """eps_b and phi_b are constant along every color a edge."""
+    eps, phi = crys.strings(b)
+    return all(eps[y] == eps[x] and phi[y] == phi[x] for x, y in enumerate(crys.f[a]) if y != -1)
+
+
+def test_crossed_strings_keep_the_axioms_and_fail_regularity_by_both_routes():
+    # two color-0 strings crossed at nodes of equal weight, eps and phi
+    # keep every axiom stage; each such crossing on the scope hats fails
+    # some regular:* stage, with the component route's verdict and text.
+    # Where two orthogonal colors commute, each keeps the other's strings,
+    # as the certificate's argument derives from the axioms
+    count = 0
+    for case, n, i, s in SCOPE_INSTANCES:
+        datum = make_datum(case, n)
+        for crossed in _crossovers(build_hat_crystal(datum, i, s).crystal):
+            report = crossed.verify_crystal_axioms()
+            assert report.ok, report.to_text()
+            fixedpoint._regularity_stages(report, datum, crossed, False)
+            regular = _regular(report)
+            assert not all(ok for ok, _ in regular.values())
+            assert regular == regular_by_components(datum, crossed)
+            for a, b in itertools.permutations(range(crossed.ncolors), 2):
+                if fixedpoint._acts_as_product(crossed, a, b):
+                    assert _keeps_strings(crossed, a, b)
+            count += 1
+    assert count == 266
+
+
+def test_orthogonal_colors_that_keep_eps_but_do_not_commute_are_not_certified(monkeypatch):
+    # on the (c,3,3,1) hat, colors 0 and 1 are orthogonal; crossing the
+    # color 0 strings at two nodes of equal weight and eps keeps every
+    # axiom and each color's strings along the other's edges, but f_1 f_0
+    # and f_0 f_1 part, and the component route finds two highest nodes
+    hat = build_hat_crystal(C3, 3, 1).crystal
+    assert hat.gcm[0][1] == hat.gcm[1][0] == 0
+    crossed = _with_crossed_strings(
+        hat, hat.ids.index("p:+-++*p:----"), hat.ids.index("p:--+-*p:+--+"))
+    assert _keeps_strings(crossed, 0, 1) and _keeps_strings(crossed, 1, 0)
+    assert (crossed.images((0, 1), range(len(hat)))
+            != crossed.images((1, 0), range(len(hat))))
+    assert _regular(verify_main_theorem(C3, 3, 1))["regular:01"] == (True, "")
+    regular = _regular(_report_on(monkeypatch, crossed, C3, 3, 1))
+    assert regular["regular:01"] == (
+        False, "component of p:+++-*p:+--+ has 2 highest nodes under colors (0, 1)")
+    assert regular == regular_by_components(C3, crossed)
+
+
+def test_a_failed_semiregular_axiom_leaves_regularity_to_the_component_route(monkeypatch):
+    # every weight of the (a,2,1,1) hat moved by one unit of color 0 keeps
+    # the weight step and the pairing but not semiregularity, so no subset
+    # is certified, and every color 0 string reads its weights one unit high
+    hat = build_hat_crystal(A2, 1, 1).crystal
+    moved = Crystal(hat.gcm, hat.comarks, hat.ids,
+                    tuple((w0 + 1, w1, w2) for w0, w1, w2 in hat.weights), hat.f, hat.payloads)
+    report = _report_on(monkeypatch, moved)
+    assert [name for name, ok, _ in report.stages if name.startswith("axiom:") and not ok] == [
+        "axiom:semiregular"]
+    regular = _regular(report)
+    assert regular["regular:0"] == (
+        False, "restricted component at t:2*t:1|2|4 is not a highest weight crystal")
+    assert regular == regular_by_components(A2, moved)
+
+
+def test_a_commuting_pair_that_fails_the_weight_step_is_not_certified():
+    # the orthogonal colors 0 and 2 of A2's folded diagram: a --0--> b and
+    # c --2--> b commute, as both composites are empty, and every weight is
+    # phi - eps, but the color 0 edge moves the color 1 and 2 weights; the
+    # one component has the two highest nodes a and c
+    crys = crystal_from_edges(A2.hat_gcm, A2.hat_comarks,
+                              {"a": ((1, 0, 0), None), "b": ((-1, 0, -1), None),
+                               "c": ((0, 0, 1), None)},
+                              {0: {"a": "b"}, 2: {"c": "b"}})
+    assert fixedpoint._acts_as_product(crys, 0, 2)
+    report = crys.verify_crystal_axioms()
+    assert [name for name, ok, _ in report.stages if not ok] == ["axiom:weight-step"]
+    fixedpoint._regularity_stages(report, A2, crys, False)
+    regular = _regular(report)
+    assert regular["regular:02"] == (False, "component of a has 2 highest nodes under colors (0, 2)")
+    assert regular == regular_by_components(A2, crys)

@@ -10,7 +10,7 @@ from crystalfold.crystal import Crystal
 from crystalfold.monomial import (
     MAX_NODES, SHIFT_BITS, _lower, _lowering_table, highest_weight_closure,
     highest_weight_crystal, mono_id, mono_weight, weight_multiset)
-from leaves import crystal_from_edges
+from leaves import crystal_from_edges, regular_by_components
 
 SL2 = ((2,),)
 SL3 = ((2, -1), (-1, 2))
@@ -241,8 +241,11 @@ def test_weight_multiset_is_cached_per_block_and_weight():
 
 @pytest.fixture(scope="module")
 def regular_blocks():
-    """Every (block, weight) that the regularity stages look up, on the scope
-    hats and on (c,5,1,4) with full regularity."""
+    """Every (block, weight) that the regularity stages look up by the
+    component route, on the scope hats and on (c,5,1,4) with full
+    regularity. The hats' copies with no records are checked, so the
+    subsets that a hat's product certificate passes at once, among them
+    every disconnected 2-block, are looked up too."""
     seen = set()
 
     def recording(gcm, lam):
@@ -251,9 +254,10 @@ def regular_blocks():
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(fixedpoint, "weight_multiset", recording)
-        for case, n, i, s in SCOPE_INSTANCES:
-            fixedpoint.verify_main_theorem(make_datum(case, n), i, s)
-        fixedpoint.verify_main_theorem(make_datum("c", 5), 1, 4, full_regularity=True)
+        for case, n, i, s, full in [*(row + (False,) for row in SCOPE_INSTANCES),
+                                    ("c", 5, 1, 4, True)]:
+            datum = make_datum(case, n)
+            regular_by_components(datum, fixedpoint.build_hat_crystal(datum, i, s).crystal, full)
     return sorted(seen)
 
 
