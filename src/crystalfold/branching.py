@@ -16,7 +16,6 @@ from .cartan import ScopeError, block, omega_star
 from .crystal import LazyTensor, Report, VerificationError
 from .fixedpoint import build_hat_crystal
 from .intertwine import orbit_factors
-from .monomial import highest_weight_closure
 
 
 @dataclass(frozen=True)
@@ -122,16 +121,16 @@ def _weyl_product(gcm, lam):
 def weyl_dimension(datum, coeffs):
     """Dimension of the folded classical irreducible with the given highest weight.
 
-    Counted as the monomials that the highest weight closure walk reaches,
-    without building a crystal; _weyl_product, the character product
-    formula, is the independent route.
+    The Weyl product formula, _weyl_product, so nothing is built: branch_hat
+    compares it with the size of every component it decomposes, and the
+    tests compare it with the monomials the highest weight closure walk
+    reaches.
     """
     if len(coeffs) != len(datum.hat_classical_nodes):
         raise ValueError("expected %d coefficients" % len(datum.hat_classical_nodes))
     if min(coeffs, default=0) < 0:
         raise ValueError("weight is not dominant: %r" % (coeffs,))
-    bgcm = block(datum.hat_gcm, datum.hat_classical_nodes)
-    return len(highest_weight_closure(bgcm, tuple(coeffs))[0])
+    return _weyl_product(block(datum.hat_gcm, datum.hat_classical_nodes), tuple(coeffs))
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ eliminates without fractions.
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd, lcm
+from operator import add
 
 
 class ScopeError(ValueError):
@@ -267,8 +268,13 @@ def classical_alpha(gcm, j):
     return tuple(row[j] for row in gcm)
 
 
-def hat_level(datum, mu_hat):
-    return sum(c * v for c, v in zip(datum.hat_comarks, mu_hat))
+def levels(comarks, weights):
+    """The level of every weight in weights: the sum over the colors of the
+    comark times that color's column of weights, a whole column at a time."""
+    out = [0] * len(weights)
+    for c, col in zip(comarks, zip(*weights)):
+        out = list(map(add, out, map(c.__mul__, col)))
+    return out
 
 
 def omega_star(datum, mu):

@@ -46,9 +46,13 @@ def _json_map(name, left_ids, right_ids, values):
     """
     if pair_order_witness(left_ids, right_ids) is not None:
         raise ValueError("keys of the %s map do not ascend strictly" % name)
-    render = encode_basestring_ascii if isinstance(values[0], str) else int.__repr__
+    if isinstance(values[0], str):
+        render = encode_basestring_ascii
+    else:  # few distinct ints: each repr is made once
+        render = {v: repr(v) for v in set(values)}.__getitem__
     # the quoted pair id is the quoted left id + "*", less its closing quote,
-    # then the quoted right id, less its opening quote
+    # then the quoted right id, less its opening quote; the left part goes
+    # into the separator between the entries of its block
     right = [encode_basestring_ascii(y)[1:] + ": " for y in right_ids]
     width = len(right)
 
@@ -57,7 +61,7 @@ def _json_map(name, left_ids, right_ids, values):
         for a, x in enumerate(left_ids):
             prefix = encode_basestring_ascii(x + "*")[:-1]
             row = map(render, values[a * width:(a + 1) * width])
-            yield sep + ",\n    ".join(map(prefix.__add__, map(str.__add__, right, row)))
+            yield sep + prefix + (",\n    " + prefix).join(map(str.__add__, right, row))
             sep = ",\n    "
         yield "\n  }\n}\n"
     return chunks()

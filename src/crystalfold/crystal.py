@@ -20,7 +20,7 @@ from itertools import chain, compress, islice, pairwise, repeat
 from math import prod
 from operator import add, itemgetter, le, lt, mul, neg, not_, sub
 
-from .cartan import classical_alpha, enumerate_dominant
+from .cartan import classical_alpha, enumerate_dominant, levels
 
 
 class VerificationError(RuntimeError):
@@ -492,9 +492,10 @@ class Crystal:
         report = report if report is not None else Report()
 
         def s1():
-            for i, wt in enumerate(self.weights):
-                if sum(c * v for c, v in zip(self.comarks, wt)) != 0:
-                    raise VerificationError("nonzero level weight at %s" % self.id(i))
+            level = levels(self.comarks, self.weights)
+            if any(level):
+                raise VerificationError(
+                    "nonzero level weight at %s" % self.id(next(compress(range(len(self)), level))))
 
         extremal = []
 

@@ -4,9 +4,10 @@ a pair to, the color twist tau of one column, the twist sigma of the whole
 orbit tensor and its fixed nodes, the energy on B (x) B by the walk over
 single nodes, the node-level operators of a Crystal or a
 LazyTensor (one letter, a word, the own strings, a Weyl reflection), the
-fold walked node by node, the string-identity stages node by node, the
-kernel solver and Weyl product in exact Fractions, a clear of every
-package cache, and a runner of the command line."""
+fold walked node by node, the string-identity stages and simple:S1 node
+by node, the kernel solver and Weyl product in exact Fractions, Weyl
+dimensions by counting monomials, a clear of every package cache, and a
+runner of the command line."""
 
 import contextlib
 import importlib
@@ -21,13 +22,14 @@ import crystalfold
 from crystalfold import cli
 from crystalfold.branching import _positive_roots
 from crystalfold.cartan import (
-    kashiwara_word, omega_star, p_omega_star, p_omega_star_inverse, theta_word)
+    block, kashiwara_word, omega_star, p_omega_star, p_omega_star_inverse, theta_word)
 from crystalfold.crystal import (
     Crystal, LazyTensor, Report, Tensor, VerificationError, propagate_map, tensor_many,
     weyl_fall)
 from crystalfold.fixedpoint import HatBundle, _regularity_stages
 from crystalfold.intertwine import orbit_factors, orbit_top
 from crystalfold.models import classical_highest_node, kr_crystal
+from crystalfold.monomial import highest_weight_closure
 
 
 def crystal_from_edges(gcm, comarks, nodes, f_edges):
@@ -340,6 +342,26 @@ def powered_words_by_nodes(datum, bundle):
                                                 % (kind, m, hat.ids[h], jh))
 
 
+def hat_level(datum, mu_hat):
+    """The level of one folded weight under the folded comarks."""
+    return sum(c * v for c, v in zip(datum.hat_comarks, mu_hat))
+
+
+def level_zero_by_nodes(datum, bundle):
+    """Stage strings:level-zero by the loop over single nodes, as the oracle."""
+    hat = bundle.crystal
+    for k, wt in enumerate(hat.weights):
+        if hat_level(datum, wt) != 0:
+            raise VerificationError("folded weight off level zero at %s" % hat.ids[k])
+
+
+def s1_by_nodes(crys):
+    """Stage simple:S1 by the loop over single nodes, as the oracle."""
+    for i, wt in enumerate(crys.weights):
+        if sum(c * v for c, v in zip(crys.comarks, wt)) != 0:
+            raise VerificationError("nonzero level weight at %s" % crys.id(i))
+
+
 def regular_by_components(datum, crys, full=False):
     """The regular:* stages of crys as {name: (ok, detail)}, every subset
     by the component route: they run on a copy with no records, which
@@ -434,6 +456,14 @@ def weyl_product_by_fractions(gcm, lam):
     if dim.denominator != 1 or dim <= 0:
         raise VerificationError("dimension product is not a positive integer")
     return int(dim)
+
+
+def weyl_dimension_by_monomials(datum, coeffs):
+    """The monomials that the highest weight closure walk reaches from the
+    folded classical weight coeffs, the oracle of branching.weyl_dimension;
+    the walk refuses past monomial.MAX_NODES."""
+    bgcm = block(datum.hat_gcm, datum.hat_classical_nodes)
+    return len(highest_weight_closure(bgcm, tuple(coeffs))[0])
 
 
 def clear_package_caches():

@@ -13,11 +13,13 @@ from crystalfold.branching import (
     BranchingResult, _weyl_product, branch_hat, expected_branching, expected_size,
     multiplicity_free_gate, verify_branching, weyl_dimension)
 from crystalfold.cartan import ScopeError, block, enumerate_dominant, make_datum
+from crystalfold.cli import SCOPE_INSTANCES
 from crystalfold.crystal import Crystal, VerificationError
 from crystalfold.fixedpoint import HatBundle, build_hat_crystal
 from crystalfold.intertwine import orbit_factors
 from crystalfold.models import classical_highest_node
-from leaves import build_tilde_crystal, fixed_nodes, weyl_product_by_fractions
+from leaves import (
+    build_tilde_crystal, fixed_nodes, weyl_dimension_by_monomials, weyl_product_by_fractions)
 
 A2 = make_datum("a", 2)
 A3 = make_datum("a", 3)
@@ -39,6 +41,7 @@ D3 = make_datum("d", 3)
 ])
 def test_weyl_dimension_both_routes(datum, coeffs, dim):
     assert weyl_dimension(datum, coeffs) == dim
+    assert weyl_dimension_by_monomials(datum, coeffs) == dim
     assert _weyl_product(block(datum.hat_gcm, datum.hat_classical_nodes), coeffs) == dim
 
 
@@ -68,6 +71,20 @@ def test_integer_weyl_product_matches_fractions_on_a_grid(case):
     datum, coeffs = case
     bgcm = _hat_block(datum)
     assert _weyl_product(bgcm, coeffs) == weyl_product_by_fractions(bgcm, coeffs)
+
+
+def test_weyl_dimension_counts_the_monomials_of_every_branched_weight(monkeypatch):
+    # every highest weight that branch_hat meets on the scope and on the
+    # wide folds of case c: the Weyl product is the monomial count
+    met = set()
+    dimension = branching.weyl_dimension
+    monkeypatch.setattr(branching, "weyl_dimension",
+                        lambda datum, coeffs: met.add((datum, coeffs)) or dimension(datum, coeffs))
+    for case, n, i, s in SCOPE_INSTANCES + [("c", 6, 1, 5), ("c", 7, 1, 4), ("c", 5, 1, 4)]:
+        branch_hat(make_datum(case, n), i, s)
+    assert len(met) > len(SCOPE_INSTANCES)
+    for datum, coeffs in met:
+        assert dimension(datum, coeffs) == weyl_dimension_by_monomials(datum, coeffs)
 
 
 def test_weyl_dimension_rejects_bad_weights():

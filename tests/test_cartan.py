@@ -15,7 +15,6 @@ from crystalfold.cartan import (
     block,
     classical_alpha,
     enumerate_dominant,
-    hat_level,
     kashiwara_word,
     make_datum,
     omega_star,
@@ -27,7 +26,7 @@ from crystalfold.cartan import (
     theta_word,
 )
 from crystalfold.cli import SCOPE_INSTANCES
-from leaves import kernel_by_fractions
+from leaves import hat_level, kernel_by_fractions
 
 
 def level(datum, mu):

@@ -18,8 +18,9 @@ from crystalfold.fixedpoint import (
 from crystalfold.intertwine import orbit_factors, orbit_top
 from crystalfold.models import classical_highest_node
 from leaves import (apply_word, build_tilde_crystal, crystal_from_edges, eps_orbit_by_nodes,
-                    fixed_nodes, fold_by_nodes, leaf_node, own_strings,
-                    powered_words_by_nodes, regular_by_components, run_cli, weyl_by_nodes)
+                    fixed_nodes, fold_by_nodes, leaf_node, level_zero_by_nodes, own_strings,
+                    powered_words_by_nodes, regular_by_components, run_cli, s1_by_nodes,
+                    weyl_by_nodes)
 
 A2 = make_datum("a", 2)
 A3 = make_datum("a", 3)
@@ -142,9 +143,12 @@ def test_powered_words_name_the_first_failing_power(monkeypatch, datum, i, s, mu
     assert _powered_words_both_ways(monkeypatch, datum, i, s, mutant) == (message, message)
 
 
-@pytest.mark.parametrize("datum,i,s", [(C3, 1, 1), (A2, 1, 1), (B1, 1, 2)])
+@pytest.mark.parametrize("datum,i,s", [(C3, 1, 1), (A2, 1, 1), (B1, 1, 2), (C3, 1, 2)])
 def test_powered_words_agree_with_the_node_loop_on_every_dead_edge(monkeypatch, datum, i, s):
-    failed = 0
+    # a color whose word is one letter stops after power 1 where that power
+    # agrees everywhere; a failure at a higher power of such a color is named
+    # only because a power 1 failure at a later node made it run every power
+    failed = later = 0
     for factor, col in enumerate(orbit_factors(datum, i, s)):
         for kind in ("f", "e"):
             for j, row in enumerate(getattr(col, kind)):
@@ -154,7 +158,11 @@ def test_powered_words_agree_with_the_node_loop_on_every_dead_edge(monkeypatch, 
                             monkeypatch, datum, i, s, (factor, kind, j, x))
                         assert got == want
                         failed += got != ""
+                        named = re.fullmatch(r"\w+ power (\d+) disagrees at \S+ color (\d+)", got)
+                        later += bool(named) and int(named[1]) > 1 and len(
+                            kashiwara_word(datum, int(named[2]))) == 1
     assert failed > 0
+    assert later > 0 or (datum, s) != (C3, 2)
 
 
 def _without_edge(bundle, factor, j, x):
@@ -740,3 +748,27 @@ def test_a_commuting_pair_that_fails_the_weight_step_is_not_certified():
     regular = _regular(report)
     assert regular["regular:02"] == (False, "component of a has 2 highest nodes under colors (0, 2)")
     assert regular == regular_by_components(A2, crys)
+
+
+# -- level zero against faulted hats ------------------------------------------
+
+@pytest.mark.parametrize("datum,i,s", [(A2, 1, 1), (C3, 1, 2), (D3, 2, 1), (B2, 2, 1)])
+def test_weights_off_level_zero_fail_s1_and_level_zero_at_the_first(monkeypatch, datum, i, s):
+    # one weight, then two, moved by 1 at color 0, whose comark is positive:
+    # both stages read the same linear form on the same weights, and the
+    # column sums name the node the loop over single nodes names
+    hat = build_hat_crystal(datum, i, s).crystal
+    for moved in [(len(hat) - 1,), (len(hat) // 2, 1)]:
+        bad = hat
+        for k in moved:
+            wt = bad.weights[k]
+            bad = _hat_with_weight(bad, k, (wt[0] + 1,) + wt[1:])
+        first = hat.ids[min(moved)]
+        got, want = _stage_both_ways(monkeypatch, datum, i, s, "strings:level-zero",
+                                     level_zero_by_nodes, crystal=bad)
+        assert got == want == "folded weight off level zero at %s" % first
+        with pytest.raises(VerificationError) as err:
+            s1_by_nodes(bad)
+        simple = {name: (ok, detail) for name, ok, detail in bad.is_simple().stages}
+        assert simple["simple:S1"] == (False, str(err.value))
+        assert str(err.value) == "nonzero level weight at %s" % first

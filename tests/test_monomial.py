@@ -10,7 +10,7 @@ from crystalfold.crystal import Crystal
 from crystalfold.monomial import (
     MAX_NODES, SHIFT_BITS, _lower, _lowering_table, highest_weight_closure,
     highest_weight_crystal, mono_id, mono_weight, weight_multiset)
-from leaves import crystal_from_edges, regular_by_components
+from leaves import crystal_from_edges, regular_by_components, weyl_dimension_by_monomials
 
 SL2 = ((2,),)
 SL3 = ((2, -1), (-1, 2))
@@ -295,10 +295,12 @@ def test_multiset_and_dimension_keep_the_guard_and_build_no_crystal(monkeypatch)
     with pytest.raises(RuntimeError, match="^crystal walk exceeded 5 nodes$"):
         weight_multiset(SL4, (1, 0, 1))
     with pytest.raises(RuntimeError, match="^crystal walk exceeded 5 nodes$"):
-        weyl_dimension(a3, (1, 0, 0))
+        weyl_dimension_by_monomials(a3, (1, 0, 0))
+    # the Weyl product walks nothing, so the guard does not reach it
+    assert weyl_dimension(a3, (1, 0, 0)) == 7
     monkeypatch.setattr(monomial, "MAX_NODES", 15)
     assert len(weight_multiset(SL4, (1, 0, 1))) == 15
-    assert weyl_dimension(a3, (1, 0, 0)) == 7
+    assert weyl_dimension_by_monomials(a3, (1, 0, 0)) == 7
     assert built == []
 
 
