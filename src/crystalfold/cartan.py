@@ -20,7 +20,6 @@ eliminates without fractions.
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd, lcm
-from operator import add
 
 
 class ScopeError(ValueError):
@@ -268,13 +267,11 @@ def classical_alpha(gcm, j):
     return tuple(row[j] for row in gcm)
 
 
-def levels(comarks, weights):
-    """The level of every weight in weights: the sum over the colors of the
-    comark times that color's column of weights, a whole column at a time."""
-    out = [0] * len(weights)
-    for c, col in zip(comarks, zip(*weights)):
-        out = list(map(add, out, map(c.__mul__, col)))
-    return out
+def levels(comarks, columns):
+    """The level of every node, as a list: the sum over the colors of the
+    comark times the color's column in columns, one column per color, of
+    weights or of eps alike."""
+    return list(map(sum, zip(*(map(c.__mul__, col) for c, col in zip(comarks, columns)))))
 
 
 def omega_star(datum, mu):

@@ -9,7 +9,8 @@ and every map between crystals addresses nodes by index; string ids are
 made by the model builders and only rendered for messages and output.
 LazyTensor, a tensor product evaluated only where it is asked, addresses
 its nodes by tuples of factor indices instead. Both act on batches of
-nodes through images, strings_at and weyl_images.
+nodes through images, strings_at and weyl_images, the last of both by
+one rule, weyl_action; a level, of weights or of eps, is cartan.levels.
 """
 
 from collections import deque
@@ -440,20 +441,8 @@ class Crystal:
     # -- Weyl action --------------------------------------------------------
 
     def weyl_images(self, j, nodes):
-        """s_j of every node in nodes, as a list, -1 where a step falls off.
-
-        s_j is f_j^m for m, the weight at j, at least 0, else e_j^-m.
-        """
-        f, e, out = self.f[j], self.e[j], []
-        for i in nodes:
-            m = self.weights[i][j]
-            arr = f if m >= 0 else e
-            for _ in range(abs(m)):
-                i = arr[i]
-                if i == -1:
-                    break
-            out.append(i)
-        return out
+        """s_j of every node in nodes, as a list, -1 where a step falls off (see weyl_action)."""
+        return weyl_action(self, j, nodes, [self.weights[i][j] for i in nodes])
 
     # -- extremal elements, simplicity, perfectness --------------------------
 
@@ -492,7 +481,7 @@ class Crystal:
         report = report if report is not None else Report()
 
         def s1():
-            level = levels(self.comarks, self.weights)
+            level = levels(self.comarks, zip(*self.weights))
             if any(level):
                 raise VerificationError(
                     "nonzero level weight at %s" % self.id(next(compress(range(len(self)), level))))
@@ -524,12 +513,10 @@ class Crystal:
         return report
 
     def level_and_minimal(self):
-        """The minimal level and the nodes that have it."""
-        levels = [0] * len(self)
-        for j, c in enumerate(self.comarks):
-            levels = list(map(add, levels, map(c.__mul__, self.strings(j)[0])))
-        lev = min(levels)
-        return lev, tuple(i for i, l in enumerate(levels) if l == lev)
+        """The minimal level of eps and the nodes that have it."""
+        level = levels(self.comarks, (self.strings(j)[0] for j in range(self.ncolors)))
+        lev = min(level)
+        return lev, tuple(i for i, l in enumerate(level) if l == lev)
 
     def is_perfect(self, s, report=None):
         """Level check plus the two minimal-set bijections onto dominant weights."""
@@ -586,6 +573,21 @@ class Crystal:
                                  % (self.ids[src], self.ids[dst], j))
         lines.append("}")
         return "\n".join(lines) + "\n"
+
+
+def weyl_action(crys, j, nodes, charges):
+    """s_j of every node in nodes of crys, given its weight at j, m, in charges:
+    f_j^m for m at least 0, else e_j^-m, by one crys.images batch per distinct
+    nonzero m, so -1 marks a step that falls off."""
+    out = list(nodes)
+    groups = {}
+    for k, m in enumerate(charges):
+        if m:
+            groups.setdefault(m, []).append(k)
+    for m, pos in groups.items():
+        for k, t in zip(pos, crys.images((j,) * abs(m), [out[k] for k in pos], m > 0)):
+            out[k] = t
+    return out
 
 
 def weyl_fall(j):
@@ -835,22 +837,11 @@ class LazyTensor:
         return list(zip(zip(*eps_out), zip(*phi_out)))
 
     def weyl_images(self, j, nodes):
-        """s_j of every node in nodes, as a list, -1 where a step falls off.
-
-        s_j is f_j^m for m, the weight at j, at least 0, else e_j^-m: one
-        images batch per m.
-        """
+        """s_j of every node in nodes, as a list, -1 where a step falls off
+        (see weyl_action); a node's weight at j sums its factors'."""
         charges = map(sum, zip(*([fac.weights[a][j] for a in col]
                                  for fac, col in zip(self.factors, self._columns(nodes)))))
-        out = list(nodes)
-        groups = {}
-        for k, m in enumerate(charges):
-            if m:
-                groups.setdefault(m, []).append(k)
-        for m, pos in groups.items():
-            for k, t in zip(pos, self.images((j,) * abs(m), [out[k] for k in pos], m > 0)):
-                out[k] = t
-        return out
+        return weyl_action(self, j, nodes, charges)
 
 
 def propagate_map(src, dst, anchors, relabel=None, colors=None, domain=None,

@@ -90,9 +90,8 @@ def fold_crystal(datum, parent, top):
             images[p] = row
         queue += found
         layer = found
-    fixed = tuple(sorted(queue, key=parent.id))
+    ids, fixed = zip(*sorted(zip(map(parent.id, queue), queue)))  # unique ids: no node is compared
     where = {p: h for h, p in enumerate(fixed)}
-    ids = tuple(map(parent.id, fixed))
     columns = list(zip(*map(parent.weight, fixed)))
     if list(map(columns.__getitem__, datum.rep_of)) != columns:
         for p, b in zip(fixed, ids):
@@ -384,7 +383,7 @@ def check_string_identities(datum, i, s):
         stage can fail without the other, and both name the first node off
         level zero. It stays a stage of its own, as every report lists it.
         """
-        level = levels(datum.hat_comarks, hat.weights)
+        level = levels(datum.hat_comarks, zip(*hat.weights))
         if any(level):
             raise VerificationError("folded weight off level zero at %s"
                                     % hat.ids[next(itertools.compress(range(len(hat)), level))])

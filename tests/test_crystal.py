@@ -9,14 +9,14 @@ import tracemalloc
 from operator import add
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from crystalfold import crystal
 from crystalfold.cartan import classical_alpha, make_datum
 from crystalfold.cli import SCOPE_INSTANCES
 from crystalfold.crystal import (
-    Crystal, Report, Tensor, VerificationError, _recheck_map, propagate_map, tensor,
-    tensor_many, weyl_fall)
+    Crystal, LazyTensor, Report, Tensor, VerificationError, _recheck_map, propagate_map,
+    tensor, tensor_many, weyl_fall)
 from crystalfold.fixedpoint import build_hat_crystal, fold_crystal
 from crystalfold.intertwine import energy_on_tensor, orbit_factors, orbit_top
 from crystalfold.models import classical_highest_node, kr_crystal
@@ -586,6 +586,50 @@ def test_weyl_word_reversal(data):
         st.integers(min_value=0, max_value=crys.ncolors - 1), max_size=6))
     there = weyl_word(crys, word, b)
     assert weyl_word(crys, tuple(reversed(word)), there) == b
+
+
+@st.composite
+def string_crystals(draw, gcm):
+    """Up to five nodes, each color a random set of disjoint strings, and
+    random weights that need not agree with them, so a Weyl step may fall
+    off."""
+    n = draw(st.integers(1, 5))
+    f = []
+    for _ in gcm:
+        order = draw(st.permutations(range(n)))
+        row = [-1] * n
+        for a, b, joined in zip(order, order[1:], draw(st.lists(st.booleans(), min_size=n))):
+            if joined:
+                row[a] = b
+        f.append(row)
+    weights = tuple(draw(st.lists(st.tuples(*[st.integers(-3, 3)] * len(gcm)),
+                                  min_size=n, max_size=n)))
+    return Crystal(gcm, (1,) * len(gcm), tuple(map(str, range(n))), weights, f, (None,) * n)
+
+
+def weyl_or_fall(crys, j, node):
+    """weyl_s, with -1 where it raises weyl_fall."""
+    try:
+        return weyl_s(crys, j, node)
+    except VerificationError as exc:
+        assert str(exc) == str(weyl_fall(j))
+        return -1
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([SL2, SL3]).flatmap(
+    lambda gcm: st.lists(string_crystals(gcm), min_size=1, max_size=3)))
+@example([Crystal(SL2, (1,), ("0",), ((2,),), [[-1]], (None,))])
+def test_weyl_images_equal_the_node_steps_where_steps_fall_off(factors):
+    # every color and node of each crystal, and of their LazyTensor
+    for crys in factors:
+        nodes = range(len(crys))
+        for j in range(crys.ncolors):
+            assert crys.weyl_images(j, nodes) == [weyl_or_fall(crys, j, k) for k in nodes]
+    lazy = LazyTensor(factors)
+    nodes = list(itertools.product(*(range(len(fac)) for fac in factors)))
+    for j in range(lazy.ncolors):
+        assert lazy.weyl_images(j, nodes) == [weyl_or_fall(lazy, j, node) for node in nodes]
 
 
 def test_extremal_chain():

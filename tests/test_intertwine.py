@@ -1,5 +1,6 @@
 """Twist maps, exchange maps, orbit tensors, and the energy table."""
 
+import re
 from collections import Counter
 from itertools import product
 
@@ -11,7 +12,8 @@ from crystalfold import fixedpoint, intertwine
 from crystalfold.branching import verify_branching
 from crystalfold.cartan import make_datum, pi_tilde_weight
 from crystalfold.cli import SCOPE_INSTANCES
-from crystalfold.crystal import LazyTensor, Tensor, VerificationError, tensor, tensor_many
+from crystalfold.crystal import (
+    Crystal, LazyTensor, Tensor, VerificationError, tensor, tensor_many)
 from crystalfold.fixedpoint import build_hat_crystal, verify_tensor_compatibility
 from crystalfold.intertwine import (
     compute_r_matrix, energy_on_tensor, orbit_factors, verify_yang_baxter)
@@ -84,6 +86,26 @@ def test_r_matrix_anchor():
     u1 = classical_highest_node(A2, b1, 1, 1)
     u3 = classical_highest_node(A2, b3, 3, 1)
     assert exchange_pair(rmap, u1, u3) == (u3, u1)
+
+
+def test_r_matrix_refuses_a_moved_weight_at_the_first_pair(monkeypatch):
+    # one non-top node of the right column carries a weight off by 7, with
+    # every edge kept: the exchange propagates as before, and the pairs
+    # whose weight it no longer keeps are read off the true exchange
+    rmap = compute_r_matrix(A2, (1, 1), (2, 1))
+    b1, col = kr_crystal(A2, 1, 1), kr_crystal(A2, 2, 1)
+    k = next(k for k in range(len(col)) if k != classical_highest_node(A2, col, 2, 1))
+    weights = list(col.weights)
+    weights[k] = (weights[k][0] + 7,) + weights[k][1:]
+    moved = Crystal(col.gcm, col.comarks, col.ids, tuple(weights), col.f, col.payloads)
+    monkeypatch.setattr(intertwine, "kr_crystal",
+                        lambda datum, i, s: moved if (i, s) == (2, 1) else kr_crystal(datum, i, s))
+    forward, backward = tensor(b1, moved), tensor(moved, b1)
+    first = next(x for x, y in enumerate(rmap.codes)
+                 if forward.weights[x] != backward.weights[y])
+    with pytest.raises(VerificationError,
+                       match="^weight rule fails at %s$" % re.escape(forward.id(first))):
+        compute_r_matrix(A2, (1, 1), (2, 1))
 
 
 def test_yang_baxter_cyclic_parent():
