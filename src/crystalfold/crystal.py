@@ -10,7 +10,8 @@ made by the model builders and only rendered for messages and output.
 LazyTensor, a tensor product evaluated only where it is asked, addresses
 its nodes by tuples of factor indices instead. Both act on batches of
 nodes through images, strings_at and weyl_images, the last of both by
-one rule, weyl_action; a level, of weights or of eps, is cartan.levels.
+one rule, weyl_action; a Crystal's strings_at reads strings(j), its one
+string walk, and a level, of weights or of eps, is cartan.levels.
 """
 
 from collections import deque
@@ -193,35 +194,11 @@ class Crystal:
         return tuple(self.phi(j, i) for j in range(self.ncolors))
 
     def strings_at(self, nodes):
-        """The eps and phi tuples of every node in nodes, as a list of pairs.
-
-        For a few nodes of a large crystal, where strings(j) would walk
-        every string of color j: only the nodes' own strings are walked, one
-        step of every live walk at a time. A walk as long as the crystal is
-        a cycle; of those, the first by node, raising before lowering, then
-        color, is raised.
-        """
-        nodes = list(nodes)
-        lengths, cyclic = [], []
-        for rank, maps in enumerate((self.e, self.f)):
-            for j, arr in enumerate(maps):
-                row = [0] * len(nodes)
-                pos, cur, d = range(len(nodes)), nodes, 0
-                while pos and d < len(self):
-                    cur = list(map(arr.__getitem__, cur))
-                    if -1 in cur:
-                        live = list(map((-1).__ne__, cur))
-                        for k in compress(pos, map(not_, live)):
-                            row[k] = d
-                        pos, cur = list(compress(pos, live)), list(compress(cur, live))
-                    d += 1
-                if pos:
-                    cyclic.append((pos[0], rank, j))
-                lengths.append(row)
-        if cyclic:
-            k, _, j = min(cyclic)
-            raise VerificationError("color %d has a cyclic string through %s" % (j, self.id(nodes[k])))
-        return list(zip(zip(*lengths[:self.ncolors]), zip(*lengths[self.ncolors:])))
+        """The eps columns and the phi columns of the nodes in nodes, one
+        list per color each, read off strings(j)."""
+        columns = [list(map(col.__getitem__, nodes))
+                   for j in range(self.ncolors) for col in self.strings(j)]
+        return columns[::2], columns[1::2]
 
     # -- axioms -------------------------------------------------------------
 
@@ -817,7 +794,8 @@ class LazyTensor:
         return [node for node, _ in heads]
 
     def strings_at(self, nodes):
-        """The eps and phi tuples of every node in nodes, as a list of pairs.
+        """The eps columns and the phi columns of the nodes in nodes, one
+        list per color each, as Crystal.strings_at.
 
         Folded from the factors' strings, factor by factor: eps_j of prefix
         (x) factor k adds max(0, eps_j(factor k) - phi_j(prefix)) to
@@ -834,7 +812,7 @@ class LazyTensor:
                 p = list(map(add, map(phi[k].__getitem__, cols[k]), map(max, repeat(0), map(neg, d))))
             eps_out.append(e)
             phi_out.append(p)
-        return list(zip(zip(*eps_out), zip(*phi_out)))
+        return eps_out, phi_out
 
     def weyl_images(self, j, nodes):
         """s_j of every node in nodes, as a list, -1 where a step falls off

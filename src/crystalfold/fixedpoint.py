@@ -272,9 +272,10 @@ def verify_main_theorem(datum, i, s, full_regularity=False):
 def check_string_identities(datum, i, s):
     """Folded string data read off the parent in four independent ways.
 
-    Each stage reads the parent on batches of fixed nodes: strings_at,
-    images and weyl_images act on every fixed node at once, and a stage
-    that fails names the witness a loop over single nodes would name.
+    Each stage reads the parent on batches of fixed nodes: images and
+    weyl_images act on every fixed node at once, strings_at reads the eps
+    and phi columns of every color there, and a stage that fails names the
+    witness a loop over single nodes would name.
     """
     bundle = build_hat_crystal(datum, i, s)
     hat = bundle.crystal
@@ -283,23 +284,18 @@ def check_string_identities(datum, i, s):
     report = Report()
 
     def eps_orbit():
-        # the parent's strings at every fixed node in one batch, which
-        # raises a cyclic parent string before the hat's strings are read;
-        # p_omega_star reads hat color rep_of[t] for parent color t, so the
-        # parent's eps row, then phi row, of each color t over the fixed
-        # nodes must be the hat's row of color rep_of[t]. Only where some
-        # row differs are the nodes searched for the witness.
+        # the parent's columns at the fixed nodes, read first, so a broken
+        # parent string is raised before the hat's; p_omega_star reads hat
+        # color rep_of[t] for parent color t, so the parent's eps, then phi,
+        # columns must be the hat's of the colors rep_of[t]. Only where some
+        # column differs are the nodes searched for the witness.
         got = parent.strings_at(fixed)
-        columns = list(map(hat.strings, range(hat.ncolors)))
-        for side, per_node in enumerate(zip(*got)):
-            hat_rows = [tuple(col[side]) for col in columns]
-            if list(zip(*per_node)) != list(map(hat_rows.__getitem__, datum.rep_of)):
-                break
-        else:
+        columns = list(zip(*map(hat.strings, range(hat.ncolors))))
+        if all(cols == list(map(mine.__getitem__, datum.rep_of))
+               for cols, mine in zip(got, columns)):
             return
-        hat_eps = zip(*(eps for eps, _ in columns))
-        hat_phi = zip(*(phi for _, phi in columns))
-        for h, (eps, phi), e, p in zip(itertools.count(), got, hat_eps, hat_phi):
+        per_node = [zip(*cols) for cols in (*got, *columns)]
+        for h, eps, phi, e, p in zip(itertools.count(), *per_node):
             if p_omega_star(datum, e) != eps:
                 raise VerificationError("eps tuples disagree at %s" % hat.ids[h])
             if p_omega_star(datum, p) != phi:

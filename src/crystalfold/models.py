@@ -10,18 +10,11 @@ the encoding.
 
 import itertools
 from functools import lru_cache
-from operator import add, and_, gt, le, sub
+from operator import add, and_, gt, le, neg, sub
 
-from .cartan import ScopeError, block, make_datum, pi_weight
+from .cartan import ScopeError, block, levels, make_datum, pi_weight
 from .crystal import Crystal, VerificationError, propagate_map
 from .monomial import highest_weight_crystal
-
-
-def affinize(comarks, classical):
-    """Complete classical pairings (indexed from node 1) to a level zero tuple."""
-    rest = tuple(classical)
-    zero = -sum(c * v for c, v in zip(comarks[1:], rest))
-    return (zero,) + rest
 
 
 # -- columns on whole arrays ------------------------------------------------
@@ -68,10 +61,9 @@ def _state_arrays(digits, radix, rendered, lowering):
 def _sorted_column(datum, rendered, order, f, classical):
     """The column whose nodes are the states taken in order, with f in node
     order; rendered holds the ids and classical the weight columns of colors
-    1 and up, both in enumeration order. The affine weight is computed."""
-    zero = [0] * len(order)
-    for c, col in zip(datum.comarks[1:], classical):
-        zero = list(map(sub, zero, map(c.__mul__, col)))
+    1 and up, both in enumeration order. The affine weight completes them
+    to level zero."""
+    zero = list(map(neg, levels(datum.comarks[1:], classical)))
     ids = tuple(map(rendered.__getitem__, order))
     weights = tuple(zip(*(map(col.__getitem__, order) for col in [zero] + classical)))
     return Crystal(datum.gcm, datum.comarks, ids, weights, f,
@@ -297,8 +289,7 @@ def _spin_crystal(datum, parity):
 _TRIPLE_RELABEL = (0, 2, 1, 3, 4)
 
 
-def _relabeled_triple(datum, builder):
-    inner = builder(make_datum("c", 3))
+def _relabeled_triple(datum, inner):
     perm = _TRIPLE_RELABEL
     weights = tuple(tuple(wt[p] for p in perm) for wt in inner.weights)
     return Crystal(datum.gcm, datum.comarks, inner.ids, weights,
@@ -370,11 +361,13 @@ def _center_crystal(datum, s):
         part = highest_weight_crystal(block_gcm, (k, 0, 0, 0))
         base = len(ids)
         ids += ["c%d:%s" % (k, b[2:]) for b in part.ids]
-        weights += [affinize(datum.comarks, wt) for wt in part.weights]
+        weights += part.weights
         payloads += [(k, payload) for payload in part.payloads]
         for row, lowering in zip(classical, part.f):
             row += [-1 if dst == -1 else base + dst for dst in lowering]
-    partial = Crystal(datum.gcm, datum.comarks, tuple(ids), tuple(weights),
+    zero = map(neg, levels(datum.comarks[1:], zip(*weights)))
+    weights = tuple((z,) + wt for z, wt in zip(zero, weights))
+    partial = Crystal(datum.gcm, datum.comarks, tuple(ids), weights,
                       [[-1] * len(ids)] + classical, tuple(payloads))
     comps = partial.components(colors=(1, 3, 4))
     heads, matchings = _center_candidates(partial, comps)
@@ -435,41 +428,33 @@ def kr_crystal(datum, i, s):
 
     Any classical parent node is accepted so that whole orbits can be
     built; columns without an in-scope model raise ScopeError. A tableau
-    column past the middle is the twist image of its partner, built once
-    through this cache.
+    column past the middle is the twist image of its partner, and a leg of
+    the triple fork a relabeled column of the simply-branched D4 that shares
+    its lowering rows, both built once through this cache.
     """
     if s < 1:
         raise ScopeError("width must be positive")
+    if i not in datum.classical_nodes:
+        raise ScopeError("column %d is not a classical node" % i)
     if datum.case in ("a", "b"):
-        if not 1 <= i <= datum.size - 1:
-            raise ScopeError("column %d is not a classical node" % i)
         if 2 * i > datum.size:
             return _twisted_column(datum, i, s)
         return _tableau_crystal(datum, i, s)
     if datum.case == "c":
-        n = datum.n
         if i == 1:
             return _vector_crystal(datum, s)
-        if i in (n, n + 1):
-            if s != 1:
-                raise ScopeError("fork column %d is only available at width 1" % i)
-            return _spin_crystal(datum, parity=1 if i == n else 0)
-        if 2 <= i <= n - 1:
+        if i < datum.n:
             raise ScopeError("middle columns of the branched parent are out of scope")
-        raise ScopeError("column %d is not a classical node" % i)
+        if s != 1:
+            raise ScopeError("fork column %d is only available at width 1" % i)
+        return _spin_crystal(datum, parity=1 if i == datum.n else 0)
     if datum.case == "d":
         if i == 1:
             if s > 2:
                 raise ScopeError("branch-point columns are built for widths 1 and 2")
             return _center_crystal(datum, s)
-        if i == 2:
-            return _relabeled_triple(datum, lambda std: _vector_crystal(std, s))
-        if i in (3, 4):
-            if s != 1:
-                raise ScopeError("fork column %d is only available at width 1" % i)
-            parity = 1 if i == 3 else 0
-            return _relabeled_triple(datum, lambda std: _spin_crystal(std, parity))
-        raise ScopeError("column %d is not a classical node" % i)
+        # legs 2, 3 and 4 are columns 1, 3 and 4 of the simply-branched D4
+        return _relabeled_triple(datum, kr_crystal(make_datum("c", 3), 1 if i == 2 else i, s))
     raise ScopeError("no model for case %r" % datum.case)
 
 

@@ -201,6 +201,13 @@ def apply_word(crys, word, node, lowering=True):
     return node
 
 
+def node_strings(columns):
+    """The (eps tuple, phi tuple) of each node, from the eps and phi columns
+    that strings_at returns."""
+    eps, phi = columns
+    return list(zip(zip(*eps), zip(*phi)))
+
+
 def own_strings(crys, node):
     """eps and phi tuples of one node: a LazyTensor's folded from the factors'
     strings, a Crystal's by walking the node's own strings, where a walk as

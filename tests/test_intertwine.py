@@ -20,7 +20,7 @@ from crystalfold.intertwine import (
 from crystalfold.models import classical_highest_node, kr_crystal
 from leaves import (apply_word, build_tilde_crystal, clear_package_caches, compute_tau_omega,
                     energy_walk, exchange_pair, lazy_step, leaf_columns, leaf_node,
-                    own_strings, run_cli, weyl_s)
+                    node_strings, own_strings, run_cli, weyl_s)
 
 A2 = make_datum("a", 2)
 A3 = make_datum("a", 3)
@@ -416,8 +416,8 @@ def test_lazy_tensor_matches_the_orbit_tensor(case, n, i, s):
 
     assert ([(lazy.id(node), lazy.weight(node)) for node in nodes]
             == [(eager.ids[k], eager.weights[k]) for k in ks])
-    assert (lazy.strings_at(nodes) == [own_strings(lazy, node) for node in nodes]
-            == eager.strings_at(ks) == [own_strings(eager, k) for k in ks])
+    assert (node_strings(lazy.strings_at(nodes)) == [own_strings(lazy, node) for node in nodes]
+            == node_strings(eager.strings_at(ks)) == [own_strings(eager, k) for k in ks])
     for j in range(eager.ncolors):
         for lowering, maps in ((True, eager.f), (False, eager.e)):
             images = lazy.images((j,), nodes, lowering)
@@ -448,6 +448,6 @@ def test_lazy_batches_equal_the_node_loop(case, n, i, s, data):
     lowering = data.draw(st.booleans())
     assert (lazy.images(word, nodes, lowering)
             == [apply_word(lazy, word, node, lowering) for node in nodes])
-    assert lazy.strings_at(nodes) == [own_strings(lazy, node) for node in nodes]
+    assert node_strings(lazy.strings_at(nodes)) == [own_strings(lazy, node) for node in nodes]
     j = word[0] if word else 0
     assert lazy.weyl_images(j, nodes) == [weyl_s(lazy, j, node) for node in nodes]

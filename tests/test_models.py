@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import json
+import pathlib
 import re
 
 import pytest
@@ -12,9 +13,10 @@ from crystalfold.cartan import ScopeError, block, make_datum
 from crystalfold.cli import SCOPE_INSTANCES
 from crystalfold.crystal import Crystal, Report, VerificationError, propagate_map
 from crystalfold.fixedpoint import verify_main_theorem
+from crystalfold.intertwine import orbit_factors
 from crystalfold.models import (
     _center_candidates, _center_crystal, _center_swap, _spin_crystal, _tableau_crystal,
-    _vec_states, _vector_crystal, affinize, classical_highest_node, kr_crystal)
+    _vec_states, _vector_crystal, classical_highest_node, kr_crystal)
 from crystalfold.monomial import highest_weight_crystal
 from leaves import clear_package_caches, crystal_from_edges
 
@@ -449,6 +451,12 @@ def test_vector_highest():
 
 # -- the per-state oracles of the columns -------------------------------------
 
+def affinize(comarks, classical):
+    """Complete classical pairings (indexed from node 1) to a level zero tuple."""
+    rest = tuple(classical)
+    return (-sum(c * v for c, v in zip(comarks[1:], rest)),) + rest
+
+
 def _vec_id(xs, bars):
     return ("v:" + ",".join(str(v) for v in xs)
             + "|" + ",".join(str(v) for v in bars))
@@ -707,8 +715,7 @@ def test_spin_arrays_match_the_edge_builder(case, n, i):
     if case == "c":
         want = spin_crystal_from_edges(datum, 1 if i == n else 0)
     else:
-        want = models._relabeled_triple(
-            datum, lambda std: spin_crystal_from_edges(std, 1 if i == 3 else 0))
+        want = models._relabeled_triple(datum, spin_crystal_from_edges(C3, 1 if i == 3 else 0))
     got = kr_crystal(datum, i, 1)
     assert (json.dumps(got.to_json(), sort_keys=True)
             == json.dumps(want.to_json(), sort_keys=True))
@@ -750,6 +757,30 @@ def test_scope_errors():
         kr_crystal(A2, 4, 1)
     with pytest.raises(ScopeError):
         kr_crystal(A2, 1, 0)
+
+
+def _size_or_refusal(build):
+    try:
+        built = build()
+    except ScopeError as exc:
+        return str(exc)
+    return list(map(len, built)) if isinstance(built, list) else len(built)
+
+
+def test_refusal_table():
+    # every column i from -1 to the datum size at every width s from 0 to 3:
+    # the size of kr_crystal and of each orbit_factors column, or the exact
+    # ScopeError text, as recorded in kr_refusals.json, "datum,i,s" keyed
+    with open(pathlib.Path(__file__).with_name("kr_refusals.json")) as fh:
+        want = json.load(fh)
+    got = {}
+    for case, n in (("a", 2), ("a", 3), ("b", 1), ("b", 2), ("c", 3), ("c", 4), ("d", 3)):
+        datum = make_datum(case, n)
+        for i, s in itertools.product(range(-1, datum.size + 1), range(4)):
+            got["%s%d,%d,%d" % (case, n, i, s)] = [
+                _size_or_refusal(lambda: kr_crystal(datum, i, s)),
+                _size_or_refusal(lambda: orbit_factors(datum, i, s))]
+    assert got == want
 
 
 # -- the affine completion search of the branch-point column ------------------
