@@ -80,10 +80,12 @@ class Crystal:
             k = next(k for k, wt in enumerate(weights) if len(wt) != len(gcm))
             raise ValueError("weight length mismatch at %s" % ids[k])
         self.ids = ids
-        self._store(gcm, comarks, weights, f, payloads, list(range(len(weights))))
+        self.weights = weights
+        self._store(gcm, comarks, f, payloads, list(range(len(weights))))
 
-    def _store(self, gcm, comarks, weights, f, payloads, nodes):
-        """Everything but the ids, which a Tensor renders only on demand.
+    def _store(self, gcm, comarks, f, payloads, nodes):
+        """Everything but the ids and the weights, which a Tensor renders
+        only on demand.
 
         nodes is list(range(len(self))): the raising maps hold its int
         objects, one per node, and not a new one per edge.
@@ -91,7 +93,6 @@ class Crystal:
         self.gcm = tuple(tuple(row) for row in gcm)
         self.comarks = tuple(comarks)
         self.ncolors = len(self.gcm)
-        self.weights = weights
         self.payloads = payloads
         self.f = f
         self.e = [_inverse(arr, nodes) for arr in f]
@@ -396,7 +397,7 @@ class Crystal:
                         owner[nxt] = top
                         members.append(nxt)
             members.sort()
-            out.append((top, self.weights[top], tuple(members)))
+            out.append((top, self.weight(top), tuple(members)))
         if -1 in owner:
             return self._decomposition_by_components(colors)
         return out
@@ -411,7 +412,7 @@ class Crystal:
                 raise VerificationError(
                     "component of %s has %d highest nodes under colors %r"
                     % (self.id(comp[0]), len(highs), colors))
-            out.append((highs[0], self.weights[highs[0]], comp))
+            out.append((highs[0], self.weight(highs[0]), comp))
         out.sort(key=lambda item: item[0])
         return out
 
@@ -615,12 +616,14 @@ class Tensor(Crystal):
     """Tensor product crystal left (x) right, stored by node index.
 
     Node a * len(right) + b is the pair (a, b) of a left and a right node,
-    so divmod(node, len(right)) reads the pair off the node. No per-pair
-    object is stored that a reader does not ask for: id(k) renders one pair
-    id from the factor ids by pair_ids, ids renders them all on first
-    access, each distinct sum of a left and a right weight is one tuple,
-    shared by every pair of that weight, and every lowering and raising map
-    holds the int objects of one list of the nodes, not a new int per edge.
+    so divmod(node, len(right)) reads the pair off the node. Only the maps
+    are built, and no per-pair object is stored that a reader does not ask
+    for: id(k) renders one pair id from the factor ids by pair_ids, and
+    weight(k) sums the pair's two factor weights, each through its factor's
+    weight; ids and weights render them all on first access, each distinct
+    sum of a left and a right weight as one tuple, shared by every pair of
+    that weight. Every lowering and raising map holds the int objects of
+    one list of the nodes, not a new int per edge.
 
     Pair order must be id order: pair_order_witness compares the pair ids
     at the ends of each left node's block, rendered from the factors' ids,
@@ -630,7 +633,10 @@ class Tensor(Crystal):
     The lowering rule: f_j acts on the left factor when phi_j(left) is
     strictly larger than eps_j(right), otherwise on the right factor; the
     derived raising maps then act on the left exactly when phi_j(left) >=
-    eps_j(right).
+    eps_j(right). So the pairs of left nodes with one phi_j = p > 0 lower
+    alike: one pick list per p says, per right node, which of the two is
+    taken, and a left node's row picks from its own block of pairs and the
+    block of its f_j image.
     """
 
     def __init__(self, left, right):
@@ -641,32 +647,49 @@ class Tensor(Crystal):
         witness = pair_order_witness(_stream_ids(left), tuple(_stream_ids(right)))
         if witness is not None:
             raise _out_of_order(witness)
-        # one row of shared sums per distinct left weight, read by right weight code
-        codes = {}
-        right_codes = [codes.setdefault(y, len(codes)) for y in right.weights]
-        shared, rows = {}, {}
-        for x in left.weights:
-            if x not in rows:
-                rows[x] = [shared.setdefault(w, w) for w in (tuple(map(add, x, y)) for y in codes)]
-        weights = tuple(chain.from_iterable(
-            map(rows[x].__getitem__, right_codes) for x in left.weights))
         # the rows of pairs (a, .), each with -1 appended, so that every map
         # holds the int objects of nodes and not a new one per edge
         nodes = list(range(na * nb))
         blocks = [nodes[a * nb:(a + 1) * nb] + [-1] for a in range(na)]
+        # block + blocks[f_j a] holds the pair (a, f_j b) at f_j b, -1 at -1,
+        # and the pair (f_j a, b) at nb + 1 + b
+        far = range(nb + 1, 2 * nb + 1)
         f = []
         for j in range(left.ncolors):
             phi, eps = left.strings(j)[1], right.strings(j)[0]
             fb = right.f[j]
+            picks = {p: [y if p <= e else x for x, y, e in zip(far, fb, eps)]
+                     for p in set(phi) if p}
             row = []
             for pa, ta, block in zip(phi, left.f[j], blocks):
-                here = map(block.__getitem__, fb)
-                if pa == 0:
-                    row += here
+                if pa:
+                    row += map((block + blocks[ta]).__getitem__, picks[pa])
                 else:
-                    row += [y if pa <= e else x for x, y, e in zip(blocks[ta], here, eps)]
+                    row += map(block.__getitem__, fb)
             f.append(row)
-        self._store(left.gcm, left.comarks, weights, f, (None,) * (na * nb), nodes)
+        self._store(left.gcm, left.comarks, f, (None,) * (na * nb), nodes)
+
+    def __len__(self):
+        return len(self.left) * len(self.right)
+
+    def weight(self, k):
+        a, b = divmod(k, len(self.right))
+        return tuple(map(add, self.left.weight(a), self.right.weight(b)))
+
+    @cached_property
+    def weights(self):
+        # one row of shared sums per distinct left weight, read by right
+        # weight code, and summed over the distinct right weights' columns
+        codes = {}
+        right_codes = [codes.setdefault(y, len(codes)) for y in self.right.weights]
+        columns = list(zip(*codes))
+        shared, rows = {}, {}
+        for x in self.left.weights:
+            if x not in rows:
+                sums = list(zip(*map(map, repeat(add), map(repeat, x), columns)))
+                rows[x] = list(map(shared.setdefault, sums, sums))
+        return tuple(chain.from_iterable(
+            map(rows[x].__getitem__, right_codes) for x in self.left.weights))
 
     def id(self, k):
         a, b = divmod(k, len(self.right))

@@ -1,13 +1,13 @@
-"""Test oracles: crystals built from id-keyed dicts, leaf-index columns of a
-tensor product, read off its pair node numbers, the pair an exchange sends
-a pair to, the color twist tau of one column, the twist sigma of the whole
-orbit tensor and its fixed nodes, the energy on B (x) B by the walk over
-single nodes, the node-level operators of a Crystal or a
-LazyTensor (one letter, a word, the own strings, a Weyl reflection), the
-fold walked node by node, the string-identity stages and simple:S1 node
-by node, the kernel solver and Weyl product in exact Fractions, Weyl
-dimensions by counting monomials, a clear of every package cache, and a
-runner of the command line."""
+"""Test oracles: crystals built from id-keyed dicts, the lowering rows of a
+tensor product pair by pair, leaf-index columns of a tensor product, read
+off its pair node numbers, the pair an exchange sends a pair to, the color
+twist tau of one column, the twist sigma of the whole orbit tensor and its
+fixed nodes, the energy on B (x) B by the walk over single nodes, the
+node-level operators of a Crystal or a LazyTensor (one letter, a word, the
+own strings, a Weyl reflection), the fold walked node by node, the
+string-identity stages and simple:S1 node by node, the kernel solver and
+Weyl product in exact Fractions, Weyl dimensions by counting monomials, a
+clear of every package cache, and a runner of the command line."""
 
 import contextlib
 import importlib
@@ -44,6 +44,29 @@ def crystal_from_edges(gcm, comarks, nodes, f_edges):
         f.append(arr)
     return Crystal(gcm, comarks, ids, tuple(tuple(nodes[b][0]) for b in ids), f,
                    tuple(nodes[b][1] for b in ids))
+
+
+def tensor_rows_by_pairs(left, right):
+    """The lowering rows of tensor(left, right), pair by pair, the oracle of
+    its pick lists: the pair (a, b) lowers to (f_j a, b) where phi_j(a) >
+    eps_j(b), else to (a, f_j b), and every row holds the int objects of
+    one list of the nodes."""
+    na, nb = len(left), len(right)
+    nodes = list(range(na * nb))
+    blocks = [nodes[a * nb:(a + 1) * nb] + [-1] for a in range(na)]
+    f = []
+    for j in range(left.ncolors):
+        phi, eps = left.strings(j)[1], right.strings(j)[0]
+        fb = right.f[j]
+        row = []
+        for pa, ta, block in zip(phi, left.f[j], blocks):
+            here = map(block.__getitem__, fb)
+            if pa == 0:
+                row += here
+            else:
+                row += [y if pa <= e else x for x, y, e in zip(blocks[ta], here, eps)]
+        f.append(row)
+    return f
 
 
 def leaf_columns(crys):

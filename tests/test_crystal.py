@@ -11,7 +11,7 @@ from operator import add
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from crystalfold import crystal
+from crystalfold import crystal, fixedpoint
 from crystalfold.cartan import classical_alpha, make_datum
 from crystalfold.cli import SCOPE_INSTANCES
 from crystalfold.crystal import (
@@ -21,7 +21,7 @@ from crystalfold.fixedpoint import build_hat_crystal, fold_crystal
 from crystalfold.intertwine import energy_on_tensor, orbit_factors, orbit_top
 from crystalfold.models import classical_highest_node, kr_crystal
 from crystalfold.monomial import highest_weight_crystal
-from leaves import crystal_from_edges, leaf_columns, weyl_s
+from leaves import crystal_from_edges, leaf_columns, tensor_rows_by_pairs, weyl_s
 
 SL2 = ((2,),)
 SL3 = ((2, -1), (-1, 2))
@@ -282,7 +282,10 @@ def test_pair_ids_and_shared_weights_match_the_eager_tensor(build):
     assert list(map(prod.id, range(len(prod)))) == ids
     assert "ids" not in vars(prod)
     assert prod.ids == tuple(ids)
-    assert prod.weights == tuple(eager_weights(prod))
+    weights = eager_weights(prod)
+    assert list(map(prod.weight, range(len(prod)))) == weights
+    assert "weights" not in vars(prod)
+    assert prod.weights == tuple(weights)
     # pairs of equal weight share one tuple, and the maps one int per node
     assert len(set(map(id, prod.weights))) == len(set(prod.weights))
     assert len({id(k) for row in prod.f + prod.e for k in row if k != -1}) <= len(prod)
@@ -299,6 +302,35 @@ def test_readers_of_the_pair_tensor_render_no_ids():
     energy_on_tensor(prod, prod.at(top, top))
     assert len(fold_crystal(datum, prod, prod.at(top, top))) > 1
     assert "ids" not in vars(prod)
+    assert "weights" not in vars(prod)
+
+
+@pytest.mark.parametrize("datum, i, s", [(make_datum("a", 2), 1, 2), (make_datum("c", 3), 1, 1)])
+def test_tensor_compatibility_renders_no_pair_weights(monkeypatch, datum, i, s):
+    # the parent pair, of the orbit tensor, and the pair of folded crystals
+    built = []
+
+    def recording(left, right):
+        built.append(tensor(left, right))
+        return built[-1]
+
+    monkeypatch.setattr(fixedpoint, "tensor", recording)
+    assert fixedpoint.verify_tensor_compatibility(datum, (i, s), (i, s)).ok
+    assert len(built) == 2
+    for prod in built:
+        assert "weights" not in vars(prod)
+
+
+@pytest.mark.parametrize("build", _parity_cases())
+def test_pick_list_rows_match_the_per_pair_rule(build):
+    prod = build()
+    assert prod.f == tensor_rows_by_pairs(prod.left, prod.right)
+
+
+@pytest.mark.parametrize("left, right", [
+    pair for pair in itertools.product(POOL, POOL) if pair[0].gcm == pair[1].gcm])
+def test_pick_list_rows_match_the_per_pair_rule_on_the_pool(left, right):
+    assert tensor(left, right).f == tensor_rows_by_pairs(left, right)
 
 
 def test_tensor_memory_holds_no_per_pair_objects():
@@ -463,12 +495,16 @@ def test_images_read_a_copy_with_a_mutated_map():
         assert col.images((1,), nodes, lowering) == before[lowering]
 
 
-def test_cyclic_string_is_rejected_by_both_walks():
+def test_cyclic_string_is_rejected_by_the_string_walk():
     loop = crystal_from_edges(SL2, (1,), {"a": ((0,), None), "b": ((0,), None)},
                               {0: {"a": "b", "b": "a"}})
-    with pytest.raises(VerificationError, match="cyclic string through a"):
+    message = "^color 0 has a cyclic string through a$"
+    with pytest.raises(VerificationError, match=message):
+        loop.strings(0)
+    # both readers of the strings raise from the one walk, strings(0)
+    with pytest.raises(VerificationError, match=message):
         loop.strings_at([0])
-    with pytest.raises(VerificationError, match="cyclic string"):
+    with pytest.raises(VerificationError, match=message):
         loop.eps(0, 0)
 
 
